@@ -18,9 +18,7 @@ from .fgab import (
     direct_sum_with_injections,
     enumerate_elements,
     hom_decompose,
-    is_isomorphic,
     snf,
-    tensor_q,
 )
 from .catalog import (
     Catalog,
@@ -34,7 +32,6 @@ from .catalog import (
     default_catalog,
     default_catalog_path,
     load_catalog,
-    samelson_apply,
 )
 from .exactseq import SequenceResult, middle_group, resolve_extension
 from .gaugecalc import (
@@ -47,7 +44,6 @@ from .gaugecalc import (
     gauge_homotopy,
     gauge_homotopy_rational,
     rational_via_zero_sequence,
-    su2_s4_pi2,
 )
 
 __version__ = "0.1.0"

@@ -115,14 +115,9 @@ class PairingMatrix:
         return out
 
 
-def samelson_apply(pairing: PairingMatrix, a: GroupElement, b: GroupElement) -> GroupElement:
-    return pairing.apply(a, b)
-
-
 @dataclass(frozen=True)
 class GroupCatalogEntry:
     name: str
-    connected: bool
     abelian: bool
     rational_exponents: tuple[int, ...]
     pi: dict[int, FgAbGroup] = field(repr=False)
@@ -240,8 +235,7 @@ def _build_entry(item) -> GroupCatalogEntry:
     unknown = set(item) - _ENTRY_FIELDS
     if unknown:
         raise CatalogValidationError(name, sorted(unknown)[0], "unknown field")
-    connected = _want(item, "connected", bool, name, "")
-    if connected is not True:
+    if _want(item, "connected", bool, name, "") is not True:
         raise CatalogValidationError(name, "connected", "only connected groups are supported")
     abelian = item.get("abelian", False)
     if not isinstance(abelian, bool):
@@ -323,7 +317,6 @@ def _build_entry(item) -> GroupCatalogEntry:
 
     return GroupCatalogEntry(
         name=name,
-        connected=True,
         abelian=abelian,
         rational_exponents=exponents,
         pi=pi,

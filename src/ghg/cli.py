@@ -145,6 +145,8 @@ def _cmd_compute(args) -> int:
     base = _parse_base(args.base)
     if args.degree < 1:
         raise UsageError("degree must be at least 1")
+    if args.torsion_bound < 0:
+        raise UsageError("torsion bound must be nonnegative")
     catalog = _load(args)
     coords = _parse_class(args.clazz, class_group(catalog, args.group, base))
     bundle = make_bundle(catalog, args.group, base, coords)

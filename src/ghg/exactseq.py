@@ -19,7 +19,6 @@ from math import prod
 from .fgab import (
     CapacityError,
     FgAbGroup,
-    GroupElement,
     Homomorphism,
     IntMatrix,
     direct_sum,
@@ -194,8 +193,3 @@ def subgroup_quotient_pairs(group: FgAbGroup) -> frozenset:
         pairs.add((image, cokernel))
     return frozenset(pairs)
 
-
-def realizes_extension(x: FgAbGroup, sub: FgAbGroup, quot: FgAbGroup) -> bool:
-    """Element-level check that finite x has a subgroup of type sub with
-    quotient of type quot (used by the oracle tests)."""
-    return (sub, quot) in subgroup_quotient_pairs(x)

@@ -87,12 +87,6 @@ class IntMatrix:
         return cls([[0] * cols for _ in range(rows)], cols)
 
     @classmethod
-    def diagonal(cls, entries) -> IntMatrix:
-        entries = list(entries)
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], n)
-
-    @classmethod
     def from_columns(cls, columns, rows: int) -> IntMatrix:
         columns = [tuple(c) for c in columns]
         if any(len(c) != rows for c in columns):
@@ -349,12 +343,15 @@ class FgAbGroup:
     def of(cls, rank: int, orders=()) -> FgAbGroup:
         """Canonical form of Z^rank + sum of Z/order, any orders allowed."""
         orders = [abs(int(d)) for d in orders]
-        rank += sum(1 for d in orders if d == 0)
-        facs = [d for d in orders if d >= 2]
-        if not facs:
-            return cls(rank, ())
-        canon = canonicalize(Presentation(len(facs), IntMatrix.diagonal(facs)))
-        return cls(rank + canon.rank, canon.invariant_factors)
+        rank += orders.count(0)
+        facs = [d for d in orders if d != 0]
+        # Z/a + Z/b = Z/gcd + Z/lcm; after step i, facs[i] divides every later entry
+        for i in range(len(facs)):
+            for j in range(i + 1, len(facs)):
+                if facs[j] % facs[i]:
+                    g = gcd(facs[i], facs[j])
+                    facs[i], facs[j] = g, facs[i] // g * facs[j]
+        return cls(rank, tuple(d for d in facs if d >= 2))
 
     @property
     def ngens(self) -> int:
@@ -593,73 +590,16 @@ def integer_kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
     return out
 
 
-def lattice_row_basis(rows, width: int) -> list[list[int]]:
-    """Echelon basis (pivot columns strictly increasing) of the lattice
-    spanned by the given rows of length ``width``."""
-    basis: list[list[int]] = []  # kept sorted by pivot column, pivots > 0
-    for row in rows:
-        _lattice_insert(basis, list(row), width)
-    return basis
-
-
-def _lattice_insert(basis, vec, width):
-    for j in range(width):
-        if vec[j] == 0:
-            continue
-        holder = None
-        for b in basis:
-            if _pivot(b) == j:
-                holder = b
-                break
-        if holder is None:
-            if vec[j] < 0:
-                vec = [-x for x in vec]
-            basis.append(vec)
-            basis.sort(key=_pivot)
-            return
-        a, b = holder[j], vec[j]
-        if b % a == 0:
-            q = b // a
-            vec = [x - q * y for x, y in zip(vec, holder)]
-        else:
-            g, x, y = xgcd(a, b)
-            ag, bg = a // g, -(b // g)
-            new_holder = [x * p + y * q for p, q in zip(holder, vec)]
-            vec = [bg * p + ag * q for p, q in zip(holder, vec)]
-            holder[:] = new_holder
-    # vec reduced to zero: it was already in the lattice
-
-
-def _pivot(row):
-    for j, v in enumerate(row):
-        if v != 0:
-            return j
-    return len(row)
-
-
-def coords_in_row_basis(basis, vec) -> list[int]:
-    """Express ``vec`` as an integer combination of echelon basis rows."""
-    rem = list(vec)
-    coeffs = []
-    for b in basis:
-        j = _pivot(b)
-        if rem[j] % b[j] != 0:
-            raise ValueError("vector not in the lattice")
-        c = rem[j] // b[j]
-        rem = [x - c * y for x, y in zip(rem, b)]
-        coeffs.append(c)
-    if any(rem):
-        raise ValueError("vector not in the lattice")
-    return coeffs
-
-
 def hom_decompose(f: Homomorphism) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup]:
     """Exact (kernel, image, cokernel) of a homomorphism.
 
     Torsion relations are lifted into free presentations: the preimage
     lattice K = {x : f(x) falls in the codomain relation lattice} gives
     image = Z^g / K and kernel = K / (domain relations), and the
-    cokernel stacks the image columns onto the codomain relations.
+    cokernel stacks the image columns onto the codomain relations. The
+    Smith form P B Q = [D 0] of a basis B of K gives both the image and
+    the domain relations R = C B in that basis, C = (R Q)[:, :s] D^-1 P
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4).
 
     >>> f = Homomorphism(FgAbGroup.free(1), FgAbGroup.cyclic(12), IntMatrix([[5]]))
     >>> [str(g) for g in hom_decompose(f)]
@@ -667,20 +607,22 @@ def hom_decompose(f: Homomorphism) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup]:
     """
     dom, cod = f.domain, f.codomain
     g, h = dom.ngens, cod.ngens
-    rel_dom = _relation_rows(dom)
     rel_cod = _relation_rows(cod)
     stacked = hstack(f.matrix, rel_cod.transpose())
-    preimage_gens = [row[:g] for row in integer_kernel_basis(stacked)]
-
-    image = canonicalize(Presentation(g, IntMatrix(preimage_gens, g)))
+    # (x, y) -> x is injective on ker [f | rel_cod^T], so these rows are a basis of K
+    basis = IntMatrix([row[:g] for row in integer_kernel_basis(stacked)], g)
+    p, d, q = snf(basis)
+    pivots = d.diagonal_entries()
+    s = len(pivots)
+    image = FgAbGroup.of(g - s, pivots)
 
     cokernel = canonicalize(
         Presentation(h, vstack(rel_cod, f.matrix.transpose()))
     )
 
-    basis = lattice_row_basis(preimage_gens, g)
-    kernel_rels = [coords_in_row_basis(basis, row) for row in rel_dom.data]
-    kernel = canonicalize(Presentation(len(basis), IntMatrix(kernel_rels, len(basis))))
+    rq = _relation_rows(dom) @ q
+    coeffs = IntMatrix([[row[j] // pivots[j] for j in range(s)] for row in rq.data], s)
+    kernel = canonicalize(Presentation(s, coeffs @ p))
     return kernel, image, cokernel
 
 
@@ -723,16 +665,6 @@ def direct_sum_with_injections(
         injections.append(Homomorphism(g, canon.group, matrix))
         offset += g.ngens
     return canon.group, tuple(injections)
-
-
-def tensor_q(group: FgAbGroup) -> int:
-    """Dimension over Q after tensoring with Q (torsion dies)."""
-    return group.rank
-
-
-def is_isomorphic(a: FgAbGroup, b: FgAbGroup) -> bool:
-    # canonical form is unique per isomorphism class
-    return a == b
 
 
 def enumerate_elements(group: FgAbGroup, bound: int = 10000) -> list[GroupElement]:

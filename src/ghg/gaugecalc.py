@@ -10,23 +10,26 @@ is a negated Samelson product with b:
                a |-> (0, ..., 0, -<a, b>)
 
 pi_n(Gau(P)) is then the middle term between coker(delta_(n+1)) and
-ker(delta_n). Rationally every Samelson product of a connected Lie
-group vanishes, so both maps die and the answer has a closed form in
-the exponents of K.
+ker(delta_n). A surface is computed as S^2 plus split H^1 summands:
+the zero blocks make coker(delta_(n+1)) the S^2 cokernel plus
+pi_(n+1)(K)^2g, and ker(delta_n) the S^2 kernel. Rationally every
+Samelson product of a connected Lie group vanishes, so both maps die
+and the answer has a closed form in the exponents of K.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import Catalog, PairingMatrix, default_catalog
-from .exactseq import DEFAULT_TORSION_BOUND, SequenceResult, middle_group
+from .catalog import Catalog
+from .exactseq import DEFAULT_TORSION_BOUND, SequenceResult, middle_group, resolve_extension
 from .fgab import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
     IntMatrix,
+    direct_sum,
     direct_sum_with_injections,
-    tensor_q,
+    hom_decompose,
 )
 
 
@@ -93,23 +96,6 @@ def make_bundle(catalog: Catalog, group: str, base: Sphere | Surface, coords) ->
     return BundleSpec(base, GroupElement(class_group(catalog, group, base), tuple(coords)))
 
 
-def _check_class(catalog: Catalog, group: str, bundle: BundleSpec) -> GroupElement:
-    expected = class_group(catalog, group, bundle.base)
-    if bundle.clazz.group != expected:
-        raise ValueError(
-            f"bundle class must lie in {expected} (got an element of {bundle.clazz.group})"
-        )
-    return bundle.clazz
-
-
-def _pairing_columns(pairing: PairingMatrix, domain: FgAbGroup, b: GroupElement):
-    # columns of a |-> -<a, b> on the canonical generators
-    return [
-        (-pairing.apply(GroupElement.generator(domain, i), b)).coords
-        for i in range(domain.ngens)
-    ]
-
-
 def connecting_hom_sphere(
     catalog: Catalog, group: str, m: int, b: GroupElement, n: int
 ) -> Homomorphism:
@@ -140,7 +126,10 @@ def connecting_hom_sphere(
     pairing = catalog.samelson(group, n, m - 1)
     if pairing is None:
         raise PairingUnavailable(group, n, m - 1)
-    cols = _pairing_columns(pairing, domain, b)
+    cols = [
+        (-pairing.apply(GroupElement.generator(domain, i), b)).coords
+        for i in range(domain.ngens)
+    ]
     return Homomorphism(domain, codomain, IntMatrix.from_columns(cols, codomain.ngens))
 
 
@@ -148,33 +137,16 @@ def connecting_hom_surface(
     catalog: Catalog, group: str, genus: int, b: GroupElement, n: int
 ) -> Homomorphism:
     """delta_n : pi_n(K) -> pi_n(K)^2g + pi_(n+1)(K) over a genus-g
-    surface; the first 2g blocks vanish and the last is -<., b>."""
-    if n < 1:
-        raise ValueError("connecting map degree must be >= 1")
+    surface: the first 2g blocks vanish and the last is the S^2 map
+    -<., b>."""
     if genus < 0:
         raise ValueError("genus must be >= 0")
-    entry = catalog.entry(group)
-    class_gp = catalog.pi(group, 1)
-    if b.group != class_gp:
-        raise ValueError(f"bundle class must lie in pi_1({group}) = {class_gp}")
-    domain = catalog.pi(group, n)
-    above = catalog.pi(group, n + 1)
-    codomain, injections = direct_sum_with_injections([domain] * (2 * genus) + [above])
-    if (
-        domain.is_trivial
-        or class_gp.is_trivial
-        or above.is_trivial
-        or b.is_zero
-        or entry.abelian
-    ):
-        return Homomorphism.zero(domain, codomain)
-    pairing = catalog.samelson(group, n, 1)
-    if pairing is None:
-        raise PairingUnavailable(group, n, 1)
-    into_last = injections[-1]
+    last = connecting_hom_sphere(catalog, group, 2, b, n)
+    domain = last.domain
+    codomain, injections = direct_sum_with_injections([domain] * (2 * genus) + [last.codomain])
     cols = [
-        into_last.apply(GroupElement(above, col)).coords
-        for col in _pairing_columns(pairing, domain, b)
+        injections[-1].apply(last.apply(GroupElement.generator(domain, i))).coords
+        for i in range(domain.ngens)
     ]
     return Homomorphism(domain, codomain, IntMatrix.from_columns(cols, codomain.ngens))
 
@@ -192,31 +164,24 @@ def gauge_homotopy(
 
         pi_(n+1)(K) --delta--> (target) -> pi_n(Gau P) -> pi_n(K) --delta--> (target)
 
-    with both connecting maps built from catalogued Samelson data.
+    with both connecting maps built from catalogued Samelson data. A
+    genus-g surface runs as S^2: its maps are the S^2 maps with 2g zero
+    blocks added, so the cokernel of delta_(n+1) gains pi_(n+1)(K)^2g as
+    a direct summand and the kernel of delta_n is the S^2 kernel.
     """
     if n < 1:
         raise ValueError("gauge homotopy degrees start at 1 (degree 0 is out of scope)")
-    b = _check_class(catalog, group, bundle)
     base = bundle.base
-    if isinstance(base, Sphere):
-        left = connecting_hom_sphere(catalog, group, base.dim, b, n + 1)
-        right = connecting_hom_sphere(catalog, group, base.dim, b, n)
-        return middle_group(left, right, torsion_bound)
-    left = connecting_hom_surface(catalog, group, base.genus, b, n + 1)
-    right = connecting_hom_surface(catalog, group, base.genus, b, n)
-    result = middle_group(left, right, torsion_bound)
-    if base.genus == 0:
-        # genus 0 is S^2, so the sphere route must agree; keep it as a
-        # live self-check of the two block conventions
-        sphere_result = middle_group(
-            connecting_hom_sphere(catalog, group, 2, b, n + 1),
-            connecting_hom_sphere(catalog, group, 2, b, n),
-            torsion_bound,
-        )
-        assert result == sphere_result, (
-            f"genus-0 surface disagrees with S^2: {result} vs {sphere_result}"
-        )
-    return result
+    m = base.dim if isinstance(base, Sphere) else 2
+    left = connecting_hom_sphere(catalog, group, m, bundle.clazz, n + 1)
+    right = connecting_hom_sphere(catalog, group, m, bundle.clazz, n)
+    sub = hom_decompose(left)[2]
+    if isinstance(base, Surface):
+        # pi_(n+1)(K)^2g is each factor repeated 2g times, a chain already
+        k = 2 * base.genus
+        h1 = left.domain
+        sub = direct_sum(sub, FgAbGroup(k * h1.rank, tuple(sorted(k * h1.invariant_factors))))
+    return resolve_extension(sub, hom_decompose(right)[0], torsion_bound)
 
 
 def gauge_homotopy_rational(
@@ -225,11 +190,10 @@ def gauge_homotopy_rational(
     """dim_Q pi_n(Gau P) tensor Q, closed form (class-independent).
 
     Sphere S^m: dim pi_(n+m) + dim pi_n of K; surface of genus g:
-    dim pi_(n+2) + 2g dim pi_(n+1) + dim pi_n.
+    dim pi_(n+2) + 2g dim pi_(n+1) + dim pi_n. The class is not read.
     """
     if n < 1:
         raise ValueError("gauge homotopy degrees start at 1 (degree 0 is out of scope)")
-    _check_class(catalog, group, bundle)
     base = bundle.base
     if isinstance(base, Sphere):
         return catalog.rational_pi(group, n + base.dim) + catalog.rational_pi(group, n)
@@ -267,17 +231,6 @@ def rational_via_zero_sequence(
                                        + catalog.rational_pi(group, n + 1))
         )
     result = middle_group(left, right)
-    assert result.is_resolved  # free quotient always splits
-    return tensor_q(result.resolved)
-
-
-def su2_s4_pi2(k: int, catalog: Catalog | None = None) -> FgAbGroup:
-    """pi_2 of the gauge group of the SU2-bundle over S^4 with second
-    Chern number k, computed through the full engine (the gcd closed
-    form is reserved for the tests as an oracle)."""
-    if catalog is None:
-        catalog = default_catalog()
-    bundle = make_bundle(catalog, "SU2", Sphere(4), (k,))
-    result = gauge_homotopy(catalog, "SU2", bundle, 2)
-    assert result.is_resolved  # quot = ker out of trivial pi_2 is trivial
-    return result.resolved
+    if not result.is_resolved:
+        raise ArithmeticError(f"a free quotient must split, got candidates {result.candidates}")
+    return result.resolved.rank

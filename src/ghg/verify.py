@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .catalog import Catalog, TableDepthError
-from .exactseq import middle_group, realizes_extension, resolve_extension
+from .exactseq import middle_group, resolve_extension, subgroup_quotient_pairs
 from .fgab import (
     FgAbGroup,
     GroupElement,
@@ -22,7 +22,6 @@ from .fgab import (
     enumerate_elements,
     hom_decompose,
     snf,
-    tensor_q,
 )
 from .gaugecalc import (
     BundleSpec,
@@ -30,11 +29,11 @@ from .gaugecalc import (
     Surface,
     class_group,
     connecting_hom_sphere,
+    connecting_hom_surface,
     gauge_homotopy,
     gauge_homotopy_rational,
     make_bundle,
     rational_via_zero_sequence,
-    su2_s4_pi2,
 )
 
 SEED = 20260814
@@ -180,7 +179,7 @@ def check_extension_oracle(catalog, rng, count=100):
         found = result.resolved == x if result.is_resolved else x in result.candidates
         if not found:
             raise CheckFailure(f"{x} missing from resolve_extension({sub}, {quot})")
-        if not realizes_extension(x, sub, quot):
+        if (sub, quot) not in subgroup_quotient_pairs(x):
             raise CheckFailure(f"brute-force test rejects the true extension {x}")
     return f"{count} random subgroup/quotient pairs re-contain the source group"
 
@@ -206,7 +205,7 @@ def check_catalog_consistency(catalog, rng):
     for name in catalog.names():
         entry = catalog.entry(name)
         for degree, group in entry.pi.items():
-            if tensor_q(group) != entry.rational_exponents.count(degree):
+            if group.rank != entry.rational_exponents.count(degree):
                 raise CheckFailure(f"{name}: rank at degree {degree} off the exponents")
         for (n, m), pairing in entry.samelson.items():
             for row in pairing.values:
@@ -236,10 +235,20 @@ def _bounded_element(rng, group, span=4):
     return GroupElement(group, tuple(coords))
 
 
+def _su2_pi2_over_s4(catalog, k):
+    """pi_2 of the gauge group of the SU2-bundle over S^4 with second
+    Chern number k, through the full engine."""
+    bundle = make_bundle(catalog, "SU2", Sphere(4), (k,))
+    result = gauge_homotopy(catalog, "SU2", bundle, 2)
+    if not result.is_resolved:
+        raise CheckFailure(f"k={k}: unresolved, candidates {result.candidates}")
+    return result.resolved
+
+
 def check_su2_gcd_table(catalog, rng):
     """pi_2 over S^4 through the engine matches the gcd closed form."""
     for k in range(-24, 25):
-        got = su2_s4_pi2(k, catalog)
+        got = _su2_pi2_over_s4(catalog, k)
         want = FgAbGroup.cyclic(gcd(k, 12))
         if got != want:
             raise CheckFailure(f"k={k}: engine {got}, closed form {want}")
@@ -247,7 +256,7 @@ def check_su2_gcd_table(catalog, rng):
 
 
 def check_hopf_bundle(catalog, rng):
-    if not su2_s4_pi2(1, catalog).is_trivial:
+    if not _su2_pi2_over_s4(catalog, 1).is_trivial:
         raise CheckFailure("pi_2 of the gauge group of the Hopf bundle is not trivial")
     return "pi_2(Gau) of the Hopf bundle (k=1) vanishes"
 
@@ -326,13 +335,24 @@ def check_class_negation(catalog, rng):
 
 
 def check_genus_zero_matches_sphere(catalog, rng):
-    """Surface(0) runs the S^2 route as a built-in assertion; exercise it."""
+    """Genus 0 is S^2: the surface and sphere calculators and the middle
+    group of the literal genus-0 surface maps give the same answer."""
     for name in ("SU2", "TEST", "U1"):
         orders = class_group(catalog, name, Surface(0)).generator_orders()
         coords = tuple(1 if d == 0 else 1 % d for d in orders)
-        bundle = make_bundle(catalog, name, Surface(0), coords)
+        b = make_bundle(catalog, name, Surface(0), coords).clazz
         for n in (1, 2):
-            gauge_homotopy(catalog, name, bundle, n)
+            surface = gauge_homotopy(catalog, name, BundleSpec(Surface(0), b), n)
+            sphere = gauge_homotopy(catalog, name, BundleSpec(Sphere(2), b), n)
+            literal = middle_group(
+                connecting_hom_surface(catalog, name, 0, b, n + 1),
+                connecting_hom_surface(catalog, name, 0, b, n),
+            )
+            if not surface == sphere == literal:
+                raise CheckFailure(
+                    f"{name} class {coords} degree {n}: surface {surface}, "
+                    f"sphere {sphere}, literal surface maps {literal}"
+                )
     return "genus-0 surfaces agree with the S^2 sphere route"
 
 

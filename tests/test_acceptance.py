@@ -11,7 +11,7 @@ from math import gcd
 from ghg import cli
 from ghg.catalog import default_catalog
 from ghg.fgab import FgAbGroup
-from ghg.gaugecalc import Sphere, Surface, su2_s4_pi2
+from ghg.gaugecalc import Sphere, Surface, gauge_homotopy, make_bundle
 from ghg.verify import (
     SEED,
     check_even_degree_vanishing,
@@ -43,7 +43,8 @@ def test_criterion_gcd_table_through_cli(capsys):
 
 def test_criterion_hopf_bundle_trivial():
     """The unit-class bundle over S^4 has trivial pi_2 gauge group."""
-    assert su2_s4_pi2(1).is_trivial
+    result = gauge_homotopy(CAT, "SU2", make_bundle(CAT, "SU2", Sphere(4), (1,)), 2)
+    assert result.is_resolved and result.resolved.is_trivial
 
 
 def test_criterion_rational_closed_form():

@@ -171,6 +171,15 @@ def test_torsion_bound_exit(capsys):
     assert "exceeds the bound 7" in capsys.readouterr().err
 
 
+def test_negative_torsion_bound_is_usage_error(capsys):
+    code = cli.run(["compute", "--group", "SU2", "--base", "sphere:4",
+                    "--class", "0", "--degree", "2", "--torsion-bound", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "usage error: torsion bound must be nonnegative" in captured.err
+
+
 def test_catalog_listing(capsys):
     assert cli.run(["catalog"]) == 0
     out = capsys.readouterr().out

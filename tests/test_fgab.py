@@ -17,16 +17,12 @@ from ghg.fgab import (
     IntMatrix,
     Presentation,
     canonicalize,
-    coords_in_row_basis,
     direct_sum,
     direct_sum_with_injections,
     enumerate_elements,
     hom_decompose,
     integer_kernel_basis,
-    is_isomorphic,
-    lattice_row_basis,
     snf,
-    tensor_q,
     xgcd,
 )
 
@@ -317,24 +313,23 @@ def test_hom_decompose_against_enumeration():
 
 
 def test_lattice_helpers():
-    basis = lattice_row_basis([(2, 0), (0, 2), (1, 1)], 2)
-    assert coords_in_row_basis(basis, (3, 1)) is not None
-    with pytest.raises(ValueError):
-        coords_in_row_basis(lattice_row_basis([(2, 0)], 2), (1, 0))
     kernel = integer_kernel_basis(IntMatrix([[5, 12]]))
     (vec,) = kernel
     assert 5 * vec[0] + 12 * vec[1] == 0
     assert vec != (0, 0)
+    # kernel coordinates taken from the Smith form of the preimage lattice
+    f = Homomorphism(FgAbGroup(1, (4,)), FgAbGroup.cyclic(8), IntMatrix([[2, 2]]))
+    assert hom_decompose(f) == (FgAbGroup.free(1), FgAbGroup.cyclic(4), FgAbGroup.cyclic(2))
 
 
 def test_tensor_q():
-    assert tensor_q(FgAbGroup(2, (5,))) == 2
-    assert tensor_q(FgAbGroup.cyclic(9)) == 0
+    assert FgAbGroup(2, (5,)).rank == 2
+    assert FgAbGroup.cyclic(9).rank == 0
 
 
 def test_is_isomorphic():
-    assert is_isomorphic(FgAbGroup.of(0, (2, 3)), FgAbGroup.cyclic(6))
-    assert not is_isomorphic(FgAbGroup.cyclic(4), FgAbGroup(0, (2, 2)))
+    assert FgAbGroup.of(0, (2, 3)) == FgAbGroup.cyclic(6)
+    assert FgAbGroup.cyclic(4) != FgAbGroup(0, (2, 2))
 
 
 def test_enumerate_elements():

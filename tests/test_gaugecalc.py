@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from ghg.catalog import TableDepthError, default_catalog
+from ghg.exactseq import middle_group
 from ghg.fgab import FgAbGroup, GroupElement, IntMatrix, direct_sum_with_injections
 from ghg.gaugecalc import (
     BundleSpec,
@@ -17,7 +18,6 @@ from ghg.gaugecalc import (
     gauge_homotopy_rational,
     make_bundle,
     rational_via_zero_sequence,
-    su2_s4_pi2,
 )
 
 CAT = default_catalog()
@@ -115,7 +115,8 @@ def test_gauge_su2_over_s4():
 
 def test_su2_gcd_closed_form():
     for k in range(-30, 31):
-        assert su2_s4_pi2(k) == FgAbGroup.cyclic(gcd(k, 12))
+        r = gauge_homotopy(CAT, "SU2", make_bundle(CAT, "SU2", Sphere(4), (k,)), 2)
+        assert r.is_resolved and r.resolved == FgAbGroup.cyclic(gcd(k, 12))
 
 
 def test_gauge_degree_three_splits_for_trivial_bundle():
@@ -168,6 +169,23 @@ def test_genus_zero_equals_two_sphere():
         surf = gauge_homotopy(CAT, "TEST", make_bundle(CAT, "TEST", Surface(0), coords), n)
         sph = gauge_homotopy(CAT, "TEST", make_bundle(CAT, "TEST", Sphere(2), coords), n)
         assert surf == sph
+
+
+@pytest.mark.parametrize(
+    "group, degree, coords",
+    [("TEST", 1, (0,)), ("TEST", 1, (1,)), ("TEST", 1, (2,)), ("U1", 1, (1,)),
+     ("SU2", 3, ()), ("SU3", 3, ())],
+)
+def test_surface_split_matches_literal_maps(group, degree, coords):
+    """A genus-g surface computed as S^2 plus split pi_(n+1)^2g summands
+    equals the middle group of the two full block maps."""
+    for genus in (1, 2, 3):
+        bundle = make_bundle(CAT, group, Surface(genus), coords)
+        literal = middle_group(
+            connecting_hom_surface(CAT, group, genus, bundle.clazz, degree + 1),
+            connecting_hom_surface(CAT, group, genus, bundle.clazz, degree),
+        )
+        assert gauge_homotopy(CAT, group, bundle, degree) == literal
 
 
 def test_rational_values():

@@ -1,0 +1,34 @@
+"""The verify suite catches what it is meant to catch, with or without -O."""
+import ast
+from pathlib import Path
+
+import pytest
+
+from ghg import verify
+from ghg.catalog import default_catalog
+from ghg.fgab import Homomorphism
+
+CAT = default_catalog()
+SRC = Path(verify.__file__).resolve().parent
+
+
+def test_genus_zero_check_catches_a_planted_mismatch(monkeypatch):
+    real = verify.connecting_hom_surface
+
+    def zeroed(catalog, group, genus, b, n):
+        d = real(catalog, group, genus, b, n)
+        return Homomorphism.zero(d.domain, d.codomain)
+
+    monkeypatch.setattr(verify, "connecting_hom_surface", zeroed)
+    with pytest.raises(verify.CheckFailure, match="literal surface maps"):
+        verify.check_genus_zero_matches_sphere(CAT, None)
+
+
+def test_library_has_no_assert_statements():
+    """python -O strips assert, so library self-checks must be explicit."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert offenders == []
