@@ -84,7 +84,7 @@ def _build_parser() -> _Parser:
         "--torsion-bound",
         type=int,
         default=DEFAULT_TORSION_BOUND,
-        help=f"largest extension torsion order to enumerate (default: {DEFAULT_TORSION_BOUND})",
+        help=f"largest extension torsion order to resolve (default: {DEFAULT_TORSION_BOUND})",
     )
 
     p = sub.add_parser("rational", parents=[common], help="rational homotopy dimension")

@@ -3,11 +3,19 @@
 Exactness pins X between sub = coker(A -> B) and quot = ker(C -> D):
 0 -> sub -> X -> quot -> 0. The resolution rules are deliberately
 small: a free quotient splits, a trivial side collapses, and anything
-else is answered by enumerating every abelian group with the forced
-rank and torsion order and testing, element by element, whether it
-admits a subgroup of type sub with quotient of type quot. Several
-survivors mean the answer is genuinely ambiguous and all candidates
-are reported.
+else is answered one prime at a time. X has rank rank(sub) + rank(quot)
+and its torsion is an extension of tors sub by tors quot, so it splits
+into p-primary parts, each an extension of the p-part of sub by the
+p-part of quot. A finite abelian p-group of type lam has a subgroup of
+type mu with quotient of type nu exactly when the Littlewood-Richardson
+coefficient c^lam_{mu nu} is positive (T. Klein, "The Hall polynomial",
+J. Algebra 12 (1969); Macdonald, Symmetric Functions and Hall
+Polynomials, Ch. II 4), so the candidates are every choice of one such
+lam per prime. Several candidates mean the answer is genuinely
+ambiguous and all of them are reported.
+
+subgroup_quotient_pairs and torsion_types_of_order are the brute-force
+oracles that ``verify`` and the tests check the engine against.
 """
 from __future__ import annotations
 
@@ -65,9 +73,16 @@ def resolve_extension(
     sub: FgAbGroup, quot: FgAbGroup, torsion_bound: int = DEFAULT_TORSION_BOUND
 ) -> SequenceResult:
     """All abelian groups X fitting 0 -> sub -> X -> quot -> 0, by the
-    rule chain: free quot splits; trivial sub collapses; otherwise
-    enumerate by rank and torsion order and brute-force the
-    subgroup-with-quotient test on torsion parts."""
+    rule chain:
+
+    1. a free quot splits: X = sub + quot (this covers a trivial quot);
+    2. a trivial sub collapses: X = quot;
+    3. otherwise the torsion order |tors sub| * |tors quot| must not
+       exceed torsion_bound (CapacityError), and X has rank
+       rank(sub) + rank(quot) with, at each prime p, a p-primary part of
+       every type lam such that c^lam_{mu nu} > 0, where mu and nu are
+       the types of the p-parts of sub and quot.
+    """
     if not quot.invariant_factors:
         # free quotients split (this also covers trivial quot and trivial sub)
         return SequenceResult(sub, quot, resolved=direct_sum(sub, quot))
@@ -79,15 +94,81 @@ def resolve_extension(
             f"extension torsion order {order} exceeds the bound {torsion_bound}"
         )
     rank = sub.rank + quot.rank
-    want = (sub.torsion_part(), quot.torsion_part())
-    candidates = []
-    for factors in torsion_types_of_order(order):
-        if want in subgroup_quotient_pairs(FgAbGroup(0, factors)):
-            candidates.append(FgAbGroup(rank, factors))
-    candidates.sort(key=lambda g: (g.rank, g.invariant_factors))
+    per_prime = {
+        p: lr_support(_primary_type(sub, p), _primary_type(quot, p))
+        for p in _factorint(order)
+    }
+    candidates = [FgAbGroup(rank, factors) for factors in _assemble(per_prime)]
     if len(candidates) == 1:
         return SequenceResult(sub, quot, resolved=candidates[0])
     return SequenceResult(sub, quot, candidates=tuple(candidates))
+
+
+def _primary_type(group: FgAbGroup, p: int) -> tuple[int, ...]:
+    """The partition of exponents of the p-primary part of tors group."""
+    exponents = []
+    for d in reversed(group.invariant_factors):
+        e = 0
+        while d % p == 0:
+            d //= p
+            e += 1
+        if e == 0:
+            break  # a divisibility chain: every earlier factor is prime to p too
+        exponents.append(e)
+    return tuple(exponents)
+
+
+def _row_fills(nu, used, caps) -> list[tuple[int, ...]]:
+    """Every filling of one row of an LR tableau: a[k] entries k+1, in
+    increasing order, such that the content stays within nu
+    (used[k] + a[k] <= nu[k]), the reading word stays a lattice word
+    (used[k] + a[k] <= used[k-1], as a row is read right to left and so
+    its k+1's come before its k's) and columns stay strict
+    (a[0] + ... + a[k] <= caps[k])."""
+    fills = [()]
+    for k, want in enumerate(nu):
+        room = want - used[k] if k == 0 else min(want - used[k], used[k - 1] - used[k])
+        fills = [f + (a,) for f in fills for a in range(min(room, caps[k] - sum(f)) + 1)]
+    return fills
+
+
+@functools.lru_cache(maxsize=None)
+def lr_support(mu: tuple[int, ...], nu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every partition lam with Littlewood-Richardson coefficient
+    c^lam_{mu nu} > 0, sorted: the types of the finite abelian p-groups
+    with a subgroup of type mu and quotient of type nu.
+
+    Searches the LR tableaux of shape lam/mu and content nu row by row.
+    Row r of lam is mu_r plus the entries placed in it; an entry k+1 in
+    row r must sit below a cell of row r-1 that lies in mu or holds at
+    most k, which caps how many entries <= k+1 row r can take.
+
+    >>> lr_support((1,), (1,))
+    ((1, 1), (2,))
+    """
+    rows = mu + (0,) * len(nu)
+    found = set()
+
+    def walk(r, used, above, lam):
+        if used == nu:
+            found.add(tuple(x for x in lam + rows[r:] if x))
+            return
+        if r == len(rows):
+            return
+        if r == 0:
+            caps = (sum(nu),) * len(nu)
+        else:
+            caps = tuple(rows[r - 1] - rows[r] + sum(above[:k]) for k in range(len(nu)))
+        for fill in _row_fills(nu, used, caps):
+            walk(
+                r + 1,
+                tuple(u + a for u, a in zip(used, fill)),
+                fill,
+                lam + (rows[r] + sum(fill),),
+            )
+
+    walk(0, (0,) * len(nu), (), ())
+    return tuple(sorted(found))
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -120,37 +201,40 @@ def _partitions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _assemble(per_prime: dict[int, list]) -> list[tuple[int, ...]]:
+    """Sorted invariant-factor chains of every group whose p-primary
+    part has, at each prime p, one of the types per_prime[p] (descending
+    exponent partitions)."""
+    types = []
+    for combo in itertools.product(*([(p, part) for part in parts]
+                                     for p, parts in sorted(per_prime.items()))):
+        depth = max((len(part) for _, part in combo), default=0)
+        # align largest prime powers with the last invariant factor
+        factors = [prod(p ** part[k] for p, part in combo if k < len(part))
+                   for k in range(depth)]
+        types.append(tuple(reversed(factors)))
+    types.sort()
+    return types
+
+
 def torsion_types_of_order(order: int) -> list[tuple[int, ...]]:
-    """Invariant-factor chains of every abelian group of a given order.
+    """Invariant-factor chains of every abelian group of a given order;
+    a brute-force oracle beside resolve_extension, for verify and tests.
 
     >>> torsion_types_of_order(12)
     [(2, 6), (12,)]
     """
     if order < 1:
         raise ValueError("order must be positive")
-    if order == 1:
-        return [()]
-    per_prime = []
-    for p, e in sorted(_factorint(order).items()):
-        per_prime.append([(p, part) for part in _partitions(e)])
-    types = []
-    for combo in itertools.product(*per_prime):
-        depth = max(len(part) for _, part in combo)
-        factors = []
-        for k in range(depth):
-            # align largest prime powers with the last invariant factor
-            d = prod(p ** part[k] for p, part in combo if k < len(part))
-            factors.append(d)
-        factors.reverse()
-        types.append(tuple(factors))
-    types.sort()
-    return types
+    return _assemble({p: _partitions(e) for p, e in _factorint(order).items()})
 
 
 @functools.lru_cache(maxsize=None)
 def subgroup_quotient_pairs(group: FgAbGroup) -> frozenset:
     """All pairs (type of H, type of group/H) over subgroups H of a
-    finite group, found by closing element sets under addition."""
+    finite group, found by closing element sets under addition. The
+    brute-force oracle that verify and the tests hold resolve_extension
+    against; the engine itself never calls it."""
     if group.rank != 0:
         raise ValueError("subgroup enumeration needs a finite group")
     factors = group.invariant_factors

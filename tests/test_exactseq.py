@@ -5,6 +5,7 @@ import pytest
 
 from ghg.exactseq import (
     SequenceResult,
+    lr_support,
     middle_group,
     resolve_extension,
     subgroup_quotient_pairs,
@@ -145,3 +146,47 @@ def test_direct_sum_always_candidate():
         r = resolve_extension(sub, quot)
         groups = [r.resolved] if r.is_resolved else list(r.candidates)
         assert direct_sum(sub, quot) in groups
+
+
+def test_lr_support_known_products():
+    # s_1 s_1 = s_2 + s_11
+    assert lr_support((1,), (1,)) == ((1, 1), (2,))
+    # s_21 s_21 = s_42 + s_411 + s_33 + 2 s_321 + s_3111 + s_222 + s_2211
+    assert set(lr_support((2, 1), (2, 1))) == {
+        (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (3, 1, 1, 1), (2, 2, 2), (2, 2, 1, 1)
+    }
+    # columns: e_2 e_2 = s_22 + s_211 + s_1111, and e_3 e_2 adds a vertical 2-strip
+    assert lr_support((1, 1), (1, 1)) == ((1, 1, 1, 1), (2, 1, 1), (2, 2))
+    assert lr_support((1, 1, 1), (1, 1)) == ((1, 1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1))
+    # an empty side contributes nothing
+    assert lr_support((3, 1), ()) == ((3, 1),)
+    assert lr_support((), (2, 2)) == ((2, 2),)
+
+
+def test_resolve_multi_prime():
+    # Z/30 by Z/12: (1) by (2) at 2, (1) by (1) at 3, (1) alone at 5
+    r = resolve_extension(FgAbGroup.cyclic(30), FgAbGroup.cyclic(12))
+    assert [c.invariant_factors for c in r.candidates] == [(2, 180), (3, 120), (6, 60), (360,)]
+
+
+def test_candidates_match_brute_force():
+    """For every pair of nontrivial finite groups with |sub| * |quot| <= 48,
+    the candidates are exactly the groups of that order in which
+    subgroup enumeration finds a subgroup of type sub with quotient quot."""
+    groups = [FgAbGroup(0, t) for n in range(2, 25) for t in torsion_types_of_order(n)]
+    pairs = 0
+    for sub in groups:
+        for quot in groups:
+            order = sub.order * quot.order
+            if order > 48:
+                continue
+            r = resolve_extension(sub, quot)
+            got = [r.resolved] if r.is_resolved else list(r.candidates)
+            want = [
+                FgAbGroup(0, t)
+                for t in torsion_types_of_order(order)
+                if (sub, quot) in subgroup_quotient_pairs(FgAbGroup(0, t))
+            ]
+            assert got == want, (sub, quot)
+            pairs += 1
+    assert pairs == 192

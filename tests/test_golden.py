@@ -9,9 +9,15 @@ to change, naming the changed lines in CHANGES.md) from the repository
 root with
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+and list the argv of every line whose replay differs, writing nothing, with
+
+    PYTHONPATH=src python3 tests/test_golden.py --diff
 """
+import argparse
 import io
 import json
+import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -63,12 +69,22 @@ def test_golden_corpus_covers_every_query_kind():
     assert all(line["exit"] in (0, 2) for line in lines)
 
 
+def changed_argvs():
+    return [want["argv"] for want in load_golden() if record(want["argv"]) != want]
+
+
 def test_golden_corpus_replays_byte_for_byte():
-    changed = [want["argv"] for want in load_golden() if record(want["argv"]) != want]
-    assert changed == []
+    assert changed_argvs() == []
 
 
 if __name__ == "__main__":
-    with GOLDEN.open("w", encoding="utf-8") as fh:
-        for argv in golden_argvs():
-            fh.write(json.dumps(record(argv), sort_keys=True) + "\n")
+    parser = argparse.ArgumentParser(description="regenerate or diff the golden corpus")
+    parser.add_argument("--diff", action="store_true",
+                        help="print the argv of each line whose replay differs; write nothing")
+    if parser.parse_args().diff:
+        for argv in changed_argvs():
+            print(shlex.join(argv))
+    else:
+        with GOLDEN.open("w", encoding="utf-8") as fh:
+            for argv in golden_argvs():
+                fh.write(json.dumps(record(argv), sort_keys=True) + "\n")
