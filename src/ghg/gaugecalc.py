@@ -12,9 +12,11 @@ is a negated Samelson product with b:
 pi_n(Gau(P)) is then the middle term between coker(delta_(n+1)) and
 ker(delta_n). A surface is computed as S^2 plus split H^1 summands:
 the zero blocks make coker(delta_(n+1)) the S^2 cokernel plus
-pi_(n+1)(K)^2g, and ker(delta_n) the S^2 kernel. Rationally every
-Samelson product of a connected Lie group vanishes, so both maps die
-and the answer has a closed form in the exponents of K.
+pi_(n+1)(K)^2g, and ker(delta_n) the S^2 kernel. A trivial bundle
+splits, since the constant maps are a section of evaluation
+Gau(P) = Map(B, K) -> K. Rationally every Samelson product of a
+connected Lie group vanishes, so both maps die and the answer has a
+closed form in the exponents of K.
 """
 from __future__ import annotations
 
@@ -167,7 +169,10 @@ def gauge_homotopy(
     with both connecting maps built from catalogued Samelson data. A
     genus-g surface runs as S^2: its maps are the S^2 maps with 2g zero
     blocks added, so the cokernel of delta_(n+1) gains pi_(n+1)(K)^2g as
-    a direct summand and the kernel of delta_n is the S^2 kernel.
+    a direct summand and the kernel of delta_n is the S^2 kernel. A
+    trivial bundle (class 0) splits: evaluation Gau(P) = Map(B, K) -> K
+    has the constant-map section, so the answer is sub + quot, settled
+    before the torsion bound like the split rules of resolve_extension.
     """
     if n < 1:
         raise ValueError("gauge homotopy degrees start at 1 (degree 0 is out of scope)")
@@ -181,7 +186,10 @@ def gauge_homotopy(
         k = 2 * base.genus
         h1 = left.domain
         sub = direct_sum(sub, FgAbGroup(k * h1.rank, tuple(sorted(k * h1.invariant_factors))))
-    return resolve_extension(sub, hom_decompose(right)[0], torsion_bound)
+    quot = hom_decompose(right)[0]
+    if bundle.clazz.is_zero:
+        return SequenceResult(sub, quot, resolved=direct_sum(sub, quot))
+    return resolve_extension(sub, quot, torsion_bound)
 
 
 def gauge_homotopy_rational(

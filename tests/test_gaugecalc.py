@@ -125,6 +125,13 @@ def test_gauge_degree_three_splits_for_trivial_bundle():
     assert r.is_resolved and str(r.resolved) == "Z^1 + Z/2"
 
 
+def test_trivial_bundle_splits_before_extension_search():
+    # sub Z/30 and quot Z/12 alone leave four candidates (Z/30 by Z/12)
+    b = make_bundle(CAT, "SU3", Sphere(2), ())
+    r = gauge_homotopy(CAT, "SU3", b, 8)
+    assert r.is_resolved and r.resolved == FgAbGroup.of(0, (6, 60))
+
+
 def test_gauge_degree_three_needs_missing_pairing():
     bundle = make_bundle(CAT, "SU2", Sphere(4), (1,))
     with pytest.raises(PairingUnavailable):

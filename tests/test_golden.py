@@ -65,8 +65,9 @@ def load_golden():
 def test_golden_corpus_covers_every_query_kind():
     lines = load_golden()
     assert len(lines) == 464 + 7 + 7 * len(GENERA)
-    assert sum(1 for line in lines if line["exit"] == 2) == 7
-    assert all(line["exit"] in (0, 2) for line in lines)
+    # the 7 refused grid queries have torsion order above the bound, but
+    # all are trivial bundles, which split before the bound is checked
+    assert all(line["exit"] == 0 for line in lines)
 
 
 def changed_argvs():
