@@ -153,8 +153,8 @@ def lr_support(mu: tuple[int, ...], nu: tuple[int, ...]) -> tuple[tuple[int, ...
         if used == nu:
             found.add(tuple(x for x in lam + rows[r:] if x))
             return
-        if r == len(rows):
-            return
+        if r == len(rows) or (r > 0 and rows[r - 1] == 0 and not any(above)):
+            return  # below mu, an empty row leaves no room for the rest
         if r == 0:
             caps = (sum(nu),) * len(nu)
         else:

@@ -12,9 +12,11 @@ from ghg.exactseq import resolve_extension
 from ghg.fgab import direct_sum
 from ghg.gaugecalc import Sphere, Surface, gauge_homotopy, make_bundle
 
-CORPUS = json.loads(
-    (Path(__file__).resolve().parent.parent / "bench" / "corpus.json").read_text(encoding="utf-8")
-)
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus.json"
+
+
+def load_corpus():
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
 
 
 def run_json(command, q):
@@ -32,7 +34,7 @@ def test_deadline_queries_answer_fast():
     """Work is bounded: the queries the sweep leaves out for running past
     its per-query deadline answer, with the rank of the rational closed
     form, in well under a second each."""
-    queries = [q for q in CORPUS["excluded"] if q["reason"] == "above the deadline"]
+    queries = [q for q in load_corpus()["excluded"] if q["reason"] == "above the deadline"]
     assert len(queries) == 25
     start = time.perf_counter()
     for q in queries:
@@ -48,7 +50,7 @@ def test_trivial_bundles_split():
     """A trivial bundle answers sub + quot, which is always one of the
     extension's candidates."""
     cat = default_catalog()
-    trivial = [q for q in CORPUS["queries"] if not any(q["class"])]
+    trivial = [q for q in load_corpus()["queries"] if not any(q["class"])]
     assert trivial
     for q in trivial:
         kind, size = q["base"].split(":")

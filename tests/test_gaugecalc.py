@@ -126,7 +126,7 @@ def test_gauge_degree_three_splits_for_trivial_bundle():
 
 
 def test_trivial_bundle_splits_before_extension_search():
-    # sub Z/30 and quot Z/12 alone leave four candidates (Z/30 by Z/12)
+    # resolve_extension(Z/30, Z/12) alone leaves four candidates
     b = make_bundle(CAT, "SU3", Sphere(2), ())
     r = gauge_homotopy(CAT, "SU3", b, 8)
     assert r.is_resolved and r.resolved == FgAbGroup.of(0, (6, 60))
