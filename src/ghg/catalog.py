@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .fgab import FgAbGroup, GroupElement
+from .fgab import FgAbGroup, GroupElement, Value
 
 _ENTRY_FIELDS = {"name", "connected", "abelian", "rational_exponents", "pi", "samelson"}
 _PI_FIELDS = {"degree", "rank", "factors", "source"}
@@ -52,29 +51,31 @@ class TableDepthError(CatalogError):
         )
 
 
-@dataclass(frozen=True)
-class PairingMatrix:
+class PairingMatrix(Value):
     """Values of a biadditive pairing pi_n x pi_m -> pi_(n+m) on the
     canonical generator pairs; values[i][j] pairs generator i of pi_n
     with generator j of pi_m."""
 
-    n: int
-    m: int
-    source_n: FgAbGroup
-    source_m: FgAbGroup
-    target: FgAbGroup
-    values: tuple[tuple[GroupElement, ...], ...]
+    __slots__ = ("n", "m", "source_n", "source_m", "target", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.source_n.ngens:
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        source_n: FgAbGroup,
+        source_m: FgAbGroup,
+        target: FgAbGroup,
+        values: tuple[tuple[GroupElement, ...], ...],
+    ):
+        if len(values) != source_n.ngens:
             raise ValueError("pairing value rows do not match pi_n generators")
-        n_orders = self.source_n.generator_orders()
-        m_orders = self.source_m.generator_orders()
-        for i, row in enumerate(self.values):
-            if len(row) != self.source_m.ngens:
+        n_orders = source_n.generator_orders()
+        m_orders = source_m.generator_orders()
+        for i, row in enumerate(values):
+            if len(row) != source_m.ngens:
                 raise ValueError("pairing value columns do not match pi_m generators")
             for j, val in enumerate(row):
-                if val.group != self.target:
+                if val.group != target:
                     raise ValueError("pairing value lies in the wrong group")
                 if val.order() == 0:
                     raise ValueError(
@@ -87,6 +88,12 @@ class PairingMatrix:
                             f"pairing value at ({i}, {j}) is not killed by the "
                             f"generator order {d}"
                         )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "source_n", source_n)
+        object.__setattr__(self, "source_m", source_m)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def zero(cls, n, m, source_n, source_m, target) -> PairingMatrix:
@@ -115,24 +122,37 @@ class PairingMatrix:
         return out
 
 
-@dataclass(frozen=True)
-class GroupCatalogEntry:
-    name: str
-    abelian: bool
-    rational_exponents: tuple[int, ...]
-    pi: dict[int, FgAbGroup] = field(repr=False)
-    pi_sources: dict[int, str] = field(repr=False)
-    samelson: dict[tuple[int, int], PairingMatrix] = field(repr=False)
+class GroupCatalogEntry(Value):
+    __slots__ = ("name", "abelian", "rational_exponents", "pi", "pi_sources", "samelson")
+    _repr_hidden = ("pi", "pi_sources", "samelson")
+
+    def __init__(
+        self,
+        name: str,
+        abelian: bool,
+        rational_exponents: tuple[int, ...],
+        pi: dict[int, FgAbGroup],
+        pi_sources: dict[int, str],
+        samelson: dict[tuple[int, int], PairingMatrix],
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "abelian", abelian)
+        object.__setattr__(self, "rational_exponents", rational_exponents)
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "pi_sources", pi_sources)
+        object.__setattr__(self, "samelson", samelson)
 
     @property
     def depth(self) -> int:
         return max(self.pi)
 
 
-@dataclass(frozen=True)
-class Catalog:
-    entries: dict[str, GroupCatalogEntry]
-    path: str
+class Catalog(Value):
+    __slots__ = ("entries", "path")
+
+    def __init__(self, entries: dict[str, GroupCatalogEntry], path: str):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "path", path)
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.entries)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import prod
 
 from .fgab import (
@@ -29,6 +28,7 @@ from .fgab import (
     FgAbGroup,
     Homomorphism,
     IntMatrix,
+    Value,
     direct_sum,
     enumerate_elements,
     hom_decompose,
@@ -37,8 +37,7 @@ from .fgab import (
 DEFAULT_TORSION_BOUND = 10000
 
 
-@dataclass(frozen=True)
-class SequenceResult:
+class SequenceResult(Value):
     """Outcome of pinning the middle group of an exact fragment.
 
     Either ``resolved`` holds the unique answer, or ``candidates`` is a
@@ -46,14 +45,21 @@ class SequenceResult:
     sorted by rank then factor list.
     """
 
-    sub: FgAbGroup
-    quot: FgAbGroup
-    resolved: FgAbGroup | None = None
-    candidates: tuple[FgAbGroup, ...] = ()
+    __slots__ = ("sub", "quot", "resolved", "candidates")
 
-    def __post_init__(self):
-        if (self.resolved is None) == (not self.candidates):
+    def __init__(
+        self,
+        sub: FgAbGroup,
+        quot: FgAbGroup,
+        resolved: FgAbGroup | None = None,
+        candidates: tuple[FgAbGroup, ...] = (),
+    ):
+        if (resolved is None) == (not candidates):
             raise ValueError("exactly one of resolved/candidates must be set")
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "quot", quot)
+        object.__setattr__(self, "resolved", resolved)
+        object.__setattr__(self, "candidates", candidates)
 
     @property
     def is_resolved(self) -> bool:

@@ -21,12 +21,55 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 
 class CapacityError(Exception):
     """An enumeration would exceed its configured bound."""
+
+
+class Value:
+    """Base of the immutable value types.
+
+    A subclass lists its fields, in order, as ``__slots__`` and sets
+    them in ``__init__`` through ``object.__setattr__``. Equality is
+    same class and equal field tuples, the hash is the hash of the field
+    tuple, the repr is ``Name(field=value, ...)`` without the fields in
+    ``_repr_hidden``, and assigning or deleting any attribute raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+    _repr_hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        if len(names) == 1:
+            get = operator.attrgetter(names[0])
+            cls._astuple = staticmethod(lambda obj: (get(obj),))
+        else:
+            # one C-level getter per class keeps == and hash off a Python loop
+            cls._astuple = operator.attrgetter(*names)
+        cls._repr_fields = tuple(n for n in names if n not in cls._repr_hidden)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == self._astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._repr_fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -294,8 +337,7 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return IntMatrix(u, nrows), IntMatrix(m, ncols), IntMatrix(v, ncols)
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(Value):
     """A finitely generated abelian group in canonical form.
 
     ``rank`` free summands followed by cyclic summands whose orders form
@@ -306,20 +348,18 @@ class FgAbGroup:
     'Z^2 + Z/2 + Z/6'
     """
 
-    rank: int
-    invariant_factors: tuple[int, ...] = ()
+    __slots__ = ("rank", "invariant_factors")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "invariant_factors", tuple(int(d) for d in self.invariant_factors)
-        )
-        if self.rank < 0:
+    def __init__(self, rank: int, invariant_factors: tuple[int, ...] = ()):
+        facs = tuple(int(d) for d in invariant_factors)
+        if rank < 0:
             raise ValueError("negative rank")
-        facs = self.invariant_factors
         if any(d < 2 for d in facs):
             raise ValueError("invariant factors must be >= 2")
         if any(facs[i + 1] % facs[i] != 0 for i in range(len(facs) - 1)):
             raise ValueError(f"factors {facs} do not form a divisibility chain")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "invariant_factors", facs)
 
     @classmethod
     def trivial(cls) -> FgAbGroup:
@@ -390,18 +430,18 @@ class FgAbGroup:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Value):
     """Z^generators modulo the row span of ``relations``."""
 
-    generators: int
-    relations: IntMatrix
+    __slots__ = ("generators", "relations")
 
-    def __post_init__(self):
-        if self.generators < 0:
+    def __init__(self, generators: int, relations: IntMatrix):
+        if generators < 0:
             raise ValueError("negative generator count")
-        if self.relations.cols != self.generators:
+        if relations.cols != generators:
             raise ValueError("relation width does not match generator count")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
 
     @classmethod
     def of_group(cls, group: FgAbGroup) -> Presentation:
@@ -456,27 +496,26 @@ def canonicalize(pres: Presentation) -> FgAbGroup:
     return _Canonicalized(pres).group
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Value):
     """An element of a group in canonical form, as a coordinate row.
 
     Torsion coordinates are reduced to [0, di) on construction, so
     structural equality is element equality.
     """
 
-    group: FgAbGroup
-    coords: tuple[int, ...]
+    __slots__ = ("group", "coords")
 
-    def __post_init__(self):
-        coords = tuple(int(c) for c in self.coords)
-        if len(coords) != self.group.ngens:
+    def __init__(self, group: FgAbGroup, coords: tuple[int, ...]):
+        coords = tuple(int(c) for c in coords)
+        if len(coords) != group.ngens:
             raise ValueError(
-                f"need {self.group.ngens} coordinates for {self.group}, got {len(coords)}"
+                f"need {group.ngens} coordinates for {group}, got {len(coords)}"
             )
-        rank = self.group.rank
+        rank = group.rank
         reduced = coords[:rank] + tuple(
-            c % d for c, d in zip(coords[rank:], self.group.invariant_factors)
+            c % d for c, d in zip(coords[rank:], group.invariant_factors)
         )
+        object.__setattr__(self, "group", group)
         object.__setattr__(self, "coords", reduced)
 
     @classmethod
@@ -521,8 +560,7 @@ class GroupElement:
         )
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(Value):
     """Integer matrix acting on canonical coordinates.
 
     Columns are indexed by domain generators and rows by codomain
@@ -531,28 +569,28 @@ class Homomorphism:
     i.e. every column must be annihilated by its generator's order.
     """
 
-    domain: FgAbGroup
-    codomain: FgAbGroup
-    matrix: IntMatrix
+    __slots__ = ("domain", "codomain", "matrix")
 
-    def __post_init__(self):
-        m = self.matrix
-        if m.rows != self.codomain.ngens or m.cols != self.domain.ngens:
+    def __init__(self, domain: FgAbGroup, codomain: FgAbGroup, matrix: IntMatrix):
+        if matrix.rows != codomain.ngens or matrix.cols != domain.ngens:
             raise ValueError(
-                f"matrix is {m.rows}x{m.cols}, expected "
-                f"{self.codomain.ngens}x{self.domain.ngens}"
+                f"matrix is {matrix.rows}x{matrix.cols}, expected "
+                f"{codomain.ngens}x{domain.ngens}"
             )
-        cod_orders = self.codomain.generator_orders()
-        for j, d in enumerate(self.domain.generator_orders()):
+        cod_orders = codomain.generator_orders()
+        for j, d in enumerate(domain.generator_orders()):
             if d == 0:
                 continue
             for i, e in enumerate(cod_orders):
-                val = d * m.data[i][j]
+                val = d * matrix.data[i][j]
                 if (val != 0) if e == 0 else (val % e != 0):
                     raise ValueError(
                         f"ill-defined homomorphism: generator {j} has order {d} "
                         f"but d*column is nonzero in coordinate {i}"
                     )
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def zero(cls, domain: FgAbGroup, codomain: FgAbGroup) -> Homomorphism:

@@ -20,8 +20,6 @@ closed form in the exponents of K.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .catalog import Catalog
 from .exactseq import DEFAULT_TORSION_BOUND, SequenceResult, middle_group, resolve_extension
 from .fgab import (
@@ -29,6 +27,7 @@ from .fgab import (
     GroupElement,
     Homomorphism,
     IntMatrix,
+    Value,
     direct_sum,
     direct_sum_with_injections,
     hom_decompose,
@@ -49,42 +48,44 @@ class PairingUnavailable(Exception):
         )
 
 
-@dataclass(frozen=True)
-class Sphere:
-    dim: int
+class Sphere(Value):
+    __slots__ = ("dim",)
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int):
+        if dim < 1:
             raise ValueError("sphere dimension must be >= 1")
+        object.__setattr__(self, "dim", dim)
 
     def __str__(self):
         return f"sphere:{self.dim}"
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(Value):
     """Closed orientable surface of the given genus; genus 0 is S^2."""
 
-    genus: int
+    __slots__ = ("genus",)
 
-    def __post_init__(self):
-        if self.genus < 0:
+    def __init__(self, genus: int):
+        if genus < 0:
             raise ValueError("genus must be >= 0")
+        object.__setattr__(self, "genus", genus)
 
     def __str__(self):
         return f"surface:{self.genus}"
 
 
-@dataclass(frozen=True)
-class BundleSpec:
+class BundleSpec(Value):
     """A principal K-bundle: base plus classifying element.
 
     The class lives in pi_(m-1)(K) for sphere bases (clutching) and in
     pi_1(K) = H^2 of the surface for surface bases.
     """
 
-    base: Sphere | Surface
-    clazz: GroupElement
+    __slots__ = ("base", "clazz")
+
+    def __init__(self, base: Sphere | Surface, clazz: GroupElement):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "clazz", clazz)
 
 
 def class_group(catalog: Catalog, group: str, base: Sphere | Surface) -> FgAbGroup:

@@ -7,7 +7,6 @@ checks draw from a fixed seed so a verify run is reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd
 
 from .catalog import Catalog, TableDepthError
@@ -18,6 +17,7 @@ from .fgab import (
     Homomorphism,
     IntMatrix,
     Presentation,
+    Value,
     canonicalize,
     enumerate_elements,
     hom_decompose,
@@ -43,11 +43,13 @@ class CheckFailure(AssertionError):
     pass
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Value):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 # ---------------------------------------------------------------- generators

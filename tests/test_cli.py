@@ -1,5 +1,8 @@
 """Exit codes, output formats, and catalog selection in the CLI."""
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,3 +247,18 @@ def test_version(capsys):
         cli.run(["--version"])
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("ghg ")
+
+
+def test_cli_import_stays_light():
+    """A cold `ghg compute` pays for every module `ghg.cli` pulls in:
+    dataclasses alone brings inspect, ast, dis and tokenize. ghg.verify
+    stays eagerly imported, since the benchmark reads it from sys.modules
+    right after importing ghg.cli."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import ghg.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'ghg.verify') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", probe],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n")[0] == "['ghg.verify']"

@@ -1,0 +1,108 @@
+"""The value types: immutable, field-wise equality and hash, dataclass-style repr."""
+import pytest
+
+from ghg.catalog import Catalog, GroupCatalogEntry, PairingMatrix, default_catalog
+from ghg.exactseq import SequenceResult
+from ghg.fgab import FgAbGroup, GroupElement, Homomorphism, IntMatrix, Presentation
+from ghg.gaugecalc import BundleSpec, Sphere, Surface
+from ghg.verify import CheckResult
+
+Z2 = FgAbGroup.cyclic(2)
+Z4 = FgAbGroup.cyclic(4)
+ENTRY = default_catalog().entry("SU2")
+
+
+def hashable_cases():
+    """(value, field names in order, repr) for every hashable value type."""
+    two = GroupElement(Z4, (2,))
+    return [
+        (FgAbGroup(1, (2,)), ("rank", "invariant_factors"),
+         "FgAbGroup(rank=1, invariant_factors=(2,))"),
+        (Presentation(1, IntMatrix([[2]])), ("generators", "relations"),
+         "Presentation(generators=1, relations=IntMatrix([[2]], cols=1))"),
+        (two, ("group", "coords"),
+         "GroupElement(group=FgAbGroup(rank=0, invariant_factors=(4,)), coords=(2,))"),
+        (Homomorphism(Z2, Z4, IntMatrix([[2]])), ("domain", "codomain", "matrix"),
+         "Homomorphism(domain=FgAbGroup(rank=0, invariant_factors=(2,)), "
+         "codomain=FgAbGroup(rank=0, invariant_factors=(4,)), matrix=IntMatrix([[2]], cols=1))"),
+        (PairingMatrix(1, 1, Z2, Z2, Z4, ((two,),)),
+         ("n", "m", "source_n", "source_m", "target", "values"),
+         "PairingMatrix(n=1, m=1, source_n=FgAbGroup(rank=0, invariant_factors=(2,)), "
+         "source_m=FgAbGroup(rank=0, invariant_factors=(2,)), "
+         "target=FgAbGroup(rank=0, invariant_factors=(4,)), "
+         "values=((GroupElement(group=FgAbGroup(rank=0, invariant_factors=(4,)), coords=(2,)),),))"),
+        (SequenceResult(Z2, Z2, candidates=(Z4,)), ("sub", "quot", "resolved", "candidates"),
+         "SequenceResult(sub=FgAbGroup(rank=0, invariant_factors=(2,)), "
+         "quot=FgAbGroup(rank=0, invariant_factors=(2,)), resolved=None, "
+         "candidates=(FgAbGroup(rank=0, invariant_factors=(4,)),))"),
+        (Sphere(2), ("dim",), "Sphere(dim=2)"),
+        (Surface(2), ("genus",), "Surface(genus=2)"),
+        (BundleSpec(Sphere(2), two), ("base", "clazz"),
+         "BundleSpec(base=Sphere(dim=2), "
+         "clazz=GroupElement(group=FgAbGroup(rank=0, invariant_factors=(4,)), coords=(2,)))"),
+        (CheckResult("c", True, "ok"), ("name", "passed", "detail"),
+         "CheckResult(name='c', passed=True, detail='ok')"),
+    ]
+
+
+def dict_cases():
+    """Value types holding dicts: equal field-wise, unhashable like their dicts."""
+    return [
+        (ENTRY, ("name", "abelian", "rational_exponents", "pi", "pi_sources", "samelson")),
+        (Catalog({"SU2": ENTRY}, "x.json"), ("entries", "path")),
+    ]
+
+
+@pytest.mark.parametrize("value, fields, text", hashable_cases())
+def test_hashable_value_contract(value, fields, text):
+    astuple = tuple(getattr(value, f) for f in fields)
+    assert hash(value) == hash(astuple)
+    assert repr(value) == text
+    twin = type(value)(*astuple)
+    assert twin == value and hash(twin) == hash(value) and not twin != value
+    assert value != astuple
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, f, None)
+        with pytest.raises(AttributeError):
+            delattr(value, f)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert tuple(getattr(value, f) for f in fields) == astuple
+
+
+@pytest.mark.parametrize("value, fields", dict_cases())
+def test_dict_value_contract(value, fields):
+    twin = type(value)(**{f: getattr(value, f) for f in fields})
+    assert twin == value
+    with pytest.raises(TypeError):
+        hash(value)
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, f, None)
+
+
+def test_value_repr_hides_catalog_tables():
+    assert repr(ENTRY) == "GroupCatalogEntry(name='SU2', abelian=False, rational_exponents=(3,))"
+    assert repr(Catalog({}, "x.json")) == "Catalog(entries={}, path='x.json')"
+
+
+def test_equality_needs_the_same_class():
+    assert Sphere(2) != Surface(2)
+    assert not Sphere(2) == Surface(2)
+    assert Sphere(2) == Sphere(2) and Sphere(2) != Sphere(3)
+    assert len({Sphere(2), Sphere(2), Surface(2)}) == 2
+
+
+def test_constructor_checks_and_defaults():
+    assert FgAbGroup(0) == FgAbGroup(0, ())
+    assert FgAbGroup(0, [6]).invariant_factors == (6,)
+    assert SequenceResult(Z2, Z2, resolved=Z4).candidates == ()
+    with pytest.raises(ValueError):
+        FgAbGroup(0, (4, 2))
+    with pytest.raises(ValueError):
+        GroupElement(Z2, (1, 1))
+    with pytest.raises(ValueError):
+        Sphere(0)
+    with pytest.raises(ValueError):
+        Surface(-1)
