@@ -85,9 +85,19 @@ def resolve_extension(
     2. a trivial sub collapses: X = quot;
     3. otherwise the torsion order |tors sub| * |tors quot| must not
        exceed torsion_bound (CapacityError), and X has rank
-       rank(sub) + rank(quot) with, at each prime p, a p-primary part of
-       every type lam such that c^lam_{mu nu} > 0, where mu and nu are
-       the types of the p-parts of sub and quot.
+       r + rank(quot), r = rank(sub), with, at each prime p, a p-primary
+       part of every type lam such that c^lam_{mu sigma} > 0, where mu
+       and nu are the types of the p-parts of sub and quot and sigma is
+       the type of a subgroup of the p-group of type nu whose quotient
+       needs at most r generators (sigma = nu when sub is finite).
+
+    The free part of quot splits off. The torsion of X meets sub in
+    tors sub and maps onto a subgroup T of tors quot, and (tors quot)/T
+    is a quotient of X/(sub + tors X), a finite quotient of Z^r, so it
+    needs at most r generators; conversely every such T and every
+    extension of T by tors sub occur. With r > 0 the free part of X can
+    absorb torsion of quot: 0 -> Z -> X -> Z/2 -> 0 has X = Z (the
+    doubling map) as well as X = Z + Z/2.
     """
     if not quot.invariant_factors:
         # free quotients split (this also covers trivial quot and trivial sub)
@@ -101,7 +111,11 @@ def resolve_extension(
         )
     rank = sub.rank + quot.rank
     per_prime = {
-        p: lr_support(_primary_type(sub, p), _primary_type(quot, p))
+        p: sorted({
+            lam
+            for sigma in _subgroup_types(_primary_type(quot, p), sub.rank)
+            for lam in lr_support(_primary_type(sub, p), sigma)
+        })
         for p in _factorint(order)
     }
     candidates = [FgAbGroup(rank, factors) for factors in _assemble(per_prime)]
@@ -175,6 +189,23 @@ def lr_support(mu: tuple[int, ...], nu: tuple[int, ...]) -> tuple[tuple[int, ...
 
     walk(0, (0,) * len(nu), (), ())
     return tuple(sorted(found))
+
+
+@functools.lru_cache(maxsize=None)
+def _subgroup_types(nu: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
+    """Types sigma of the subgroups of a p-group of type nu whose
+    quotient, of some type rho, needs at most r generators: nu lies in
+    lr_support(sigma, rho) with len(rho) <= r. For r = 0 only nu itself."""
+    n = sum(nu)
+    out = []
+    for k in range(n + 1):
+        for sigma in _partitions(k):
+            if len(sigma) > len(nu) or any(s > t for s, t in zip(sigma, nu)):
+                continue  # a subgroup type fits inside nu
+            if any(nu in lr_support(sigma, rho)
+                   for rho in _partitions(n - k) if len(rho) <= r):
+                out.append(sigma)
+    return tuple(out)
 
 
 def _factorint(n: int) -> dict[int, int]:

@@ -1,4 +1,5 @@
 """Middle-group extraction and extension resolution."""
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from ghg.exactseq import (
     subgroup_quotient_pairs,
     torsion_types_of_order,
 )
-from ghg.fgab import CapacityError, FgAbGroup, Homomorphism, IntMatrix
+from ghg.fgab import CapacityError, FgAbGroup, Homomorphism, IntMatrix, hom_decompose
 
 
 def scalar(dom, cod, k):
@@ -87,9 +88,19 @@ def test_resolve_filters_by_realizability():
 
 def test_resolve_respects_rank():
     r = resolve_extension(FgAbGroup.free(1), FgAbGroup.cyclic(2))
-    # free sub, finite quot: candidates all have rank 1 and order 2 torsion
+    # free sub, finite quot: candidates all have rank 1 and torsion of order dividing 2
     for c in ([r.resolved] if r.is_resolved else r.candidates):
-        assert c.rank == 1 and c.torsion_order == 2
+        assert c.rank == 1 and 2 % c.torsion_order == 0
+
+
+def test_free_sub_absorbs_torsion():
+    # 0 -> Z -> Z -> Z/2 -> 0 by the doubling map, beside the split Z + Z/2
+    r = resolve_extension(Z, FgAbGroup.cyclic(2))
+    assert not r.is_resolved
+    assert [str(c) for c in r.candidates] == ["Z^1", "Z^1 + Z/2"]
+    # a quotient needing two generators cannot be absorbed by one free summand
+    r = resolve_extension(Z, FgAbGroup.of(0, (2, 2)))
+    assert [str(c) for c in r.candidates] == ["Z^1 + Z/2", "Z^1 + Z/2 + Z/2"]
 
 
 def test_capacity_bound():
@@ -129,7 +140,10 @@ def test_candidate_invariants_random():
         assert groups, f"no candidate for {sub}, {quot}"
         for g in groups:
             assert g.rank == sub.rank + quot.rank
-            assert g.torsion_order == sub.torsion_order * quot.torsion_order
+            # a free sub can absorb part of tors quot, a finite one cannot
+            full = sub.torsion_order * quot.torsion_order
+            assert full % g.torsion_order == 0 and g.torsion_order % sub.torsion_order == 0
+            assert g.torsion_order == full or sub.rank > 0
         # the list is duplicate free and sorted
         keys = [(g.rank, g.invariant_factors) for g in groups]
         assert keys == sorted(set(keys))
@@ -190,3 +204,60 @@ def test_candidates_match_brute_force():
             assert got == want, (sub, quot)
             pairs += 1
     assert pairs == 192
+
+
+def _subgroup_generators(moduli):
+    """One generator tuple per subgroup of Z/m1 + ... + Z/mk, found by
+    closing element sets under addition."""
+    elements = list(itertools.product(*(range(m) for m in moduli)))
+    zero = (0,) * len(moduli)
+
+    def add(a, b):
+        return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
+
+    seen = {frozenset({zero}): ()}
+    queue = [frozenset({zero})]
+    while queue:
+        h = queue.pop()
+        for x in elements:
+            if x in h:
+                continue
+            bigger, shift = set(h), x
+            while shift not in h:
+                bigger.update(add(y, shift) for y in h)
+                shift = add(shift, x)
+            bigger = frozenset(bigger)
+            if bigger not in seen:
+                seen[bigger] = seen[h] + (x,)
+                queue.append(bigger)
+    return list(seen.values())
+
+
+def test_free_rank_exhaustive():
+    """X = Z + T with |T| <= 6 and Z^2 + T with |T| <= 2. Every subgroup S
+    containing nX, n = 2 * exponent(T), is generated by nX and lifts of
+    a subgroup of X/nX. resolve_extension(S, X/S) must list X, and every
+    swept group it lists for a finite X/S of exponent dividing its n must
+    realize (S, X/S) in the sweep, so the candidates are exact."""
+    family = [FgAbGroup(r, t) for r, top in ((1, 6), (2, 2))
+              for order in range(1, top + 1) for t in torsion_types_of_order(order)]
+    modulus = {x: 2 * max(x.invariant_factors, default=1) for x in family}
+    realized = {}
+    for x, n in modulus.items():
+        lattice = [tuple(n * (i == j) for i in range(x.ngens)) for j in range(x.rank)]
+        for gens in _subgroup_generators((n,) * x.rank + x.invariant_factors):
+            cols = lattice + list(gens)
+            phi = Homomorphism(FgAbGroup.free(len(cols)), x, IntMatrix.from_columns(cols, x.ngens))
+            _, sub, quot = hom_decompose(phi)
+            realized.setdefault((sub, quot), set()).add(x)
+    absorbed = 0
+    for (sub, quot), xs in realized.items():
+        r = resolve_extension(sub, quot)
+        got = [r.resolved] if r.is_resolved else list(r.candidates)
+        assert xs <= set(got), (sub, quot)
+        exponent = max(quot.invariant_factors, default=1)
+        for c in got:
+            if quot.rank == 0 and c in modulus and modulus[c] % exponent == 0:
+                assert c in xs, (c, sub, quot)
+        absorbed += any(c.torsion_order < sub.torsion_order * quot.torsion_order for c in got)
+    assert len(realized) == 80 and absorbed > 0
