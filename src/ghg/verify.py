@@ -191,6 +191,23 @@ def check_extension_oracle(catalog, rng, count=100):
             "and enumeration realizes every candidate")
 
 
+def check_free_rank_oracle(catalog, rng, count=50):
+    """Build X = Z^r + T with r >= 1, a subgroup S generated by elements
+    with free coordinates, and X/S: resolve_extension(S, X/S) must list
+    X, also where the free part of X absorbs torsion of X/S."""
+    for _ in range(count):
+        x = FgAbGroup(rng.randint(1, 2), random_finite_group(rng, 32).invariant_factors)
+        k = rng.randint(1, 3)
+        gens = [_bounded_element(rng, x).coords for _ in range(k)]
+        phi = Homomorphism(FgAbGroup.free(k), x, IntMatrix.from_columns(gens, x.ngens))
+        _, sub, quot = hom_decompose(phi)
+        result = resolve_extension(sub, quot)
+        candidates = [result.resolved] if result.is_resolved else result.candidates
+        if x not in candidates:
+            raise CheckFailure(f"{x} missing from resolve_extension({sub}, {quot})")
+    return f"{count} random subgroups of infinite groups re-contain the source group"
+
+
 def check_sign_invariance(catalog, rng, count=100):
     """middle_group is unchanged by negating either connecting map."""
     for _ in range(count):
@@ -369,6 +386,7 @@ CHECKS = [
     ("group_order_oracle", check_group_order_oracle),
     ("hom_decompose_oracle", check_hom_oracle),
     ("extension_oracle", check_extension_oracle),
+    ("free_rank_oracle", check_free_rank_oracle),
     ("sign_invariance", check_sign_invariance),
     ("catalog_consistency", check_catalog_consistency),
     ("su2_gcd_table", check_su2_gcd_table),

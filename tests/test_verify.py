@@ -1,11 +1,13 @@
 """The verify suite catches what it is meant to catch, with or without -O."""
 import ast
+import random
 from pathlib import Path
 
 import pytest
 
 from ghg import verify
 from ghg.catalog import default_catalog
+from ghg.exactseq import SequenceResult
 from ghg.fgab import Homomorphism
 
 CAT = default_catalog()
@@ -22,6 +24,26 @@ def test_genus_zero_check_catches_a_planted_mismatch(monkeypatch):
     monkeypatch.setattr(verify, "connecting_hom_surface", zeroed)
     with pytest.raises(verify.CheckFailure, match="literal surface maps"):
         verify.check_genus_zero_matches_sphere(CAT, None)
+
+
+def test_free_rank_oracle_catches_unabsorbed_torsion(monkeypatch):
+    """A resolve_extension that keeps the full torsion order of sub + quot,
+    as if every sub were finite, misses X = Z^r + T where the free part
+    absorbs torsion; the extension oracle alone draws only finite X."""
+    real = verify.resolve_extension
+
+    def full_torsion_only(sub, quot):
+        r = real(sub, quot)
+        kept = tuple(c for c in ([r.resolved] if r.is_resolved else r.candidates)
+                     if c.torsion_order == sub.torsion_order * quot.torsion_order)
+        if len(kept) == 1:
+            return SequenceResult(sub, quot, resolved=kept[0])
+        return SequenceResult(sub, quot, candidates=kept)
+
+    monkeypatch.setattr(verify, "resolve_extension", full_torsion_only)
+    verify.check_extension_oracle(CAT, random.Random(verify.SEED))
+    with pytest.raises(verify.CheckFailure, match="missing from resolve_extension"):
+        verify.check_free_rank_oracle(CAT, random.Random(verify.SEED))
 
 
 def test_library_has_no_assert_statements():
