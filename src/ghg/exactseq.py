@@ -14,8 +14,9 @@ Polynomials, Ch. II 4), so the candidates are every choice of one such
 lam per prime. Several candidates mean the answer is genuinely
 ambiguous and all of them are reported.
 
-subgroup_quotient_pairs and torsion_types_of_order are the brute-force
-oracles that ``verify`` and the tests check the engine against.
+subgroup_quotient_pairs (on subgroup_generators) and
+torsion_types_of_order are the brute-force oracles that ``verify`` and
+the tests check the engine against.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from .fgab import (
     IntMatrix,
     Value,
     direct_sum,
-    enumerate_elements,
     hom_decompose,
 )
 
@@ -266,20 +266,14 @@ def torsion_types_of_order(order: int) -> list[tuple[int, ...]]:
     return _assemble({p: _partitions(e) for p, e in _factorint(order).items()})
 
 
-@functools.lru_cache(maxsize=None)
-def subgroup_quotient_pairs(group: FgAbGroup) -> frozenset:
-    """All pairs (type of H, type of group/H) over subgroups H of a
-    finite group, found by closing element sets under addition. The
-    brute-force oracle that verify and the tests hold resolve_extension
-    against; the engine itself never calls it."""
-    if group.rank != 0:
-        raise ValueError("subgroup enumeration needs a finite group")
-    factors = group.invariant_factors
-    elements = [e.coords for e in enumerate_elements(group, bound=group.torsion_order)]
-    zero = (0,) * len(factors)
+def subgroup_generators(moduli) -> list[tuple[tuple[int, ...], ...]]:
+    """One generating tuple per subgroup of Z/m1 + ... + Z/mk, found by
+    closing element sets under addition; brute force, for the oracles."""
+    elements = list(itertools.product(*(range(m) for m in moduli)))
+    zero = (0,) * len(moduli)
 
     def add(a, b):
-        return tuple((x + y) % d for x, y, d in zip(a, b, factors))
+        return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
 
     def close(subgroup, extra):
         new = set(subgroup)
@@ -302,9 +296,19 @@ def subgroup_quotient_pairs(group: FgAbGroup) -> frozenset:
             if bigger not in generators:
                 generators[bigger] = gens + (x,)
                 queue.append(bigger)
+    return list(generators.values())
 
+
+@functools.lru_cache(maxsize=None)
+def subgroup_quotient_pairs(group: FgAbGroup) -> frozenset:
+    """All pairs (type of H, type of group/H) over subgroups H of a
+    finite group, from subgroup_generators. The brute-force oracle that
+    verify and the tests hold resolve_extension against; the engine
+    itself never calls it."""
+    if group.rank != 0:
+        raise ValueError("subgroup enumeration needs a finite group")
     pairs = set()
-    for gens in generators.values():
+    for gens in subgroup_generators(group.invariant_factors):
         phi = Homomorphism(
             FgAbGroup.free(len(gens)),
             group,
@@ -313,4 +317,3 @@ def subgroup_quotient_pairs(group: FgAbGroup) -> frozenset:
         _, image, cokernel = hom_decompose(phi)
         pairs.add((image, cokernel))
     return frozenset(pairs)
-

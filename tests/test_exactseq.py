@@ -1,5 +1,4 @@
 """Middle-group extraction and extension resolution."""
-import itertools
 import random
 
 import pytest
@@ -9,6 +8,7 @@ from ghg.exactseq import (
     lr_support,
     middle_group,
     resolve_extension,
+    subgroup_generators,
     subgroup_quotient_pairs,
     torsion_types_of_order,
 )
@@ -206,33 +206,6 @@ def test_candidates_match_brute_force():
     assert pairs == 192
 
 
-def _subgroup_generators(moduli):
-    """One generator tuple per subgroup of Z/m1 + ... + Z/mk, found by
-    closing element sets under addition."""
-    elements = list(itertools.product(*(range(m) for m in moduli)))
-    zero = (0,) * len(moduli)
-
-    def add(a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
-
-    seen = {frozenset({zero}): ()}
-    queue = [frozenset({zero})]
-    while queue:
-        h = queue.pop()
-        for x in elements:
-            if x in h:
-                continue
-            bigger, shift = set(h), x
-            while shift not in h:
-                bigger.update(add(y, shift) for y in h)
-                shift = add(shift, x)
-            bigger = frozenset(bigger)
-            if bigger not in seen:
-                seen[bigger] = seen[h] + (x,)
-                queue.append(bigger)
-    return list(seen.values())
-
-
 def test_free_rank_exhaustive():
     """X = Z + T with |T| <= 6 and Z^2 + T with |T| <= 2. Every subgroup S
     containing nX, n = 2 * exponent(T), is generated by nX and lifts of
@@ -245,7 +218,7 @@ def test_free_rank_exhaustive():
     realized = {}
     for x, n in modulus.items():
         lattice = [tuple(n * (i == j) for i in range(x.ngens)) for j in range(x.rank)]
-        for gens in _subgroup_generators((n,) * x.rank + x.invariant_factors):
+        for gens in subgroup_generators((n,) * x.rank + x.invariant_factors):
             cols = lattice + list(gens)
             phi = Homomorphism(FgAbGroup.free(len(cols)), x, IntMatrix.from_columns(cols, x.ngens))
             _, sub, quot = hom_decompose(phi)
