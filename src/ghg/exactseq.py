@@ -194,17 +194,27 @@ def lr_support(mu: tuple[int, ...], nu: tuple[int, ...]) -> tuple[tuple[int, ...
 @functools.lru_cache(maxsize=None)
 def _subgroup_types(nu: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
     """Types sigma of the subgroups of a p-group of type nu whose
-    quotient, of some type rho, needs at most r generators: nu lies in
-    lr_support(sigma, rho) with len(rho) <= r. For r = 0 only nu itself."""
-    n = sum(nu)
+    quotient needs at most r generators; for r = 0 only nu itself.
+
+    By Klein's theorem these are the sigma with c^nu_{sigma rho} > 0 for
+    some rho with at most r parts. Such a rho exists exactly when sigma
+    fits inside nu and no column of nu/sigma holds more than r cells,
+    i.e. nu_(i+r) <= sigma_i: an LR tableau is column-strict with entries
+    at most len(rho), and conversely numbering the cells of each column
+    of nu/sigma 1, 2, ... from the top gives an LR tableau.
+    """
+    floor = nu[r:] + (0,) * min(r, len(nu))
     out = []
-    for k in range(n + 1):
-        for sigma in _partitions(k):
-            if len(sigma) > len(nu) or any(s > t for s, t in zip(sigma, nu)):
-                continue  # a subgroup type fits inside nu
-            if any(nu in lr_support(sigma, rho)
-                   for rho in _partitions(n - k) if len(rho) <= r):
-                out.append(sigma)
+
+    def walk(i, prefix):
+        if i == len(nu):
+            out.append(tuple(x for x in prefix if x))
+            return
+        top = min(nu[i], prefix[-1]) if prefix else nu[i]
+        for x in range(floor[i], top + 1):
+            walk(i + 1, prefix + (x,))
+
+    walk(0, ())
     return tuple(out)
 
 

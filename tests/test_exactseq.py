@@ -5,6 +5,8 @@ import pytest
 
 from ghg.exactseq import (
     SequenceResult,
+    _partitions,
+    _subgroup_types,
     lr_support,
     middle_group,
     resolve_extension,
@@ -204,6 +206,23 @@ def test_candidates_match_brute_force():
             assert got == want, (sub, quot)
             pairs += 1
     assert pairs == 192
+
+
+def test_subgroup_types_match_lr_search():
+    """The column rule of _subgroup_types equals its definition: sigma
+    such that nu lies in lr_support(sigma, rho) for some rho with at most
+    r parts, over every nu with |nu| <= 7."""
+    for n in range(8):
+        for nu in _partitions(n):
+            for r in range(len(nu) + 2):
+                want = {
+                    sigma
+                    for k in range(n + 1)
+                    for sigma in _partitions(k)
+                    for rho in _partitions(n - k)
+                    if len(rho) <= r and nu in lr_support(sigma, rho)
+                }
+                assert sorted(_subgroup_types(nu, r)) == sorted(want), (nu, r)
 
 
 def test_free_rank_exhaustive():
