@@ -4,9 +4,11 @@ Exactness pins X between sub = coker(A -> B) and quot = ker(C -> D):
 0 -> sub -> X -> quot -> 0. The resolution rules are deliberately
 small: a free quotient splits, a trivial side collapses, and anything
 else is answered one prime at a time. X has rank rank(sub) + rank(quot)
-and its torsion is an extension of tors sub by tors quot, so it splits
-into p-primary parts, each an extension of the p-part of sub by the
-p-part of quot. A finite abelian p-group of type lam has a subgroup of
+and its torsion is an extension of tors sub by a subgroup T of
+tors quot, where (tors quot)/T needs at most rank(sub) generators (so
+T = tors quot when sub is finite). It splits into p-primary parts,
+each an extension of the p-part of sub by the p-part of T. A finite
+abelian p-group of type lam has a subgroup of
 type mu with quotient of type nu exactly when the Littlewood-Richardson
 coefficient c^lam_{mu nu} is positive (T. Klein, "The Hall polynomial",
 J. Algebra 12 (1969); Macdonald, Symmetric Functions and Hall
