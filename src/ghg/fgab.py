@@ -165,9 +165,10 @@ class IntMatrix:
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        ocols = range(other.cols)
+        # zip(*()) is empty, but a product with no inner dimension is zero
+        ocols = list(zip(*other.data)) if other.rows else [()] * other.cols
         out = [
-            [sum(a * b for a, b in zip(row, other.column(j))) for j in ocols]
+            [sum(a * b for a, b in zip(row, col)) for col in ocols]
             for row in self.data
         ]
         return IntMatrix(out, other.cols)

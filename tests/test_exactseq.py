@@ -186,15 +186,15 @@ def test_resolve_multi_prime():
 
 
 def test_candidates_match_brute_force():
-    """For every pair of nontrivial finite groups with |sub| * |quot| <= 48,
+    """For every pair of nontrivial finite groups with |sub| * |quot| <= 64,
     the candidates are exactly the groups of that order in which
     subgroup enumeration finds a subgroup of type sub with quotient quot."""
-    groups = [FgAbGroup(0, t) for n in range(2, 25) for t in torsion_types_of_order(n)]
+    groups = [FgAbGroup(0, t) for n in range(2, 33) for t in torsion_types_of_order(n)]
     pairs = 0
     for sub in groups:
         for quot in groups:
             order = sub.order * quot.order
-            if order > 48:
+            if order > 64:
                 continue
             r = resolve_extension(sub, quot)
             got = [r.resolved] if r.is_resolved else list(r.candidates)
@@ -205,7 +205,34 @@ def test_candidates_match_brute_force():
             ]
             assert got == want, (sub, quot)
             pairs += 1
-    assert pairs == 192
+    assert pairs == 308
+
+
+def test_subgroup_counts():
+    """subgroup_generators finds each subgroup exactly once: the known
+    counts, (2,)*6 being the 2825 subspaces of F_2^6, with every
+    returned tuple closed by a plain loop and no subgroup repeated."""
+    known = {
+        (12,): 6, (2, 2): 5, (2, 2, 2): 16, (2, 2, 2, 2): 67, (3, 3): 6,
+        (2, 4): 8, (4, 4): 15, (2, 8): 11, (2, 2, 4): 27, (6, 6): 30,
+        (2,) * 6: 2825,
+    }
+    for moduli, count in known.items():
+        found = subgroup_generators(moduli)
+        assert len(found) == count, moduli
+        closed = set()
+        for gens in found:
+            subgroup = {(0,) * len(moduli)}
+            while True:
+                bigger = subgroup | {
+                    tuple((a + b) % m for a, b, m in zip(h, g, moduli))
+                    for h in subgroup for g in gens
+                }
+                if bigger == subgroup:
+                    break
+                subgroup = bigger
+            closed.add(frozenset(subgroup))
+        assert len(closed) == count, moduli
 
 
 def test_subgroup_types_match_lr_search():
