@@ -14,6 +14,7 @@ from .fgab import (
     IntMatrix,
     Presentation,
     canonicalize,
+    cokernel,
     direct_sum,
     direct_sum_with_injections,
     enumerate_elements,

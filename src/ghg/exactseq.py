@@ -16,12 +16,13 @@ Polynomials, Ch. II 4), so the candidates are every choice of one such
 lam per prime. Several candidates mean the answer is genuinely
 ambiguous and all of them are reported.
 
-subgroup_quotient_pairs (on subgroup_generators) and
-torsion_types_of_order are the brute-force oracles that ``verify`` and
-the tests check the engine against. They stay searches, made cheap:
-subgroup_generators adds element indices through a table built once,
-and from a subgroup H closes H + <x> for one x per coset x + H, since
-every element of a coset generates the same subgroup over H.
+subgroup_quotient_pairs (on subgroup_generators) is the brute-force
+oracle that ``verify`` and the tests check the engine against, and
+torsion_types_of_order one that only the tests use. They stay
+searches, made cheap: subgroup_generators adds element indices through
+a table built once, and from a subgroup H closes H + <x> for one x per
+coset x + H, since every element of a coset generates the same
+subgroup over H.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from .fgab import (
     Homomorphism,
     IntMatrix,
     Value,
+    cokernel,
     direct_sum,
     hom_decompose,
 )
@@ -75,7 +77,7 @@ def middle_group(
     left: Homomorphism, right: Homomorphism, torsion_bound: int = DEFAULT_TORSION_BOUND
 ) -> SequenceResult:
     """Resolve X in ... -> A --left--> B -> X -> C --right--> D -> ..."""
-    sub = hom_decompose(left)[2]
+    sub = cokernel(left)
     quot = hom_decompose(right)[0]
     return resolve_extension(sub, quot, torsion_bound)
 
@@ -271,7 +273,8 @@ def _assemble(per_prime: dict[int, list]) -> list[tuple[int, ...]]:
 
 def torsion_types_of_order(order: int) -> list[tuple[int, ...]]:
     """Invariant-factor chains of every abelian group of a given order;
-    a brute-force oracle beside resolve_extension, for verify and tests.
+    a brute-force oracle beside resolve_extension that only the tests
+    call.
 
     >>> torsion_types_of_order(12)
     [(2, 6), (12,)]

@@ -140,9 +140,6 @@ class IntMatrix:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
 
@@ -220,12 +217,6 @@ def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
     return IntMatrix([ra + rb for ra, rb in zip(a.data, b.data)], a.cols + b.cols)
-
-
-def vstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.cols:
-        raise ValueError("column count mismatch")
-    return IntMatrix(list(a.data) + list(b.data), a.cols)
 
 
 def _swap_cols(m: list[list[int]], a: int, b: int) -> None:
@@ -618,15 +609,30 @@ class Homomorphism(Value):
         return Homomorphism(self.domain, self.codomain, -self.matrix)
 
 
-def integer_kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis rows of the lattice {x in Z^cols : a @ x == 0}."""
-    _, d, v = snf(a)
-    out = []
-    for j in range(a.cols):
-        dj = d.data[j][j] if j < min(d.rows, d.cols) else 0
-        if dj == 0:
-            out.append(v.column(j))
-    return out
+def _image_smith(f: Homomorphism) -> tuple[FgAbGroup, int, IntMatrix]:
+    """Smith form U S V = D of S = [f | rel_cod^T], read two ways.
+
+    The columns of S generate the image of f plus the codomain
+    relations, and U is unimodular, so coker f = Z^h / (column span of
+    D): rank h - r for r nonzero pivots, and the pivots above 1 as
+    invariant factors, already a chain. The columns r.. of V are a
+    basis of ker S. Returns (coker f, r, V).
+    """
+    h = f.codomain.ngens
+    _, d, v = snf(hstack(f.matrix, _relation_rows(f.codomain).transpose()))
+    pivots = [x for x in d.diagonal_entries() if x != 0]
+    coker = FgAbGroup(h - len(pivots), tuple(x for x in pivots if x > 1))
+    return coker, len(pivots), v
+
+
+def cokernel(f: Homomorphism) -> FgAbGroup:
+    """Cokernel of a homomorphism, from one Smith normal form.
+
+    >>> f = Homomorphism(FgAbGroup.free(1), FgAbGroup(1, (4,)), IntMatrix([[0], [2]]))
+    >>> str(cokernel(f))
+    'Z^1 + Z/2'
+    """
+    return _image_smith(f)[0]
 
 
 def hom_decompose(f: Homomorphism) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup]:
@@ -634,35 +640,30 @@ def hom_decompose(f: Homomorphism) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup]:
 
     Torsion relations are lifted into free presentations: the preimage
     lattice K = {x : f(x) falls in the codomain relation lattice} gives
-    image = Z^g / K and kernel = K / (domain relations), and the
-    cokernel stacks the image columns onto the codomain relations. The
-    Smith form P B Q = [D 0] of a basis B of K gives both the image and
-    the domain relations R = C B in that basis, C = (R Q)[:, :s] D^-1 P
-    (Cohen, A Course in Computational Algebraic Number Theory, 2.4).
+    image = Z^g / K and kernel = K / (domain relations). One Smith form
+    of S = [f | rel_cod^T] gives the cokernel (see cokernel) and, from
+    ker S, a basis B of K: (x, y) -> x is injective on ker S. The Smith
+    form P B Q = [D 0] then gives both the image and the domain
+    relations R = C B in that basis, C = (R Q)[:, :s] D^-1 P (Cohen, A
+    Course in Computational Algebraic Number Theory, 2.4).
 
     >>> f = Homomorphism(FgAbGroup.free(1), FgAbGroup.cyclic(12), IntMatrix([[5]]))
     >>> [str(g) for g in hom_decompose(f)]
     ['Z^1', 'Z/12', '0']
     """
-    dom, cod = f.domain, f.codomain
-    g, h = dom.ngens, cod.ngens
-    rel_cod = _relation_rows(cod)
-    stacked = hstack(f.matrix, rel_cod.transpose())
-    # (x, y) -> x is injective on ker [f | rel_cod^T], so these rows are a basis of K
-    basis = IntMatrix([row[:g] for row in integer_kernel_basis(stacked)], g)
+    dom = f.domain
+    g = dom.ngens
+    coker, r, v = _image_smith(f)
+    basis = IntMatrix([col[:g] for col in list(zip(*v.data))[r:]], g)
     p, d, q = snf(basis)
     pivots = d.diagonal_entries()
     s = len(pivots)
     image = FgAbGroup.of(g - s, pivots)
 
-    cokernel = canonicalize(
-        Presentation(h, vstack(rel_cod, f.matrix.transpose()))
-    )
-
     rq = _relation_rows(dom) @ q
     coeffs = IntMatrix([[row[j] // pivots[j] for j in range(s)] for row in rq.data], s)
     kernel = canonicalize(Presentation(s, coeffs @ p))
-    return kernel, image, cokernel
+    return kernel, image, coker
 
 
 def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:

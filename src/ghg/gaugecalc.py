@@ -28,6 +28,7 @@ from .fgab import (
     Homomorphism,
     IntMatrix,
     Value,
+    cokernel,
     direct_sum,
     direct_sum_with_injections,
     hom_decompose,
@@ -167,13 +168,15 @@ def gauge_homotopy(
 
         pi_(n+1)(K) --delta--> (target) -> pi_n(Gau P) -> pi_n(K) --delta--> (target)
 
-    with both connecting maps built from catalogued Samelson data. A
-    genus-g surface runs as S^2: its maps are the S^2 maps with 2g zero
-    blocks added, so the cokernel of delta_(n+1) gains pi_(n+1)(K)^2g as
-    a direct summand and the kernel of delta_n is the S^2 kernel. A
-    trivial bundle (class 0) splits: evaluation Gau(P) = Map(B, K) -> K
-    has the constant-map section, so the answer is sub + quot, settled
-    before the torsion bound like the split rules of resolve_extension.
+    with both connecting maps built from catalogued Samelson data.
+    sub = coker delta_(n+1) takes one Smith normal form (cokernel) and
+    quot = ker delta_n three (hom_decompose). A genus-g surface runs as
+    S^2: its maps are the S^2 maps with 2g zero blocks added, so the
+    cokernel of delta_(n+1) gains pi_(n+1)(K)^2g as a direct summand
+    and the kernel of delta_n is the S^2 kernel. A trivial bundle
+    (class 0) splits: evaluation Gau(P) = Map(B, K) -> K has the
+    constant-map section, so the answer is sub + quot, settled before
+    the torsion bound like the split rules of resolve_extension.
     """
     if n < 1:
         raise ValueError("gauge homotopy degrees start at 1 (degree 0 is out of scope)")
@@ -181,7 +184,7 @@ def gauge_homotopy(
     m = base.dim if isinstance(base, Sphere) else 2
     left = connecting_hom_sphere(catalog, group, m, bundle.clazz, n + 1)
     right = connecting_hom_sphere(catalog, group, m, bundle.clazz, n)
-    sub = hom_decompose(left)[2]
+    sub = cokernel(left)
     if isinstance(base, Surface):
         # pi_(n+1)(K)^2g is each factor repeated 2g times, a chain already
         k = 2 * base.genus

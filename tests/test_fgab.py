@@ -17,11 +17,11 @@ from ghg.fgab import (
     IntMatrix,
     Presentation,
     canonicalize,
+    cokernel,
     direct_sum,
     direct_sum_with_injections,
     enumerate_elements,
     hom_decompose,
-    integer_kernel_basis,
     snf,
     xgcd,
 )
@@ -312,11 +312,71 @@ def test_hom_decompose_against_enumeration():
         assert kernel.order * image.order == dom.order
 
 
+def test_cokernel_matches_presentation_route():
+    # reference: present coker f as Z^h modulo the codomain relations
+    # and the image columns of f, then canonicalize
+    rng = random.Random(17)
+    kinds = set()
+    for trial in range(400):
+        dom = FgAbGroup.trivial() if trial % 25 == 0 else random_group(rng)
+        cod = FgAbGroup.trivial() if trial % 25 == 1 else random_group(rng)
+        f = random_hom(rng, dom, cod)
+        if trial % 5 == 0:
+            f = Homomorphism.zero(dom, cod)
+        h = cod.ngens
+        relations = [
+            [d if k == cod.rank + i else 0 for k in range(h)]
+            for i, d in enumerate(cod.invariant_factors)
+        ] + [list(f.matrix.column(j)) for j in range(dom.ngens)]
+        expected = canonicalize(Presentation(h, IntMatrix(relations, h)))
+        assert cokernel(f) == expected
+        assert hom_decompose(f)[2] == expected
+        kinds.update(
+            (side, kind)
+            for side, group in (("dom", dom), ("cod", cod))
+            for kind, present in (
+                ("free", group.rank > 0),
+                ("torsion", bool(group.invariant_factors)),
+                ("empty", group.ngens == 0),
+                ("mixed", group.rank > 0 and bool(group.invariant_factors)),
+            )
+            if present
+        )
+        kinds.add(("map", "zero" if f.is_zero else "nonzero"))
+        kinds.add(("coker", "free" if expected.rank else "finite"))
+    assert len(kinds) == 12
+
+
+def test_snf_calls_per_query(monkeypatch):
+    import ghg.fgab
+
+    calls = []
+    real = ghg.fgab.snf
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(ghg.fgab, "snf", counting)
+    from ghg.catalog import default_catalog
+    from ghg.gaugecalc import Sphere, Surface, gauge_homotopy, make_bundle
+
+    cat = default_catalog()
+    for group, base, clazz in (("SU2", Sphere(4), (3,)), ("TEST", Surface(1), (1,))):
+        bundle = make_bundle(cat, group, base, clazz)
+        calls.clear()
+        gauge_homotopy(cat, group, bundle, 2)
+        assert len(calls) == 4
+    f = Homomorphism(FgAbGroup(1, (4,)), FgAbGroup.cyclic(8), IntMatrix([[2, 2]]))
+    calls.clear()
+    cokernel(f)
+    assert len(calls) == 1
+    calls.clear()
+    hom_decompose(f)
+    assert len(calls) == 3
+
+
 def test_lattice_helpers():
-    kernel = integer_kernel_basis(IntMatrix([[5, 12]]))
-    (vec,) = kernel
-    assert 5 * vec[0] + 12 * vec[1] == 0
-    assert vec != (0, 0)
     # kernel coordinates taken from the Smith form of the preimage lattice
     f = Homomorphism(FgAbGroup(1, (4,)), FgAbGroup.cyclic(8), IntMatrix([[2, 2]]))
     assert hom_decompose(f) == (FgAbGroup.free(1), FgAbGroup.cyclic(4), FgAbGroup.cyclic(2))
@@ -357,5 +417,7 @@ def test_module_doctests():
     import ghg.exactseq
     import ghg.fgab
 
-    assert doctest.testmod(ghg.fgab).failed == 0
-    assert doctest.testmod(ghg.exactseq).failed == 0
+    for module in (ghg.fgab, ghg.exactseq):
+        result = doctest.testmod(module)
+        assert result.attempted > 0
+        assert result.failed == 0
