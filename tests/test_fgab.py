@@ -9,6 +9,7 @@ from math import gcd, prod
 
 import pytest
 
+from ghg.catalog import default_catalog
 from ghg.fgab import (
     CapacityError,
     FgAbGroup,
@@ -25,6 +26,7 @@ from ghg.fgab import (
     snf,
     xgcd,
 )
+from ghg.gaugecalc import Sphere, Surface, gauge_homotopy, make_bundle
 
 
 def assert_snf_contract(a):
@@ -348,19 +350,13 @@ def test_cokernel_matches_presentation_route():
 
 
 def test_snf_calls_per_query(monkeypatch):
-    import ghg.fgab
-
     calls = []
-    real = ghg.fgab.snf
 
     def counting(a):
         calls.append(a)
-        return real(a)
+        return snf(a)
 
-    monkeypatch.setattr(ghg.fgab, "snf", counting)
-    from ghg.catalog import default_catalog
-    from ghg.gaugecalc import Sphere, Surface, gauge_homotopy, make_bundle
-
+    monkeypatch.setattr("ghg.fgab.snf", counting)
     cat = default_catalog()
     for group, base, clazz in (("SU2", Sphere(4), (3,)), ("TEST", Surface(1), (1,))):
         bundle = make_bundle(cat, group, base, clazz)
