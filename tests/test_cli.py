@@ -9,6 +9,8 @@ import pytest
 from ghg import cli
 from ghg.fgab import FgAbGroup
 
+GOLDEN_VERIFY = Path(__file__).resolve().parent / "golden_verify.json"
+
 TINY = [
     {
         "name": "G",
@@ -226,11 +228,15 @@ def test_broken_catalog_exit(tmp_path, capsys):
 
 
 def test_verify_passes(capsys):
+    """The report at the shipped seed replays tests/golden_verify.json
+    byte for byte: every check passes with the same detail text."""
     code = cli.run(["verify", "--format", "json"])
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    doc = json.loads(out)
     assert code == 0
     assert doc["passed"] == doc["total"] >= 10
     assert all(c["passed"] for c in doc["checks"])
+    assert out == GOLDEN_VERIFY.read_text(encoding="utf-8")
 
 
 def test_verify_fails_on_foreign_catalog(tmp_path, capsys):
