@@ -17,7 +17,6 @@ from .fgab import (
     cokernel,
     direct_sum,
     direct_sum_with_injections,
-    enumerate_elements,
     hom_decompose,
     snf,
 )
@@ -34,7 +33,7 @@ from .catalog import (
     default_catalog_path,
     load_catalog,
 )
-from .exactseq import SequenceResult, middle_group, resolve_extension
+from .exactseq import SequenceResult, resolve_extension
 from .gaugecalc import (
     BundleSpec,
     PairingUnavailable,
@@ -44,7 +43,6 @@ from .gaugecalc import (
     connecting_hom_surface,
     gauge_homotopy,
     gauge_homotopy_rational,
-    rational_via_zero_sequence,
 )
 
 __version__ = "0.1.0"

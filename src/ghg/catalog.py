@@ -163,9 +163,6 @@ class Catalog(Value):
         except KeyError:
             raise UnknownGroupError(name, self.names()) from None
 
-    def depth(self, name: str) -> int:
-        return self.entry(name).depth
-
     def pi(self, name: str, degree: int) -> FgAbGroup:
         """Catalogued pi_degree, or a table-depth signal beyond the table."""
         entry = self.entry(name)

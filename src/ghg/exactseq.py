@@ -14,15 +14,8 @@ coefficient c^lam_{mu nu} is positive (T. Klein, "The Hall polynomial",
 J. Algebra 12 (1969); Macdonald, Symmetric Functions and Hall
 Polynomials, Ch. II 4), so the candidates are every choice of one such
 lam per prime. Several candidates mean the answer is genuinely
-ambiguous and all of them are reported.
-
-subgroup_quotient_pairs (on subgroup_generators) is the brute-force
-oracle that ``verify`` and the tests check the engine against, and
-torsion_types_of_order one that only the tests use. They stay
-searches, made cheap: subgroup_generators adds element indices through
-a table built once, and from a subgroup H closes H + <x> for one x per
-coset x + H, since every element of a coset generates the same
-subgroup over H.
+ambiguous and all of them are reported. The brute-force subgroup
+enumeration this is checked against lives in ``verify``.
 """
 from __future__ import annotations
 
@@ -30,16 +23,7 @@ import functools
 import itertools
 from math import prod
 
-from .fgab import (
-    CapacityError,
-    FgAbGroup,
-    Homomorphism,
-    IntMatrix,
-    Value,
-    cokernel,
-    direct_sum,
-    hom_decompose,
-)
+from .fgab import CapacityError, FgAbGroup, Value, direct_sum
 
 DEFAULT_TORSION_BOUND = 10000
 
@@ -71,15 +55,6 @@ class SequenceResult(Value):
     @property
     def is_resolved(self) -> bool:
         return self.resolved is not None
-
-
-def middle_group(
-    left: Homomorphism, right: Homomorphism, torsion_bound: int = DEFAULT_TORSION_BOUND
-) -> SequenceResult:
-    """Resolve X in ... -> A --left--> B -> X -> C --right--> D -> ..."""
-    sub = cokernel(left)
-    quot = hom_decompose(right)[0]
-    return resolve_extension(sub, quot, torsion_bound)
 
 
 def resolve_extension(
@@ -238,23 +213,6 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
-def _partitions(n: int) -> list[tuple[int, ...]]:
-    """Descending partitions of n."""
-    if n == 0:
-        return [()]
-    out = []
-
-    def walk(remaining, cap, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(remaining, cap), 0, -1):
-            walk(remaining - part, part, prefix + [part])
-
-    walk(n, n, [])
-    return out
-
-
 def _assemble(per_prime: dict[int, list]) -> list[tuple[int, ...]]:
     """Sorted invariant-factor chains of every group whose p-primary
     part has, at each prime p, one of the types per_prime[p] (descending
@@ -269,85 +227,3 @@ def _assemble(per_prime: dict[int, list]) -> list[tuple[int, ...]]:
         types.append(tuple(reversed(factors)))
     types.sort()
     return types
-
-
-def torsion_types_of_order(order: int) -> list[tuple[int, ...]]:
-    """Invariant-factor chains of every abelian group of a given order;
-    a brute-force oracle beside resolve_extension that only the tests
-    call.
-
-    >>> torsion_types_of_order(12)
-    [(2, 6), (12,)]
-    """
-    if order < 1:
-        raise ValueError("order must be positive")
-    return _assemble({p: _partitions(e) for p, e in _factorint(order).items()})
-
-
-def subgroup_generators(moduli) -> list[tuple[tuple[int, ...], ...]]:
-    """One generating tuple per subgroup of Z/m1 + ... + Z/mk, found by
-    closing element sets under addition; brute force, for the oracles.
-
-    Elements are their indices in itertools.product order (0 is zero),
-    added through a table built once, and a subgroup is a frozenset of
-    indices. From each subgroup H the search closes H + <x> for one x
-    per coset x + H: every y in x + H gives H + <y> = H + <x>. The x
-    tried is the first of its coset in element order, which is the
-    first element to reach each new subgroup, so the coset rule changes
-    neither the subgroups found nor their generators.
-
-    >>> sorted(subgroup_generators((4,)))
-    [(), ((1,),), ((2,),)]
-    """
-    elements = list(itertools.product(*(range(m) for m in moduli)))
-    table = [[0]]
-    for m in moduli:
-        # append Z/m: the pair (a, u) has index a * m + u
-        table = [[s * m + (u + v) % m for s in row for v in range(m)]
-                 for row in table for u in range(m)]
-
-    def close(subgroup, x):
-        new = set(subgroup)
-        step = table[x]
-        shift = x
-        while shift not in subgroup:
-            new.update(map(table[shift].__getitem__, subgroup))
-            shift = step[shift]
-        return frozenset(new)
-
-    start = frozenset({0})
-    generators = {start: ()}
-    queue = [start]
-    while queue:
-        subgroup = queue.pop()
-        gens = generators[subgroup]
-        tried = set(subgroup)
-        for x in range(len(elements)):
-            if x in tried:
-                continue
-            tried.update(map(table[x].__getitem__, subgroup))
-            bigger = close(subgroup, x)
-            if bigger not in generators:
-                generators[bigger] = gens + (elements[x],)
-                queue.append(bigger)
-    return list(generators.values())
-
-
-@functools.lru_cache(maxsize=None)
-def subgroup_quotient_pairs(group: FgAbGroup) -> frozenset:
-    """All pairs (type of H, type of group/H) over subgroups H of a
-    finite group, from subgroup_generators. The brute-force oracle that
-    verify and the tests hold resolve_extension against; the engine
-    itself never calls it."""
-    if group.rank != 0:
-        raise ValueError("subgroup enumeration needs a finite group")
-    pairs = set()
-    for gens in subgroup_generators(group.invariant_factors):
-        phi = Homomorphism(
-            FgAbGroup.free(len(gens)),
-            group,
-            IntMatrix.from_columns(gens, group.ngens),
-        )
-        _, image, cokernel = hom_decompose(phi)
-        pairs.add((image, cokernel))
-    return frozenset(pairs)

@@ -19,13 +19,12 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
-import itertools
 import operator
 from math import gcd, lcm, prod
 
 
 class CapacityError(Exception):
-    """An enumeration would exceed its configured bound."""
+    """A computation would exceed its configured bound."""
 
 
 class Value:
@@ -122,10 +121,6 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
-    def identity(cls, n: int) -> IntMatrix:
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], n)
-
-    @classmethod
     def zero(cls, rows: int, cols: int) -> IntMatrix:
         return cls([[0] * cols for _ in range(rows)], cols)
 
@@ -135,10 +130,6 @@ class IntMatrix:
         if any(len(c) != rows for c in columns):
             raise ValueError("column of wrong height")
         return cls([[c[i] for c in columns] for i in range(rows)], len(columns))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
@@ -170,44 +161,8 @@ class IntMatrix:
         ]
         return IntMatrix(out, other.cols)
 
-    def is_diagonal(self) -> bool:
-        return all(
-            v == 0
-            for i, row in enumerate(self.data)
-            for j, v in enumerate(row)
-            if i != j
-        )
-
     def diagonal_entries(self) -> tuple[int, ...]:
         return tuple(self.data[k][k] for k in range(min(self.rows, self.cols)))
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    # exact division: Bareiss guarantees divisibility by prev
-                    m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = pivot
-        return sign * m[n - 1][n - 1]
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]!r}, cols={self.cols})"
@@ -392,10 +347,6 @@ class FgAbGroup(Value):
     @property
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.invariant_factors
-
-    @property
-    def is_finite(self) -> bool:
-        return self.rank == 0
 
     @property
     def torsion_order(self) -> int:
@@ -588,10 +539,6 @@ class Homomorphism(Value):
     def zero(cls, domain: FgAbGroup, codomain: FgAbGroup) -> Homomorphism:
         return cls(domain, codomain, IntMatrix.zero(codomain.ngens, domain.ngens))
 
-    @classmethod
-    def identity(cls, group: FgAbGroup) -> Homomorphism:
-        return cls(group, group, IntMatrix.identity(group.ngens))
-
     @property
     def is_zero(self) -> bool:
         return all(self.apply(GroupElement.generator(self.domain, j)).is_zero
@@ -705,18 +652,3 @@ def direct_sum_with_injections(
         injections.append(Homomorphism(g, canon.group, matrix))
         offset += g.ngens
     return canon.group, tuple(injections)
-
-
-def enumerate_elements(group: FgAbGroup, bound: int = 10000) -> list[GroupElement]:
-    """All elements of a finite group, coordinate-lexicographic order.
-
-    Raises CapacityError for infinite groups or orders above ``bound``.
-    """
-    if group.rank > 0:
-        raise CapacityError(f"{group} is infinite")
-    if group.torsion_order > bound:
-        raise CapacityError(
-            f"{group} has order {group.torsion_order}, above the bound {bound}"
-        )
-    ranges = [range(d) for d in group.invariant_factors]
-    return [GroupElement(group, coords) for coords in itertools.product(*ranges)]

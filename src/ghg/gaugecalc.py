@@ -21,7 +21,7 @@ closed form in the exponents of K.
 from __future__ import annotations
 
 from .catalog import Catalog
-from .exactseq import DEFAULT_TORSION_BOUND, SequenceResult, middle_group, resolve_extension
+from .exactseq import DEFAULT_TORSION_BOUND, SequenceResult, resolve_extension
 from .fgab import (
     FgAbGroup,
     GroupElement,
@@ -214,35 +214,3 @@ def gauge_homotopy_rational(
         + 2 * base.genus * catalog.rational_pi(group, n + 1)
         + catalog.rational_pi(group, n)
     )
-
-
-def rational_via_zero_sequence(
-    catalog: Catalog, group: str, base: Sphere | Surface, n: int
-) -> int:
-    """Independent route to the rational dimension: rationalize the
-    sequence, where both connecting maps vanish, and resolve the middle
-    group of actual zero maps between free groups."""
-    if n < 1:
-        raise ValueError("gauge homotopy degrees start at 1 (degree 0 is out of scope)")
-
-    def free_pi(degree: int) -> FgAbGroup:
-        return FgAbGroup.free(catalog.rational_pi(group, degree))
-
-    if isinstance(base, Sphere):
-        m = base.dim
-        left = Homomorphism.zero(free_pi(n + 1), free_pi(n + m))
-        right = Homomorphism.zero(free_pi(n), free_pi(n + m - 1))
-    else:
-        g2 = 2 * base.genus
-        left = Homomorphism.zero(
-            free_pi(n + 1), FgAbGroup.free(g2 * catalog.rational_pi(group, n + 1)
-                                           + catalog.rational_pi(group, n + 2))
-        )
-        right = Homomorphism.zero(
-            free_pi(n), FgAbGroup.free(g2 * catalog.rational_pi(group, n)
-                                       + catalog.rational_pi(group, n + 1))
-        )
-    result = middle_group(left, right)
-    if not result.is_resolved:
-        raise ArithmeticError(f"a free quotient must split, got candidates {result.candidates}")
-    return result.resolved.rank

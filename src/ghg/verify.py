@@ -3,14 +3,27 @@
 Each check is a named function returning a summary string on success
 and raising CheckFailure with a diagnosis on failure. The random
 checks draw from a fixed seed so a verify run is reproducible.
+
+The oracles the checks hold the engine against live here, not in the
+engine modules, which keep only what ``compute`` runs: middle_group
+resolves a literal five-term fragment, enumerate_elements and det list
+and measure by brute force, rational_via_zero_sequence runs the
+rationalized sequence of zero maps, and subgroup_quotient_pairs (on
+subgroup_generators) enumerates every subgroup of a finite group. The
+subgroup search stays a search, made cheap: subgroup_generators adds
+element indices through a table built once, and from a subgroup H
+closes H + <x> for one x per coset x + H, since every element of a
+coset generates the same subgroup over H.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from math import gcd
 
 from .catalog import Catalog, TableDepthError
-from .exactseq import middle_group, resolve_extension, subgroup_quotient_pairs
+from .exactseq import SequenceResult, resolve_extension
 from .fgab import (
     FgAbGroup,
     GroupElement,
@@ -19,7 +32,7 @@ from .fgab import (
     Presentation,
     Value,
     canonicalize,
-    enumerate_elements,
+    cokernel,
     hom_decompose,
     snf,
 )
@@ -33,7 +46,6 @@ from .gaugecalc import (
     gauge_homotopy,
     gauge_homotopy_rational,
     make_bundle,
-    rational_via_zero_sequence,
 )
 
 SEED = 20260814
@@ -50,6 +62,161 @@ class CheckResult(Value):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "detail", detail)
+
+
+# ------------------------------------------------------------------- oracles
+
+
+def middle_group(left: Homomorphism, right: Homomorphism) -> SequenceResult:
+    """Resolve X in ... -> A --left--> B -> X -> C --right--> D -> ...
+    from the literal maps: sub = coker left, quot = ker right."""
+    return resolve_extension(cokernel(left), hom_decompose(right)[0])
+
+
+def subgroup_generators(moduli) -> list[tuple[tuple[int, ...], ...]]:
+    """One generating tuple per subgroup of Z/m1 + ... + Z/mk, found by
+    closing element sets under addition.
+
+    Elements are their indices in itertools.product order (0 is zero),
+    added through a table built once, and a subgroup is a frozenset of
+    indices. From each subgroup H the search closes H + <x> for one x
+    per coset x + H: every y in x + H gives H + <y> = H + <x>. The x
+    tried is the first of its coset in element order, which is the
+    first element to reach each new subgroup, so the coset rule changes
+    neither the subgroups found nor their generators.
+
+    >>> sorted(subgroup_generators((4,)))
+    [(), ((1,),), ((2,),)]
+    """
+    elements = list(itertools.product(*(range(m) for m in moduli)))
+    table = [[0]]
+    for m in moduli:
+        # append Z/m: the pair (a, u) has index a * m + u
+        table = [[s * m + (u + v) % m for s in row for v in range(m)]
+                 for row in table for u in range(m)]
+
+    def close(subgroup, x):
+        new = set(subgroup)
+        step = table[x]
+        shift = x
+        while shift not in subgroup:
+            new.update(map(table[shift].__getitem__, subgroup))
+            shift = step[shift]
+        return frozenset(new)
+
+    start = frozenset({0})
+    generators = {start: ()}
+    queue = [start]
+    while queue:
+        subgroup = queue.pop()
+        gens = generators[subgroup]
+        tried = set(subgroup)
+        for x in range(len(elements)):
+            if x in tried:
+                continue
+            tried.update(map(table[x].__getitem__, subgroup))
+            bigger = close(subgroup, x)
+            if bigger not in generators:
+                generators[bigger] = gens + (elements[x],)
+                queue.append(bigger)
+    return list(generators.values())
+
+
+@functools.lru_cache(maxsize=None)
+def subgroup_quotient_pairs(group: FgAbGroup) -> frozenset:
+    """All pairs (type of H, type of group/H) over subgroups H of a
+    finite group, from subgroup_generators: what resolve_extension is
+    held against."""
+    if group.rank != 0:
+        raise ValueError("subgroup enumeration needs a finite group")
+    pairs = set()
+    for gens in subgroup_generators(group.invariant_factors):
+        phi = Homomorphism(
+            FgAbGroup.free(len(gens)),
+            group,
+            IntMatrix.from_columns(gens, group.ngens),
+        )
+        _, image, coker = hom_decompose(phi)
+        pairs.add((image, coker))
+    return frozenset(pairs)
+
+
+def enumerate_elements(group: FgAbGroup) -> list[GroupElement]:
+    """All elements of a finite group, coordinate-lexicographic order."""
+    if group.rank != 0:
+        raise ValueError(f"{group} is infinite")
+    ranges = [range(d) for d in group.invariant_factors]
+    return [GroupElement(group, coords) for coords in itertools.product(*ranges)]
+
+
+def is_diagonal(m: IntMatrix) -> bool:
+    return all(
+        v == 0
+        for i, row in enumerate(m.data)
+        for j, v in enumerate(row)
+        if i != j
+    )
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(row) for row in m.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # exact division: Bareiss guarantees divisibility by prev
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def rational_via_zero_sequence(
+    catalog: Catalog, group: str, base: Sphere | Surface, n: int
+) -> int:
+    """Independent route to the rational dimension: rationalize the
+    sequence, where both connecting maps vanish, and resolve the middle
+    group of actual zero maps between free groups."""
+    if n < 1:
+        raise ValueError("gauge homotopy degrees start at 1 (degree 0 is out of scope)")
+
+    def free_pi(degree: int) -> FgAbGroup:
+        return FgAbGroup.free(catalog.rational_pi(group, degree))
+
+    if isinstance(base, Sphere):
+        m = base.dim
+        left = Homomorphism.zero(free_pi(n + 1), free_pi(n + m))
+        right = Homomorphism.zero(free_pi(n), free_pi(n + m - 1))
+    else:
+        g2 = 2 * base.genus
+        left = Homomorphism.zero(
+            free_pi(n + 1), FgAbGroup.free(g2 * catalog.rational_pi(group, n + 1)
+                                           + catalog.rational_pi(group, n + 2))
+        )
+        right = Homomorphism.zero(
+            free_pi(n), FgAbGroup.free(g2 * catalog.rational_pi(group, n)
+                                       + catalog.rational_pi(group, n + 1))
+        )
+    result = middle_group(left, right)
+    if not result.is_resolved:
+        raise ArithmeticError(f"a free quotient must split, got candidates {result.candidates}")
+    return result.resolved.rank
 
 
 # ---------------------------------------------------------------- generators
@@ -70,13 +237,6 @@ def random_presentation(rng, max_gens=3, span=6) -> Presentation:
         [[rng.randint(-span, span) for _ in range(gens)] for _ in range(rels)], gens
     )
     return Presentation(gens, mat)
-
-
-def random_finite_group(rng, max_order: int) -> FgAbGroup:
-    while True:
-        g = canonicalize(random_presentation(rng))
-        if g.rank == 0 and g.torsion_order <= max_order:
-            return g
 
 
 def random_group(rng, max_order: int, max_rank: int = 1) -> FgAbGroup:
@@ -114,9 +274,9 @@ def check_snf_suite(catalog, rng, count=1000):
         u, d, v = snf(a)
         if u @ a @ v != d:
             raise CheckFailure(f"transform product mismatch on matrix #{k}: {a!r}")
-        if abs(u.det()) != 1 or abs(v.det()) != 1:
+        if abs(det(u)) != 1 or abs(det(v)) != 1:
             raise CheckFailure(f"non-unimodular transform on matrix #{k}: {a!r}")
-        if not d.is_diagonal():
+        if not is_diagonal(d):
             raise CheckFailure(f"D not diagonal on matrix #{k}: {a!r}")
         diag = d.diagonal_entries()
         if any(x < 0 for x in diag):
@@ -142,7 +302,7 @@ def check_group_order_oracle(catalog, rng, count=200):
         g = canonicalize(pres)
         if g.rank != 0 or g.torsion_order > 200:
             continue
-        if len(enumerate_elements(g, bound=200)) != g.torsion_order:
+        if len(enumerate_elements(g)) != g.torsion_order:
             raise CheckFailure(f"order mismatch for presentation {pres}")
     return f"{count} random presentations cross-checked by enumeration"
 
@@ -150,8 +310,8 @@ def check_group_order_oracle(catalog, rng, count=200):
 def check_hom_oracle(catalog, rng, count=200):
     """|ker| * |im| = |dom| and |im| * |coker| = |cod|, against brute force."""
     for _ in range(count):
-        dom = random_finite_group(rng, 64)
-        cod = random_finite_group(rng, 64)
+        dom = random_group(rng, 64, max_rank=0)
+        cod = random_group(rng, 64, max_rank=0)
         f = random_hom(rng, dom, cod)
         kernel, image, coker = hom_decompose(f)
         elems = enumerate_elements(dom)
@@ -171,7 +331,7 @@ def check_extension_oracle(catalog, rng, count=100):
     must list X, and brute-force subgroup enumeration must find a
     subgroup of type S with quotient X/S in every group it lists."""
     for _ in range(count):
-        x = random_finite_group(rng, 64)
+        x = random_group(rng, 64, max_rank=0)
         k = rng.randint(0, 3)
         gens = [
             tuple(rng.randrange(d) for d in x.invariant_factors) for _ in range(k)
@@ -196,7 +356,7 @@ def check_free_rank_oracle(catalog, rng, count=50):
     with free coordinates, and X/S: resolve_extension(S, X/S) must list
     X, also where the free part of X absorbs torsion of X/S."""
     for _ in range(count):
-        x = FgAbGroup(rng.randint(1, 2), random_finite_group(rng, 32).invariant_factors)
+        x = FgAbGroup(rng.randint(1, 2), random_group(rng, 32, max_rank=0).invariant_factors)
         k = rng.randint(1, 3)
         gens = [_bounded_element(rng, x).coords for _ in range(k)]
         phi = Homomorphism(FgAbGroup.free(k), x, IntMatrix.from_columns(gens, x.ngens))
@@ -212,8 +372,8 @@ def check_sign_invariance(catalog, rng, count=100):
     """middle_group is unchanged by negating either connecting map."""
     for _ in range(count):
         a = random_group(rng, 16)
-        b = random_finite_group(rng, 8)
-        c = random_finite_group(rng, 8)
+        b = random_group(rng, 8, max_rank=0)
+        c = random_group(rng, 8, max_rank=0)
         d = random_group(rng, 16)
         left = random_hom(rng, a, b)
         right = random_hom(rng, c, d)

@@ -51,7 +51,8 @@ def test_criterion_rational_closed_form():
     """Closed-form rational dimensions match the zero-map sequence
     route and the exponent bookkeeping for SU2, SU3, U1 over spheres
     S^1..S^6 and surfaces of genus 0..3, degrees 1..10, within 1s."""
-    from ghg.gaugecalc import class_group, gauge_homotopy_rational, make_bundle, rational_via_zero_sequence
+    from ghg.gaugecalc import class_group, gauge_homotopy_rational, make_bundle
+    from ghg.verify import rational_via_zero_sequence
 
     bases = [Sphere(m) for m in range(1, 7)] + [Surface(g) for g in range(4)]
     start = time.perf_counter()

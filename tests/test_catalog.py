@@ -53,7 +53,7 @@ def test_su2_low_degrees():
     assert cat.pi("SU2", 3) == FgAbGroup.free(1)
     assert cat.pi("SU2", 4) == FgAbGroup.cyclic(2)
     assert cat.pi("SU2", 6) == FgAbGroup.cyclic(12)
-    assert cat.depth("SU2") == 12
+    assert cat.entry("SU2").depth == 12
 
 
 def test_pi_beyond_depth():

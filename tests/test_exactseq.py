@@ -5,16 +5,38 @@ import pytest
 
 from ghg.exactseq import (
     SequenceResult,
-    _partitions,
+    _assemble,
+    _factorint,
     _subgroup_types,
     lr_support,
-    middle_group,
     resolve_extension,
-    subgroup_generators,
-    subgroup_quotient_pairs,
-    torsion_types_of_order,
 )
 from ghg.fgab import CapacityError, FgAbGroup, Homomorphism, IntMatrix, hom_decompose
+from ghg.verify import middle_group, subgroup_generators, subgroup_quotient_pairs
+
+
+def _partitions(n: int) -> list[tuple[int, ...]]:
+    """Descending partitions of n."""
+    if n == 0:
+        return [()]
+    out = []
+
+    def walk(remaining, cap, prefix):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for part in range(min(remaining, cap), 0, -1):
+            walk(remaining - part, part, prefix + [part])
+
+    walk(n, n, [])
+    return out
+
+
+def torsion_types_of_order(order: int) -> list[tuple[int, ...]]:
+    """Invariant-factor chains of every abelian group of a given order."""
+    if order < 1:
+        raise ValueError("order must be positive")
+    return _assemble({p: _partitions(e) for p, e in _factorint(order).items()})
 
 
 def scalar(dom, cod, k):

@@ -4,7 +4,6 @@ from math import gcd
 import pytest
 
 from ghg.catalog import TableDepthError, default_catalog
-from ghg.exactseq import middle_group
 from ghg.fgab import FgAbGroup, GroupElement, IntMatrix, direct_sum_with_injections
 from ghg.gaugecalc import (
     BundleSpec,
@@ -17,8 +16,8 @@ from ghg.gaugecalc import (
     gauge_homotopy,
     gauge_homotopy_rational,
     make_bundle,
-    rational_via_zero_sequence,
 )
+from ghg.verify import middle_group, rational_via_zero_sequence
 
 CAT = default_catalog()
 
