@@ -279,6 +279,8 @@ def _build_entry(item) -> GroupCatalogEntry:
         source = _want(row, "source", str, name, "pi.")
         if degree < 0:
             raise CatalogValidationError(name, "pi.degree", "negative degree")
+        if rank < 0:
+            raise CatalogValidationError(name, "pi.rank", "negative rank")
         if degree in pi:
             raise CatalogValidationError(name, "pi.degree", f"degree {degree} listed twice")
         try:

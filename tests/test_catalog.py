@@ -207,6 +207,15 @@ def test_even_exponent_rejected(tmp_path):
         load_catalog(path)
 
 
+def test_negative_rank_blames_rank(tmp_path):
+    e = entry_dict()
+    e["pi"][2]["rank"] = -1
+    path = write_catalog(tmp_path, [e])
+    with pytest.raises(CatalogValidationError, match="negative rank") as info:
+        load_catalog(path)
+    assert info.value.field == "pi.rank"
+
+
 def test_rank_exponent_mismatch(tmp_path):
     e = entry_dict(rational_exponents=[1, 1])
     path = write_catalog(tmp_path, [e])
