@@ -6,14 +6,14 @@ checks draw from a fixed seed so a verify run is reproducible.
 
 The oracles the checks hold the engine against live here, not in the
 engine modules, which keep only what ``compute`` runs: middle_group
-resolves a literal five-term fragment, enumerate_elements and det list
-and measure by brute force, rational_via_zero_sequence runs the
-rationalized sequence of zero maps, and subgroup_quotient_pairs (on
-subgroup_generators) enumerates every subgroup of a finite group. The
-subgroup search stays a search, made cheap: subgroup_generators adds
-element indices through a table built once, and from a subgroup H
-closes H + <x> for one x per coset x + H, since every element of a
-coset generates the same subgroup over H.
+resolves a literal five-term fragment, enumerate_elements lists a
+finite group, det and is_diagonal test Smith forms directly,
+rational_via_zero_sequence runs the rationalized sequence of zero maps,
+and subgroup_quotient_pairs (on subgroup_generators) enumerates every
+subgroup of a finite group. The subgroup search stays a search, made
+cheap: subgroup_generators adds element indices through a table built
+once, and from a subgroup H closes H + <x> for one x per coset x + H,
+since every element of a coset generates the same subgroup over H.
 """
 from __future__ import annotations
 
