@@ -190,13 +190,25 @@ def test_direct_sum_injections_cover_sum():
 
 
 def test_direct_sum_injections_respect_orders():
-    groups = [FgAbGroup(1, (2,)), FgAbGroup.cyclic(6), FgAbGroup.free(1)]
-    total, injections = direct_sum_with_injections(groups)
-    assert total == FgAbGroup(2, (2, 6))
-    for g, inj in zip(groups, injections):
-        for i in range(g.ngens):
-            gen = GroupElement.generator(g, i)
-            assert inj.apply(gen).order() == gen.order()
+    # exact injection matrices, so a projection that permutes or
+    # re-signs coordinates fails even where the orders still agree
+    cases = [
+        ([FgAbGroup.cyclic(2), FgAbGroup.cyclic(3)], FgAbGroup.cyclic(6),
+         [((3,),), ((2,),)]),
+        ([FgAbGroup.cyclic(6), FgAbGroup.cyclic(4)], FgAbGroup(0, (2, 12)),
+         [((1,), (2,)), ((1,), (9,))]),
+        ([FgAbGroup(1, (2,)), FgAbGroup.cyclic(4), FgAbGroup.free(1)], FgAbGroup(2, (2, 4)),
+         [((1, 0), (0, 0), (0, 1), (0, 0)), ((0,), (0,), (0,), (1,)), ((0,), (1,), (0,), (0,))]),
+        ([], FgAbGroup.trivial(), []),
+    ]
+    for groups, want_total, want_matrices in cases:
+        total, injections = direct_sum_with_injections(groups)
+        assert total == want_total
+        assert [inj.matrix.data for inj in injections] == want_matrices
+        for g, inj in zip(groups, injections):
+            for i in range(g.ngens):
+                gen = GroupElement.generator(g, i)
+                assert inj.apply(gen).order() == gen.order()
 
 
 def test_element_arithmetic():
