@@ -12,12 +12,12 @@ from .fgab import (
     GroupElement,
     Homomorphism,
     IntMatrix,
-    Presentation,
     canonicalize,
     cokernel,
     direct_sum,
     direct_sum_with_injections,
     hom_decompose,
+    relation_matrix,
     snf,
 )
 from .catalog import (

@@ -13,9 +13,9 @@ Conventions used throughout:
 * element coordinates list the free generators first, then the torsion
   generators in factor order, torsion entries reduced to [0, di);
 * a cyclic order (or element order) of 0 means infinite, i.e. Z = Z/0;
-* presentations quotient Z^g by the row span of a relation matrix, so
-  relations are rows and elements are coordinate rows over the
-  generators.
+* a presentation is its relation matrix: a g-column matrix presents
+  Z^g modulo its row span, so relations are rows and elements are
+  coordinate rows over the generators.
 """
 from __future__ import annotations
 
@@ -373,70 +373,36 @@ class FgAbGroup(Value):
         return " + ".join(parts)
 
 
-class Presentation(Value):
-    """Z^generators modulo the row span of ``relations``."""
-
-    __slots__ = ("generators", "relations")
-
-    def __init__(self, generators: int, relations: IntMatrix):
-        if generators < 0:
-            raise ValueError("negative generator count")
-        if relations.cols != generators:
-            raise ValueError("relation width does not match generator count")
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relations", relations)
-
-    @classmethod
-    def of_group(cls, group: FgAbGroup) -> Presentation:
-        """The defining presentation of a group already in canonical form."""
-        return cls(group.ngens, _relation_rows(group))
+def _diagonal_relations(orders) -> IntMatrix:
+    # one relation d * e_i for each generator i of finite order d
+    n = len(orders)
+    return IntMatrix([[d if k == i else 0 for k in range(n)] for i, d in enumerate(orders) if d], n)
 
 
-def _relation_rows(group: FgAbGroup) -> IntMatrix:
-    n = group.ngens
-    rows = []
-    for i, d in enumerate(group.invariant_factors):
-        row = [0] * n
-        row[group.rank + i] = d
-        rows.append(row)
-    return IntMatrix(rows, n)
+def relation_matrix(group: FgAbGroup) -> IntMatrix:
+    """The defining relations of a group in canonical form.
+
+    >>> relation_matrix(FgAbGroup(1, (2,)))
+    IntMatrix([[0, 2]], cols=2)
+    """
+    return _diagonal_relations(group.generator_orders())
 
 
-class _Canonicalized:
-    """Canonical form of a presentation plus the coordinate projection."""
-
-    __slots__ = ("group", "_v", "_dvals", "_free", "_tors")
-
-    def __init__(self, pres: Presentation):
-        g = pres.generators
-        _, d, v = snf(pres.relations)
-        dvals = [
-            d.data[j][j] if j < min(d.rows, g) else 0 for j in range(g)
-        ]
-        self._v = v
-        self._dvals = dvals
-        self._free = [j for j in range(g) if dvals[j] == 0]
-        self._tors = [j for j in range(g) if dvals[j] >= 2]
-        self.group = FgAbGroup(len(self._free), tuple(dvals[j] for j in self._tors))
-
-    def project(self, coords) -> tuple[int, ...]:
-        """Map a coordinate row over the presentation generators to
-        canonical coordinates of the quotient."""
-        coords = list(coords)
-        v = self._v
-        y = [sum(coords[k] * v.data[k][j] for k in range(len(coords))) for j in range(v.cols)]
-        free = tuple(y[j] for j in self._free)
-        tors = tuple(y[j] % self._dvals[j] for j in self._tors)
-        return free + tors
+def _smith_quotient(n: int, d: IntMatrix) -> FgAbGroup:
+    """Z^n modulo the span of the Smith diagonal of d: rank n minus the
+    number of nonzero pivots, and the pivots above 1, already a chain,
+    as invariant factors."""
+    pivots = [x for x in d.diagonal_entries() if x != 0]
+    return FgAbGroup(n - len(pivots), tuple(x for x in pivots if x > 1))
 
 
-def canonicalize(pres: Presentation) -> FgAbGroup:
-    """Canonical form of a presented group.
+def canonicalize(relations: IntMatrix) -> FgAbGroup:
+    """Canonical form of Z^relations.cols modulo the row span of relations.
 
-    >>> canonicalize(Presentation(2, IntMatrix([[2, 0], [0, 3]])))
+    >>> canonicalize(IntMatrix([[2, 0], [0, 3]]))
     FgAbGroup(rank=0, invariant_factors=(6,))
     """
-    return _Canonicalized(pres).group
+    return _smith_quotient(relations.cols, snf(relations)[1])
 
 
 class GroupElement(Value):
@@ -561,15 +527,13 @@ def _image_smith(f: Homomorphism) -> tuple[FgAbGroup, int, IntMatrix]:
 
     The columns of S generate the image of f plus the codomain
     relations, and U is unimodular, so coker f = Z^h / (column span of
-    D): rank h - r for r nonzero pivots, and the pivots above 1 as
-    invariant factors, already a chain. The columns r.. of V are a
+    D), of rank h - r for r nonzero pivots. The columns r.. of V are a
     basis of ker S. Returns (coker f, r, V).
     """
     h = f.codomain.ngens
-    _, d, v = snf(hstack(f.matrix, _relation_rows(f.codomain).transpose()))
-    pivots = [x for x in d.diagonal_entries() if x != 0]
-    coker = FgAbGroup(h - len(pivots), tuple(x for x in pivots if x > 1))
-    return coker, len(pivots), v
+    _, d, v = snf(hstack(f.matrix, relation_matrix(f.codomain).transpose()))
+    coker = _smith_quotient(h, d)
+    return coker, h - coker.rank, v
 
 
 def cokernel(f: Homomorphism) -> FgAbGroup:
@@ -605,11 +569,11 @@ def hom_decompose(f: Homomorphism) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup]:
     p, d, q = snf(basis)
     pivots = d.diagonal_entries()
     s = len(pivots)
-    image = FgAbGroup.of(g - s, pivots)
+    image = _smith_quotient(g, d)
 
-    rq = _relation_rows(dom) @ q
+    rq = relation_matrix(dom) @ q
     coeffs = IntMatrix([[row[j] // pivots[j] for j in range(s)] for row in rq.data], s)
-    kernel = canonicalize(Presentation(s, coeffs @ p))
+    kernel = canonicalize(coeffs @ p)
     return kernel, image, coker
 
 
@@ -628,27 +592,25 @@ def direct_sum_with_injections(
     groups,
 ) -> tuple[FgAbGroup, tuple[Homomorphism, ...]]:
     """Canonical form of a finite direct sum together with the canonical
-    injection of each summand, for when block coordinates matter."""
+    injection of each summand, for when block coordinates matter.
+
+    One Smith form U R V = D of the block relations R: row k of V gives
+    generator k in the new basis, read in canonical order, free
+    coordinates where the pivot is 0, then torsion coordinates reduced
+    modulo each pivot above 1.
+    """
     groups = list(groups)
-    total = sum(g.ngens for g in groups)
-    rows: list[list[int]] = []
-    offset = 0
-    for g in groups:
-        for i, d in enumerate(g.invariant_factors):
-            row = [0] * total
-            row[offset + g.rank + i] = d
-            rows.append(row)
-        offset += g.ngens
-    canon = _Canonicalized(Presentation(total, IntMatrix(rows, total)))
+    orders = [d for g in groups for d in g.generator_orders()]
+    total = len(orders)
+    _, d, v = snf(_diagonal_relations(orders))
+    group = _smith_quotient(total, d)
+    pivots = d.diagonal_entries() + (0,) * (total - d.rows)
+    canon = [j for j, x in enumerate(pivots) if x == 0] + [j for j, x in enumerate(pivots) if x > 1]
+    cols = [[row[j] % pivots[j] if pivots[j] else row[j] for j in canon] for row in v.data]
     injections = []
     offset = 0
     for g in groups:
-        cols = []
-        for i in range(g.ngens):
-            unit = [0] * total
-            unit[offset + i] = 1
-            cols.append(canon.project(unit))
-        matrix = IntMatrix.from_columns(cols, canon.group.ngens)
-        injections.append(Homomorphism(g, canon.group, matrix))
+        matrix = IntMatrix.from_columns(cols[offset:offset + g.ngens], group.ngens)
+        injections.append(Homomorphism(g, group, matrix))
         offset += g.ngens
-    return canon.group, tuple(injections)
+    return group, tuple(injections)

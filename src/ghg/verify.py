@@ -29,11 +29,11 @@ from .fgab import (
     GroupElement,
     Homomorphism,
     IntMatrix,
-    Presentation,
     Value,
     canonicalize,
     cokernel,
     hom_decompose,
+    relation_matrix,
     snf,
 )
 from .gaugecalc import (
@@ -230,13 +230,12 @@ def random_matrix(rng, max_dim=6, span=9) -> IntMatrix:
     )
 
 
-def random_presentation(rng, max_gens=3, span=6) -> Presentation:
+def random_presentation(rng, max_gens=3, span=6) -> IntMatrix:
     gens = rng.randint(0, max_gens)
     rels = rng.randint(0, gens + 2)
-    mat = IntMatrix(
+    return IntMatrix(
         [[rng.randint(-span, span) for _ in range(gens)] for _ in range(rels)], gens
     )
-    return Presentation(gens, mat)
 
 
 def random_group(rng, max_order: int, max_rank: int = 1) -> FgAbGroup:
@@ -290,7 +289,7 @@ def check_snf_suite(catalog, rng, count=1000):
 def check_canonicalize_idempotent(catalog, rng, count=200):
     for _ in range(count):
         g = random_group(rng, 200, max_rank=2)
-        if canonicalize(Presentation.of_group(g)) != g:
+        if canonicalize(relation_matrix(g)) != g:
             raise CheckFailure(f"canonical form of {g} not a fixed point")
     return f"{count} canonical groups are fixed points"
 

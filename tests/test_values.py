@@ -3,7 +3,7 @@ import pytest
 
 from ghg.catalog import Catalog, GroupCatalogEntry, PairingMatrix, default_catalog
 from ghg.exactseq import SequenceResult
-from ghg.fgab import FgAbGroup, GroupElement, Homomorphism, IntMatrix, Presentation
+from ghg.fgab import FgAbGroup, GroupElement, Homomorphism, IntMatrix
 from ghg.gaugecalc import BundleSpec, Sphere, Surface
 from ghg.verify import CheckResult
 
@@ -18,8 +18,8 @@ def hashable_cases():
     return [
         (FgAbGroup(1, (2,)), ("rank", "invariant_factors"),
          "FgAbGroup(rank=1, invariant_factors=(2,))"),
-        (Presentation(1, IntMatrix([[2]])), ("generators", "relations"),
-         "Presentation(generators=1, relations=IntMatrix([[2]], cols=1))"),
+        (FgAbGroup.trivial(), ("rank", "invariant_factors"),
+         "FgAbGroup(rank=0, invariant_factors=())"),
         (two, ("group", "coords"),
          "GroupElement(group=FgAbGroup(rank=0, invariant_factors=(4,)), coords=(2,))"),
         (Homomorphism(Z2, Z4, IntMatrix([[2]])), ("domain", "codomain", "matrix"),
