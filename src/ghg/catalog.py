@@ -2,9 +2,10 @@
 
 The catalog is a JSON file (see the shipped ``data/catalog.json``) and
 the loader is deliberately strict: unknown fields, non-canonical
-factors, inconsistent ranks, even rational exponents, non-torsion
-pairing values, and pairing values that are not killed by their
-generator's order all reject the whole file. A missing pairing is a
+factors, inconsistent ranks, a nontrivial pi_0, even rational
+exponents, non-torsion pairing values, pairing values that are not
+killed by their generator's order, and nonzero pairing values on an
+abelian entry all reject the whole file. A missing pairing is a
 first-class answer (None), never a silent zero.
 """
 from __future__ import annotations
@@ -95,12 +96,6 @@ class PairingMatrix(Value):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def zero(cls, n, m, source_n, source_m, target) -> PairingMatrix:
-        z = GroupElement.zero(target)
-        vals = tuple(tuple(z for _ in range(source_m.ngens)) for _ in range(source_n.ngens))
-        return cls(n, m, source_n, source_m, target, vals)
-
     @property
     def is_zero(self) -> bool:
         return all(v.is_zero for row in self.values for v in row)
@@ -173,15 +168,14 @@ class Catalog(Value):
         return entry.pi[degree]
 
     def samelson(self, name: str, n: int, m: int) -> PairingMatrix | None:
-        """Stored pairing, a structural zero when a source group is
-        trivial or the group is marked abelian, or None when absent."""
-        entry = self.entry(name)
-        gn = self.pi(name, n)
-        gm = self.pi(name, m)
-        target = self.pi(name, n + m)
-        if gn.is_trivial or gm.is_trivial or entry.abelian:
-            return PairingMatrix.zero(n, m, gn, gm, target)
-        return entry.samelson.get((n, m))
+        """Stored pairing pi_n x pi_m -> pi_(n+m), or None when absent.
+
+        Structural zeros (a trivial group, a zero class, an abelian
+        entry) are decided by gaugecalc.connecting_hom_sphere, not here.
+        """
+        for degree in (n, m, n + m):
+            self.pi(name, degree)
+        return self.entry(name).samelson.get((n, m))
 
     def rational_pi(self, name: str, degree: int) -> int:
         """dim_Q of pi_degree tensor Q, from the exponent model."""
@@ -287,6 +281,8 @@ def _build_entry(item) -> GroupCatalogEntry:
             group = FgAbGroup(rank, tuple(_int(d, name, "pi.factors") for d in factors))
         except ValueError as exc:
             raise CatalogValidationError(name, "pi.factors", str(exc)) from None
+        if degree == 0 and group.invariant_factors:
+            raise CatalogValidationError(name, "pi", "a connected group has pi_0 = 0")
         pi[degree] = group
         sources[degree] = source
     if not pi:
@@ -333,6 +329,10 @@ def _build_entry(item) -> GroupCatalogEntry:
             samelson[(n, m)] = PairingMatrix(n, m, pi[n], pi[m], target, parsed)
         except (TypeError, ValueError) as exc:
             raise CatalogValidationError(name, "samelson.values", str(exc)) from None
+        if abelian and not samelson[(n, m)].is_zero:
+            raise CatalogValidationError(
+                name, "samelson.values", f"pairing ({n}, {m}) of an abelian group must be zero"
+            )
 
     return GroupCatalogEntry(
         name=name,

@@ -106,8 +106,9 @@ def connecting_hom_sphere(
     """delta_n = -<., b> : pi_n(K) -> pi_(n+m-1)(K) over S^m.
 
     Zero without consulting pairing data when either end or pi_(m-1) is
-    trivial, when b = 0, or when K is abelian; raises
-    PairingUnavailable when a genuinely needed pairing is missing.
+    trivial, when b = 0, or when K is abelian; these structural zeros
+    are decided here only, as the catalog reports stored pairings.
+    Raises PairingUnavailable when a genuinely needed pairing is missing.
     """
     if n < 1:
         raise ValueError("connecting map degree must be >= 1")

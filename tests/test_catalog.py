@@ -15,6 +15,7 @@ from ghg.catalog import (
     resolve_catalog_path,
 )
 from ghg.fgab import FgAbGroup, GroupElement
+from ghg.gaugecalc import connecting_hom_sphere
 
 
 def entry_dict(**overrides):
@@ -32,6 +33,12 @@ def entry_dict(**overrides):
     }
     base.update(overrides)
     return base
+
+
+def shipped_entry(name):
+    """A fresh copy of a shipped catalog entry as raw JSON."""
+    raw = json.loads(default_catalog_path().read_text(encoding="utf-8"))
+    return next(e for e in raw if e["name"] == name)
 
 
 def write_catalog(tmp_path, entries):
@@ -97,15 +104,48 @@ def test_stored_pairing_lookup():
 
 
 def test_trivial_source_gives_zero_pairing():
+    # the catalog reports only stored pairings; connecting_hom_sphere
+    # decides the structural zeros without asking it
     cat = default_catalog()
-    p = cat.samelson("SU2", 2, 3)  # pi_2 = 0
-    assert p is not None and p.is_zero
+    assert cat.samelson("SU2", 2, 3) is None  # pi_2 = 0
+    b = GroupElement.generator(cat.pi("SU2", 3), 0)
+    delta = connecting_hom_sphere(cat, "SU2", 4, b, 2)  # pi_2 -> pi_5 = Z/2
+    assert delta.is_zero and not delta.codomain.is_trivial
+    # trivial class group: an S^3 bundle has its class in pi_2 = 0
+    assert cat.samelson("SU2", 3, 2) is None
+    clazz = GroupElement.zero(cat.pi("SU2", 2))
+    delta = connecting_hom_sphere(cat, "SU2", 3, clazz, 3)  # pi_3 -> pi_5
+    assert delta.is_zero and not delta.domain.is_trivial and not delta.codomain.is_trivial
 
 
-def test_abelian_flag_gives_zero_pairing():
+def test_abelian_flag_gives_zero_pairing(tmp_path):
     cat = default_catalog()
-    p = cat.samelson("U1", 1, 1)
-    assert p is not None and p.is_zero
+    assert cat.samelson("U1", 1, 1) is None
+    # a copy of TEST marked abelian, nothing stored: every map on it is
+    # zero although domain, class group and codomain are all nontrivial
+    entry = dict(shipped_entry("TEST"), name="TA", abelian=True, samelson=[])
+    cat = load_catalog(write_catalog(tmp_path, [entry]))
+    assert cat.samelson("TA", 1, 1) is None
+    b = GroupElement.generator(cat.pi("TA", 1), 0)
+    delta = connecting_hom_sphere(cat, "TA", 2, b, 1)  # pi_1 = Z -> pi_2 = Z/4
+    assert delta.is_zero and not delta.codomain.is_trivial
+
+
+def test_abelian_entry_rejects_nonzero_pairing(tmp_path):
+    entry = dict(shipped_entry("TEST"), abelian=True)
+    with pytest.raises(CatalogValidationError, match="abelian") as info:
+        load_catalog(write_catalog(tmp_path, [entry]))
+    assert info.value.field == "samelson.values"
+    zeroed = dict(entry, samelson=[{"n": 1, "m": 1, "values": [[[0]]]}])
+    assert load_catalog(write_catalog(tmp_path, [zeroed])).entry("TEST").abelian
+
+
+def test_connected_entry_rejects_nontrivial_pi_0(tmp_path):
+    entry = shipped_entry("SU2")
+    entry["pi"][0] = dict(entry["pi"][0], factors=[2])
+    with pytest.raises(CatalogValidationError, match="pi_0") as info:
+        load_catalog(write_catalog(tmp_path, [entry]))
+    assert info.value.field == "pi"
 
 
 def test_unstored_pairing_is_none():
