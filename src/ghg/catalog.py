@@ -267,8 +267,8 @@ def _build_entry(item) -> GroupCatalogEntry:
         bad = set(row) - _PI_FIELDS
         if bad:
             raise CatalogValidationError(name, f"pi.{sorted(bad)[0]}", "unknown field")
-        degree = _int(_want(row, "degree", int, name, "pi."), name, "pi.degree")
-        rank = _int(_want(row, "rank", int, name, "pi."), name, "pi.rank")
+        degree = _want(row, "degree", int, name, "pi.")
+        rank = _want(row, "rank", int, name, "pi.")
         factors = _want(row, "factors", list, name, "pi.")
         source = _want(row, "source", str, name, "pi.")
         if degree < 0:
@@ -305,8 +305,8 @@ def _build_entry(item) -> GroupCatalogEntry:
         bad = set(row) - _SAMELSON_FIELDS
         if bad:
             raise CatalogValidationError(name, f"samelson.{sorted(bad)[0]}", "unknown field")
-        n = _int(_want(row, "n", int, name, "samelson."), name, "samelson.n")
-        m = _int(_want(row, "m", int, name, "samelson."), name, "samelson.m")
+        n = _want(row, "n", int, name, "samelson.")
+        m = _want(row, "m", int, name, "samelson.")
         if n < 1 or m < 1:
             raise CatalogValidationError(name, "samelson", "pairing degrees start at 1")
         for needed in (n, m, n + m):

@@ -22,6 +22,7 @@ from .catalog import (
 from .exactseq import DEFAULT_TORSION_BOUND
 from .fgab import CapacityError
 from .gaugecalc import (
+    BundleSpec,
     PairingUnavailable,
     Sphere,
     Surface,
@@ -106,15 +107,13 @@ def _parse_base(text: str) -> Sphere | Surface:
         value = int(tail)
     except ValueError:
         raise UsageError(f"base parameter must be an integer, got {tail!r}") from None
-    if kind == "sphere":
-        if value < 1:
-            raise UsageError("sphere dimension must be at least 1")
-        return Sphere(value)
-    if kind == "surface":
-        if value < 0:
-            raise UsageError("surface genus must be nonnegative")
-        return Surface(value)
-    raise UsageError(f"unknown base kind {kind!r} (expected sphere or surface)")
+    make = {"sphere": Sphere, "surface": Surface}.get(kind)
+    if make is None:
+        raise UsageError(f"unknown base kind {kind!r} (expected sphere or surface)")
+    try:
+        return make(value)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _parse_class(text, group) -> tuple[int, ...]:
@@ -183,8 +182,11 @@ def _cmd_rational(args) -> int:
     if args.degree < 1:
         raise UsageError("degree must be at least 1")
     catalog = _load(args)
-    coords = _parse_class(args.clazz, class_group(catalog, args.group, base))
-    bundle = make_bundle(catalog, args.group, base, coords)
+    if args.clazz is None:  # the answer never reads the class, so skip its group
+        bundle = BundleSpec(base, None)
+    else:
+        coords = _parse_class(args.clazz, class_group(catalog, args.group, base))
+        bundle = make_bundle(catalog, args.group, base, coords)
     dim = gauge_homotopy_rational(catalog, args.group, bundle, args.degree)
     if args.format == "json":
         _emit(

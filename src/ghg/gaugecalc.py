@@ -1,22 +1,22 @@
 """Homotopy groups of gauge groups over spheres and surfaces.
 
-For a principal K-bundle classified by b (an element of pi_(m-1)(K)
-over S^m, of pi_1(K) over a genus-g surface), the evaluation fibration
-gives a long exact sequence through pi_n(Gau(P)) whose connecting map
-is a negated Samelson product with b:
+Every base is S^dim plus 2*genus split H^1 summands: a sphere S^m has
+dim m and genus 0, a closed orientable surface of genus g has dim 2.
+For a principal K-bundle classified by b in pi_(dim-1)(K), the
+evaluation fibration gives a long exact sequence through pi_n(Gau(P))
+whose connecting map is a negated Samelson product with b behind
+2*genus zero blocks:
 
-    spheres:   delta_n : pi_n(K) -> pi_(n+m-1)(K),  a |-> -<a, b>
-    surfaces:  delta_n : pi_n(K) -> pi_n(K)^2g + pi_(n+1)(K),
-               a |-> (0, ..., 0, -<a, b>)
+    delta_n : pi_n(K) -> pi_n(K)^2g + pi_(n+dim-1)(K),
+              a |-> (0, ..., 0, -<a, b>)
 
 pi_n(Gau(P)) is then the middle term between coker(delta_(n+1)) and
-ker(delta_n). A surface is computed as S^2 plus split H^1 summands:
-the zero blocks make coker(delta_(n+1)) the S^2 cokernel plus
-pi_(n+1)(K)^2g, and ker(delta_n) the S^2 kernel. A trivial bundle
-splits, since the constant maps are a section of evaluation
-Gau(P) = Map(B, K) -> K. Rationally every Samelson product of a
-connected Lie group vanishes, so both maps die and the answer has a
-closed form in the exponents of K.
+ker(delta_n). The zero blocks make coker(delta_(n+1)) the S^dim
+cokernel plus pi_(n+1)(K)^2g, and ker(delta_n) the S^dim kernel. A
+trivial bundle splits, since the constant maps are a section of
+evaluation Gau(P) = Map(B, K) -> K. Rationally every Samelson product
+of a connected Lie group vanishes, so both maps die and the answer has
+a closed form in the exponents of K.
 """
 from __future__ import annotations
 
@@ -50,11 +50,14 @@ class PairingUnavailable(Exception):
 
 
 class Sphere(Value):
+    """The sphere S^dim: genus 0, so no split H^1 summands."""
+
     __slots__ = ("dim",)
+    genus = 0
 
     def __init__(self, dim: int):
         if dim < 1:
-            raise ValueError("sphere dimension must be >= 1")
+            raise ValueError("sphere dimension must be at least 1")
         object.__setattr__(self, "dim", dim)
 
     def __str__(self):
@@ -65,10 +68,11 @@ class Surface(Value):
     """Closed orientable surface of the given genus; genus 0 is S^2."""
 
     __slots__ = ("genus",)
+    dim = 2
 
     def __init__(self, genus: int):
         if genus < 0:
-            raise ValueError("genus must be >= 0")
+            raise ValueError("surface genus must be nonnegative")
         object.__setattr__(self, "genus", genus)
 
     def __str__(self):
@@ -78,8 +82,8 @@ class Surface(Value):
 class BundleSpec(Value):
     """A principal K-bundle: base plus classifying element.
 
-    The class lives in pi_(m-1)(K) for sphere bases (clutching) and in
-    pi_1(K) = H^2 of the surface for surface bases.
+    The class lives in pi_(dim-1)(K): clutching over S^dim, and
+    pi_1(K) = H^2 of a surface.
     """
 
     __slots__ = ("base", "clazz")
@@ -91,9 +95,7 @@ class BundleSpec(Value):
 
 def class_group(catalog: Catalog, group: str, base: Sphere | Surface) -> FgAbGroup:
     """The group the classifying element must live in."""
-    if isinstance(base, Sphere):
-        return catalog.pi(group, base.dim - 1)
-    return catalog.pi(group, 1)
+    return catalog.pi(group, base.dim - 1)
 
 
 def make_bundle(catalog: Catalog, group: str, base: Sphere | Surface, coords) -> BundleSpec:
@@ -105,9 +107,10 @@ def connecting_hom_sphere(
 ) -> Homomorphism:
     """delta_n = -<., b> : pi_n(K) -> pi_(n+m-1)(K) over S^m.
 
-    Zero without consulting pairing data when either end or pi_(m-1) is
-    trivial, when b = 0, or when K is abelian; these structural zeros
-    are decided here only, as the catalog reports stored pairings.
+    Zero without consulting pairing data when either end is trivial,
+    when b = 0 (which a trivial pi_(m-1) forces), or when K is abelian;
+    these structural zeros are decided here only, as the catalog
+    reports stored pairings.
     Raises PairingUnavailable when a genuinely needed pairing is missing.
     """
     if n < 1:
@@ -120,13 +123,7 @@ def connecting_hom_sphere(
         raise ValueError(f"bundle class must lie in pi_{m - 1}({group}) = {class_gp}")
     domain = catalog.pi(group, n)
     codomain = catalog.pi(group, n + m - 1)
-    if (
-        domain.is_trivial
-        or class_gp.is_trivial
-        or codomain.is_trivial
-        or b.is_zero
-        or entry.abelian
-    ):
+    if domain.is_trivial or codomain.is_trivial or b.is_zero or entry.abelian:
         return Homomorphism.zero(domain, codomain)
     pairing = catalog.samelson(group, n, m - 1)
     if pairing is None:
@@ -171,25 +168,23 @@ def gauge_homotopy(
 
     with both connecting maps built from catalogued Samelson data.
     sub = coker delta_(n+1) takes one Smith normal form (cokernel) and
-    quot = ker delta_n three (hom_decompose). A genus-g surface runs as
-    S^2: its maps are the S^2 maps with 2g zero blocks added, so the
-    cokernel of delta_(n+1) gains pi_(n+1)(K)^2g as a direct summand
-    and the kernel of delta_n is the S^2 kernel. A trivial bundle
-    (class 0) splits: evaluation Gau(P) = Map(B, K) -> K has the
-    constant-map section, so the answer is sub + quot, settled before
-    the torsion bound like the split rules of resolve_extension.
+    quot = ker delta_n three (hom_decompose). Both maps are the S^dim
+    maps with 2*genus zero blocks added, so the cokernel of delta_(n+1)
+    gains pi_(n+1)(K)^2g as a direct summand and the kernel of delta_n
+    is the S^dim kernel. A trivial bundle (class 0) splits: evaluation
+    Gau(P) = Map(B, K) -> K has the constant-map section, so the answer
+    is sub + quot, settled before the torsion bound like the split
+    rules of resolve_extension.
     """
     if n < 1:
         raise ValueError("gauge homotopy degrees start at 1 (degree 0 is out of scope)")
     base = bundle.base
-    m = base.dim if isinstance(base, Sphere) else 2
-    left = connecting_hom_sphere(catalog, group, m, bundle.clazz, n + 1)
-    right = connecting_hom_sphere(catalog, group, m, bundle.clazz, n)
+    left = connecting_hom_sphere(catalog, group, base.dim, bundle.clazz, n + 1)
+    right = connecting_hom_sphere(catalog, group, base.dim, bundle.clazz, n)
     sub = cokernel(left)
-    if isinstance(base, Surface):
+    if base.genus:
         # pi_(n+1)(K)^2g is each factor repeated 2g times, a chain already
-        k = 2 * base.genus
-        h1 = left.domain
+        k, h1 = 2 * base.genus, left.domain
         sub = direct_sum(sub, FgAbGroup(k * h1.rank, tuple(sorted(k * h1.invariant_factors))))
     quot = hom_decompose(right)[0]
     if bundle.clazz.is_zero:
@@ -200,18 +195,21 @@ def gauge_homotopy(
 def gauge_homotopy_rational(
     catalog: Catalog, group: str, bundle: BundleSpec, n: int
 ) -> int:
-    """dim_Q pi_n(Gau P) tensor Q, closed form (class-independent).
+    """dim_Q pi_n(Gau P) tensor Q = dim pi_(n+dim) + 2*genus dim pi_(n+1)
+    + dim pi_n of K, a closed form that does not read the class.
 
-    Sphere S^m: dim pi_(n+m) + dim pi_n of K; surface of genus g:
-    dim pi_(n+2) + 2g dim pi_(n+1) + dim pi_n. The class is not read.
+    >>> from ghg.catalog import default_catalog
+    >>> cat = default_catalog()
+    >>> gauge_homotopy_rational(cat, "SU2", make_bundle(cat, "SU2", Sphere(4), (0,)), 3)
+    1
+    >>> gauge_homotopy_rational(cat, "SU2", make_bundle(cat, "SU2", Surface(2), ()), 2)
+    4
     """
     if n < 1:
         raise ValueError("gauge homotopy degrees start at 1 (degree 0 is out of scope)")
     base = bundle.base
-    if isinstance(base, Sphere):
-        return catalog.rational_pi(group, n + base.dim) + catalog.rational_pi(group, n)
     return (
-        catalog.rational_pi(group, n + 2)
+        catalog.rational_pi(group, n + base.dim)
         + 2 * base.genus * catalog.rational_pi(group, n + 1)
         + catalog.rational_pi(group, n)
     )

@@ -50,6 +50,19 @@ from .gaugecalc import (
 
 SEED = 20260814
 
+# How many draws each oracle check makes, and the entry bounds of the
+# random matrices, presentations, maps and elements they draw.
+SNF_MATRICES = 1000
+CANONICAL_GROUPS = 200
+ORDER_PRESENTATIONS = 200
+HOM_MAPS = 200
+EXTENSION_SUBGROUPS = 100
+FREE_RANK_SUBGROUPS = 50
+SIGN_FRAGMENTS = 100
+MATRIX_MAX_DIM, MATRIX_SPAN = 6, 9
+PRESENTATION_MAX_GENS, PRESENTATION_SPAN = 3, 6
+HOM_FREE_SPAN, ELEMENT_SPAN = 3, 4
+
 
 class CheckFailure(AssertionError):
     pass
@@ -129,16 +142,20 @@ def subgroup_quotient_pairs(group: FgAbGroup) -> frozenset:
     held against."""
     if group.rank != 0:
         raise ValueError("subgroup enumeration needs a finite group")
-    pairs = set()
-    for gens in subgroup_generators(group.invariant_factors):
-        phi = Homomorphism(
-            FgAbGroup.free(len(gens)),
-            group,
-            IntMatrix.from_columns(gens, group.ngens),
-        )
-        _, image, coker = hom_decompose(phi)
-        pairs.add((image, coker))
-    return frozenset(pairs)
+    return frozenset(_subgroup_types(group, gens)
+                     for gens in subgroup_generators(group.invariant_factors))
+
+
+def _subgroup_types(group: FgAbGroup, gens) -> tuple[FgAbGroup, FgAbGroup]:
+    """Types of S and group/S, for S generated by the coordinate tuples gens."""
+    phi = Homomorphism(FgAbGroup.free(len(gens)), group, IntMatrix.from_columns(gens, group.ngens))
+    return hom_decompose(phi)[1:]
+
+
+def _extension_candidates(sub: FgAbGroup, quot: FgAbGroup) -> list[FgAbGroup]:
+    """Every group resolve_extension(sub, quot) allows."""
+    result = resolve_extension(sub, quot)
+    return [result.resolved] if result.is_resolved else result.candidates
 
 
 def enumerate_elements(group: FgAbGroup) -> list[GroupElement]:
@@ -192,28 +209,17 @@ def rational_via_zero_sequence(
 ) -> int:
     """Independent route to the rational dimension: rationalize the
     sequence, where both connecting maps vanish, and resolve the middle
-    group of actual zero maps between free groups."""
+    group of actual zero maps between free groups. delta_k runs from
+    pi_k to pi_k^2g + pi_(k+dim-1), as over every base."""
     if n < 1:
         raise ValueError("gauge homotopy degrees start at 1 (degree 0 is out of scope)")
 
-    def free_pi(degree: int) -> FgAbGroup:
-        return FgAbGroup.free(catalog.rational_pi(group, degree))
+    def zero_delta(k: int) -> Homomorphism:
+        dim_k = catalog.rational_pi(group, k)
+        target = 2 * base.genus * dim_k + catalog.rational_pi(group, k + base.dim - 1)
+        return Homomorphism.zero(FgAbGroup.free(dim_k), FgAbGroup.free(target))
 
-    if isinstance(base, Sphere):
-        m = base.dim
-        left = Homomorphism.zero(free_pi(n + 1), free_pi(n + m))
-        right = Homomorphism.zero(free_pi(n), free_pi(n + m - 1))
-    else:
-        g2 = 2 * base.genus
-        left = Homomorphism.zero(
-            free_pi(n + 1), FgAbGroup.free(g2 * catalog.rational_pi(group, n + 1)
-                                           + catalog.rational_pi(group, n + 2))
-        )
-        right = Homomorphism.zero(
-            free_pi(n), FgAbGroup.free(g2 * catalog.rational_pi(group, n)
-                                       + catalog.rational_pi(group, n + 1))
-        )
-    result = middle_group(left, right)
+    result = middle_group(zero_delta(n + 1), zero_delta(n))
     if not result.is_resolved:
         raise ArithmeticError(f"a free quotient must split, got candidates {result.candidates}")
     return result.resolved.rank
@@ -222,17 +228,17 @@ def rational_via_zero_sequence(
 # ---------------------------------------------------------------- generators
 
 
-def random_matrix(rng, max_dim=6, span=9) -> IntMatrix:
-    rows = rng.randint(1, max_dim)
-    cols = rng.randint(1, max_dim)
-    return IntMatrix(
-        [[rng.randint(-span, span) for _ in range(cols)] for _ in range(rows)]
-    )
+def random_matrix(rng) -> IntMatrix:
+    rows = rng.randint(1, MATRIX_MAX_DIM)
+    cols = rng.randint(1, MATRIX_MAX_DIM)
+    span = MATRIX_SPAN
+    return IntMatrix([[rng.randint(-span, span) for _ in range(cols)] for _ in range(rows)])
 
 
-def random_presentation(rng, max_gens=3, span=6) -> IntMatrix:
-    gens = rng.randint(0, max_gens)
+def random_presentation(rng) -> IntMatrix:
+    gens = rng.randint(0, PRESENTATION_MAX_GENS)
     rels = rng.randint(0, gens + 2)
+    span = PRESENTATION_SPAN
     return IntMatrix(
         [[rng.randint(-span, span) for _ in range(gens)] for _ in range(rels)], gens
     )
@@ -245,7 +251,7 @@ def random_group(rng, max_order: int, max_rank: int = 1) -> FgAbGroup:
             return g
 
 
-def random_hom(rng, dom: FgAbGroup, cod: FgAbGroup, free_span=3) -> Homomorphism:
+def random_hom(rng, dom: FgAbGroup, cod: FgAbGroup) -> Homomorphism:
     """Uniform-ish well-defined map: each column is drawn from the
     elements of the codomain killed by the generator's order."""
     cols = []
@@ -253,7 +259,7 @@ def random_hom(rng, dom: FgAbGroup, cod: FgAbGroup, free_span=3) -> Homomorphism
         col = []
         for e in cod.generator_orders():
             if e == 0:
-                col.append(rng.randint(-free_span, free_span) if d == 0 else 0)
+                col.append(rng.randint(-HOM_FREE_SPAN, HOM_FREE_SPAN) if d == 0 else 0)
             elif d == 0:
                 col.append(rng.randrange(e))
             else:
@@ -266,9 +272,9 @@ def random_hom(rng, dom: FgAbGroup, cod: FgAbGroup, free_span=3) -> Homomorphism
 # -------------------------------------------------------------------- checks
 
 
-def check_snf_suite(catalog, rng, count=1000):
+def check_snf_suite(catalog, rng):
     """U @ A @ V == D, |det U| = |det V| = 1, nonnegative divisor chain."""
-    for k in range(count):
+    for k in range(SNF_MATRICES):
         a = random_matrix(rng)
         u, d, v = snf(a)
         if u @ a @ v != d:
@@ -283,32 +289,32 @@ def check_snf_suite(catalog, rng, count=1000):
         for x, y in zip(diag, diag[1:]):
             if (x == 0 and y != 0) or (x != 0 and y % x != 0):
                 raise CheckFailure(f"divisibility chain broken on matrix #{k}: {a!r}")
-    return f"{count} random matrices verified by direct multiplication"
+    return f"{SNF_MATRICES} random matrices verified by direct multiplication"
 
 
-def check_canonicalize_idempotent(catalog, rng, count=200):
-    for _ in range(count):
+def check_canonicalize_idempotent(catalog, rng):
+    for _ in range(CANONICAL_GROUPS):
         g = random_group(rng, 200, max_rank=2)
         if canonicalize(relation_matrix(g)) != g:
             raise CheckFailure(f"canonical form of {g} not a fixed point")
-    return f"{count} canonical groups are fixed points"
+    return f"{CANONICAL_GROUPS} canonical groups are fixed points"
 
 
-def check_group_order_oracle(catalog, rng, count=200):
+def check_group_order_oracle(catalog, rng):
     """Order of a random presentation equals its element count."""
-    for _ in range(count):
+    for _ in range(ORDER_PRESENTATIONS):
         pres = random_presentation(rng)
         g = canonicalize(pres)
         if g.rank != 0 or g.torsion_order > 200:
             continue
         if len(enumerate_elements(g)) != g.torsion_order:
             raise CheckFailure(f"order mismatch for presentation {pres}")
-    return f"{count} random presentations cross-checked by enumeration"
+    return f"{ORDER_PRESENTATIONS} random presentations cross-checked by enumeration"
 
 
-def check_hom_oracle(catalog, rng, count=200):
+def check_hom_oracle(catalog, rng):
     """|ker| * |im| = |dom| and |im| * |coker| = |cod|, against brute force."""
-    for _ in range(count):
+    for _ in range(HOM_MAPS):
         dom = random_group(rng, 64, max_rank=0)
         cod = random_group(rng, 64, max_rank=0)
         f = random_hom(rng, dom, cod)
@@ -322,23 +328,19 @@ def check_hom_oracle(catalog, rng, count=200):
             raise CheckFailure(f"|ker|*|im| != |dom| for {f}")
         if image.order * coker.order != cod.order:
             raise CheckFailure(f"|im|*|coker| != |cod| for {f}")
-    return f"{count} random maps decomposed and recounted"
+    return f"{HOM_MAPS} random maps decomposed and recounted"
 
 
-def check_extension_oracle(catalog, rng, count=100):
+def check_extension_oracle(catalog, rng):
     """Build X, a random subgroup S and X/S. resolve_extension(S, X/S)
     must list X, and brute-force subgroup enumeration must find a
     subgroup of type S with quotient X/S in every group it lists."""
-    for _ in range(count):
+    for _ in range(EXTENSION_SUBGROUPS):
         x = random_group(rng, 64, max_rank=0)
         k = rng.randint(0, 3)
-        gens = [
-            tuple(rng.randrange(d) for d in x.invariant_factors) for _ in range(k)
-        ]
-        phi = Homomorphism(FgAbGroup.free(k), x, IntMatrix.from_columns(gens, x.ngens))
-        _, sub, quot = hom_decompose(phi)
-        result = resolve_extension(sub, quot)
-        candidates = [result.resolved] if result.is_resolved else result.candidates
+        gens = [tuple(rng.randrange(d) for d in x.invariant_factors) for _ in range(k)]
+        sub, quot = _subgroup_types(x, gens)
+        candidates = _extension_candidates(sub, quot)
         if x not in candidates:
             raise CheckFailure(f"{x} missing from resolve_extension({sub}, {quot})")
         for c in candidates:
@@ -346,30 +348,27 @@ def check_extension_oracle(catalog, rng, count=100):
                 raise CheckFailure(
                     f"brute-force test rejects candidate {c} of resolve_extension({sub}, {quot})"
                 )
-    return (f"{count} random subgroup/quotient pairs re-contain the source group, "
+    return (f"{EXTENSION_SUBGROUPS} random subgroup/quotient pairs re-contain the source group, "
             "and enumeration realizes every candidate")
 
 
-def check_free_rank_oracle(catalog, rng, count=50):
+def check_free_rank_oracle(catalog, rng):
     """Build X = Z^r + T with r >= 1, a subgroup S generated by elements
     with free coordinates, and X/S: resolve_extension(S, X/S) must list
     X, also where the free part of X absorbs torsion of X/S."""
-    for _ in range(count):
+    for _ in range(FREE_RANK_SUBGROUPS):
         x = FgAbGroup(rng.randint(1, 2), random_group(rng, 32, max_rank=0).invariant_factors)
         k = rng.randint(1, 3)
         gens = [_bounded_element(rng, x).coords for _ in range(k)]
-        phi = Homomorphism(FgAbGroup.free(k), x, IntMatrix.from_columns(gens, x.ngens))
-        _, sub, quot = hom_decompose(phi)
-        result = resolve_extension(sub, quot)
-        candidates = [result.resolved] if result.is_resolved else result.candidates
-        if x not in candidates:
+        sub, quot = _subgroup_types(x, gens)
+        if x not in _extension_candidates(sub, quot):
             raise CheckFailure(f"{x} missing from resolve_extension({sub}, {quot})")
-    return f"{count} random subgroups of infinite groups re-contain the source group"
+    return f"{FREE_RANK_SUBGROUPS} random subgroups of infinite groups re-contain the source group"
 
 
-def check_sign_invariance(catalog, rng, count=100):
+def check_sign_invariance(catalog, rng):
     """middle_group is unchanged by negating either connecting map."""
-    for _ in range(count):
+    for _ in range(SIGN_FRAGMENTS):
         a = random_group(rng, 16)
         b = random_group(rng, 8, max_rank=0)
         c = random_group(rng, 8, max_rank=0)
@@ -379,7 +378,7 @@ def check_sign_invariance(catalog, rng, count=100):
         base = middle_group(left, right)
         if middle_group(-left, right) != base or middle_group(left, -right) != base:
             raise CheckFailure(f"sign sensitivity for fragment {left} / {right}")
-    return f"{count} random fragments stable under negating either map"
+    return f"{SIGN_FRAGMENTS} random fragments stable under negating either map"
 
 
 def check_catalog_consistency(catalog, rng):
@@ -410,9 +409,9 @@ def check_catalog_consistency(catalog, rng):
     return f"{len(catalog.names())} entries consistent"
 
 
-def _bounded_element(rng, group, span=4):
+def _bounded_element(rng, group):
     coords = [
-        rng.randint(-span, span) if d == 0 else rng.randrange(d)
+        rng.randint(-ELEMENT_SPAN, ELEMENT_SPAN) if d == 0 else rng.randrange(d)
         for d in group.generator_orders()
     ]
     return GroupElement(group, tuple(coords))

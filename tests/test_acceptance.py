@@ -90,7 +90,7 @@ def test_criterion_snf_contract():
     U A V = D with unimodular U, V and a nonnegative divisor chain,
     within 5s."""
     start = time.perf_counter()
-    check_snf_suite(None, random.Random(SEED), count=1000)
+    check_snf_suite(None, random.Random(SEED))
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"SNF suite took {elapsed:.2f}s"
 
@@ -99,17 +99,17 @@ def test_criterion_group_and_hom_oracle():
     """200 random presentations of order <= 200 agree with brute-force
     enumeration, and 200 random maps between groups of order <= 64
     satisfy |ker| * |im| = |dom| and |im| * |coker| = |cod|."""
-    check_group_order_oracle(None, random.Random(SEED), count=200)
-    check_hom_oracle(None, random.Random(SEED), count=200)
+    check_group_order_oracle(None, random.Random(SEED))
+    check_hom_oracle(None, random.Random(SEED))
 
 
 def test_criterion_extension_oracle():
     """100 random (subgroup, quotient) pairs from groups of order
     <= 64: the source group always appears among the candidates."""
-    check_extension_oracle(None, random.Random(SEED), count=100)
+    check_extension_oracle(None, random.Random(SEED))
 
 
 def test_criterion_sign_invariance():
     """100 random exact fragments: the middle group does not depend on
     the sign of either connecting map."""
-    check_sign_invariance(None, random.Random(SEED), count=100)
+    check_sign_invariance(None, random.Random(SEED))

@@ -288,11 +288,13 @@ def test_pi_row_unknown_field(tmp_path):
 
 
 def test_bool_is_not_an_integer(tmp_path):
-    e = entry_dict()
-    e["pi"][0] = dict(e["pi"][0], rank=True)
-    path = write_catalog(tmp_path, [e])
-    with pytest.raises(CatalogValidationError):
-        load_catalog(path)
+    for table, key in [("pi", "degree"), ("pi", "rank"), ("samelson", "n"), ("samelson", "m")]:
+        e = entry_dict()
+        e[table][0] = dict(e[table][0], **{key: True})
+        path = write_catalog(tmp_path, [e])
+        with pytest.raises(CatalogValidationError) as info:
+            load_catalog(path)
+        assert info.value.field == f"{table}.{key}"
 
 
 def test_samelson_needs_table_degrees(tmp_path):

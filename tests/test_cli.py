@@ -102,6 +102,16 @@ def test_rational_json(capsys):
     assert doc["dimension"] == 1 and doc["name"] == "Q^1"
 
 
+def test_rational_needs_no_class_group_past_the_table(capsys):
+    """SU2's table ends at pi_12, so sphere:14 has no catalogued class
+    group; the rational answer dim pi_17 + dim pi_3 never reads it."""
+    args = ["rational", "--group", "SU2", "--base", "sphere:14", "--degree", "3"]
+    assert cli.run(args) == 0
+    assert capsys.readouterr().out == "Q^1\n"
+    assert cli.run(args + ["--class", "0"]) == 2
+    assert "ends at degree 12" in capsys.readouterr().err
+
+
 def test_degree_zero_is_usage_error(capsys):
     code = cli.run(["compute", "--group", "SU2", "--base", "sphere:4", "--degree", "0"])
     assert code == 1

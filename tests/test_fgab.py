@@ -422,9 +422,10 @@ def test_module_doctests():
 
     import ghg.exactseq
     import ghg.fgab
+    import ghg.gaugecalc
     import ghg.verify
 
-    for module in (ghg.fgab, ghg.exactseq, ghg.verify):
+    for module in (ghg.fgab, ghg.exactseq, ghg.gaugecalc, ghg.verify):
         result = doctest.testmod(module)
         assert result.attempted > 0
         assert result.failed == 0

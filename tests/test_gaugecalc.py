@@ -33,6 +33,8 @@ def test_base_validation():
         Surface(-1)
     assert str(Sphere(4)) == "sphere:4"
     assert str(Surface(2)) == "surface:2"
+    assert Sphere(4).genus == 0
+    assert Surface(3).dim == 2
 
 
 def test_class_group():
