@@ -31,30 +31,29 @@ DEFAULT_TORSION_BOUND = 10000
 class SequenceResult(Value):
     """Outcome of pinning the middle group of an exact fragment.
 
-    Either ``resolved`` holds the unique answer, or ``candidates`` is a
-    duplicate-free tuple of every group compatible with the fragment,
-    sorted by rank then factor list.
+    ``candidates`` is a nonempty, duplicate-free tuple of every group
+    compatible with the fragment, sorted by rank then factor list; the
+    result is resolved when it holds exactly one group.
     """
 
-    __slots__ = ("sub", "quot", "resolved", "candidates")
+    __slots__ = ("sub", "quot", "candidates")
 
-    def __init__(
-        self,
-        sub: FgAbGroup,
-        quot: FgAbGroup,
-        resolved: FgAbGroup | None = None,
-        candidates: tuple[FgAbGroup, ...] = (),
-    ):
-        if (resolved is None) == (not candidates):
-            raise ValueError("exactly one of resolved/candidates must be set")
+    def __init__(self, sub: FgAbGroup, quot: FgAbGroup, candidates):
+        candidates = tuple(candidates)
+        if not candidates:
+            raise ValueError("a sequence result needs at least one candidate")
         object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "quot", quot)
-        object.__setattr__(self, "resolved", resolved)
         object.__setattr__(self, "candidates", candidates)
 
     @property
     def is_resolved(self) -> bool:
-        return self.resolved is not None
+        return len(self.candidates) == 1
+
+    @property
+    def resolved(self) -> FgAbGroup | None:
+        """The unique answer, or None when several groups fit."""
+        return self.candidates[0] if len(self.candidates) == 1 else None
 
 
 def resolve_extension(
@@ -83,9 +82,9 @@ def resolve_extension(
     """
     if not quot.invariant_factors:
         # free quotients split (this also covers trivial quot and trivial sub)
-        return SequenceResult(sub, quot, resolved=direct_sum(sub, quot))
+        return SequenceResult(sub, quot, (direct_sum(sub, quot),))
     if sub.is_trivial:
-        return SequenceResult(sub, quot, resolved=quot)
+        return SequenceResult(sub, quot, (quot,))
     order = sub.torsion_order * quot.torsion_order
     if order > torsion_bound:
         raise CapacityError(
@@ -100,10 +99,7 @@ def resolve_extension(
         })
         for p in _factorint(order)
     }
-    candidates = [FgAbGroup(rank, factors) for factors in _assemble(per_prime)]
-    if len(candidates) == 1:
-        return SequenceResult(sub, quot, resolved=candidates[0])
-    return SequenceResult(sub, quot, candidates=tuple(candidates))
+    return SequenceResult(sub, quot, (FgAbGroup(rank, factors) for factors in _assemble(per_prime)))
 
 
 def _primary_type(group: FgAbGroup, p: int) -> tuple[int, ...]:

@@ -309,10 +309,6 @@ class FgAbGroup(Value):
         object.__setattr__(self, "invariant_factors", facs)
 
     @classmethod
-    def trivial(cls) -> FgAbGroup:
-        return cls(0, ())
-
-    @classmethod
     def free(cls, rank: int) -> FgAbGroup:
         return cls(rank, ())
 

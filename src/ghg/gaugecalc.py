@@ -188,7 +188,7 @@ def gauge_homotopy(
         sub = direct_sum(sub, FgAbGroup(k * h1.rank, tuple(sorted(k * h1.invariant_factors))))
     quot = hom_decompose(right)[0]
     if bundle.clazz.is_zero:
-        return SequenceResult(sub, quot, resolved=direct_sum(sub, quot))
+        return SequenceResult(sub, quot, (direct_sum(sub, quot),))
     return resolve_extension(sub, quot, torsion_bound)
 
 

@@ -2,9 +2,14 @@
 grid queries the sweep answers, and those it leaves out."""
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
+
+import pytest
 
 from ghg import cli
 from ghg.catalog import default_catalog
@@ -12,7 +17,8 @@ from ghg.exactseq import resolve_extension
 from ghg.fgab import direct_sum
 from ghg.gaugecalc import Sphere, Surface, gauge_homotopy, make_bundle
 
-CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus.json"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "bench" / "corpus.json"
 
 
 def load_corpus():
@@ -59,5 +65,20 @@ def test_trivial_bundles_split():
         result = gauge_homotopy(cat, q["group"], bundle, q["degree"])
         split = direct_sum(result.sub, result.quot)
         assert result.resolved == split, q
-        ext = resolve_extension(result.sub, result.quot)
-        assert split in ((ext.resolved,) if ext.is_resolved else ext.candidates), q
+        assert split in resolve_extension(result.sub, result.quot).candidates, q
+
+
+@pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["untraced", "traced"])
+def test_benchmark_worker_answers_the_corpus(trace):
+    """bench/worker.py, run as the benchmark runs it, answers every corpus
+    query through the real engine, with the rank checks it applies to
+    each answer, untraced and under its tracer."""
+    queries = load_corpus()["queries"]
+    proc = subprocess.run(
+        [sys.executable, "bench/worker.py", "queries", *trace],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        input=json.dumps({"queries": queries}), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["failed"] == 0 and len(report["status"]) == len(queries) == 464

@@ -47,14 +47,12 @@ Z = FgAbGroup.free(1)
 
 
 def test_result_shape():
-    r = SequenceResult(FgAbGroup.trivial(), Z, resolved=Z)
-    assert r.is_resolved
-    r = SequenceResult(Z, Z, candidates=(Z,))
-    assert not r.is_resolved
+    r = SequenceResult(FgAbGroup(0), Z, [Z])
+    assert r.candidates == (Z,) and r.is_resolved and r.resolved == Z
+    r = SequenceResult(Z, FgAbGroup.cyclic(2), (Z, FgAbGroup.of(1, (2,))))
+    assert not r.is_resolved and r.resolved is None
     with pytest.raises(ValueError):
-        SequenceResult(Z, Z)
-    with pytest.raises(ValueError):
-        SequenceResult(Z, Z, resolved=Z, candidates=(Z,))
+        SequenceResult(Z, Z, ())
 
 
 def test_middle_free_quotient():
@@ -93,7 +91,7 @@ def test_resolve_free_quotient_splits():
 
 
 def test_resolve_trivial_sub():
-    r = resolve_extension(FgAbGroup.trivial(), FgAbGroup.cyclic(12))
+    r = resolve_extension(FgAbGroup(0), FgAbGroup.cyclic(12))
     assert r.is_resolved and str(r.resolved) == "Z/12"
 
 
@@ -113,7 +111,7 @@ def test_resolve_filters_by_realizability():
 def test_resolve_respects_rank():
     r = resolve_extension(FgAbGroup.free(1), FgAbGroup.cyclic(2))
     # free sub, finite quot: candidates all have rank 1 and torsion of order dividing 2
-    for c in ([r.resolved] if r.is_resolved else r.candidates):
+    for c in r.candidates:
         assert c.rank == 1 and 2 % c.torsion_order == 0
 
 
@@ -160,16 +158,14 @@ def test_candidate_invariants_random():
         sub = FgAbGroup.of(rng.randint(0, 1), [rng.choice((2, 3, 4))] if rng.random() < 0.7 else [])
         quot = FgAbGroup.of(rng.randint(0, 1), [rng.choice((2, 3, 6))] if rng.random() < 0.7 else [])
         r = resolve_extension(sub, quot)
-        groups = [r.resolved] if r.is_resolved else list(r.candidates)
-        assert groups, f"no candidate for {sub}, {quot}"
-        for g in groups:
+        for g in r.candidates:
             assert g.rank == sub.rank + quot.rank
             # a free sub can absorb part of tors quot, a finite one cannot
             full = sub.torsion_order * quot.torsion_order
             assert full % g.torsion_order == 0 and g.torsion_order % sub.torsion_order == 0
             assert g.torsion_order == full or sub.rank > 0
         # the list is duplicate free and sorted
-        keys = [(g.rank, g.invariant_factors) for g in groups]
+        keys = [(g.rank, g.invariant_factors) for g in r.candidates]
         assert keys == sorted(set(keys))
 
 
@@ -182,8 +178,7 @@ def test_direct_sum_always_candidate():
         sub = FgAbGroup.of(0, [rng.choice((2, 3, 4, 5))])
         quot = FgAbGroup.of(0, [rng.choice((2, 3, 4))])
         r = resolve_extension(sub, quot)
-        groups = [r.resolved] if r.is_resolved else list(r.candidates)
-        assert direct_sum(sub, quot) in groups
+        assert direct_sum(sub, quot) in r.candidates
 
 
 def test_lr_support_known_products():
@@ -219,13 +214,12 @@ def test_candidates_match_brute_force():
             if order > 64:
                 continue
             r = resolve_extension(sub, quot)
-            got = [r.resolved] if r.is_resolved else list(r.candidates)
-            want = [
+            want = tuple(
                 FgAbGroup(0, t)
                 for t in torsion_types_of_order(order)
                 if (sub, quot) in subgroup_quotient_pairs(FgAbGroup(0, t))
-            ]
-            assert got == want, (sub, quot)
+            )
+            assert r.candidates == want, (sub, quot)
             pairs += 1
     assert pairs == 308
 
@@ -294,11 +288,10 @@ def test_free_rank_exhaustive():
     absorbed = 0
     for (sub, quot), xs in realized.items():
         r = resolve_extension(sub, quot)
-        got = [r.resolved] if r.is_resolved else list(r.candidates)
-        assert xs <= set(got), (sub, quot)
+        assert xs <= set(r.candidates), (sub, quot)
         exponent = max(quot.invariant_factors, default=1)
-        for c in got:
+        for c in r.candidates:
             if quot.rank == 0 and c in modulus and modulus[c] % exponent == 0:
                 assert c in xs, (c, sub, quot)
-        absorbed += any(c.torsion_order < sub.torsion_order * quot.torsion_order for c in got)
+        absorbed += any(c.torsion_order < sub.torsion_order * quot.torsion_order for c in r.candidates)
     assert len(realized) == 80 and absorbed > 0

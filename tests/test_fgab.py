@@ -126,7 +126,7 @@ def test_group_canonical_form_validation():
 
 
 def test_canonical_names():
-    assert str(FgAbGroup.trivial()) == "0"
+    assert str(FgAbGroup(0)) == "0"
     assert str(FgAbGroup.free(1)) == "Z^1"
     assert str(FgAbGroup.cyclic(12)) == "Z/12"
     assert str(FgAbGroup(2, (2, 6))) == "Z^2 + Z/2 + Z/6"
@@ -199,7 +199,7 @@ def test_direct_sum_injections_respect_orders():
          [((1,), (2,)), ((1,), (9,))]),
         ([FgAbGroup(1, (2,)), FgAbGroup.cyclic(4), FgAbGroup.free(1)], FgAbGroup(2, (2, 4)),
          [((1, 0), (0, 0), (0, 1), (0, 0)), ((0,), (0,), (0,), (1,)), ((0,), (1,), (0,), (0,))]),
-        ([], FgAbGroup.trivial(), []),
+        ([], FgAbGroup(0), []),
     ]
     for groups, want_total, want_matrices in cases:
         total, injections = direct_sum_with_injections(groups)
@@ -261,26 +261,26 @@ def test_hom_decompose_examples():
     assert hom_decompose(times5) == (
         FgAbGroup.free(1),
         FgAbGroup.cyclic(12),
-        FgAbGroup.trivial(),
+        FgAbGroup(0),
     )
     zero = Homomorphism.zero(FgAbGroup.cyclic(4), FgAbGroup.cyclic(8))
     assert hom_decompose(zero) == (
         FgAbGroup.cyclic(4),
-        FgAbGroup.trivial(),
+        FgAbGroup(0),
         FgAbGroup.cyclic(8),
     )
     doubling = Homomorphism(FgAbGroup.free(1), FgAbGroup.free(1), IntMatrix([[2]]))
     assert hom_decompose(doubling) == (
-        FgAbGroup.trivial(),
+        FgAbGroup(0),
         FgAbGroup.free(1),
         FgAbGroup.cyclic(2),
     )
     g = FgAbGroup(1, (2, 4))
     ident = Homomorphism(g, g, IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert hom_decompose(ident) == (
-        FgAbGroup.trivial(),
+        FgAbGroup(0),
         FgAbGroup(1, (2, 4)),
-        FgAbGroup.trivial(),
+        FgAbGroup(0),
     )
 
 
@@ -332,8 +332,8 @@ def test_cokernel_matches_presentation_route():
     rng = random.Random(17)
     kinds = set()
     for trial in range(400):
-        dom = FgAbGroup.trivial() if trial % 25 == 0 else random_group(rng)
-        cod = FgAbGroup.trivial() if trial % 25 == 1 else random_group(rng)
+        dom = FgAbGroup(0) if trial % 25 == 0 else random_group(rng)
+        cod = FgAbGroup(0) if trial % 25 == 1 else random_group(rng)
         f = random_hom(rng, dom, cod)
         if trial % 5 == 0:
             f = Homomorphism.zero(dom, cod)
@@ -405,7 +405,7 @@ def test_enumerate_elements():
     elems = enumerate_elements(g)
     assert len(elems) == 8
     assert len({e.coords for e in elems}) == 8
-    assert enumerate_elements(FgAbGroup.trivial()) == [GroupElement(FgAbGroup.trivial(), ())]
+    assert enumerate_elements(FgAbGroup(0)) == [GroupElement(FgAbGroup(0), ())]
     with pytest.raises(ValueError):
         enumerate_elements(FgAbGroup.free(1))
 

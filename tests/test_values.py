@@ -1,8 +1,13 @@
 """The value types: immutable, field-wise equality and hash, dataclass-style repr."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ghg.catalog import Catalog, GroupCatalogEntry, PairingMatrix, default_catalog
-from ghg.exactseq import SequenceResult
+from ghg.exactseq import SequenceResult, resolve_extension
 from ghg.fgab import FgAbGroup, GroupElement, Homomorphism, IntMatrix
 from ghg.gaugecalc import BundleSpec, Sphere, Surface
 from ghg.verify import CheckResult
@@ -18,7 +23,7 @@ def hashable_cases():
     return [
         (FgAbGroup(1, (2,)), ("rank", "invariant_factors"),
          "FgAbGroup(rank=1, invariant_factors=(2,))"),
-        (FgAbGroup.trivial(), ("rank", "invariant_factors"),
+        (FgAbGroup(0), ("rank", "invariant_factors"),
          "FgAbGroup(rank=0, invariant_factors=())"),
         (two, ("group", "coords"),
          "GroupElement(group=FgAbGroup(rank=0, invariant_factors=(4,)), coords=(2,))"),
@@ -31,10 +36,11 @@ def hashable_cases():
          "source_m=FgAbGroup(rank=0, invariant_factors=(2,)), "
          "target=FgAbGroup(rank=0, invariant_factors=(4,)), "
          "values=((GroupElement(group=FgAbGroup(rank=0, invariant_factors=(4,)), coords=(2,)),),))"),
-        (SequenceResult(Z2, Z2, candidates=(Z4,)), ("sub", "quot", "resolved", "candidates"),
+        (SequenceResult(Z2, Z2, (FgAbGroup(0, (2, 2)), Z4)), ("sub", "quot", "candidates"),
          "SequenceResult(sub=FgAbGroup(rank=0, invariant_factors=(2,)), "
-         "quot=FgAbGroup(rank=0, invariant_factors=(2,)), resolved=None, "
-         "candidates=(FgAbGroup(rank=0, invariant_factors=(4,)),))"),
+         "quot=FgAbGroup(rank=0, invariant_factors=(2,)), "
+         "candidates=(FgAbGroup(rank=0, invariant_factors=(2, 2)), "
+         "FgAbGroup(rank=0, invariant_factors=(4,))))"),
         (Sphere(2), ("dim",), "Sphere(dim=2)"),
         (Surface(2), ("genus",), "Surface(genus=2)"),
         (BundleSpec(Sphere(2), two), ("base", "clazz"),
@@ -97,7 +103,9 @@ def test_equality_needs_the_same_class():
 def test_constructor_checks_and_defaults():
     assert FgAbGroup(0) == FgAbGroup(0, ())
     assert FgAbGroup(0, [6]).invariant_factors == (6,)
-    assert SequenceResult(Z2, Z2, resolved=Z4).candidates == ()
+    assert SequenceResult(Z2, Z2, [Z4]).candidates == (Z4,)
+    with pytest.raises(ValueError):
+        SequenceResult(Z2, Z2, [])
     with pytest.raises(ValueError):
         FgAbGroup(0, (4, 2))
     with pytest.raises(ValueError):
@@ -106,3 +114,18 @@ def test_constructor_checks_and_defaults():
         Sphere(0)
     with pytest.raises(ValueError):
         Surface(-1)
+
+
+def test_unresolved_result_hash_is_process_independent():
+    """An unresolved result hashes its fields only, never an object
+    address, so two interpreters with different hash seeds agree."""
+    assert not resolve_extension(Z2, Z2).is_resolved
+    probe = ("from ghg.exactseq import resolve_extension; from ghg.fgab import FgAbGroup; "
+             "z2 = FgAbGroup.cyclic(2); print(hash(resolve_extension(z2, z2)))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    hashes = {
+        subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                       env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
+        for seed in ("0", "1")
+    }
+    assert len(hashes) == 1

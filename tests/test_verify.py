@@ -33,12 +33,9 @@ def test_free_rank_oracle_catches_unabsorbed_torsion(monkeypatch):
     real = verify.resolve_extension
 
     def full_torsion_only(sub, quot):
-        r = real(sub, quot)
-        kept = tuple(c for c in ([r.resolved] if r.is_resolved else r.candidates)
-                     if c.torsion_order == sub.torsion_order * quot.torsion_order)
-        if len(kept) == 1:
-            return SequenceResult(sub, quot, resolved=kept[0])
-        return SequenceResult(sub, quot, candidates=kept)
+        full = sub.torsion_order * quot.torsion_order
+        kept = (c for c in real(sub, quot).candidates if c.torsion_order == full)
+        return SequenceResult(sub, quot, kept)
 
     monkeypatch.setattr(verify, "resolve_extension", full_torsion_only)
     verify.check_extension_oracle(CAT, random.Random(verify.SEED))
