@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import prod
 
 from .fgab import CapacityError, FgAbGroup, Value, direct_sum
 
@@ -210,16 +209,8 @@ def _factorint(n: int) -> dict[int, int]:
 
 
 def _assemble(per_prime: dict[int, list]) -> list[tuple[int, ...]]:
-    """Sorted invariant-factor chains of every group whose p-primary
-    part has, at each prime p, one of the types per_prime[p] (descending
-    exponent partitions)."""
-    types = []
-    for combo in itertools.product(*([(p, part) for part in parts]
-                                     for p, parts in sorted(per_prime.items()))):
-        depth = max((len(part) for _, part in combo), default=0)
-        # align largest prime powers with the last invariant factor
-        factors = [prod(p ** part[k] for p, part in combo if k < len(part))
-                   for k in range(depth)]
-        types.append(tuple(reversed(factors)))
-    types.sort()
-    return types
+    """Sorted invariant-factor chains of the groups whose p-primary part
+    has, at each prime p, a type in per_prime[p] (exponent partitions)."""
+    combos = itertools.product(*([[p ** e for e in part] for part in parts]
+                                 for p, parts in per_prime.items()))
+    return sorted(FgAbGroup.of(0, itertools.chain(*combo)).invariant_factors for combo in combos)

@@ -2,9 +2,9 @@
 
 Everything in this module is arbitrary-precision integer arithmetic on
 small dense matrices: Smith normal form with recorded unimodular
-transforms, canonical forms of presented groups, and exact
-kernel/image/cokernel decompositions of homomorphisms between groups in
-canonical form.
+transforms, canonical forms of groups, and exact kernel/image/cokernel
+decompositions of homomorphisms between groups in canonical form. Every
+invariant-factor chain is built by FgAbGroup.of or read off a Smith diagonal.
 
 Conventions used throughout:
 
@@ -20,6 +20,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from math import gcd, lcm, prod
 
 
@@ -298,7 +299,7 @@ class FgAbGroup(Value):
     __slots__ = ("rank", "invariant_factors")
 
     def __init__(self, rank: int, invariant_factors: tuple[int, ...] = ()):
-        facs = tuple(int(d) for d in invariant_factors)
+        rank, facs = operator.index(rank), tuple(map(operator.index, invariant_factors))
         if rank < 0:
             raise ValueError("negative rank")
         if any(d < 2 for d in facs):
@@ -315,26 +316,25 @@ class FgAbGroup(Value):
     @classmethod
     def cyclic(cls, d: int) -> FgAbGroup:
         """Z/d, with Z/0 = Z and Z/1 trivial."""
-        d = abs(int(d))
-        if d == 0:
-            return cls(1, ())
-        if d == 1:
-            return cls(0, ())
-        return cls(0, (d,))
+        return cls.of(0, (d,))
 
     @classmethod
     def of(cls, rank: int, orders=()) -> FgAbGroup:
-        """Canonical form of Z^rank + sum of Z/order, any orders allowed."""
-        orders = [abs(int(d)) for d in orders]
-        rank += orders.count(0)
-        facs = [d for d in orders if d != 0]
-        # Z/a + Z/b = Z/gcd + Z/lcm; after step i, facs[i] divides every later entry
-        for i in range(len(facs)):
-            for j in range(i + 1, len(facs)):
-                if facs[j] % facs[i]:
-                    g = gcd(facs[i], facs[j])
-                    facs[i], facs[j] = g, facs[i] // g * facs[j]
-        return cls(rank, tuple(d for d in facs if d >= 2))
+        """Canonical form of Z^rank + sum of Z/order, any orders allowed.
+
+        At each prime a direct sum's type is the union of the summands'
+        partitions (Macdonald, Symmetric Functions and Hall Polynomials,
+        II 1), so adding m copies of Z/d to a chain c is one sorted merge:
+        slot i becomes lcm(c_(i-m), gcd(c_i, d)), padding c with 1 below
+        and d above. One merge per distinct order; it never factors.
+        """
+        counts = Counter(map(abs, map(operator.index, orders)))
+        chain = []
+        for d, m in counts.items():
+            if d > 1:
+                merged = map(lcm, [1] * m + chain, [gcd(c, d) for c in chain] + [d] * m)
+                chain = [c for c in merged if c > 1]
+        return cls(rank + counts[0], tuple(chain))
 
     @property
     def ngens(self) -> int:
@@ -411,7 +411,7 @@ class GroupElement(Value):
     __slots__ = ("group", "coords")
 
     def __init__(self, group: FgAbGroup, coords: tuple[int, ...]):
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(operator.index, coords))
         if len(coords) != group.ngens:
             raise ValueError(
                 f"need {group.ngens} coordinates for {group}, got {len(coords)}"

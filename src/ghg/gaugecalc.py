@@ -183,9 +183,8 @@ def gauge_homotopy(
     right = connecting_hom_sphere(catalog, group, base.dim, bundle.clazz, n)
     sub = cokernel(left)
     if base.genus:
-        # pi_(n+1)(K)^2g is each factor repeated 2g times, a chain already
         k, h1 = 2 * base.genus, left.domain
-        sub = direct_sum(sub, FgAbGroup(k * h1.rank, tuple(sorted(k * h1.invariant_factors))))
+        sub = FgAbGroup.of(sub.rank + k * h1.rank, sub.invariant_factors + k * h1.invariant_factors)
     quot = hom_decompose(right)[0]
     if bundle.clazz.is_zero:
         return SequenceResult(sub, quot, (direct_sum(sub, quot),))

@@ -82,3 +82,20 @@ def test_benchmark_worker_answers_the_corpus(trace):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["failed"] == 0 and len(report["status"]) == len(queries) == 464
+
+
+def test_corpus_generator_grid_covers_the_corpus():
+    """bench/make_corpus.py, imported as its own script would be, walks
+    the shipped grid through the library names it needs, and every
+    corpus query lies on that grid."""
+    probe = ("import json, sys; sys.path.insert(0, 'bench'); import make_corpus; "
+             "from ghg.catalog import default_catalog; "
+             "print(json.dumps(make_corpus.grid(default_catalog())))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    grid = [json.dumps(q, sort_keys=True) for q in json.loads(proc.stdout)]
+    assert len(grid) == len(set(grid)) == 496
+    assert {json.dumps(q, sort_keys=True) for q in load_corpus()["queries"]} <= set(grid)

@@ -5,6 +5,7 @@ transforms back out, check unimodularity through exact determinants,
 and check the divisibility chain entry by entry.
 """
 import random
+import time
 from math import gcd, prod
 
 import pytest
@@ -123,6 +124,66 @@ def test_group_canonical_form_validation():
     assert FgAbGroup.cyclic(1).is_trivial
     assert FgAbGroup.cyclic(0) == FgAbGroup.free(1)
     assert FgAbGroup.of(1, (4, 6, 0)) == FgAbGroup(2, (2, 12))
+
+
+MERSENNE_61, MERSENNE_89 = 2**61 - 1, 2**89 - 1
+
+
+def smith_route(rank, orders):
+    """Z^rank + sum of Z/order, read off the Smith form of the diagonal
+    relations, without FgAbGroup.of."""
+    n = len(orders)
+    g = canonicalize(IntMatrix([[d if k == i else 0 for k in range(n)]
+                                for i, d in enumerate(orders) if d], n))
+    return FgAbGroup(g.rank + rank, g.invariant_factors)
+
+
+def random_orders(rng, length):
+    pool = (0, 1, -1, 2, -4, 6, 9, 12, -36, 60, MERSENNE_61, -2 * MERSENNE_61,
+            MERSENNE_89, 6 * MERSENNE_61 * MERSENNE_89)
+    return [rng.choice(pool) if rng.random() < 0.5 else rng.randint(-100, 100)
+            for _ in range(length)]
+
+
+def test_of_matches_the_smith_route():
+    rng = random.Random(11)
+    for _ in range(300):
+        rank, orders = rng.randint(0, 2), random_orders(rng, rng.randint(0, 12))
+        assert FgAbGroup.of(rank, orders) == smith_route(rank, orders), orders
+
+
+def test_of_matches_the_smith_route_on_long_runs():
+    """A run of n copies of d among fewer than k other orders leaves a
+    chain slot equal to |d| at every prime, and each further copy of d
+    repeats that slot: so the Smith route needs only k copies, and the
+    other n - k are added to its answer by hand."""
+    rng = random.Random(12)
+    for _ in range(40):
+        rank, rest = rng.randint(0, 2), random_orders(rng, rng.randint(0, 8))
+        d, n = random_orders(rng, 1)[0], rng.randint(1000, 1500)
+        k = len(rest) + 1
+        small = smith_route(rank, rest + [d] * k)
+        if d == 0:
+            want = FgAbGroup(small.rank + n - k, small.invariant_factors)
+        elif abs(d) == 1:
+            want = small
+        else:
+            want = FgAbGroup(small.rank, tuple(sorted(small.invariant_factors + (abs(d),) * (n - k))))
+        orders = rest + [d] * n
+        rng.shuffle(orders)
+        assert FgAbGroup.of(rank, orders) == want, (rest, d, n)
+
+
+def test_of_never_factors():
+    """Merging takes gcds and lcms only, so orders built from the Mersenne
+    primes 2^61 - 1 and 2^89 - 1, which trial division could not split
+    in any reasonable time, merge in well under a second."""
+    p, q = MERSENNE_61, MERSENNE_89
+    orders = [p, q, p * q, p**2, 6 * q, -p * q**2, 0, 1, 2 * p]
+    start = time.perf_counter()
+    got = FgAbGroup.of(1, orders)
+    assert time.perf_counter() - start < 1.0
+    assert got == smith_route(1, orders)
 
 
 def test_canonical_names():

@@ -1,4 +1,5 @@
 """Connecting homomorphisms and the gauge-group homotopy calculator."""
+import time
 from math import gcd
 
 import pytest
@@ -170,6 +171,15 @@ def test_gauge_surface_multi_block():
     bundle = make_bundle(CAT, "SU3", Surface(3), ())
     r = gauge_homotopy(CAT, "SU3", bundle, 4)
     assert r.is_resolved and r.resolved == FgAbGroup.of(6, (6,))
+
+
+def test_high_genus_merges_in_linear_time():
+    """pi_4(SU2)^16000 = (Z/2)^16000 joins sub as 16000 copies of one
+    order, merged at once rather than pair by pair."""
+    start = time.perf_counter()
+    r = gauge_homotopy(CAT, "SU2", BundleSpec(Surface(8000), GroupElement(CAT.pi("SU2", 1), ())), 3)
+    assert time.perf_counter() - start < 1.0
+    assert r.resolved == FgAbGroup(1, (2,) * 16001)
 
 
 def test_genus_zero_equals_two_sphere():

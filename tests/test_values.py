@@ -114,6 +114,12 @@ def test_constructor_checks_and_defaults():
         Sphere(0)
     with pytest.raises(ValueError):
         Surface(-1)
+    assert str(FgAbGroup(True)) == "Z^1"
+    for bad in (lambda: FgAbGroup(1.5), lambda: FgAbGroup(0, (2.5,)), lambda: FgAbGroup(0, ("6",)),
+                lambda: FgAbGroup.of(0, (2.5,)), lambda: FgAbGroup.of(1.5),
+                lambda: FgAbGroup.cyclic("6"), lambda: GroupElement(Z4, (1.5,))):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_unresolved_result_hash_is_process_independent():
