@@ -287,7 +287,8 @@ def _build_entry(item) -> GroupCatalogEntry:
         sources[degree] = source
     if not pi:
         raise CatalogValidationError(name, "pi", "empty pi table")
-    if set(pi) != set(range(max(pi) + 1)):
+    # the degrees are distinct and nonnegative, so they fill 0..max exactly when there are max + 1
+    if len(pi) != max(pi) + 1:
         raise CatalogValidationError(name, "pi", "degrees must cover 0..depth without gaps")
     for degree, group in pi.items():
         if group.rank != exponents.count(degree):

@@ -66,10 +66,11 @@ def resolve_extension(
     3. otherwise the torsion order |tors sub| * |tors quot| must not
        exceed torsion_bound (CapacityError), and X has rank
        r + rank(quot), r = rank(sub), with, at each prime p, a p-primary
-       part of every type lam such that c^lam_{mu sigma} > 0, where mu
-       and nu are the types of the p-parts of sub and quot and sigma is
-       the type of a subgroup of the p-group of type nu whose quotient
-       needs at most r generators (sigma = nu when sub is finite).
+       part of every type lam in lr_support(mu, nu, r), where mu and nu
+       are the types of the p-parts of sub and quot: one LR walk of
+       shape lam/mu that keeps every tableau whose content sigma lies
+       inside nu and above the floor sigma_i >= nu_(i+r) (sigma = nu
+       when sub is finite).
 
     The free part of quot splits off. The torsion of X meets sub in
     tors sub and maps onto a subgroup T of tors quot, and (tors quot)/T
@@ -91,11 +92,7 @@ def resolve_extension(
         )
     rank = sub.rank + quot.rank
     per_prime = {
-        p: sorted({
-            lam
-            for sigma in _subgroup_types(_primary_type(quot, p), sub.rank)
-            for lam in lr_support(_primary_type(sub, p), sigma)
-        })
+        p: lr_support(_primary_type(sub, p), _primary_type(quot, p), sub.rank)
         for p in _factorint(order)
     }
     return SequenceResult(sub, quot, (FgAbGroup(rank, factors) for factors in _assemble(per_prime)))
@@ -130,69 +127,55 @@ def _row_fills(nu, used, caps) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def lr_support(mu: tuple[int, ...], nu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Every partition lam with Littlewood-Richardson coefficient
-    c^lam_{mu nu} > 0, sorted: the types of the finite abelian p-groups
-    with a subgroup of type mu and quotient of type nu.
+def lr_support(mu: tuple[int, ...], nu: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
+    """Every partition lam, sorted, with c^lam_{mu sigma} > 0 for the type
+    sigma of a subgroup of the p-group of type nu whose quotient needs at
+    most r generators (for r = 0 only sigma = nu): the types of the
+    p-groups with a subgroup of type mu and quotient of such a type sigma.
 
-    Searches the LR tableaux of shape lam/mu and content nu row by row.
-    Row r of lam is mu_r plus the entries placed in it; an entry k+1 in
-    row r must sit below a cell of row r-1 that lies in mu or holds at
-    most k, which caps how many entries <= k+1 row r can take.
+    By Klein's theorem sigma is allowed exactly when c^nu_{sigma rho} > 0
+    for some rho with at most r parts. Such a rho exists exactly when
+    sigma fits inside nu and no column of nu/sigma holds more than r
+    cells, i.e. nu_(i+r) <= sigma_i: an LR tableau is column-strict with
+    entries at most len(rho), and conversely numbering the cells of each
+    column of nu/sigma 1, 2, ... from the top gives an LR tableau.
 
-    >>> lr_support((1,), (1,))
+    One walk searches the LR tableaux of shape lam/mu and content inside
+    nu row by row. Row i of lam is mu_i plus the entries placed in it; an
+    entry k+1 in row i must sit below a cell of row i-1 that lies in mu or
+    holds at most k, which caps how many entries <= k+1 row i can take.
+    Every node is an LR tableau whose remaining rows are empty, and the
+    lattice-word rule keeps its content a partition inside nu, so the
+    walk records lam at every node whose content meets that column floor.
+
+    >>> lr_support((1,), (1,), 0)
     ((1, 1), (2,))
     """
     rows = mu + (0,) * len(nu)
+    floor = nu[r:] + (0,) * min(r, len(nu))
     found = set()
 
-    def walk(r, used, above, lam):
-        if used == nu:
-            found.add(tuple(x for x in lam + rows[r:] if x))
-            return
-        if r == len(rows) or (r > 0 and rows[r - 1] == 0 and not any(above)):
+    def walk(i, used, above, lam):
+        if all(u >= f for u, f in zip(used, floor)):
+            found.add(tuple(x for x in lam + rows[i:] if x))
+            if used == nu:
+                return
+        if i == len(rows) or (i > 0 and rows[i - 1] == 0 and not any(above)):
             return  # below mu, an empty row leaves no room for the rest
-        if r == 0:
+        if i == 0:
             caps = (sum(nu),) * len(nu)
         else:
-            caps = tuple(rows[r - 1] - rows[r] + sum(above[:k]) for k in range(len(nu)))
+            caps = tuple(rows[i - 1] - rows[i] + sum(above[:k]) for k in range(len(nu)))
         for fill in _row_fills(nu, used, caps):
             walk(
-                r + 1,
+                i + 1,
                 tuple(u + a for u, a in zip(used, fill)),
                 fill,
-                lam + (rows[r] + sum(fill),),
+                lam + (rows[i] + sum(fill),),
             )
 
     walk(0, (0,) * len(nu), (), ())
     return tuple(sorted(found))
-
-
-@functools.lru_cache(maxsize=None)
-def _subgroup_types(nu: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
-    """Types sigma of the subgroups of a p-group of type nu whose
-    quotient needs at most r generators; for r = 0 only nu itself.
-
-    By Klein's theorem these are the sigma with c^nu_{sigma rho} > 0 for
-    some rho with at most r parts. Such a rho exists exactly when sigma
-    fits inside nu and no column of nu/sigma holds more than r cells,
-    i.e. nu_(i+r) <= sigma_i: an LR tableau is column-strict with entries
-    at most len(rho), and conversely numbering the cells of each column
-    of nu/sigma 1, 2, ... from the top gives an LR tableau.
-    """
-    floor = nu[r:] + (0,) * min(r, len(nu))
-    out = []
-
-    def walk(i, prefix):
-        if i == len(nu):
-            out.append(tuple(x for x in prefix if x))
-            return
-        top = min(nu[i], prefix[-1]) if prefix else nu[i]
-        for x in range(floor[i], top + 1):
-            walk(i + 1, prefix + (x,))
-
-    walk(0, ())
-    return tuple(out)
 
 
 def _factorint(n: int) -> dict[int, int]:

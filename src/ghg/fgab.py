@@ -93,7 +93,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-class IntMatrix:
+class IntMatrix(Value):
     """Immutable dense matrix over Z.
 
     Entries are Python ints, so no intermediate result can overflow.
@@ -101,7 +101,7 @@ class IntMatrix:
     column count must be passed explicitly only when there are no rows.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("data", "cols")
 
     def __init__(self, data, cols: int | None = None):
         table = tuple(tuple(operator.index(v) for v in row) for row in data)
@@ -114,12 +114,12 @@ class IntMatrix:
             cols = width
         elif cols is None:
             cols = 0
-        object.__setattr__(self, "rows", len(table))
-        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", table)
+        object.__setattr__(self, "cols", cols)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+    @property
+    def rows(self) -> int:
+        return len(self.data)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> IntMatrix:
@@ -137,16 +137,6 @@ class IntMatrix:
 
     def transpose(self) -> IntMatrix:
         return IntMatrix([self.column(j) for j in range(self.cols)], self.rows)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.cols, self.data))
 
     def __neg__(self) -> IntMatrix:
         return IntMatrix([[-v for v in row] for row in self.data], self.cols)

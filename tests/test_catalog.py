@@ -343,3 +343,60 @@ def test_resolve_catalog_path(tmp_path, monkeypatch):
     assert resolve_catalog_path(None) == tmp_path / "env.json"
     # explicit flag wins over the environment
     assert resolve_catalog_path(str(tmp_path / "flag.json")) == tmp_path / "flag.json"
+
+
+def _edited(edit):
+    """A one-entry catalog: entry_dict() changed in place by edit."""
+    e = entry_dict()
+    edit(e)
+    return [e]
+
+
+def _load(entries):
+    return lambda tmp_path: load_catalog(write_catalog(tmp_path, entries))
+
+
+Z2 = FgAbGroup.cyclic(2)
+Z4 = FgAbGroup.cyclic(4)
+Z2_PAIRING = PairingMatrix(1, 1, Z2, Z2, Z2, ((GroupElement(Z2, (1,)),),))
+
+
+@pytest.mark.parametrize("call, exc, field", [
+    pytest.param(_load(_edited(lambda e: e["pi"][0].pop("source"))),
+                 CatalogValidationError, "pi.source", id="missing-field"),
+    pytest.param(_load([entry_dict(rational_exponents=["1"])]),
+                 CatalogValidationError, "rational_exponents", id="not-an-integer"),
+    pytest.param(_load([5]), CatalogParseError, None, id="non-object-entry"),
+    pytest.param(_load(_edited(lambda e: e.pop("name"))), CatalogParseError, None, id="nameless-entry"),
+    pytest.param(_load([entry_dict(abelian="yes")]), CatalogValidationError, "abelian",
+                 id="non-boolean-abelian"),
+    pytest.param(_load(_edited(lambda e: e["pi"].append(3))), CatalogValidationError, "pi",
+                 id="non-object-pi-row"),
+    pytest.param(_load(_edited(lambda e: e["pi"][0].update(degree=-1))),
+                 CatalogValidationError, "pi.degree", id="negative-degree"),
+    pytest.param(_load(_edited(lambda e: e["pi"][2].update(factors=[4, 2]))),
+                 CatalogValidationError, "pi.factors", id="bad-factors"),
+    pytest.param(_load([entry_dict(pi=[])]), CatalogValidationError, "pi", id="empty-pi-table"),
+    # the gap check must not allocate up to the largest degree
+    pytest.param(_load(_edited(lambda e: e["pi"].append(
+                     {"degree": 2**70, "rank": 0, "factors": [], "source": "x"}))),
+                 CatalogValidationError, "pi", id="huge-degree"),
+    pytest.param(_load([entry_dict(samelson=[1])]), CatalogValidationError, "samelson",
+                 id="non-object-samelson-row"),
+    pytest.param(_load(_edited(lambda e: e["samelson"][0].update(note="x"))),
+                 CatalogValidationError, "samelson.note", id="unknown-samelson-field"),
+    pytest.param(_load([entry_dict(samelson=[{"n": 0, "m": 1, "values": []}])]),
+                 CatalogValidationError, "samelson", id="pairing-degree-0"),
+    pytest.param(lambda _: PairingMatrix(1, 1, Z2, Z2, Z2, ((),)), ValueError, None,
+                 id="pairing-column-count"),
+    pytest.param(lambda _: PairingMatrix(1, 1, Z2, Z2, Z4, ((GroupElement(Z2, (1,)),),)),
+                 ValueError, None, id="pairing-value-group"),
+    pytest.param(lambda _: Z2_PAIRING.apply(GroupElement(Z4, (1,)), GroupElement(Z2, (1,))),
+                 ValueError, None, id="apply-left-group"),
+    pytest.param(lambda _: Z2_PAIRING.apply(GroupElement(Z2, (1,)), GroupElement(Z4, (1,))),
+                 ValueError, None, id="apply-right-group"),
+])
+def test_rejections(tmp_path, call, exc, field):
+    with pytest.raises(exc) as info:
+        call(tmp_path)
+    assert getattr(info.value, "field", None) == field

@@ -118,6 +118,12 @@ def test_degree_zero_is_usage_error(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_rational_degree_below_one_is_usage_error(capsys, degree):
+    assert cli.run(["rational", "--group", "SU2", "--base", "sphere:4", "--degree", degree]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_missing_required_flag(capsys):
     assert cli.run(["compute", "--group", "SU2", "--degree", "2"]) == 1
     assert "usage error" in capsys.readouterr().err

@@ -99,3 +99,15 @@ def test_corpus_generator_grid_covers_the_corpus():
     grid = [json.dumps(q, sort_keys=True) for q in json.loads(proc.stdout)]
     assert len(grid) == len(set(grid)) == 496
     assert {json.dumps(q, sort_keys=True) for q in load_corpus()["queries"]} <= set(grid)
+
+
+def test_benchmark_self_tests_pass():
+    """The benchmark harness's own unittest suite passes, run as its
+    docstring says, from the repository root."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "bench/tests"],
+        cwd=ROOT, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Ran 19 tests" in proc.stderr

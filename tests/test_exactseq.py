@@ -7,7 +7,6 @@ from ghg.exactseq import (
     SequenceResult,
     _assemble,
     _factorint,
-    _subgroup_types,
     lr_support,
     resolve_extension,
 )
@@ -183,17 +182,17 @@ def test_direct_sum_always_candidate():
 
 def test_lr_support_known_products():
     # s_1 s_1 = s_2 + s_11
-    assert lr_support((1,), (1,)) == ((1, 1), (2,))
+    assert lr_support((1,), (1,), 0) == ((1, 1), (2,))
     # s_21 s_21 = s_42 + s_411 + s_33 + 2 s_321 + s_3111 + s_222 + s_2211
-    assert set(lr_support((2, 1), (2, 1))) == {
+    assert set(lr_support((2, 1), (2, 1), 0)) == {
         (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (3, 1, 1, 1), (2, 2, 2), (2, 2, 1, 1)
     }
     # columns: e_2 e_2 = s_22 + s_211 + s_1111, and e_3 e_2 adds a vertical 2-strip
-    assert lr_support((1, 1), (1, 1)) == ((1, 1, 1, 1), (2, 1, 1), (2, 2))
-    assert lr_support((1, 1, 1), (1, 1)) == ((1, 1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1))
+    assert lr_support((1, 1), (1, 1), 0) == ((1, 1, 1, 1), (2, 1, 1), (2, 2))
+    assert lr_support((1, 1, 1), (1, 1), 0) == ((1, 1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1))
     # an empty side contributes nothing
-    assert lr_support((3, 1), ()) == ((3, 1),)
-    assert lr_support((), (2, 2)) == ((2, 2),)
+    assert lr_support((3, 1), (), 0) == ((3, 1),)
+    assert lr_support((), (2, 2), 0) == ((2, 2),)
 
 
 def test_resolve_multi_prime():
@@ -251,21 +250,34 @@ def test_subgroup_counts():
         assert len(closed) == count, moduli
 
 
-def test_subgroup_types_match_lr_search():
-    """The column rule of _subgroup_types equals its definition: sigma
-    such that nu lies in lr_support(sigma, rho) for some rho with at most
-    r parts, over every nu with |nu| <= 7."""
-    for n in range(8):
+def test_lr_support_free_rank_matches_definition():
+    """lr_support(mu, nu, r) is the union of lr_support(mu, sigma, 0) over
+    every sigma such that nu lies in lr_support(sigma, rho, 0) for some
+    rho with at most r parts, over |mu| <= 3 and |nu| <= 6."""
+    for n in range(7):
+        allowed = {}  # (nu, r) -> the sigma the definition admits
+        for k in range(n + 1):
+            for sigma in _partitions(k):
+                for rho in _partitions(n - k):
+                    for nu in lr_support(sigma, rho, 0):
+                        for r in range(len(rho), len(nu) + 2):
+                            allowed.setdefault((nu, r), set()).add(sigma)
         for nu in _partitions(n):
             for r in range(len(nu) + 2):
-                want = {
-                    sigma
-                    for k in range(n + 1)
-                    for sigma in _partitions(k)
-                    for rho in _partitions(n - k)
-                    if len(rho) <= r and nu in lr_support(sigma, rho)
-                }
-                assert sorted(_subgroup_types(nu, r)) == sorted(want), (nu, r)
+                for mu in (m for a in range(4) for m in _partitions(a)):
+                    want = {lam for sigma in allowed[nu, r] for lam in lr_support(mu, sigma, 0)}
+                    assert lr_support(mu, nu, r) == tuple(sorted(want)), (mu, nu, r)
+
+
+def test_free_rank_candidate_counts():
+    """The candidate counts of two free-rank cases whose sigma range is
+    wide: the Z/16 ladder above the default bound, and the slowest pair
+    the default bound admits."""
+    ladder = (2, 4, 8, 16)
+    r = resolve_extension(FgAbGroup.of(1, ladder), FgAbGroup.of(0, ladder), torsion_bound=2**20)
+    assert len(r.candidates) == 748
+    r = resolve_extension(FgAbGroup.of(2, (2,)), FgAbGroup.of(0, (2, 2, 4, 8, 32)))
+    assert len(r.candidates) == 121
 
 
 def test_free_rank_exhaustive():

@@ -21,6 +21,7 @@ from ghg.fgab import (
     direct_sum,
     direct_sum_with_injections,
     hom_decompose,
+    hstack,
     relation_matrix,
     snf,
     xgcd,
@@ -490,3 +491,21 @@ def test_module_doctests():
         result = doctest.testmod(module)
         assert result.attempted > 0
         assert result.failed == 0
+
+
+Z2 = FgAbGroup.cyclic(2)
+Z4 = FgAbGroup.cyclic(4)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: IntMatrix([[1, 2]], 3), id="cols-mismatch"),
+    pytest.param(lambda: IntMatrix.from_columns([(1, 2)], 3), id="column-height"),
+    pytest.param(lambda: IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]]), id="product-shape"),
+    pytest.param(lambda: hstack(IntMatrix([[1]]), IntMatrix([], 1)), id="hstack-rows"),
+    pytest.param(lambda: Homomorphism(Z2, Z4, IntMatrix([[2, 0]])), id="hom-shape"),
+    pytest.param(lambda: Homomorphism(Z2, Z4, IntMatrix([[2]])).apply(GroupElement(Z4, (1,))),
+                 id="apply-outside-domain"),
+])
+def test_shape_rejections(call):
+    with pytest.raises(ValueError):
+        call()

@@ -236,3 +236,13 @@ def test_rational_degree_zero_rejected():
     bundle = make_bundle(CAT, "SU2", Sphere(4), (0,))
     with pytest.raises(ValueError):
         gauge_homotopy_rational(CAT, "SU2", bundle, 0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: connecting_hom_sphere(CAT, "SU2", 4, su2_class(1), 0), id="sphere-n-0"),
+    pytest.param(lambda: connecting_hom_sphere(CAT, "SU2", 0, su2_class(1), 3), id="sphere-m-0"),
+    pytest.param(lambda: connecting_hom_surface(CAT, "SU2", -1, su2_class(1), 3), id="genus-negative"),
+])
+def test_connecting_map_rejections(call):
+    with pytest.raises(ValueError):
+        call()

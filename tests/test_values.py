@@ -48,6 +48,8 @@ def hashable_cases():
          "clazz=GroupElement(group=FgAbGroup(rank=0, invariant_factors=(4,)), coords=(2,)))"),
         (CheckResult("c", True, "ok"), ("name", "passed", "detail"),
          "CheckResult(name='c', passed=True, detail='ok')"),
+        (IntMatrix([[2, 0]]), ("data", "cols"), "IntMatrix([[2, 0]], cols=2)"),
+        (IntMatrix([], 3), ("data", "cols"), "IntMatrix([], cols=3)"),
     ]
 
 
