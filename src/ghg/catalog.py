@@ -208,7 +208,7 @@ def load_catalog(path) -> Catalog:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise CatalogParseError(f"cannot read catalog {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge ints, deep nesting
         raise CatalogParseError(f"catalog {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise CatalogParseError(f"catalog {path} must be a JSON list of entries")

@@ -72,27 +72,6 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g.
-
-    >>> xgcd(12, 30)
-    (6, -2, 1)
-    >>> xgcd(-5, 0)
-    (5, -1, 0)
-    """
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 class IntMatrix(Value):
     """Immutable dense matrix over Z.
 
@@ -170,52 +149,21 @@ def _swap_cols(m: list[list[int]], a: int, b: int) -> None:
         row[a], row[b] = row[b], row[a]
 
 
-def _row_eliminate(m, u, t, i):
-    # make m[i][t] zero using rows t and i; pivot m[t][t] becomes gcd
-    a, b = m[t][t], m[i][t]
-    if b % a == 0:
-        q = b // a
-        m[i] = [x - q * y for x, y in zip(m[i], m[t])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-        return
-    g, x, y = xgcd(a, b)
-    ag, bg = a // g, -(b // g)
-    m[t], m[i] = (
-        [x * p + y * q for p, q in zip(m[t], m[i])],
-        [bg * p + ag * q for p, q in zip(m[t], m[i])],
-    )
-    u[t], u[i] = (
-        [x * p + y * q for p, q in zip(u[t], u[i])],
-        [bg * p + ag * q for p, q in zip(u[t], u[i])],
-    )
-
-
-def _col_eliminate(m, v, t, j):
-    # make m[t][j] zero using columns t and j; pivot becomes gcd
-    a, b = m[t][t], m[t][j]
-    if b % a == 0:
-        q = b // a
-        for row in m:
-            row[j] -= q * row[t]
-        for row in v:
-            row[j] -= q * row[t]
-        return
-    g, x, y = xgcd(a, b)
-    ag, bg = a // g, -(b // g)
-    for row in m:
-        row[t], row[j] = x * row[t] + y * row[j], bg * row[t] + ag * row[j]
-    for row in v:
-        row[t], row[j] = x * row[t] + y * row[j], bg * row[t] + ag * row[j]
-
-
 def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: return unimodular (U, D, V) with U @ a @ V == D.
 
     D has the same shape as ``a``, is diagonal with nonnegative entries,
     and consecutive diagonal entries divide each other (zeros last).
-    The pivot at each step is the entry of smallest nonzero absolute
-    value in the remaining submatrix, ties broken by lowest (row, col),
-    which makes the reduction deterministic.
+    One loop of division with remainder (Newman, Integral Matrices, II):
+    the pivot is the entry of smallest nonzero absolute value in the
+    remaining block, ties broken by lowest (row, col), moved to (t, t)
+    and made positive. Each entry below and right of the pivot p is cut
+    to its nearest-integer remainder, at most p/2 in absolute value. A
+    nonzero remainder repeats the step with a pivot no larger than it.
+    A row of the block with an entry that p does not divide is added to
+    the pivot row, and the repeat picks p at (t, t) again or a smaller
+    pivot, and leaves a remainder. So the positive pivot strictly
+    decreases at least every second pass, and the loop terminates.
 
     >>> u, d, v = snf(IntMatrix([[2, 0], [0, 3]]))
     >>> d.diagonal_entries()
@@ -225,7 +173,8 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     m = [list(row) for row in a.data]
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    for t in range(min(nrows, ncols)):
+    t = 0
+    while t < min(nrows, ncols):
         best = None
         best_abs = 0
         for i in range(t, nrows):
@@ -244,34 +193,39 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if bj != t:
             _swap_cols(m, t, bj)
             _swap_cols(v, t, bj)
-        while True:
-            for i in range(t + 1, nrows):
-                if m[i][t] != 0:
-                    _row_eliminate(m, u, t, i)
-            for j in range(t + 1, ncols):
-                if m[t][j] != 0:
-                    _col_eliminate(m, v, t, j)
-            if any(m[i][t] != 0 for i in range(t + 1, nrows)):
-                continue  # a column mix re-dirtied the pivot column
-            pivot = m[t][t]
-            bad = None
-            for i in range(t + 1, nrows):
-                row = m[i]
-                for j in range(t + 1, ncols):
-                    if row[j] % pivot != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            # absorb the offending row so the next gcd step shrinks the pivot
-            m[t] = [x + y for x, y in zip(m[t], m[bad])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad])]
-    for k in range(min(nrows, ncols)):
-        if m[k][k] < 0:
-            m[k] = [-x for x in m[k]]
-            u[k] = [-x for x in u[k]]
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+        mt, ut, p = m[t], u[t], m[t][t]
+        dirty = False
+        for i in range(t + 1, nrows):
+            x = m[i][t]
+            if x != 0:
+                q = (2 * x + p) // (2 * p)  # nearest integer to x / p
+                if q != 0:
+                    m[i] = [y - q * z for y, z in zip(m[i], mt)]
+                    u[i] = [y - q * z for y, z in zip(u[i], ut)]
+                dirty = dirty or m[i][t] != 0
+        for j in range(t + 1, ncols):
+            x = mt[j]
+            if x != 0:
+                q = (2 * x + p) // (2 * p)
+                if q != 0:
+                    for row in m:
+                        row[j] -= q * row[t]
+                    for row in v:
+                        row[j] -= q * row[t]
+                dirty = dirty or mt[j] != 0
+        if dirty:
+            continue
+        if p != 1:
+            bad = next((i for i in range(t + 1, nrows)
+                        if any(x % p != 0 for x in m[i][t + 1:])), None)
+            if bad is not None:
+                m[t] = [x + y for x, y in zip(mt, m[bad])]
+                u[t] = [x + y for x, y in zip(ut, u[bad])]
+                continue
+        t += 1
     return IntMatrix(u, nrows), IntMatrix(m, ncols), IntMatrix(v, ncols)
 
 

@@ -243,6 +243,18 @@ def test_broken_catalog_exit(tmp_path, capsys):
     assert "catalog" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param("[" * 100000 + "]" * 100000, id="deep-nesting"),
+    pytest.param(json.dumps(TINY).replace('"degree": 3', '"degree": ' + "9" * 5000), id="huge-int"),
+])
+def test_malformed_catalog_exit(tmp_path, capsys, text):
+    p = tmp_path / "malformed.json"
+    p.write_text(text, encoding="utf-8")
+    code = cli.run(["catalog", "--catalog", str(p)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ghg: catalog:")
+
+
 def test_verify_passes(capsys):
     """The report at the shipped seed replays tests/golden_verify.json
     byte for byte: every check passes with the same detail text."""

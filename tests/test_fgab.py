@@ -24,7 +24,6 @@ from ghg.fgab import (
     hstack,
     relation_matrix,
     snf,
-    xgcd,
 )
 from ghg.gaugecalc import Sphere, Surface, gauge_homotopy, make_bundle
 from ghg.verify import det, enumerate_elements, is_diagonal
@@ -44,14 +43,6 @@ def assert_snf_contract(a):
         else:
             assert y % x == 0
     return diag
-
-
-def test_xgcd():
-    for a in range(-12, 13):
-        for b in range(-12, 13):
-            g, x, y = xgcd(a, b)
-            assert g == gcd(a, b)
-            assert x * a + y * b == g
 
 
 def test_snf_diagonal_example():
@@ -90,6 +81,21 @@ def test_snf_random_suite_small():
         cols = rng.randint(1, 6)
         a = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
         assert_snf_contract(a)
+
+
+@pytest.mark.parametrize("n", [32, 40])
+def test_snf_coefficient_growth(n):
+    # dense with small entries: extended-gcd steps reach 69,501-bit
+    # transform entries at n = 32, division with remainder about 1,600
+    rng = random.Random(1)
+    a = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+    start = time.perf_counter()
+    u, d, v = snf(a)
+    assert u @ a @ v == d
+    assert prod(d.diagonal_entries()) == abs(det(a))
+    # every entry below 2^8192
+    assert max(x.bit_length() for m in (u, v) for row in m.data for x in row) <= 8192
+    assert time.perf_counter() - start < 5.0
 
 
 def test_det_bareiss():
@@ -258,7 +264,7 @@ def test_direct_sum_injections_respect_orders():
         ([FgAbGroup.cyclic(2), FgAbGroup.cyclic(3)], FgAbGroup.cyclic(6),
          [((3,),), ((2,),)]),
         ([FgAbGroup.cyclic(6), FgAbGroup.cyclic(4)], FgAbGroup(0, (2, 12)),
-         [((1,), (2,)), ((1,), (9,))]),
+         [((1,), (2,)), ((0,), (9,))]),
         ([FgAbGroup(1, (2,)), FgAbGroup.cyclic(4), FgAbGroup.free(1)], FgAbGroup(2, (2, 4)),
          [((1, 0), (0, 0), (0, 1), (0, 0)), ((0,), (0,), (0,), (1,)), ((0,), (1,), (0,), (0,))]),
         ([], FgAbGroup(0), []),
@@ -271,6 +277,12 @@ def test_direct_sum_injections_respect_orders():
             for i in range(g.ngens):
                 gen = GroupElement.generator(g, i)
                 assert inj.apply(gen).order() == gen.order()
+        if total.order is not None:
+            # independent of the transform: together the injections are onto
+            seen = {GroupElement.zero(total)}
+            for g, inj in zip(groups, injections):
+                seen = {s + inj.apply(x) for s in seen for x in enumerate_elements(g)}
+            assert len(seen) == total.order
 
 
 def test_element_arithmetic():

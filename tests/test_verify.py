@@ -1,6 +1,9 @@
 """The verify suite catches what it is meant to catch, with or without -O."""
 import ast
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,16 @@ def test_library_has_no_assert_statements():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_verify_under_optimize_replays_the_golden_report():
+    """With asserts stripped, ghg verify still passes every check and
+    prints tests/golden_verify.json byte for byte."""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "ghg.cli", "verify", "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    golden = Path(__file__).resolve().parent / "golden_verify.json"
+    assert proc.stdout == golden.read_text(encoding="utf-8")
