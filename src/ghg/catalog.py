@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 from .fgab import FgAbGroup, GroupElement, Value
@@ -208,8 +209,13 @@ def load_catalog(path) -> Catalog:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise CatalogParseError(f"cannot read catalog {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge ints, deep nesting
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CatalogParseError(f"catalog {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CatalogParseError(f"catalog {path} nests too deeply to read") from exc
+    except ValueError as exc:  # the only one left: the int digit limit
+        limit = sys.get_int_max_str_digits()
+        raise CatalogParseError(f"catalog {path} holds an integer over {limit} digits") from exc
     if not isinstance(raw, list):
         raise CatalogParseError(f"catalog {path} must be a JSON list of entries")
     entries: dict[str, GroupCatalogEntry] = {}

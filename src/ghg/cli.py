@@ -270,10 +270,6 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"ghg: usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"ghg: usage error: {exc}", file=sys.stderr)

@@ -15,7 +15,8 @@ Conventions used throughout:
 * a cyclic order (or element order) of 0 means infinite, i.e. Z = Z/0;
 * a presentation is its relation matrix: a g-column matrix presents
   Z^g modulo its row span, so relations are rows and elements are
-  coordinate rows over the generators.
+  coordinate rows over the generators. The cokernel of f is presented so
+  too: [f^T ; rel_cod] stacks the generator images over the relations.
 """
 from __future__ import annotations
 
@@ -138,12 +139,6 @@ class IntMatrix(Value):
         return f"IntMatrix({[list(r) for r in self.data]!r}, cols={self.cols})"
 
 
-def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.rows != b.rows:
-        raise ValueError("row count mismatch")
-    return IntMatrix([ra + rb for ra, rb in zip(a.data, b.data)], a.cols + b.cols)
-
-
 def _swap_cols(m: list[list[int]], a: int, b: int) -> None:
     for row in m:
         row[a], row[b] = row[b], row[a]
@@ -252,10 +247,6 @@ class FgAbGroup(Value):
             raise ValueError(f"factors {facs} do not form a divisibility chain")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "invariant_factors", facs)
-
-    @classmethod
-    def free(cls, rank: int) -> FgAbGroup:
-        return cls(rank, ())
 
     @classmethod
     def cyclic(cls, d: int) -> FgAbGroup:
@@ -462,24 +453,26 @@ class Homomorphism(Value):
         return Homomorphism(self.domain, self.codomain, -self.matrix)
 
 
-def _image_smith(f: Homomorphism) -> tuple[FgAbGroup, int, IntMatrix]:
-    """Smith form U S V = D of S = [f | rel_cod^T], read two ways.
+def _image_smith(f: Homomorphism) -> tuple[FgAbGroup, IntMatrix]:
+    """(coker f, B) from one Smith form U P V = D of P = [f^T ; rel_cod].
 
-    The columns of S generate the image of f plus the codomain
-    relations, and U is unimodular, so coker f = Z^h / (column span of
-    D), of rank h - r for r nonzero pivots. The columns r.. of V are a
-    basis of ker S. Returns (coker f, r, V).
+    coker f = Z^h / (row span of P), of rank h - r for r nonzero pivots.
+    Rows r.. of U span the left kernel of P, because U is unimodular and
+    only the first r rows of D are nonzero. A kernel row (x, y) has
+    f(x) = -y rel_cod, so its first g coordinates run over the preimage
+    lattice K = {x : f(x) is a codomain relation}, injectively because
+    the rows of rel_cod are independent: the rows of B are a basis of K.
     """
-    h = f.codomain.ngens
-    _, d, v = snf(hstack(f.matrix, relation_matrix(f.codomain).transpose()))
+    g, h = f.domain.ngens, f.codomain.ngens
+    u, d, _ = snf(IntMatrix(f.matrix.transpose().data + relation_matrix(f.codomain).data, h))
     coker = _smith_quotient(h, d)
-    return coker, h - coker.rank, v
+    return coker, IntMatrix([row[:g] for row in u.data[h - coker.rank:]], g)
 
 
 def cokernel(f: Homomorphism) -> FgAbGroup:
     """Cokernel of a homomorphism, from one Smith normal form.
 
-    >>> f = Homomorphism(FgAbGroup.free(1), FgAbGroup(1, (4,)), IntMatrix([[0], [2]]))
+    >>> f = Homomorphism(FgAbGroup(1), FgAbGroup(1, (4,)), IntMatrix([[0], [2]]))
     >>> str(cokernel(f))
     'Z^1 + Z/2'
     """
@@ -489,32 +482,25 @@ def cokernel(f: Homomorphism) -> FgAbGroup:
 def hom_decompose(f: Homomorphism) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup]:
     """Exact (kernel, image, cokernel) of a homomorphism.
 
-    Torsion relations are lifted into free presentations: the preimage
-    lattice K = {x : f(x) falls in the codomain relation lattice} gives
-    image = Z^g / K and kernel = K / (domain relations). One Smith form
-    of S = [f | rel_cod^T] gives the cokernel (see cokernel) and, from
-    ker S, a basis B of K: (x, y) -> x is injective on ker S. The Smith
-    form P B Q = [D 0] then gives both the image and the domain
-    relations R = C B in that basis, C = (R Q)[:, :s] D^-1 P (Cohen, A
-    Course in Computational Algebraic Number Theory, 2.4).
+    Torsion relations are lifted into free presentations: with the
+    preimage lattice K and its basis B from _image_smith, image = Z^g / K
+    and kernel = K / (domain relations). The Smith form P B Q = [D 0]
+    gives both the image and the domain relations R = C B in that basis,
+    C = (R Q)[:, :s] D^-1 P (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4). Row j of R Q is d_j times row j of Q, for each
+    generator j of finite order d_j.
 
-    >>> f = Homomorphism(FgAbGroup.free(1), FgAbGroup.cyclic(12), IntMatrix([[5]]))
+    >>> f = Homomorphism(FgAbGroup(1), FgAbGroup.cyclic(12), IntMatrix([[5]]))
     >>> [str(g) for g in hom_decompose(f)]
     ['Z^1', 'Z/12', '0']
     """
-    dom = f.domain
-    g = dom.ngens
-    coker, r, v = _image_smith(f)
-    basis = IntMatrix([col[:g] for col in list(zip(*v.data))[r:]], g)
+    coker, basis = _image_smith(f)
     p, d, q = snf(basis)
     pivots = d.diagonal_entries()
-    s = len(pivots)
-    image = _smith_quotient(g, d)
-
-    rq = relation_matrix(dom) @ q
-    coeffs = IntMatrix([[row[j] // pivots[j] for j in range(s)] for row in rq.data], s)
-    kernel = canonicalize(coeffs @ p)
-    return kernel, image, coker
+    coeffs = IntMatrix([[order * x // y for x, y in zip(row, pivots)]
+                        for row, order in zip(q.data, f.domain.generator_orders()) if order],
+                       len(pivots))
+    return canonicalize(coeffs @ p), _smith_quotient(f.domain.ngens, d), coker
 
 
 def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:

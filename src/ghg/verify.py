@@ -148,7 +148,7 @@ def subgroup_quotient_pairs(group: FgAbGroup) -> frozenset:
 
 def _subgroup_types(group: FgAbGroup, gens) -> tuple[FgAbGroup, FgAbGroup]:
     """Types of S and group/S, for S generated by the coordinate tuples gens."""
-    phi = Homomorphism(FgAbGroup.free(len(gens)), group, IntMatrix.from_columns(gens, group.ngens))
+    phi = Homomorphism(FgAbGroup(len(gens)), group, IntMatrix.from_columns(gens, group.ngens))
     return hom_decompose(phi)[1:]
 
 
@@ -211,7 +211,7 @@ def rational_via_zero_sequence(
     def zero_delta(k: int) -> Homomorphism:
         dim_k = catalog.rational_pi(group, k)
         target = 2 * base.genus * dim_k + catalog.rational_pi(group, k + base.dim - 1)
-        return Homomorphism.zero(FgAbGroup.free(dim_k), FgAbGroup.free(target))
+        return Homomorphism.zero(FgAbGroup(dim_k), FgAbGroup(target))
 
     result = middle_group(zero_delta(n + 1), zero_delta(n))
     if not result.is_resolved:

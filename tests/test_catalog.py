@@ -57,7 +57,7 @@ def test_su2_low_degrees():
     cat = default_catalog()
     assert cat.pi("SU2", 0).is_trivial
     assert cat.pi("SU2", 2).is_trivial
-    assert cat.pi("SU2", 3) == FgAbGroup.free(1)
+    assert cat.pi("SU2", 3) == FgAbGroup(1)
     assert cat.pi("SU2", 4) == FgAbGroup.cyclic(2)
     assert cat.pi("SU2", 6) == FgAbGroup.cyclic(12)
     assert cat.entry("SU2").depth == 12
@@ -161,14 +161,14 @@ def test_pairing_needs_catalogued_degrees():
 
 def test_pairing_matrix_shape_checks():
     z12 = FgAbGroup.cyclic(12)
-    free = FgAbGroup.free(1)
+    free = FgAbGroup(1)
     good = PairingMatrix(3, 3, free, free, z12, ((GroupElement(z12, (1,)),),))
     assert not good.is_zero
     with pytest.raises(ValueError):
         PairingMatrix(3, 3, free, free, z12, ())  # row count mismatch
     with pytest.raises(ValueError):
         # value of infinite order is not allowed
-        PairingMatrix(1, 1, free, free, FgAbGroup.free(1), ((GroupElement(FgAbGroup.free(1), (1,)),),))
+        PairingMatrix(1, 1, free, free, FgAbGroup(1), ((GroupElement(FgAbGroup(1), (1,)),),))
 
 
 def test_pairing_annihilation_check():

@@ -42,7 +42,7 @@ def scalar(dom, cod, k):
     return Homomorphism(dom, cod, IntMatrix([[k]]))
 
 
-Z = FgAbGroup.free(1)
+Z = FgAbGroup(1)
 
 
 def test_result_shape():
@@ -72,7 +72,7 @@ def test_middle_trivial_sub():
 
 def test_middle_two_zero_maps():
     r = middle_group(Homomorphism.zero(Z, Z), Homomorphism.zero(Z, Z))
-    assert r.is_resolved and r.resolved == FgAbGroup.free(2)
+    assert r.is_resolved and r.resolved == FgAbGroup(2)
 
 
 def test_middle_ambiguous():
@@ -108,7 +108,7 @@ def test_resolve_filters_by_realizability():
 
 
 def test_resolve_respects_rank():
-    r = resolve_extension(FgAbGroup.free(1), FgAbGroup.cyclic(2))
+    r = resolve_extension(FgAbGroup(1), FgAbGroup.cyclic(2))
     # free sub, finite quot: candidates all have rank 1 and torsion of order dividing 2
     for c in r.candidates:
         assert c.rank == 1 and 2 % c.torsion_order == 0
@@ -294,7 +294,7 @@ def test_free_rank_exhaustive():
         lattice = [tuple(n * (i == j) for i in range(x.ngens)) for j in range(x.rank)]
         for gens in subgroup_generators((n,) * x.rank + x.invariant_factors):
             cols = lattice + list(gens)
-            phi = Homomorphism(FgAbGroup.free(len(cols)), x, IntMatrix.from_columns(cols, x.ngens))
+            phi = Homomorphism(FgAbGroup(len(cols)), x, IntMatrix.from_columns(cols, x.ngens))
             _, sub, quot = hom_decompose(phi)
             realized.setdefault((sub, quot), set()).add(x)
     absorbed = 0

@@ -39,9 +39,9 @@ def test_base_validation():
 
 
 def test_class_group():
-    assert class_group(CAT, "SU2", Sphere(4)) == FgAbGroup.free(1)
+    assert class_group(CAT, "SU2", Sphere(4)) == FgAbGroup(1)
     assert class_group(CAT, "SU2", Sphere(2)).is_trivial
-    assert class_group(CAT, "TEST", Surface(3)) == FgAbGroup.free(1)
+    assert class_group(CAT, "TEST", Surface(3)) == FgAbGroup(1)
 
 
 def test_make_bundle_reduces_class():
@@ -56,7 +56,7 @@ def test_sphere_delta_is_negated_pairing():
     for k in (1, 5, 12):
         d = connecting_hom_sphere(CAT, "SU2", 4, su2_class(k), 3)
         assert d.matrix == IntMatrix([[(-k) % 12]])
-        assert d.domain == FgAbGroup.free(1)
+        assert d.domain == FgAbGroup(1)
         assert d.codomain == FgAbGroup.cyclic(12)
 
 
@@ -102,7 +102,7 @@ def test_surface_delta_zero_shortcuts():
     d = connecting_hom_surface(CAT, "SU2", 1, su2, 3)
     assert d.is_zero
     # codomain is still the full 2g + 1 block sum: Z^2 + Z/2
-    assert d.domain == FgAbGroup.free(1)
+    assert d.domain == FgAbGroup(1)
     assert d.codomain == FgAbGroup.of(2, (2,))
     d = connecting_hom_surface(CAT, "SU2", 2, su2, 3)
     assert d.is_zero and d.codomain == FgAbGroup.of(4, (2,))
