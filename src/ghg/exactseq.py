@@ -85,11 +85,13 @@ def resolve_extension(
         return SequenceResult(sub, quot, (direct_sum(sub, quot),))
     if sub.is_trivial:
         return SequenceResult(sub, quot, (quot,))
-    order = sub.torsion_order * quot.torsion_order
-    if order > torsion_bound:
-        raise CapacityError(
-            f"extension torsion order {order} exceeds the bound {torsion_bound}"
-        )
+    order = 1
+    for d in sub.invariant_factors + quot.invariant_factors:
+        # stop at the first partial product past the bound: the full
+        # order of a high-genus sub can run to millions of digits
+        order *= d
+        if order > torsion_bound:
+            raise CapacityError(f"extension torsion order exceeds the bound {torsion_bound}")
     rank = sub.rank + quot.rank
     per_prime = {
         p: lr_support(_primary_type(sub, p), _primary_type(quot, p), sub.rank)

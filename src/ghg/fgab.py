@@ -2,9 +2,13 @@
 
 Everything in this module is arbitrary-precision integer arithmetic on
 small dense matrices: Smith normal form with recorded unimodular
-transforms, canonical forms of groups, and exact kernel/image/cokernel
-decompositions of homomorphisms between groups in canonical form. Every
-invariant-factor chain is built by FgAbGroup.of or read off a Smith diagonal.
+transforms, canonical forms of groups, and the exact kernel, image and
+cokernel of a homomorphism between groups in canonical form, one
+function each, so a caller computes only what it reads: the cokernel
+and image from one Smith form of [f^T ; rel_cod], the kernel by
+rank-nullity on the free block and the torsion of the domain relations
+lifted through f. Every invariant-factor chain is built by FgAbGroup.of
+or read off a Smith diagonal.
 
 Conventions used throughout:
 
@@ -436,11 +440,6 @@ class Homomorphism(Value):
     def zero(cls, domain: FgAbGroup, codomain: FgAbGroup) -> Homomorphism:
         return cls(domain, codomain, IntMatrix.zero(codomain.ngens, domain.ngens))
 
-    @property
-    def is_zero(self) -> bool:
-        return all(self.apply(GroupElement.generator(self.domain, j)).is_zero
-                   for j in range(self.domain.ngens))
-
     def apply(self, element: GroupElement) -> GroupElement:
         if element.group != self.domain:
             raise ValueError("element not in the domain")
@@ -479,28 +478,46 @@ def cokernel(f: Homomorphism) -> FgAbGroup:
     return _image_smith(f)[0]
 
 
-def hom_decompose(f: Homomorphism) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup]:
-    """Exact (kernel, image, cokernel) of a homomorphism.
+def kernel(f: Homomorphism) -> FgAbGroup:
+    """Kernel of a homomorphism, from two Smith normal forms.
 
-    Torsion relations are lifted into free presentations: with the
-    preimage lattice K and its basis B from _image_smith, image = Z^g / K
-    and kernel = K / (domain relations). The Smith form P B Q = [D 0]
-    gives both the image and the domain relations R = C B in that basis,
-    C = (R Q)[:, :s] D^-1 P (Cohen, A Course in Computational Algebraic
-    Number Theory, 2.4). Row j of R Q is d_j times row j of Q, for each
-    generator j of finite order d_j.
+    Write dom = Z^r + sum Z/d_j on g generators and cod = Z^q + sum Z/e_i
+    on h generators, s of them torsion. The rank of ker f is its rank
+    over Q: by rank-nullity it is the nullity of the free block M, the
+    first q rows of f cut to the first r columns, which is
+    canonicalize(M).rank.
 
-    >>> f = Homomorphism(FgAbGroup(1), FgAbGroup.cyclic(12), IntMatrix([[5]]))
-    >>> [str(g) for g in hom_decompose(f)]
-    ['Z^1', 'Z/12', '0']
+    The torsion of ker f is the kernel of f on tors(dom). Lift the
+    relation d_j e_j of each finite-order generator j to the row
+    (d_j e_j, y) of Z^(g+s), with y_i = -d_j f_ij / e_i at each torsion
+    coordinate i of cod (exact, as Homomorphism checks). The lifted
+    rows lie in L = {(x, y) : x f^T + y rel_cod = 0}, which projects
+    injectively onto the preimage lattice {x : f(x) is a codomain
+    relation}, and L modulo them is ker f. Z^(g+s) / L embeds in Z^h, so
+    it is free and L is a direct summand: Z^(g+s) modulo the lifted rows
+    is ker f plus a free group, whose torsion is the torsion of ker f.
+
+    >>> f = Homomorphism(FgAbGroup(1, (4,)), FgAbGroup.cyclic(2), IntMatrix([[1, 1]]))
+    >>> str(kernel(f))
+    'Z^1 + Z/2'
     """
-    coker, basis = _image_smith(f)
-    p, d, q = snf(basis)
-    pivots = d.diagonal_entries()
-    coeffs = IntMatrix([[order * x // y for x, y in zip(row, pivots)]
-                        for row, order in zip(q.data, f.domain.generator_orders()) if order],
-                       len(pivots))
-    return canonicalize(coeffs @ p), _smith_quotient(f.domain.ngens, d), coker
+    dom, cod, rows = f.domain, f.codomain, f.matrix.data
+    free = IntMatrix([row[:dom.rank] for row in rows[:cod.rank]], dom.rank)
+    torsion = list(zip(rows[cod.rank:], cod.invariant_factors))
+    lifted = [[d * (k == j) for k in range(dom.ngens)] + [-d * row[j] // e for row, e in torsion]
+              for j, d in enumerate(dom.invariant_factors, dom.rank)]
+    quotient = canonicalize(IntMatrix(lifted, dom.ngens + len(torsion)))
+    return FgAbGroup(canonicalize(free).rank, quotient.invariant_factors)
+
+
+def image(f: Homomorphism) -> FgAbGroup:
+    """Image of a homomorphism: Z^g modulo the preimage lattice of
+    _image_smith, from two Smith normal forms.
+
+    >>> str(image(Homomorphism(FgAbGroup(1), FgAbGroup.cyclic(12), IntMatrix([[5]]))))
+    'Z/12'
+    """
+    return canonicalize(_image_smith(f)[1])
 
 
 def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:

@@ -31,7 +31,7 @@ from .fgab import (
     cokernel,
     direct_sum,
     direct_sum_with_injections,
-    hom_decompose,
+    kernel,
 )
 
 
@@ -168,7 +168,7 @@ def gauge_homotopy(
 
     with both connecting maps built from catalogued Samelson data.
     sub = coker delta_(n+1) takes one Smith normal form (cokernel) and
-    quot = ker delta_n three (hom_decompose). Both maps are the S^dim
+    quot = ker delta_n two (kernel). Both maps are the S^dim
     maps with 2*genus zero blocks added, so the cokernel of delta_(n+1)
     gains pi_(n+1)(K)^2g as a direct summand and the kernel of delta_n
     is the S^dim kernel. A trivial bundle (class 0) splits: evaluation
@@ -181,11 +181,9 @@ def gauge_homotopy(
     base = bundle.base
     left = connecting_hom_sphere(catalog, group, base.dim, bundle.clazz, n + 1)
     right = connecting_hom_sphere(catalog, group, base.dim, bundle.clazz, n)
-    sub = cokernel(left)
-    if base.genus:
-        k, h1 = 2 * base.genus, left.domain
-        sub = FgAbGroup.of(sub.rank + k * h1.rank, sub.invariant_factors + k * h1.invariant_factors)
-    quot = hom_decompose(right)[0]
+    coker, k, h1 = cokernel(left), 2 * base.genus, left.domain
+    sub = FgAbGroup.of(coker.rank + k * h1.rank, coker.invariant_factors + k * h1.invariant_factors)
+    quot = kernel(right)
     if bundle.clazz.is_zero:
         return SequenceResult(sub, quot, (direct_sum(sub, quot),))
     return resolve_extension(sub, quot, torsion_bound)

@@ -30,9 +30,11 @@ from .fgab import (
     Homomorphism,
     IntMatrix,
     Value,
+    _image_smith,
     canonicalize,
     cokernel,
-    hom_decompose,
+    image,
+    kernel,
     relation_matrix,
     snf,
 )
@@ -83,7 +85,7 @@ class CheckResult(Value):
 def middle_group(left: Homomorphism, right: Homomorphism) -> SequenceResult:
     """Resolve X in ... -> A --left--> B -> X -> C --right--> D -> ...
     from the literal maps: sub = coker left, quot = ker right."""
-    return resolve_extension(cokernel(left), hom_decompose(right)[0])
+    return resolve_extension(cokernel(left), kernel(right))
 
 
 def subgroup_generators(moduli) -> list[tuple[tuple[int, ...], ...]]:
@@ -149,7 +151,8 @@ def subgroup_quotient_pairs(group: FgAbGroup) -> frozenset:
 def _subgroup_types(group: FgAbGroup, gens) -> tuple[FgAbGroup, FgAbGroup]:
     """Types of S and group/S, for S generated by the coordinate tuples gens."""
     phi = Homomorphism(FgAbGroup(len(gens)), group, IntMatrix.from_columns(gens, group.ngens))
-    return hom_decompose(phi)[1:]
+    coker, basis = _image_smith(phi)
+    return canonicalize(basis), coker
 
 
 def enumerate_elements(group: FgAbGroup) -> list[GroupElement]:
@@ -312,15 +315,15 @@ def check_hom_oracle(catalog, rng):
         dom = random_group(rng, 64, max_rank=0)
         cod = random_group(rng, 64, max_rank=0)
         f = random_hom(rng, dom, cod)
-        kernel, image, coker = hom_decompose(f)
+        ker, im, coker = kernel(f), image(f), cokernel(f)
         elems = enumerate_elements(dom)
         ker_n = sum(1 for x in elems if f.apply(x).is_zero)
         im_n = len({f.apply(x).coords for x in elems})
-        if kernel.order != ker_n or image.order != im_n:
+        if ker.order != ker_n or im.order != im_n:
             raise CheckFailure(f"decomposition disagrees with enumeration for {f}")
-        if kernel.order * image.order != dom.order:
+        if ker.order * im.order != dom.order:
             raise CheckFailure(f"|ker|*|im| != |dom| for {f}")
-        if image.order * coker.order != cod.order:
+        if im.order * coker.order != cod.order:
             raise CheckFailure(f"|im|*|coker| != |cod| for {f}")
     return f"{HOM_MAPS} random maps decomposed and recounted"
 

@@ -192,6 +192,15 @@ def test_torsion_bound_exit(capsys):
     assert "exceeds the bound 7" in capsys.readouterr().err
 
 
+def test_high_genus_torsion_bound_exit(capsys):
+    """(Z/2)^40000 joins sub at genus 20000: its order has 12,042 digits,
+    past the int-to-str digit limit, so the refusal must not print it."""
+    code = cli.run(["compute", "--group", "TEST", "--base", "surface:20000",
+                    "--degree", "2", "--class", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "ghg: compute: extension torsion order exceeds the bound 10000\n"
+
+
 def test_negative_torsion_bound_is_usage_error(capsys):
     code = cli.run(["compute", "--group", "SU2", "--base", "sphere:4",
                     "--class", "0", "--degree", "2", "--torsion-bound", "-1"])

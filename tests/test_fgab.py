@@ -21,7 +21,8 @@ from ghg.fgab import (
     cokernel,
     direct_sum,
     direct_sum_with_injections,
-    hom_decompose,
+    image,
+    kernel,
     relation_matrix,
     snf,
 )
@@ -314,54 +315,58 @@ def test_hom_apply_and_neg():
     f = Homomorphism(FgAbGroup(1), FgAbGroup.cyclic(12), IntMatrix([[5]]))
     assert f.apply(GroupElement(f.domain, (3,))).coords == (3,)
     assert (-f).apply(GroupElement(f.domain, (1,))).coords == (7,)
-    assert Homomorphism.zero(f.domain, f.codomain).is_zero
+    assert image(Homomorphism.zero(f.domain, f.codomain)).is_trivial
     assert Homomorphism(f.codomain, f.codomain, IntMatrix([[1]])).apply(
         GroupElement(f.codomain, (7,))
     ).coords == (7,)
 
 
-def test_hom_decompose_examples():
+def decompose(f):
+    return kernel(f), image(f), cokernel(f)
+
+
+def test_kernel_image_cokernel_examples():
     times5 = Homomorphism(FgAbGroup(1), FgAbGroup.cyclic(12), IntMatrix([[5]]))
-    assert hom_decompose(times5) == (
+    assert decompose(times5) == (
         FgAbGroup(1),
         FgAbGroup.cyclic(12),
         FgAbGroup(0),
     )
     zero = Homomorphism.zero(FgAbGroup.cyclic(4), FgAbGroup.cyclic(8))
-    assert hom_decompose(zero) == (
+    assert decompose(zero) == (
         FgAbGroup.cyclic(4),
         FgAbGroup(0),
         FgAbGroup.cyclic(8),
     )
     doubling = Homomorphism(FgAbGroup(1), FgAbGroup(1), IntMatrix([[2]]))
-    assert hom_decompose(doubling) == (
+    assert decompose(doubling) == (
         FgAbGroup(0),
         FgAbGroup(1),
         FgAbGroup.cyclic(2),
     )
     g = FgAbGroup(1, (2, 4))
     ident = Homomorphism(g, g, IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    assert hom_decompose(ident) == (
+    assert decompose(ident) == (
         FgAbGroup(0),
         FgAbGroup(1, (2, 4)),
         FgAbGroup(0),
     )
 
 
-def test_hom_decompose_against_enumeration():
+def test_kernel_image_cokernel_against_enumeration():
     rng = random.Random(13)
     for _ in range(80):
         dom = random_group(rng, 64, max_rank=0)
         cod = random_group(rng, 64, max_rank=0)
         f = random_hom(rng, dom, cod)
-        kernel, image, coker = hom_decompose(f)
+        ker, im, coker = decompose(f)
         elements = enumerate_elements(dom)
         ker_count = sum(1 for x in elements if f.apply(x).is_zero)
         image_set = {f.apply(x).coords for x in elements}
-        assert kernel.order == ker_count
-        assert image.order == len(image_set)
+        assert ker.order == ker_count
+        assert im.order == len(image_set)
         assert coker.order * len(image_set) == cod.order
-        assert kernel.order * image.order == dom.order
+        assert ker.order * im.order == dom.order
 
 
 def presentation_cokernel(f):
@@ -386,7 +391,6 @@ def test_cokernel_matches_presentation_route():
             f = Homomorphism.zero(dom, cod)
         expected = presentation_cokernel(f)
         assert cokernel(f) == expected
-        assert hom_decompose(f)[2] == expected
         kinds.update(
             (side, kind)
             for side, group in (("dom", dom), ("cod", cod))
@@ -398,31 +402,45 @@ def test_cokernel_matches_presentation_route():
             )
             if present
         )
-        kinds.add(("map", "zero" if f.is_zero else "nonzero"))
+        kinds.add(("map", "zero" if image(f).is_trivial else "nonzero"))
         kinds.add(("coker", "free" if expected.rank else "finite"))
     assert len(kinds) == 12
 
 
-def test_hom_decompose_kernel_with_free_parts():
+def test_kernel_with_free_parts():
     """The kernel's rank is forced by rank-nullity over Q, with the
     cokernel taken by the presentation route. Its torsion is the set of
     torsion elements of the domain that f kills, and finite abelian
     groups with the same count of elements of each order are isomorphic."""
     rng = random.Random(19)
-    mixed_domain = mixed_kernel = False
+    mixed_domain = mixed_kernel = rank_drop = False
     for _ in range(600):
         dom = random_group(rng, 64, max_rank=2)
         cod = random_group(rng, 64, max_rank=2)
         f = random_hom(rng, dom, cod)
-        kernel = hom_decompose(f)[0]
-        assert kernel.rank == dom.rank - (cod.rank - presentation_cokernel(f).rank)
+        ker = kernel(f)
+        assert ker.rank == dom.rank - (cod.rank - presentation_cokernel(f).rank)
         free = (0,) * dom.rank
         killed = Counter(x.order() for x in enumerate_elements(dom.torsion_part())
                          if f.apply(GroupElement(dom, free + x.coords)).is_zero)
-        assert Counter(x.order() for x in enumerate_elements(kernel.torsion_part())) == killed
+        assert Counter(x.order() for x in enumerate_elements(ker.torsion_part())) == killed
         mixed_domain = mixed_domain or (dom.rank > 0 and dom.torsion_order > 1)
-        mixed_kernel = mixed_kernel or (kernel.rank > 0 and kernel.torsion_order > 1)
-    assert mixed_domain and mixed_kernel
+        mixed_kernel = mixed_kernel or (ker.rank > 0 and ker.torsion_order > 1)
+        # a nonzero free x free block: the kernel loses rank
+        rank_drop = rank_drop or (0 < ker.rank < dom.rank and ker.torsion_order > 1)
+    assert mixed_domain and mixed_kernel and rank_drop
+    # free blocks of full and partial rank, torsion lifted through the codomain
+    for dom, cod, rows, expected in (
+        (FgAbGroup(2), FgAbGroup(1), [[1, 2]], FgAbGroup(1)),
+        (FgAbGroup(2), FgAbGroup(2), [[1, 2], [2, 4]], FgAbGroup(1)),
+        (FgAbGroup(1), FgAbGroup(1), [[3]], FgAbGroup(0)),
+        (FgAbGroup(1), FgAbGroup.cyclic(2), [[1]], FgAbGroup(1)),
+        (FgAbGroup.cyclic(4), FgAbGroup.cyclic(2), [[1]], FgAbGroup.cyclic(2)),
+        (FgAbGroup(1, (4,)), FgAbGroup(1, (2,)), [[1, 0], [0, 1]], FgAbGroup.cyclic(2)),
+        (FgAbGroup(2, (4,)), FgAbGroup(1, (2,)), [[1, 1, 0], [0, 0, 1]], FgAbGroup(1, (2,))),
+        (FgAbGroup(1, (4,)), FgAbGroup.cyclic(2), [[1, 1]], FgAbGroup(1, (2,))),
+    ):
+        assert kernel(Homomorphism(dom, cod, IntMatrix(rows))) == expected
 
 
 def test_snf_calls_per_query(monkeypatch):
@@ -438,20 +456,18 @@ def test_snf_calls_per_query(monkeypatch):
         bundle = make_bundle(cat, group, base, clazz)
         calls.clear()
         gauge_homotopy(cat, group, bundle, 2)
-        assert len(calls) == 4
+        assert len(calls) == 3
     f = Homomorphism(FgAbGroup(1, (4,)), FgAbGroup.cyclic(8), IntMatrix([[2, 2]]))
-    calls.clear()
-    cokernel(f)
-    assert len(calls) == 1
-    calls.clear()
-    hom_decompose(f)
-    assert len(calls) == 3
+    for function, count in ((cokernel, 1), (kernel, 2), (image, 2)):
+        calls.clear()
+        function(f)
+        assert len(calls) == count
 
 
 def test_lattice_helpers():
-    # kernel coordinates taken from the Smith form of the preimage lattice
+    # the image from the Smith form of the preimage lattice
     f = Homomorphism(FgAbGroup(1, (4,)), FgAbGroup.cyclic(8), IntMatrix([[2, 2]]))
-    assert hom_decompose(f) == (FgAbGroup(1), FgAbGroup.cyclic(4), FgAbGroup.cyclic(2))
+    assert decompose(f) == (FgAbGroup(1), FgAbGroup.cyclic(4), FgAbGroup.cyclic(2))
 
 
 def test_tensor_q():

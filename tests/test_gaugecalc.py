@@ -5,7 +5,14 @@ from math import gcd
 import pytest
 
 from ghg.catalog import TableDepthError, default_catalog
-from ghg.fgab import FgAbGroup, GroupElement, IntMatrix, direct_sum_with_injections
+from ghg.fgab import (
+    CapacityError,
+    FgAbGroup,
+    GroupElement,
+    IntMatrix,
+    direct_sum_with_injections,
+    image,
+)
 from ghg.gaugecalc import (
     BundleSpec,
     PairingUnavailable,
@@ -61,11 +68,11 @@ def test_sphere_delta_is_negated_pairing():
 
 
 def test_sphere_delta_zero_shortcuts():
-    assert connecting_hom_sphere(CAT, "SU2", 4, su2_class(1), 2).is_zero  # pi_2 = 0
-    assert connecting_hom_sphere(CAT, "SU2", 4, su2_class(0), 3).is_zero  # b = 0
+    assert image(connecting_hom_sphere(CAT, "SU2", 4, su2_class(1), 2)).is_trivial  # pi_2 = 0
+    assert image(connecting_hom_sphere(CAT, "SU2", 4, su2_class(0), 3)).is_trivial  # b = 0
     u1 = GroupElement(CAT.pi("U1", 1), (5,))
     # abelian entries never need stored pairings
-    assert connecting_hom_sphere(CAT, "U1", 2, u1, 1).is_zero
+    assert image(connecting_hom_sphere(CAT, "U1", 2, u1, 1)).is_trivial
 
 
 def test_sphere_delta_wrong_class_group():
@@ -97,15 +104,15 @@ def test_surface_delta_lands_in_last_block():
 
 def test_surface_delta_zero_shortcuts():
     u1 = GroupElement(CAT.pi("U1", 1), (3,))
-    assert connecting_hom_surface(CAT, "U1", 1, u1, 1).is_zero
+    assert image(connecting_hom_surface(CAT, "U1", 1, u1, 1)).is_trivial
     su2 = GroupElement.zero(CAT.pi("SU2", 1))
     d = connecting_hom_surface(CAT, "SU2", 1, su2, 3)
-    assert d.is_zero
+    assert image(d).is_trivial
     # codomain is still the full 2g + 1 block sum: Z^2 + Z/2
     assert d.domain == FgAbGroup(1)
     assert d.codomain == FgAbGroup.of(2, (2,))
     d = connecting_hom_surface(CAT, "SU2", 2, su2, 3)
-    assert d.is_zero and d.codomain == FgAbGroup.of(4, (2,))
+    assert image(d).is_trivial and d.codomain == FgAbGroup.of(4, (2,))
 
 
 def test_gauge_su2_over_s4():
@@ -180,6 +187,16 @@ def test_high_genus_merges_in_linear_time():
     r = gauge_homotopy(CAT, "SU2", BundleSpec(Surface(8000), GroupElement(CAT.pi("SU2", 1), ())), 3)
     assert time.perf_counter() - start < 1.0
     assert r.resolved == FgAbGroup(1, (2,) * 16001)
+
+
+def test_high_genus_refusal_is_fast():
+    """The torsion bound is checked factor by factor, so a sub with
+    400,000 torsion factors is refused without multiplying them out."""
+    bundle = make_bundle(CAT, "TEST", Surface(200000), (1,))
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="exceeds the bound 10000"):
+        gauge_homotopy(CAT, "TEST", bundle, 2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_genus_zero_equals_two_sphere():
