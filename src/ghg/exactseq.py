@@ -93,9 +93,11 @@ def resolve_extension(
         if order > torsion_bound:
             raise CapacityError(f"extension torsion order exceeds the bound {torsion_bound}")
     rank = sub.rank + quot.rank
+    # the primes of the order are those of the two exponents, each far cheaper to factor
+    exponents = sub.invariant_factors[-1:] + quot.invariant_factors[-1:]
     per_prime = {
         p: lr_support(_primary_type(sub, p), _primary_type(quot, p), sub.rank)
-        for p in _factorint(order)
+        for p in {p for d in exponents for p in _factorint(d)}
     }
     return SequenceResult(sub, quot, (FgAbGroup(rank, factors) for factors in _assemble(per_prime)))
 

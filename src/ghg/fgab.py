@@ -1,14 +1,14 @@
 """Exact algebra of finitely generated abelian groups.
 
 Everything in this module is arbitrary-precision integer arithmetic on
-small dense matrices: Smith normal form with recorded unimodular
-transforms, canonical forms of groups, and the exact kernel, image and
-cokernel of a homomorphism between groups in canonical form, one
-function each, so a caller computes only what it reads: the cokernel
-and image from one Smith form of [f^T ; rel_cod], the kernel by
-rank-nullity on the free block and the torsion of the domain relations
-lifted through f. Every invariant-factor chain is built by FgAbGroup.of
-or read off a Smith diagonal.
+small dense matrices: one in-place Smith reduction, which snf borders
+to record unimodular transforms, canonical forms of groups, and the
+exact kernel and cokernel of a homomorphism between groups in canonical
+form, one function each, read off Smith diagonals alone: the cokernel
+from one reduction of [f^T ; rel_cod], the kernel by rank-nullity on the
+free block and the torsion of the domain relations lifted through f.
+Every invariant-factor chain is built by FgAbGroup.of or read off a
+Smith diagonal.
 
 Conventions used throughout:
 
@@ -143,16 +143,12 @@ class IntMatrix(Value):
         return f"IntMatrix({[list(r) for r in self.data]!r}, cols={self.cols})"
 
 
-def _swap_cols(m: list[list[int]], a: int, b: int) -> None:
-    for row in m:
-        row[a], row[b] = row[b], row[a]
+def _smith(m: list[list[int]], nrows: int, ncols: int) -> list[int]:
+    """Reduce the top-left nrows x ncols block of m in place to Smith
+    normal form and return its diagonal. Row operations span the first
+    nrows rows and column operations the first ncols columns of m, to
+    its full width and height, so the rest of m records the transforms.
 
-
-def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: return unimodular (U, D, V) with U @ a @ V == D.
-
-    D has the same shape as ``a``, is diagonal with nonnegative entries,
-    and consecutive diagonal entries divide each other (zeros last).
     One loop of division with remainder (Newman, Integral Matrices, II):
     the pivot is the entry of smallest nonzero absolute value in the
     remaining block, ties broken by lowest (row, col), moved to (t, t)
@@ -163,15 +159,7 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     the pivot row, and the repeat picks p at (t, t) again or a smaller
     pivot, and leaves a remainder. So the positive pivot strictly
     decreases at least every second pass, and the loop terminates.
-
-    >>> u, d, v = snf(IntMatrix([[2, 0], [0, 3]]))
-    >>> d.diagonal_entries()
-    (1, 6)
     """
-    nrows, ncols = a.rows, a.cols
-    m = [list(row) for row in a.data]
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     t = 0
     while t < min(nrows, ncols):
         best = None
@@ -188,14 +176,12 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         bi, bj = best
         if bi != t:
             m[t], m[bi] = m[bi], m[t]
-            u[t], u[bi] = u[bi], u[t]
         if bj != t:
-            _swap_cols(m, t, bj)
-            _swap_cols(v, t, bj)
+            for row in m:
+                row[t], row[bj] = row[bj], row[t]
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
-        mt, ut, p = m[t], u[t], m[t][t]
+        mt, p = m[t], m[t][t]
         dirty = False
         for i in range(t + 1, nrows):
             x = m[i][t]
@@ -203,7 +189,6 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 q = (2 * x + p) // (2 * p)  # nearest integer to x / p
                 if q != 0:
                     m[i] = [y - q * z for y, z in zip(m[i], mt)]
-                    u[i] = [y - q * z for y, z in zip(u[i], ut)]
                 dirty = dirty or m[i][t] != 0
         for j in range(t + 1, ncols):
             x = mt[j]
@@ -212,20 +197,37 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 if q != 0:
                     for row in m:
                         row[j] -= q * row[t]
-                    for row in v:
-                        row[j] -= q * row[t]
                 dirty = dirty or mt[j] != 0
         if dirty:
             continue
         if p != 1:
             bad = next((i for i in range(t + 1, nrows)
-                        if any(x % p != 0 for x in m[i][t + 1:])), None)
+                        if any(x % p != 0 for x in m[i][t + 1:ncols])), None)
             if bad is not None:
                 m[t] = [x + y for x, y in zip(mt, m[bad])]
-                u[t] = [x + y for x, y in zip(ut, u[bad])]
                 continue
         t += 1
-    return IntMatrix(u, nrows), IntMatrix(m, ncols), IntMatrix(v, ncols)
+    return [m[k][k] for k in range(min(nrows, ncols))]
+
+
+def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form: return unimodular (U, D, V) with U @ a @ V == D.
+
+    D has the same shape as ``a``, is diagonal with nonnegative entries,
+    and consecutive diagonal entries divide each other (zeros last).
+    _smith reduces the bordered matrix [[a, I], [I, 0]] to [[D, U], [V, 0]].
+
+    >>> u, d, v = snf(IntMatrix([[2, 0], [0, 3]]))
+    >>> d.diagonal_entries()
+    (1, 6)
+    """
+    nrows, ncols = a.rows, a.cols
+    m = [list(row) + [int(i == k) for k in range(nrows)] for i, row in enumerate(a.data)]
+    m += [[int(i == j) for j in range(ncols)] + [0] * nrows for i in range(ncols)]
+    _smith(m, nrows, ncols)
+    return (IntMatrix([row[ncols:] for row in m[:nrows]], nrows),
+            IntMatrix([row[:ncols] for row in m[:nrows]], ncols),
+            IntMatrix([row[:ncols] for row in m[nrows:]], ncols))
 
 
 class FgAbGroup(Value):
@@ -308,10 +310,9 @@ class FgAbGroup(Value):
         return " + ".join(parts)
 
 
-def _diagonal_relations(orders) -> IntMatrix:
+def _diagonal_relations(orders) -> list[list[int]]:
     # one relation d * e_i for each generator i of finite order d
-    n = len(orders)
-    return IntMatrix([[d if k == i else 0 for k in range(n)] for i, d in enumerate(orders) if d], n)
+    return [[d * (k == i) for k in range(len(orders))] for i, d in enumerate(orders) if d]
 
 
 def relation_matrix(group: FgAbGroup) -> IntMatrix:
@@ -320,14 +321,13 @@ def relation_matrix(group: FgAbGroup) -> IntMatrix:
     >>> relation_matrix(FgAbGroup(1, (2,)))
     IntMatrix([[0, 2]], cols=2)
     """
-    return _diagonal_relations(group.generator_orders())
+    return IntMatrix(_diagonal_relations(group.generator_orders()), group.ngens)
 
 
-def _smith_quotient(n: int, d: IntMatrix) -> FgAbGroup:
-    """Z^n modulo the span of the Smith diagonal of d: rank n minus the
-    number of nonzero pivots, and the pivots above 1, already a chain,
-    as invariant factors."""
-    pivots = [x for x in d.diagonal_entries() if x != 0]
+def _presented(rows: list[list[int]], n: int) -> FgAbGroup:
+    """Z^n modulo the row span of rows, row lists reduced in place: rank n
+    minus the number of nonzero pivots, the pivots above 1 as its chain."""
+    pivots = [x for x in _smith(rows, len(rows), n) if x != 0]
     return FgAbGroup(n - len(pivots), tuple(x for x in pivots if x > 1))
 
 
@@ -337,7 +337,7 @@ def canonicalize(relations: IntMatrix) -> FgAbGroup:
     >>> canonicalize(IntMatrix([[2, 0], [0, 3]]))
     FgAbGroup(rank=0, invariant_factors=(6,))
     """
-    return _smith_quotient(relations.cols, snf(relations)[1])
+    return _presented([list(row) for row in relations.data], relations.cols)
 
 
 class GroupElement(Value):
@@ -452,40 +452,27 @@ class Homomorphism(Value):
         return Homomorphism(self.domain, self.codomain, -self.matrix)
 
 
-def _image_smith(f: Homomorphism) -> tuple[FgAbGroup, IntMatrix]:
-    """(coker f, B) from one Smith form U P V = D of P = [f^T ; rel_cod].
-
-    coker f = Z^h / (row span of P), of rank h - r for r nonzero pivots.
-    Rows r.. of U span the left kernel of P, because U is unimodular and
-    only the first r rows of D are nonzero. A kernel row (x, y) has
-    f(x) = -y rel_cod, so its first g coordinates run over the preimage
-    lattice K = {x : f(x) is a codomain relation}, injectively because
-    the rows of rel_cod are independent: the rows of B are a basis of K.
-    """
-    g, h = f.domain.ngens, f.codomain.ngens
-    u, d, _ = snf(IntMatrix(f.matrix.transpose().data + relation_matrix(f.codomain).data, h))
-    coker = _smith_quotient(h, d)
-    return coker, IntMatrix([row[:g] for row in u.data[h - coker.rank:]], g)
-
-
 def cokernel(f: Homomorphism) -> FgAbGroup:
-    """Cokernel of a homomorphism, from one Smith normal form.
+    """Cokernel of a homomorphism: Z^h modulo the rows of [f^T ; rel_cod],
+    from one Smith diagonal (with h = 0 the zip yields no rows at all).
 
     >>> f = Homomorphism(FgAbGroup(1), FgAbGroup(1, (4,)), IntMatrix([[0], [2]]))
     >>> str(cokernel(f))
     'Z^1 + Z/2'
     """
-    return _image_smith(f)[0]
+    cod = f.codomain
+    rows = [list(col) for col in zip(*f.matrix.data)] + _diagonal_relations(cod.generator_orders())
+    return _presented(rows, cod.ngens)
 
 
 def kernel(f: Homomorphism) -> FgAbGroup:
-    """Kernel of a homomorphism, from two Smith normal forms.
+    """Kernel of a homomorphism, from two Smith diagonals.
 
     Write dom = Z^r + sum Z/d_j on g generators and cod = Z^q + sum Z/e_i
     on h generators, s of them torsion. The rank of ker f is its rank
     over Q: by rank-nullity it is the nullity of the free block M, the
-    first q rows of f cut to the first r columns, which is
-    canonicalize(M).rank.
+    first q rows of f cut to the first r columns, which is the rank of
+    Z^r modulo the rows of M.
 
     The torsion of ker f is the kernel of f on tors(dom). Lift the
     relation d_j e_j of each finite-order generator j to the row
@@ -502,22 +489,12 @@ def kernel(f: Homomorphism) -> FgAbGroup:
     'Z^1 + Z/2'
     """
     dom, cod, rows = f.domain, f.codomain, f.matrix.data
-    free = IntMatrix([row[:dom.rank] for row in rows[:cod.rank]], dom.rank)
+    free = [list(row[:dom.rank]) for row in rows[:cod.rank]]
     torsion = list(zip(rows[cod.rank:], cod.invariant_factors))
     lifted = [[d * (k == j) for k in range(dom.ngens)] + [-d * row[j] // e for row, e in torsion]
               for j, d in enumerate(dom.invariant_factors, dom.rank)]
-    quotient = canonicalize(IntMatrix(lifted, dom.ngens + len(torsion)))
-    return FgAbGroup(canonicalize(free).rank, quotient.invariant_factors)
-
-
-def image(f: Homomorphism) -> FgAbGroup:
-    """Image of a homomorphism: Z^g modulo the preimage lattice of
-    _image_smith, from two Smith normal forms.
-
-    >>> str(image(Homomorphism(FgAbGroup(1), FgAbGroup.cyclic(12), IntMatrix([[5]]))))
-    'Z/12'
-    """
-    return canonicalize(_image_smith(f)[1])
+    quotient = _presented(lifted, dom.ngens + len(torsion))
+    return FgAbGroup(_presented(free, dom.rank).rank, quotient.invariant_factors)
 
 
 def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
@@ -545,8 +522,8 @@ def direct_sum_with_injections(
     groups = list(groups)
     orders = [d for g in groups for d in g.generator_orders()]
     total = len(orders)
-    _, d, v = snf(_diagonal_relations(orders))
-    group = _smith_quotient(total, d)
+    _, d, v = snf(IntMatrix(_diagonal_relations(orders), total))
+    group = FgAbGroup.of(0, orders)
     pivots = d.diagonal_entries() + (0,) * (total - d.rows)
     canon = [j for j, x in enumerate(pivots) if x == 0] + [j for j, x in enumerate(pivots) if x > 1]
     cols = [[row[j] % pivots[j] if pivots[j] else row[j] for j in canon] for row in v.data]

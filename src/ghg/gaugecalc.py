@@ -167,14 +167,14 @@ def gauge_homotopy(
         pi_(n+1)(K) --delta--> (target) -> pi_n(Gau P) -> pi_n(K) --delta--> (target)
 
     with both connecting maps built from catalogued Samelson data.
-    sub = coker delta_(n+1) takes one Smith normal form (cokernel) and
-    quot = ker delta_n two (kernel). Both maps are the S^dim
-    maps with 2*genus zero blocks added, so the cokernel of delta_(n+1)
-    gains pi_(n+1)(K)^2g as a direct summand and the kernel of delta_n
-    is the S^dim kernel. A trivial bundle (class 0) splits: evaluation
-    Gau(P) = Map(B, K) -> K has the constant-map section, so the answer
-    is sub + quot, settled before the torsion bound like the split
-    rules of resolve_extension.
+    sub = coker delta_(n+1) takes one Smith diagonal (cokernel) and
+    quot = ker delta_n two (kernel), with no transforms. Both maps are
+    the S^dim maps with 2*genus zero blocks added, so the cokernel of
+    delta_(n+1) gains pi_(n+1)(K)^2g as a direct summand and the kernel
+    of delta_n is the S^dim kernel. A trivial bundle (class 0) splits:
+    evaluation Gau(P) = Map(B, K) -> K has the constant-map section, so
+    the answer is sub + quot, settled before the torsion bound like the
+    split rules of resolve_extension.
     """
     if n < 1:
         raise ValueError("gauge homotopy degrees start at 1 (degree 0 is out of scope)")

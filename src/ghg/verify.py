@@ -6,14 +6,15 @@ checks draw from a fixed seed so a verify run is reproducible.
 
 The oracles the checks hold the engine against live here, not in the
 engine modules, which keep only what ``compute`` runs: middle_group
-resolves a literal five-term fragment, enumerate_elements lists a
-finite group, det and is_diagonal test Smith forms directly,
-rational_via_zero_sequence runs the rationalized sequence of zero maps,
-and subgroup_quotient_pairs (on subgroup_generators) enumerates every
-subgroup of a finite group. The subgroup search stays a search, made
-cheap: subgroup_generators adds element indices through a table built
-once, and from a subgroup H closes H + <x> for one x per coset x + H,
-since every element of a coset generates the same subgroup over H.
+resolves a literal five-term fragment, image reads the transform U of
+snf, enumerate_elements lists a finite group, det and is_diagonal test
+Smith forms directly, rational_via_zero_sequence runs the rationalized
+sequence of zero maps, and subgroup_quotient_pairs (on
+subgroup_generators) enumerates every subgroup of a finite group. The
+subgroup search stays a search, made cheap: subgroup_generators adds
+element indices through a table built once, and from a subgroup H
+closes H + <x> for one x per coset x + H, since every element of a
+coset generates the same subgroup over H.
 """
 from __future__ import annotations
 
@@ -30,10 +31,8 @@ from .fgab import (
     Homomorphism,
     IntMatrix,
     Value,
-    _image_smith,
     canonicalize,
     cokernel,
-    image,
     kernel,
     relation_matrix,
     snf,
@@ -86,6 +85,28 @@ def middle_group(left: Homomorphism, right: Homomorphism) -> SequenceResult:
     """Resolve X in ... -> A --left--> B -> X -> C --right--> D -> ...
     from the literal maps: sub = coker left, quot = ker right."""
     return resolve_extension(cokernel(left), kernel(right))
+
+
+def _image_smith(f: Homomorphism) -> tuple[FgAbGroup, FgAbGroup]:
+    """(im f, coker f) from one Smith form U P V = D of P = [f^T ; rel_cod]:
+    coker f is Z^h modulo the rows of D. For r nonzero pivots, rows r.. of
+    U span the left kernel of P; a kernel row (x, y) has f(x) = -y rel_cod,
+    so as the rows of rel_cod are independent, their first g coordinates
+    are a basis of the preimage lattice K = {x : f(x) is a codomain
+    relation}, and im f = Z^g / K."""
+    g, h = f.domain.ngens, f.codomain.ngens
+    u, d, _ = snf(IntMatrix(f.matrix.transpose().data + relation_matrix(f.codomain).data, h))
+    coker = canonicalize(d)
+    return canonicalize(IntMatrix([row[:g] for row in u.data[h - coker.rank:]], g)), coker
+
+
+def image(f: Homomorphism) -> FgAbGroup:
+    """Image of a homomorphism, read off the transform U of snf.
+
+    >>> str(image(Homomorphism(FgAbGroup(1), FgAbGroup.cyclic(12), IntMatrix([[5]]))))
+    'Z/12'
+    """
+    return _image_smith(f)[0]
 
 
 def subgroup_generators(moduli) -> list[tuple[tuple[int, ...], ...]]:
@@ -150,9 +171,8 @@ def subgroup_quotient_pairs(group: FgAbGroup) -> frozenset:
 
 def _subgroup_types(group: FgAbGroup, gens) -> tuple[FgAbGroup, FgAbGroup]:
     """Types of S and group/S, for S generated by the coordinate tuples gens."""
-    phi = Homomorphism(FgAbGroup(len(gens)), group, IntMatrix.from_columns(gens, group.ngens))
-    coker, basis = _image_smith(phi)
-    return canonicalize(basis), coker
+    return _image_smith(Homomorphism(FgAbGroup(len(gens)), group,
+                                     IntMatrix.from_columns(gens, group.ngens)))
 
 
 def enumerate_elements(group: FgAbGroup) -> list[GroupElement]:

@@ -14,8 +14,9 @@ from ghg.catalog import (
     load_catalog,
     resolve_catalog_path,
 )
-from ghg.fgab import FgAbGroup, GroupElement, image
+from ghg.fgab import FgAbGroup, GroupElement
 from ghg.gaugecalc import connecting_hom_sphere
+from ghg.verify import image
 
 
 def entry_dict(**overrides):

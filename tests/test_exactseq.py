@@ -1,5 +1,6 @@
 """Middle-group extraction and extension resolution."""
 import random
+import time
 
 import pytest
 
@@ -10,8 +11,8 @@ from ghg.exactseq import (
     lr_support,
     resolve_extension,
 )
-from ghg.fgab import CapacityError, FgAbGroup, Homomorphism, IntMatrix, cokernel, image
-from ghg.verify import middle_group, subgroup_generators, subgroup_quotient_pairs
+from ghg.fgab import CapacityError, FgAbGroup, Homomorphism, IntMatrix, cokernel
+from ghg.verify import image, middle_group, subgroup_generators, subgroup_quotient_pairs
 
 
 def _partitions(n: int) -> list[tuple[int, ...]]:
@@ -127,6 +128,20 @@ def test_free_sub_absorbs_torsion():
 def test_capacity_bound():
     with pytest.raises(CapacityError, match="exceeds the bound 10"):
         resolve_extension(FgAbGroup.cyclic(200), FgAbGroup.cyclic(100), torsion_bound=10)
+
+
+def test_large_prime_order_factors_fast():
+    # the torsion orders M^2 and M*N have primes M = 2^31 - 1 and
+    # N = 2^31 - 19 that trial division of the order would only reach
+    # after ~2^30 steps
+    zm = FgAbGroup.cyclic(2**31 - 1)
+    for sub, want in ((zm, ["Z/2147483647 + Z/2147483647", "Z/4611686014132420609"]),
+                      (FgAbGroup.cyclic(2**31 - 19), ["Z/4611685975477714963"]),
+                      (FgAbGroup(1), ["Z^1", "Z^1 + Z/2147483647"])):
+        start = time.perf_counter()
+        r = resolve_extension(sub, zm, 10**40)
+        assert time.perf_counter() - start < 1.0
+        assert [str(c) for c in r.candidates] == want
 
 
 def test_torsion_types():

@@ -17,17 +17,25 @@ from ghg.fgab import (
     GroupElement,
     Homomorphism,
     IntMatrix,
+    _smith,
     canonicalize,
     cokernel,
     direct_sum,
     direct_sum_with_injections,
-    image,
     kernel,
     relation_matrix,
     snf,
 )
 from ghg.gaugecalc import Sphere, Surface, gauge_homotopy, make_bundle
-from ghg.verify import det, enumerate_elements, is_diagonal, random_group, random_hom
+from ghg.verify import (
+    det,
+    enumerate_elements,
+    image,
+    is_diagonal,
+    random_group,
+    random_hom,
+    random_matrix,
+)
 
 
 def assert_snf_contract(a):
@@ -444,24 +452,53 @@ def test_kernel_with_free_parts():
 
 
 def test_snf_calls_per_query(monkeypatch):
+    """An engine query runs three diagonal reductions and builds no
+    transform: with snf made to raise, every engine function answers."""
     calls = []
 
-    def counting(a):
-        calls.append(a)
-        return snf(a)
+    def counting(m, nrows, ncols):
+        calls.append((nrows, ncols))
+        return _smith(m, nrows, ncols)
 
-    monkeypatch.setattr("ghg.fgab.snf", counting)
+    def refuse(a):
+        raise AssertionError("the engine asked for Smith transforms")
+
     cat = default_catalog()
-    for group, base, clazz in (("SU2", Sphere(4), (3,)), ("TEST", Surface(1), (1,))):
-        bundle = make_bundle(cat, group, base, clazz)
+    queries = [(group, make_bundle(cat, group, base, clazz))
+               for group, base, clazz in (("SU2", Sphere(4), (3,)), ("TEST", Surface(1), (1,)))]
+    wants = [gauge_homotopy(cat, group, bundle, 2) for group, bundle in queries]
+    monkeypatch.setattr("ghg.fgab._smith", counting)
+    monkeypatch.setattr("ghg.fgab.snf", refuse)
+    for (group, bundle), want in zip(queries, wants):
         calls.clear()
-        gauge_homotopy(cat, group, bundle, 2)
+        assert gauge_homotopy(cat, group, bundle, 2) == want
         assert len(calls) == 3
     f = Homomorphism(FgAbGroup(1, (4,)), FgAbGroup.cyclic(8), IntMatrix([[2, 2]]))
-    for function, count in ((cokernel, 1), (kernel, 2), (image, 2)):
+    for function, arg, count, want in (
+        (cokernel, f, 1, FgAbGroup.cyclic(2)),
+        (kernel, f, 2, FgAbGroup(1)),
+        (canonicalize, IntMatrix([[2, 0], [0, 3]]), 1, FgAbGroup.cyclic(6)),
+    ):
         calls.clear()
-        function(f)
+        assert function(arg) == want
         assert len(calls) == count
+
+
+def test_smith_diagonal_matches_snf():
+    rng = random.Random(29)
+    shapes = [IntMatrix([], 0), IntMatrix([], 3), IntMatrix([[], [], []], 0)]
+    for a in shapes + [random_matrix(rng) for _ in range(300)]:
+        diagonal = _smith([list(row) for row in a.data], a.rows, a.cols)
+        assert tuple(diagonal) == snf(a)[1].diagonal_entries()
+
+
+def test_cokernel_and_kernel_at_the_trivial_group():
+    trivial = FgAbGroup(0)
+    for group in (trivial, FgAbGroup(2, (2, 4)), FgAbGroup.cyclic(6)):
+        into = Homomorphism.zero(group, trivial)  # h = 0: f^T has no columns
+        assert cokernel(into) == trivial and kernel(into) == group
+        out_of = Homomorphism.zero(trivial, group)
+        assert cokernel(out_of) == group and kernel(out_of) == trivial
 
 
 def test_lattice_helpers():

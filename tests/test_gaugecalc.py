@@ -11,7 +11,6 @@ from ghg.fgab import (
     GroupElement,
     IntMatrix,
     direct_sum_with_injections,
-    image,
 )
 from ghg.gaugecalc import (
     BundleSpec,
@@ -25,7 +24,7 @@ from ghg.gaugecalc import (
     gauge_homotopy_rational,
     make_bundle,
 )
-from ghg.verify import middle_group, rational_via_zero_sequence
+from ghg.verify import image, middle_group, rational_via_zero_sequence
 
 CAT = default_catalog()
 
