@@ -97,7 +97,7 @@ def resolve_extension(
     exponents = sub.invariant_factors[-1:] + quot.invariant_factors[-1:]
     per_prime = {
         p: lr_support(_primary_type(sub, p), _primary_type(quot, p), sub.rank)
-        for p in {p for d in exponents for p in _factorint(d)}
+        for p in set().union(*map(_factorint, exponents))
     }
     return SequenceResult(sub, quot, (FgAbGroup(rank, factors) for factors in _assemble(per_prime)))
 
