@@ -89,14 +89,14 @@ def middle_group(left: Homomorphism, right: Homomorphism) -> SequenceResult:
 
 def _image_smith(f: Homomorphism) -> tuple[FgAbGroup, FgAbGroup]:
     """(im f, coker f) from one Smith form U P V = D of P = [f^T ; rel_cod]:
-    coker f is Z^h modulo the rows of D. For r nonzero pivots, rows r.. of
-    U span the left kernel of P; a kernel row (x, y) has f(x) = -y rel_cod,
-    so as the rows of rel_cod are independent, their first g coordinates
-    are a basis of the preimage lattice K = {x : f(x) is a codomain
-    relation}, and im f = Z^g / K."""
+    coker f = Z^h / D, with zero and missing pivots free and unit ones
+    dropped. For r nonzero pivots, rows r.. of U span the left kernel of
+    P; a kernel row (x, y) has f(x) = -y rel_cod, so as the rows of rel_cod
+    are independent, their first g coordinates are a basis of the preimage
+    lattice K = {x : f(x) is a codomain relation}, and im f = Z^g / K."""
     g, h = f.domain.ngens, f.codomain.ngens
     u, d, _ = snf(IntMatrix(f.matrix.transpose().data + relation_matrix(f.codomain).data, h))
-    coker = canonicalize(d)
+    coker = FgAbGroup.of(h - min(d.rows, h), d.diagonal_entries())
     return canonicalize(IntMatrix([row[:g] for row in u.data[h - coker.rank:]], g)), coker
 
 

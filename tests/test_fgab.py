@@ -467,13 +467,17 @@ def test_snf_calls_per_query(monkeypatch):
     queries = [(group, make_bundle(cat, group, base, clazz))
                for group, base, clazz in (("SU2", Sphere(4), (3,)), ("TEST", Surface(1), (1,)))]
     wants = [gauge_homotopy(cat, group, bundle, 2) for group, bundle in queries]
+    f = Homomorphism(FgAbGroup(1, (4,)), FgAbGroup.cyclic(8), IntMatrix([[2, 2]]))
     monkeypatch.setattr("ghg.fgab._smith", counting)
+    # verify's image reads U and D off one snf and the preimage lattice
+    # off one more reduction
+    assert image(f) == FgAbGroup.cyclic(4)
+    assert len(calls) == 2
     monkeypatch.setattr("ghg.fgab.snf", refuse)
     for (group, bundle), want in zip(queries, wants):
         calls.clear()
         assert gauge_homotopy(cat, group, bundle, 2) == want
         assert len(calls) == 3
-    f = Homomorphism(FgAbGroup(1, (4,)), FgAbGroup.cyclic(8), IntMatrix([[2, 2]]))
     for function, arg, count, want in (
         (cokernel, f, 1, FgAbGroup.cyclic(2)),
         (kernel, f, 2, FgAbGroup(1)),
