@@ -286,6 +286,10 @@ def test_verify_fails_on_foreign_catalog(tmp_path, capsys):
     assert code == 3
     assert "FAIL su2_gcd_table" in out
     assert "PASS snf_random_suite" in out
+    code = cli.run(["verify", "--catalog", tiny_catalog(tmp_path), "--format", "json"])
+    checks = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert code == 3
+    assert checks["su2_gcd_table"] is False and checks["snf_random_suite"] is True
 
 
 def test_version(capsys):

@@ -10,7 +10,6 @@ from ghg.fgab import (
     FgAbGroup,
     GroupElement,
     IntMatrix,
-    direct_sum_with_injections,
 )
 from ghg.gaugecalc import (
     BundleSpec,
@@ -87,17 +86,55 @@ def test_pairing_unavailable():
     assert "pi_4 x pi_3" in str(exc)
 
 
+# connecting_hom_surface(CAT, group, genus, class, n) at genus 0, 1, 2,
+# as (codomain, matrix rows), pinned exactly: a change of basis in the
+# canonical codomain, which the groups alone would not show, fails here
+SURFACE_DELTAS = {
+    ("TEST", (1,), 1): [("Z/4", ((3,),)), ("Z^2 + Z/4", ((0,), (0,), (3,))),
+                        ("Z^4 + Z/4", ((0,), (0,), (0,), (0,), (3,)))],
+    ("TEST", (1,), 2): [("Z^1 + Z/2", ((0,), (1,))),
+                        ("Z^1 + Z/2 + Z/4 + Z/4", ((0,), (1,), (0,), (0,))),
+                        ("Z^1 + Z/2 + Z/4 + Z/4 + Z/4 + Z/4", ((0,), (1,), (0,), (0,), (0,), (0,)))],
+    ("TEST", (1,), 3): [("Z/2", ((1, 1),)),
+                        ("Z^2 + Z/2 + Z/2 + Z/2", ((0, 0),) * 4 + ((1, 1),)),
+                        ("Z^4 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2", ((0, 0),) * 8 + ((1, 1),))],
+    ("TEST", (2,), 1): [("Z/4", ((2,),)), ("Z^2 + Z/4", ((0,), (0,), (2,))),
+                        ("Z^4 + Z/4", ((0,), (0,), (0,), (0,), (2,)))],
+    ("TEST", (2,), 2): [("Z^1 + Z/2", ((0,),) * 2), ("Z^1 + Z/2 + Z/4 + Z/4", ((0,),) * 4),
+                        ("Z^1 + Z/2 + Z/4 + Z/4 + Z/4 + Z/4", ((0,),) * 6)],
+    ("TEST", (2,), 3): [("Z/2", ((0, 0),)), ("Z^2 + Z/2 + Z/2 + Z/2", ((0, 0),) * 5),
+                        ("Z^4 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2", ((0, 0),) * 9)],
+    ("SU2", (), 1): [("0", ())] * 3,
+    ("SU2", (), 2): [("Z^1", ((),))] * 3,
+    ("SU2", (), 3): [("Z/2", ((0,),)), ("Z^2 + Z/2", ((0,),) * 3), ("Z^4 + Z/2", ((0,),) * 5)],
+    ("SU2", (), 4): [("Z/2", ((0,),)), ("Z/2 + Z/2 + Z/2", ((0,),) * 3),
+                     ("Z/2 + Z/2 + Z/2 + Z/2 + Z/2", ((0,),) * 5)],
+    ("U1", (1,), 1): [("0", ()), ("Z^2", ((0,),) * 2), ("Z^4", ((0,),) * 4)],
+    ("U1", (1,), 2): [("0", ())] * 3,
+    ("U1", (1,), 3): [("0", ())] * 3,
+}
+
+
+def test_surface_delta_matrices_are_pinned():
+    for (group, coords, n), by_genus in SURFACE_DELTAS.items():
+        b = GroupElement(CAT.pi(group, 1), coords)
+        for genus, (codomain, rows) in enumerate(by_genus):
+            d = connecting_hom_surface(CAT, group, genus, b, n)
+            assert d.domain == CAT.pi(group, n)
+            assert (str(d.codomain), d.matrix.data) == (codomain, rows), (group, coords, n, genus)
+
+
 def test_surface_delta_lands_in_last_block():
     g1 = CAT.pi("TEST", 1)
-    g2 = CAT.pi("TEST", 2)
     b = GroupElement(g1, (1,))
     d = connecting_hom_surface(CAT, "TEST", 1, b, 1)
-    total, inj = direct_sum_with_injections([g1, g1, g2])
-    assert d.codomain == total == FgAbGroup.of(2, (4,))
+    assert d.codomain == FgAbGroup.of(2, (4,))
+    # -<x, b> for the generator x of pi_1 is 3 in pi_2 = Z/4, the last
+    # block, which the canonical codomain keeps as its Z/4 coordinate
     pairing = CAT.samelson("TEST", 1, 1)
-    want = inj[2].apply(-pairing.apply(GroupElement.generator(g1, 0), b))
+    assert -pairing.apply(GroupElement.generator(g1, 0), b) == GroupElement(CAT.pi("TEST", 2), (3,))
     got = d.apply(GroupElement.generator(g1, 0))
-    assert got == want
+    assert got == GroupElement(d.codomain, (0, 0, 3))
     assert got.order() == 4
 
 
