@@ -1,9 +1,11 @@
 """Command line front end.
 
-Commands: compute, rational, catalog, verify. Exit codes: 0 on
-success, 1 for usage problems, 2 when the computation cannot be
+Commands: compute, rational, catalog, verify. Each builds one document
+and its text rendering, and run alone prints one of them. Exit codes:
+0 on success, 1 for usage problems, 2 when the computation cannot be
 carried out (missing pairing data, table too shallow, torsion bound
-exceeded, catalog errors), 3 when verify finds a failing check.
+exceeded, an exponent too large to factor, catalog errors), 3 when
+verify finds a failing check.
 """
 from __future__ import annotations
 
@@ -140,7 +142,7 @@ def _group_doc(g) -> dict:
     return {"name": str(g), "rank": g.rank, "factors": list(g.invariant_factors)}
 
 
-def _cmd_compute(args) -> int:
+def _cmd_compute(args) -> tuple[int, dict, str]:
     base = _parse_base(args.base)
     if args.degree < 1:
         raise UsageError("degree must be at least 1")
@@ -152,32 +154,26 @@ def _cmd_compute(args) -> int:
     result = gauge_homotopy(
         catalog, args.group, bundle, args.degree, torsion_bound=args.torsion_bound
     )
-    if args.format == "json":
-        doc = {
-            "command": "compute",
-            "group": args.group,
-            "base": str(base),
-            "class": list(bundle.clazz.coords),
-            "degree": args.degree,
-            "torsion_bound": args.torsion_bound,
-            "resolved": result.is_resolved,
-            "sub": _group_doc(result.sub),
-            "quot": _group_doc(result.quot),
-        }
-        if result.is_resolved:
-            doc["result"] = _group_doc(result.resolved)
-        else:
-            doc["candidates"] = [_group_doc(c) for c in result.candidates]
-        _emit(doc)
-    elif result.is_resolved:
-        print(result.resolved)
-    else:
-        names = ", ".join(str(c) for c in result.candidates)
-        print(f"extension of {result.quot} by {result.sub}; candidates: {names}")
-    return 0
+    doc = {
+        "command": "compute",
+        "group": args.group,
+        "base": str(base),
+        "class": list(bundle.clazz.coords),
+        "degree": args.degree,
+        "torsion_bound": args.torsion_bound,
+        "resolved": result.is_resolved,
+        "sub": _group_doc(result.sub),
+        "quot": _group_doc(result.quot),
+    }
+    if result.is_resolved:
+        doc["result"] = _group_doc(result.resolved)
+        return 0, doc, f"{result.resolved}\n"
+    doc["candidates"] = [_group_doc(c) for c in result.candidates]
+    names = ", ".join(str(c) for c in result.candidates)
+    return 0, doc, f"extension of {result.quot} by {result.sub}; candidates: {names}\n"
 
 
-def _cmd_rational(args) -> int:
+def _cmd_rational(args) -> tuple[int, dict, str]:
     base = _parse_base(args.base)
     if args.degree < 1:
         raise UsageError("degree must be at least 1")
@@ -188,73 +184,56 @@ def _cmd_rational(args) -> int:
         coords = _parse_class(args.clazz, class_group(catalog, args.group, base))
         bundle = make_bundle(catalog, args.group, base, coords)
     dim = gauge_homotopy_rational(catalog, args.group, bundle, args.degree)
-    if args.format == "json":
-        _emit(
+    doc = {
+        "command": "rational",
+        "group": args.group,
+        "base": str(base),
+        "degree": args.degree,
+        "dimension": dim,
+        "name": f"Q^{dim}",
+    }
+    return 0, doc, f"Q^{dim}\n"
+
+
+def _cmd_catalog(args) -> tuple[int, dict, str]:
+    catalog = _load(args)
+    entries, text = [], ""
+    for name in catalog.names():
+        e = catalog.entry(name)
+        pairings = sorted([n, m] for (n, m) in e.samelson)
+        entries.append(
             {
-                "command": "rational",
-                "group": args.group,
-                "base": str(base),
-                "degree": args.degree,
-                "dimension": dim,
-                "name": f"Q^{dim}",
+                "name": name,
+                "abelian": bool(e.abelian),
+                "depth": e.depth,
+                "rational_exponents": list(e.rational_exponents),
+                "pairings": pairings,
             }
         )
-    else:
-        print(f"Q^{dim}")
-    return 0
+        pairs = ", ".join(f"({n},{m})" for n, m in pairings) or "none"
+        exps = ", ".join(str(x) for x in e.rational_exponents)
+        text += f"{name}: depth {e.depth}; exponents [{exps}]; pairings {pairs}\n"
+    return 0, {"command": "catalog", "path": str(catalog.path), "entries": entries}, text
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict, str]:
     catalog = _load(args)
-    if args.format == "json":
-        entries = []
-        for name in catalog.names():
-            e = catalog.entry(name)
-            entries.append(
-                {
-                    "name": name,
-                    "abelian": bool(e.abelian),
-                    "depth": e.depth,
-                    "rational_exponents": list(e.rational_exponents),
-                    "pairings": sorted([n, m] for (n, m) in e.samelson),
-                }
-            )
-        _emit({"command": "catalog", "path": str(catalog.path), "entries": entries})
-    else:
-        for name in catalog.names():
-            e = catalog.entry(name)
-            pairs = ", ".join(f"({n},{m})" for n, m in sorted(e.samelson)) or "none"
-            exps = ", ".join(str(x) for x in e.rational_exponents)
-            print(f"{name}: depth {e.depth}; exponents [{exps}]; pairings {pairs}")
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    catalog = _load(args)
-    results = run_all(catalog, seed=args.seed)
-    passed = sum(1 for r in results if r.passed)
-    if args.format == "json":
-        _emit(
-            {
-                "command": "verify",
-                "seed": args.seed,
-                "passed": passed,
-                "total": len(results),
-                "checks": [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ],
-            }
-        )
-    else:
-        for r in results:
-            print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
-        print(f"{passed}/{len(results)} checks passed")
-    return 0 if passed == len(results) else 3
-
-
-def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    checks = [
+        {"name": name, "passed": passed, "detail": detail}
+        for name, passed, detail in run_all(catalog, seed=args.seed)
+    ]
+    passed = sum(c["passed"] for c in checks)
+    doc = {
+        "command": "verify",
+        "seed": args.seed,
+        "passed": passed,
+        "total": len(checks),
+        "checks": checks,
+    }
+    text = "".join(
+        f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}\n" for c in checks
+    ) + f"{passed}/{len(checks)} checks passed\n"
+    return 0 if passed == len(checks) else 3, doc, text
 
 
 _COMMANDS = {
@@ -266,11 +245,13 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    """Parse argv and execute; returns the process exit code."""
+    """Parse argv and execute; returns the process exit code. This is
+    the one place that prints a command's output: its document as JSON
+    under --format json, else its text."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code, doc, text = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"ghg: usage error: {exc}", file=sys.stderr)
         return 1
@@ -280,6 +261,10 @@ def run(argv=None) -> int:
     except (CatalogError, PairingUnavailable, CapacityError) as exc:
         print(f"ghg: compute: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    sys.stdout.write(text)
+    return code
 
 
 def main(argv=None) -> None:

@@ -25,6 +25,7 @@ import itertools
 from .fgab import CapacityError, FgAbGroup, Value, direct_sum
 
 DEFAULT_TORSION_BOUND = 10000
+_TRIAL_LIMIT = 10**6  # the largest trial divisor in factoring an exponent
 
 
 class SequenceResult(Value):
@@ -64,7 +65,8 @@ def resolve_extension(
     1. a free quot splits: X = sub + quot (this covers a trivial quot);
     2. a trivial sub collapses: X = quot;
     3. otherwise the torsion order |tors sub| * |tors quot| must not
-       exceed torsion_bound (CapacityError), and X has rank
+       exceed torsion_bound and the two exponents must factor by trial
+       division up to 10^6 (CapacityError), and X has rank
        r + rank(quot), r = rank(sub), with, at each prime p, a p-primary
        part of every type lam in lr_support(mu, nu, r), where mu and nu
        are the types of the p-parts of sub and quot: one LR walk of
@@ -97,7 +99,7 @@ def resolve_extension(
     exponents = sub.invariant_factors[-1:] + quot.invariant_factors[-1:]
     per_prime = {
         p: lr_support(_primary_type(sub, p), _primary_type(quot, p), sub.rank)
-        for p in set().union(*map(_factorint, exponents))
+        for p in set().union(*map(_primes, exponents))
     }
     return SequenceResult(sub, quot, (FgAbGroup(rank, factors) for factors in _assemble(per_prime)))
 
@@ -182,17 +184,21 @@ def lr_support(mu: tuple[int, ...], nu: tuple[int, ...], r: int) -> tuple[tuple[
     return tuple(sorted(found))
 
 
-def _factorint(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+def _primes(n: int) -> set[int]:
+    """The primes of n, by trial division up to _TRIAL_LIMIT; a cofactor
+    left below _TRIAL_LIMIT**2 is then prime, and a larger one refused."""
+    primes, p = set(), 2
+    while p * p <= n and p <= _TRIAL_LIMIT:
+        if n % p == 0:
+            primes.add(p)
+            while n % p == 0:
+                n //= p
         p += 1 if p == 2 else 2
+    if p * p <= n:
+        raise CapacityError(f"extension exponent too large to factor past {_TRIAL_LIMIT}")
     if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+        primes.add(n)
+    return primes
 
 
 def _assemble(per_prime: dict[int, list]) -> list[tuple[int, ...]]:

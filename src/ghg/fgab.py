@@ -506,31 +506,3 @@ def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     'Z/6'
     """
     return FgAbGroup.of(a.rank + b.rank, a.invariant_factors + b.invariant_factors)
-
-
-def direct_sum_with_injections(
-    groups,
-) -> tuple[FgAbGroup, tuple[Homomorphism, ...]]:
-    """Canonical form of a finite direct sum together with the canonical
-    injection of each summand, for when block coordinates matter.
-
-    One Smith form U R V = D of the block relations R: row k of V gives
-    generator k in the new basis, read in canonical order, free
-    coordinates where the pivot is 0, then torsion coordinates reduced
-    modulo each pivot above 1.
-    """
-    groups = list(groups)
-    orders = [d for g in groups for d in g.generator_orders()]
-    total = len(orders)
-    _, d, v = snf(IntMatrix(_diagonal_relations(orders), total))
-    group = FgAbGroup.of(0, orders)
-    pivots = d.diagonal_entries() + (0,) * (total - d.rows)
-    canon = [j for j, x in enumerate(pivots) if x == 0] + [j for j, x in enumerate(pivots) if x > 1]
-    cols = [[row[j] % pivots[j] if pivots[j] else row[j] for j in canon] for row in v.data]
-    injections = []
-    offset = 0
-    for g in groups:
-        matrix = IntMatrix.from_columns(cols[offset:offset + g.ngens], group.ngens)
-        injections.append(Homomorphism(g, group, matrix))
-        offset += g.ngens
-    return group, tuple(injections)

@@ -28,10 +28,11 @@ from .fgab import (
     Homomorphism,
     IntMatrix,
     Value,
+    _diagonal_relations,
     cokernel,
     direct_sum,
-    direct_sum_with_injections,
     kernel,
+    snf,
 )
 
 
@@ -140,17 +141,24 @@ def connecting_hom_surface(
 ) -> Homomorphism:
     """delta_n : pi_n(K) -> pi_n(K)^2g + pi_(n+1)(K) over a genus-g
     surface: the first 2g blocks vanish and the last is the S^2 map
-    -<., b>."""
+    -<., b>. Row k of V in one Smith form U R V = D of the block
+    relations R is block generator k in the canonical codomain, read at
+    the pivots that are 0 (free), then above 1 (torsion)."""
     if genus < 0:
         raise ValueError("genus must be >= 0")
     last = connecting_hom_sphere(catalog, group, 2, b, n)
-    domain = last.domain
-    codomain, injections = direct_sum_with_injections([domain] * (2 * genus) + [last.codomain])
+    orders = last.domain.generator_orders() * (2 * genus) + last.codomain.generator_orders()
+    _, d, v = snf(IntMatrix(_diagonal_relations(orders), len(orders)))
+    pivots = d.diagonal_entries() + (0,) * (len(orders) - d.rows)
+    canon = [j for j, x in enumerate(pivots) if x == 0] + [j for j, x in enumerate(pivots) if x > 1]
+    rows = v.data[len(orders) - last.codomain.ngens:]
+    codomain = FgAbGroup.of(0, orders)
     cols = [
-        injections[-1].apply(last.apply(GroupElement.generator(domain, i))).coords
-        for i in range(domain.ngens)
+        GroupElement(codomain, [sum(r[j] * y for r, y in zip(rows, last.matrix.column(i)))
+                                for j in canon]).coords
+        for i in range(last.domain.ngens)
     ]
-    return Homomorphism(domain, codomain, IntMatrix.from_columns(cols, codomain.ngens))
+    return Homomorphism(last.domain, codomain, IntMatrix.from_columns(cols, codomain.ngens))
 
 
 def gauge_homotopy(

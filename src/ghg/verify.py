@@ -30,7 +30,6 @@ from .fgab import (
     GroupElement,
     Homomorphism,
     IntMatrix,
-    Value,
     canonicalize,
     cokernel,
     kernel,
@@ -67,15 +66,6 @@ HOM_FREE_SPAN, ELEMENT_SPAN = 3, 4
 
 class CheckFailure(AssertionError):
     pass
-
-
-class CheckResult(Value):
-    __slots__ = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
 
 
 # ------------------------------------------------------------------- oracles
@@ -570,15 +560,13 @@ CHECKS = [
 ]
 
 
-def run_all(catalog: Catalog, seed: int = SEED) -> list[CheckResult]:
-    results = []
+def run_all(catalog: Catalog, seed: int = SEED):
+    """Yield (name, passed, detail) for each check in CHECKS order."""
     for name, fn in CHECKS:
         rng = random.Random(seed)  # each check reproducible in isolation
         try:
-            detail = fn(catalog, rng)
-            results.append(CheckResult(name, True, detail))
+            yield name, True, fn(catalog, rng)
         except CheckFailure as exc:
-            results.append(CheckResult(name, False, str(exc)))
+            yield name, False, str(exc)
         except Exception as exc:  # a check must never crash the report
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
-    return results
+            yield name, False, f"{type(exc).__name__}: {exc}"

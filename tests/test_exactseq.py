@@ -7,7 +7,8 @@ import pytest
 from ghg.exactseq import (
     SequenceResult,
     _assemble,
-    _factorint,
+    _primary_type,
+    _primes,
     lr_support,
     resolve_extension,
 )
@@ -36,7 +37,8 @@ def torsion_types_of_order(order: int) -> list[tuple[int, ...]]:
     """Invariant-factor chains of every abelian group of a given order."""
     if order < 1:
         raise ValueError("order must be positive")
-    return _assemble({p: _partitions(e) for p, e in _factorint(order).items()})
+    return _assemble({p: _partitions(*_primary_type(FgAbGroup.cyclic(order), p))
+                      for p in _primes(order)})
 
 
 def scalar(dom, cod, k):
@@ -142,6 +144,19 @@ def test_large_prime_order_factors_fast():
         r = resolve_extension(sub, zm, 10**40)
         assert time.perf_counter() - start < 1.0
         assert [str(c) for c in r.candidates] == want
+
+
+def test_unfactorable_exponent_fails_fast():
+    """M*N has no prime factor up to 10^6 and is past 10^12, so trial
+    division stops there; below 10^12 such a cofactor is prime."""
+    m, n = 2**31 - 1, 2**31 - 19
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="too large to factor"):
+        resolve_extension(FgAbGroup.cyclic(m * n), FgAbGroup.cyclic(2), 10**40)
+    assert time.perf_counter() - start < 1.0
+    assert _primes(12 * 999983 * 999979) == {2, 3, 999979, 999983}
+    assert _primes(2 * (10**6 + 3)) == {2, 10**6 + 3}
+    assert _primes(999999999989) == {999999999989}  # the largest prime below 10^12
 
 
 def test_torsion_types():

@@ -21,7 +21,6 @@ from ghg.fgab import (
     canonicalize,
     cokernel,
     direct_sum,
-    direct_sum_with_injections,
     kernel,
     relation_matrix,
     snf,
@@ -242,46 +241,6 @@ def test_direct_sum_commutes_and_adds_rank():
         assert s == direct_sum(b, a)
         assert s.rank == a.rank + b.rank
         assert s.torsion_order == a.torsion_order * b.torsion_order
-
-
-def test_direct_sum_injections_cover_sum():
-    g = FgAbGroup.cyclic(4)
-    h = FgAbGroup(0, (2,))
-    total, (inj_g, inj_h) = direct_sum_with_injections([g, h])
-    assert total == FgAbGroup(0, (2, 4))
-    seen = set()
-    for x in enumerate_elements(g):
-        for y in enumerate_elements(h):
-            seen.add((inj_g.apply(x) + inj_h.apply(y)).coords)
-    assert len(seen) == 8
-
-
-def test_direct_sum_injections_respect_orders():
-    # exact injection matrices, so a projection that permutes or
-    # re-signs coordinates fails even where the orders still agree
-    cases = [
-        ([FgAbGroup.cyclic(2), FgAbGroup.cyclic(3)], FgAbGroup.cyclic(6),
-         [((3,),), ((2,),)]),
-        ([FgAbGroup.cyclic(6), FgAbGroup.cyclic(4)], FgAbGroup(0, (2, 12)),
-         [((1,), (2,)), ((0,), (9,))]),
-        ([FgAbGroup(1, (2,)), FgAbGroup.cyclic(4), FgAbGroup(1)], FgAbGroup(2, (2, 4)),
-         [((1, 0), (0, 0), (0, 1), (0, 0)), ((0,), (0,), (0,), (1,)), ((0,), (1,), (0,), (0,))]),
-        ([], FgAbGroup(0), []),
-    ]
-    for groups, want_total, want_matrices in cases:
-        total, injections = direct_sum_with_injections(groups)
-        assert total == want_total
-        assert [inj.matrix.data for inj in injections] == want_matrices
-        for g, inj in zip(groups, injections):
-            for i in range(g.ngens):
-                gen = GroupElement.generator(g, i)
-                assert inj.apply(gen).order() == gen.order()
-        if total.order is not None:
-            # independent of the transform: together the injections are onto
-            seen = {GroupElement.zero(total)}
-            for g, inj in zip(groups, injections):
-                seen = {s + inj.apply(x) for s in seen for x in enumerate_elements(g)}
-            assert len(seen) == total.order
 
 
 def test_element_arithmetic():

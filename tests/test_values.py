@@ -10,7 +10,6 @@ from ghg.catalog import Catalog, GroupCatalogEntry, PairingMatrix, default_catal
 from ghg.exactseq import SequenceResult, resolve_extension
 from ghg.fgab import FgAbGroup, GroupElement, Homomorphism, IntMatrix
 from ghg.gaugecalc import BundleSpec, Sphere, Surface
-from ghg.verify import CheckResult
 
 Z2 = FgAbGroup.cyclic(2)
 Z4 = FgAbGroup.cyclic(4)
@@ -46,8 +45,8 @@ def hashable_cases():
         (BundleSpec(Sphere(2), two), ("base", "clazz"),
          "BundleSpec(base=Sphere(dim=2), "
          "clazz=GroupElement(group=FgAbGroup(rank=0, invariant_factors=(4,)), coords=(2,)))"),
-        (CheckResult("c", True, "ok"), ("name", "passed", "detail"),
-         "CheckResult(name='c', passed=True, detail='ok')"),
+        (BundleSpec(Surface(1), None), ("base", "clazz"),
+         "BundleSpec(base=Surface(genus=1), clazz=None)"),
         (IntMatrix([[2, 0]]), ("data", "cols"), "IntMatrix([[2, 0]], cols=2)"),
         (IntMatrix([], 3), ("data", "cols"), "IntMatrix([], cols=3)"),
     ]
