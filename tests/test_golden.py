@@ -26,9 +26,9 @@ writing nothing, with
     PYTHONPATH=src python3 tests/test_golden.py --diff
 """
 import argparse
-import contextlib
 import io
 import json
+import os
 import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -86,8 +86,13 @@ GOLDENS = {GOLDEN: golden_argvs, GOLDEN_CLI: golden_cli_argvs}
 
 def record(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.chdir(ROOT), redirect_stdout(out), redirect_stderr(err):
-        code = cli.run(argv)
+    cwd = os.getcwd()
+    os.chdir(ROOT)  # contextlib.chdir needs Python 3.11
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.run(argv)
+    finally:
+        os.chdir(cwd)
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
