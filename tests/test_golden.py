@@ -4,8 +4,8 @@ Each golden file holds one JSON object per line with the argv, the exit
 code and the exact stdout and stderr of one command.
 
 tests/golden_compute.jsonl pins ``ghg compute --format json`` on every
-query of the benchmark's sweep corpus, the grid queries that corpus
-leaves out as refused, and the genus workload's kinds at a few genera.
+query of the benchmark grid, answered or refused (see grid_queries),
+and on the genus workload's kinds at a few genera.
 
 tests/golden_cli.jsonl pins the rest of the CLI: ``compute --format
 text`` on the same queries, ``rational`` in both formats on each of
@@ -21,12 +21,13 @@ root with
     PYTHONPATH=src python3 tests/test_golden.py
 
 and list every line whose replay differs, as its file name and argv,
-writing nothing, with
+writing nothing and exiting 1 if there is any, with
 
     PYTHONPATH=src python3 tests/test_golden.py --diff
 """
 import argparse
 import io
+import itertools
 import json
 import os
 import shlex
@@ -35,12 +36,16 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from ghg import cli
+from ghg.catalog import CatalogError, default_catalog
+from ghg.gaugecalc import Sphere, Surface, class_group
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden_compute.jsonl"
 GOLDEN_CLI = ROOT / "tests" / "golden_cli.jsonl"
 CATALOGS = ("src/ghg/data/catalog.json", "tests/empty_catalog.json")
 FORMATS = ("text", "json")
+BASES = tuple(Sphere(m) for m in range(1, 8)) + tuple(Surface(g) for g in range(3))
+DEGREES = range(1, 12)
 GENERA = (0, 1, 2, 4, 16, 64)
 
 
@@ -52,17 +57,32 @@ def compute_argv(group, base, clazz, degree, fmt="json"):
     return argv
 
 
+def grid_queries():
+    """The benchmark grid with nothing filtered out: every catalogued
+    group over sphere:1..7 and surface:0..2 whose class group is
+    catalogued, every class whose free coordinates lie in -2..2 and
+    whose torsion coordinates take every residue, and degrees 1..11.
+    The queries the catalog cannot answer exit 2, and are pinned too."""
+    catalog = default_catalog()
+    queries = []
+    for group in catalog.names():
+        for base in BASES:
+            try:
+                orders = class_group(catalog, group, base).generator_orders()
+            except CatalogError:
+                continue
+            axes = [range(-2, 3) if d == 0 else range(d) for d in orders]
+            queries += [(group, str(base), clazz, degree)
+                        for clazz in itertools.product(*axes) for degree in DEGREES]
+    return queries
+
+
 def golden_queries():
     sys.path.insert(0, str(ROOT / "bench"))
-    from workloads import GENUS_KINDS, load_corpus
+    from workloads import GENUS_KINDS
 
-    corpus = load_corpus()
-    refused = [q for q in corpus["excluded"] if q["reason"] == "refused"]
-    queries = [(q["group"], q["base"], q["class"], q["degree"])
-               for q in corpus["queries"] + refused]
-    queries += [(group, f"surface:{g}", clazz, degree)
-                for g in GENERA for group, degree, clazz in GENUS_KINDS]
-    return queries
+    return grid_queries() + [(group, f"surface:{g}", clazz, degree)
+                             for g in GENERA for group, degree, clazz in GENUS_KINDS]
 
 
 def golden_argvs():
@@ -72,7 +92,11 @@ def golden_argvs():
 def golden_cli_argvs():
     queries = golden_queries()
     argvs = [compute_argv(*q, fmt="text") for q in queries]
-    triples = dict.fromkeys((group, base, degree) for group, base, _, degree in queries)
+    # every grid (group, base, degree), class group catalogued or not, then the genus kinds'
+    triples = dict.fromkeys(
+        [(group, str(base), degree)
+         for group in default_catalog().names() for base in BASES for degree in DEGREES]
+        + [(group, base, degree) for group, base, _, degree in queries])
     argvs += [["rational", "--group", group, "--base", base, "--degree", str(degree),
                "--format", fmt] for group, base, degree in triples for fmt in FORMATS]
     argvs += [["catalog", "--catalog", path, "--format", fmt]
@@ -103,16 +127,25 @@ def load_golden(path=GOLDEN):
 
 def test_golden_corpus_covers_every_query_kind():
     lines = load_golden()
-    assert len(lines) == 464 + 7 + 7 * len(GENERA)
-    # the 7 refused grid queries have torsion order above the bound, but
-    # all are trivial bundles, which split before the bound is checked
-    assert all(line["exit"] == 0 for line in lines)
+    assert [line["argv"] for line in lines] == golden_argvs()
+    assert len(lines) == 1243 + 7 * len(GENERA)
+    answered = [line for line in lines if line["exit"] == 0]
+    assert len(answered) == 496 + 7 * len(GENERA)
+    assert all(line["stderr"] == "" for line in answered)
+    refused = [line["stderr"] for line in lines if line["exit"] == 2 and line["stdout"] == ""]
+    # 597 grid queries run past a shallow pi table, 150 need a pairing the catalog lacks
+    assert len(refused) == 747
+    assert sum("pi table for" in err for err in refused) == 597
+    assert sum("is not catalogued" in err for err in refused) == 150
 
 
 def test_golden_cli_covers_every_command():
     lines = load_golden(GOLDEN_CLI)
     assert [line["argv"] for line in lines] == golden_cli_argvs()
-    assert all(line["exit"] == 0 and line["stderr"] == "" for line in lines)
+    # compute refuses the same queries with the same message in both formats
+    computes = [(line["exit"], line["stderr"]) for line in lines if line["argv"][0] == "compute"]
+    assert computes == [(line["exit"], line["stderr"]) for line in load_golden()]
+    assert all(line["exit"] == 0 and line["stderr"] == "" for line in lines[len(computes):])
     empty = {line["argv"][-1]: line["stdout"] for line in lines
              if line["argv"][:3] == ["catalog", "--catalog", CATALOGS[1]]}
     # an empty catalog lists nothing as text
@@ -131,17 +164,37 @@ def test_golden_cli_replays_byte_for_byte():
     assert changed_lines(GOLDEN_CLI) == []
 
 
-if __name__ == "__main__":
+def test_diff_exits_1_when_a_line_differs(tmp_path, monkeypatch, capsys):
+    lines = load_golden()[:3]
+    path = tmp_path / "golden.jsonl"
+    monkeypatch.setitem(globals(), "GOLDENS", {path: golden_argvs})
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    assert main(["--diff"]) == 0 and capsys.readouterr().out == ""
+    lines[1]["stdout"] = lines[1]["stdout"].replace(" ", "  ", 1)
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    assert main(["--diff"]) == 1
+    assert capsys.readouterr().out == f"golden.jsonl: {shlex.join(lines[1]['argv'])}\n"
+
+
+def main(argv):
+    """Regenerate the golden files, or with --diff list the lines whose
+    replay differs and exit 1 if there is any."""
     parser = argparse.ArgumentParser(description="regenerate or diff the golden corpora")
     parser.add_argument("--diff", action="store_true",
-                        help="print the file and argv of each line whose replay differs; "
-                             "write nothing")
-    if parser.parse_args().diff:
-        for path in GOLDENS:
-            for argv in changed_lines(path):
-                print(f"{path.name}: {shlex.join(argv)}")
-    else:
-        for path, argvs in GOLDENS.items():
-            with path.open("w", encoding="utf-8") as fh:
-                for argv in argvs():
-                    fh.write(json.dumps(record(argv), sort_keys=True) + "\n")
+                        help="print the file and argv of each line whose replay differs, "
+                             "and exit 1 if any does; write nothing")
+    if parser.parse_args(argv).diff:
+        changed = [f"{path.name}: {shlex.join(cmd)}"
+                   for path in GOLDENS for cmd in changed_lines(path)]
+        for line in changed:
+            print(line)
+        return 1 if changed else 0
+    for path, argvs in GOLDENS.items():
+        with path.open("w", encoding="utf-8") as fh:
+            for argv in argvs():
+                fh.write(json.dumps(record(argv), sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
