@@ -15,11 +15,11 @@ import os
 import sys
 from pathlib import Path
 
-from .fgab import FgAbGroup, GroupElement, Value
+from .fgab import FgAbGroup, GroupElement, Homomorphism, IntMatrix, Value
 
 _ENTRY_FIELDS = {"name", "connected", "abelian", "rational_exponents", "pi", "samelson"}
-_PI_FIELDS = {"degree", "rank", "factors", "source"}
-_SAMELSON_FIELDS = {"n", "m", "values"}
+_PI_FIELDS = {"degree": int, "rank": int, "factors": list, "source": str}
+_SAMELSON_FIELDS = {"n": int, "m": int, "values": list}
 
 
 class CatalogError(Exception):
@@ -101,21 +101,19 @@ class PairingMatrix(Value):
     def is_zero(self) -> bool:
         return all(v.is_zero for row in self.values for v in row)
 
-    def apply(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        """Biadditive extension to arbitrary elements."""
-        if a.group != self.source_n:
-            raise ValueError(f"left argument must lie in pi_{self.n} = {self.source_n}")
+    def against(self, b: GroupElement) -> Homomorphism:
+        """<., b> : pi_n -> pi_(n+m), a homomorphism since the pairing is
+        biadditive; its column i is sum_j b_j values[i][j]."""
         if b.group != self.source_m:
             raise ValueError(f"right argument must lie in pi_{self.m} = {self.source_m}")
-        out = GroupElement.zero(self.target)
-        for i, x in enumerate(a.coords):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coords):
-                if y == 0:
-                    continue
-                out = out + (x * y) * self.values[i][j]
-        return out
+        zero = GroupElement.zero(self.target)
+        cols = [sum((y * v for y, v in zip(b.coords, row)), zero).coords for row in self.values]
+        return Homomorphism(self.source_n, self.target,
+                            IntMatrix.from_columns(cols, self.target.ngens))
+
+    def apply(self, a: GroupElement, b: GroupElement) -> GroupElement:
+        """Biadditive extension to arbitrary elements."""
+        return self.against(b).apply(a)
 
 
 class GroupCatalogEntry(Value):
@@ -243,6 +241,19 @@ def _int(value, entry, where):
     return value
 
 
+def _rows(item, table, fields, name):
+    """The rows of one table, each as the tuple of its fields in the
+    order of fields (a field -> type map), after the row checks that
+    every table shares."""
+    for row in _want(item, table, list, name, ""):
+        if not isinstance(row, dict):
+            raise CatalogValidationError(name, table, f"{table} rows must be objects")
+        bad = row.keys() - fields
+        if bad:
+            raise CatalogValidationError(name, f"{table}.{sorted(bad)[0]}", "unknown field")
+        yield tuple(_want(row, key, types, name, table + ".") for key, types in fields.items())
+
+
 def _build_entry(item) -> GroupCatalogEntry:
     if not isinstance(item, dict):
         raise CatalogParseError("catalog entries must be JSON objects")
@@ -267,16 +278,7 @@ def _build_entry(item) -> GroupCatalogEntry:
 
     pi: dict[int, FgAbGroup] = {}
     sources: dict[int, str] = {}
-    for row in _want(item, "pi", list, name, ""):
-        if not isinstance(row, dict):
-            raise CatalogValidationError(name, "pi", "pi rows must be objects")
-        bad = set(row) - _PI_FIELDS
-        if bad:
-            raise CatalogValidationError(name, f"pi.{sorted(bad)[0]}", "unknown field")
-        degree = _want(row, "degree", int, name, "pi.")
-        rank = _want(row, "rank", int, name, "pi.")
-        factors = _want(row, "factors", list, name, "pi.")
-        source = _want(row, "source", str, name, "pi.")
+    for degree, rank, factors, source in _rows(item, "pi", _PI_FIELDS, name):
         if degree < 0:
             raise CatalogValidationError(name, "pi.degree", "negative degree")
         if rank < 0:
@@ -306,14 +308,7 @@ def _build_entry(item) -> GroupCatalogEntry:
             )
 
     samelson: dict[tuple[int, int], PairingMatrix] = {}
-    for row in _want(item, "samelson", list, name, ""):
-        if not isinstance(row, dict):
-            raise CatalogValidationError(name, "samelson", "samelson rows must be objects")
-        bad = set(row) - _SAMELSON_FIELDS
-        if bad:
-            raise CatalogValidationError(name, f"samelson.{sorted(bad)[0]}", "unknown field")
-        n = _want(row, "n", int, name, "samelson.")
-        m = _want(row, "m", int, name, "samelson.")
+    for n, m, values in _rows(item, "samelson", _SAMELSON_FIELDS, name):
         if n < 1 or m < 1:
             raise CatalogValidationError(name, "samelson", "pairing degrees start at 1")
         for needed in (n, m, n + m):
@@ -323,7 +318,6 @@ def _build_entry(item) -> GroupCatalogEntry:
                 )
         if (n, m) in samelson:
             raise CatalogValidationError(name, "samelson", f"pairing ({n}, {m}) listed twice")
-        values = _want(row, "values", list, name, "samelson.")
         target = pi[n + m]
         try:
             parsed = tuple(

@@ -106,10 +106,6 @@ class IntMatrix(Value):
         return len(self.data)
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> IntMatrix:
-        return cls([[0] * cols for _ in range(rows)], cols)
-
-    @classmethod
     def from_columns(cls, columns, rows: int) -> IntMatrix:
         columns = [tuple(c) for c in columns]
         if any(len(c) != rows for c in columns):
@@ -438,7 +434,7 @@ class Homomorphism(Value):
 
     @classmethod
     def zero(cls, domain: FgAbGroup, codomain: FgAbGroup) -> Homomorphism:
-        return cls(domain, codomain, IntMatrix.zero(codomain.ngens, domain.ngens))
+        return cls(domain, codomain, IntMatrix([[0] * domain.ngens] * codomain.ngens, domain.ngens))
 
     def apply(self, element: GroupElement) -> GroupElement:
         if element.group != self.domain:

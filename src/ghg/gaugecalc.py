@@ -106,7 +106,8 @@ def make_bundle(catalog: Catalog, group: str, base: Sphere | Surface, coords) ->
 def connecting_hom_sphere(
     catalog: Catalog, group: str, m: int, b: GroupElement, n: int
 ) -> Homomorphism:
-    """delta_n = -<., b> : pi_n(K) -> pi_(n+m-1)(K) over S^m.
+    """delta_n = -<., b> = <., -b> : pi_n(K) -> pi_(n+m-1)(K) over S^m,
+    the stored pairing's homomorphism against -b (it is biadditive).
 
     Zero without consulting pairing data when either end is trivial,
     when b = 0 (which a trivial pi_(m-1) forces), or when K is abelian;
@@ -129,11 +130,7 @@ def connecting_hom_sphere(
     pairing = catalog.samelson(group, n, m - 1)
     if pairing is None:
         raise PairingUnavailable(group, n, m - 1)
-    cols = [
-        (-pairing.apply(GroupElement.generator(domain, i), b)).coords
-        for i in range(domain.ngens)
-    ]
-    return Homomorphism(domain, codomain, IntMatrix.from_columns(cols, codomain.ngens))
+    return pairing.against(-b)
 
 
 def connecting_hom_surface(

@@ -1,4 +1,5 @@
 """Catalog loading, lookup semantics, and schema validation."""
+import itertools
 import json
 
 import pytest
@@ -191,6 +192,28 @@ def test_test_entry_biadditivity():
     b = GroupElement(g1, (3,))
     want = p.apply(GroupElement(g3, (2, 0)), b) + p.apply(GroupElement(g3, (0, 1)), b)
     assert p.apply(a, b) == want
+
+
+def test_against_is_the_stored_table_as_a_homomorphism():
+    """Column i of <., f_j> is values[i][j]; <., -b> is -<., b> on every
+    class with free coordinates in -2..2; and delta_n is <., -b>."""
+    cat = default_catalog()
+    pairings = [(name, p) for name in cat.names() for p in cat.entry(name).samelson.values()]
+    assert len(pairings) == 5
+    for name, p in pairings:
+        gens = [GroupElement.generator(p.source_n, i) for i in range(p.source_n.ngens)]
+        for j in range(p.source_m.ngens):
+            f = p.against(GroupElement.generator(p.source_m, j))
+            assert f.domain == p.source_n and f.codomain == p.target
+            assert [f.matrix.column(i) for i in range(len(gens))] == [
+                row[j].coords for row in p.values]
+        axes = [range(-2, 3) if d == 0 else range(d) for d in p.source_m.generator_orders()]
+        for coords in itertools.product(*axes):
+            b = GroupElement(p.source_m, coords)
+            minus = p.against(-b)
+            # the columns are reduced coordinates, so they negate as elements
+            assert [minus.apply(a) for a in gens] == [-p.against(b).apply(a) for a in gens]
+            assert connecting_hom_sphere(cat, name, p.m + 1, b, p.n) == minus
 
 
 def test_load_roundtrip(tmp_path):
@@ -388,6 +411,9 @@ Z2_PAIRING = PairingMatrix(1, 1, Z2, Z2, Z2, ((GroupElement(Z2, (1,)),),))
                  CatalogValidationError, "samelson.note", id="unknown-samelson-field"),
     pytest.param(_load([entry_dict(samelson=[{"n": 0, "m": 1, "values": []}])]),
                  CatalogValidationError, "samelson", id="pairing-degree-0"),
+    # every field of a row is read before any check on their values
+    pytest.param(_load([entry_dict(samelson=[{"n": 0, "m": 1}])]),
+                 CatalogValidationError, "samelson.values", id="pairing-degree-0-without-values"),
     pytest.param(lambda _: PairingMatrix(1, 1, Z2, Z2, Z2, ((),)), ValueError, None,
                  id="pairing-column-count"),
     pytest.param(lambda _: PairingMatrix(1, 1, Z2, Z2, Z4, ((GroupElement(Z2, (1,)),),)),

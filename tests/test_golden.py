@@ -191,8 +191,8 @@ def main(argv):
         return 1 if changed else 0
     for path, argvs in GOLDENS.items():
         with path.open("w", encoding="utf-8") as fh:
-            for argv in argvs():
-                fh.write(json.dumps(record(argv), sort_keys=True) + "\n")
+            for cmd in argvs():
+                fh.write(json.dumps(record(cmd), sort_keys=True) + "\n")
     return 0
 
 
