@@ -7,3 +7,7 @@ fibration's long exact sequence with the connecting map given by a
 negated Samelson product, plus closed rational forms.
 """
 __version__ = "0.1.0"
+
+# default seed of the verify suite; kept here so that the CLI parser can
+# read it without loading ghg.verify
+SEED = 20260814

@@ -6,14 +6,20 @@ and its text rendering, and run alone prints one of them. Exit codes:
 carried out (missing pairing data, table too shallow, torsion bound
 exceeded, an exponent too large to factor, catalog errors), 3 when
 verify finds a failing check.
+
+The check suite ghg.verify is registered in sys.modules at import, but
+lazily: its body is compiled and run on the first attribute read, so
+compute, rational and catalog processes never compile it, while code
+that looks the module up right after importing ghg.cli still finds it.
 """
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 
-from . import __version__
+from . import SEED, __version__
 from .catalog import (
     CatalogError,
     CatalogParseError,
@@ -33,7 +39,26 @@ from .gaugecalc import (
     gauge_homotopy_rational,
     make_bundle,
 )
-from .verify import SEED, run_all
+
+
+def _lazy_verify():
+    """ghg.verify, registered in sys.modules and bound on the package, with
+    its body run on the first attribute read; a module imported before
+    is returned as it is. Uses __package__, since under `python -m
+    ghg.cli` this module runs as __main__."""
+    name = f"{__package__}.verify"
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    sys.modules[__package__].verify = module
+    return module
+
+
+verify = _lazy_verify()
 
 
 class UsageError(Exception):
@@ -220,7 +245,7 @@ def _cmd_verify(args) -> tuple[int, dict, str]:
     catalog = _load(args)
     checks = [
         {"name": name, "passed": passed, "detail": detail}
-        for name, passed, detail in run_all(catalog, seed=args.seed)
+        for name, passed, detail in verify.run_all(catalog, seed=args.seed)
     ]
     passed = sum(c["passed"] for c in checks)
     doc = {

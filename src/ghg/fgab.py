@@ -243,9 +243,10 @@ class FgAbGroup(Value):
         rank, facs = operator.index(rank), tuple(map(operator.index, invariant_factors))
         if rank < 0:
             raise ValueError("negative rank")
-        if any(d < 2 for d in facs):
-            raise ValueError("invariant factors must be >= 2")
-        if any(facs[i + 1] % facs[i] != 0 for i in range(len(facs) - 1)):
+        # one scan accepts a valid chain; a failure is then told apart
+        if any(d < 2 or d % p for p, d in zip((1,) + facs, facs)):
+            if any(d < 2 for d in facs):
+                raise ValueError("invariant factors must be >= 2")
             raise ValueError(f"factors {facs} do not form a divisibility chain")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "invariant_factors", facs)

@@ -23,6 +23,7 @@ import itertools
 import random
 from math import gcd
 
+from . import SEED
 from .catalog import Catalog
 from .exactseq import SequenceResult, resolve_extension
 from .fgab import (
@@ -47,8 +48,6 @@ from .gaugecalc import (
     gauge_homotopy_rational,
     make_bundle,
 )
-
-SEED = 20260814
 
 # How many draws each oracle check makes, and the entry bounds of the
 # random matrices, presentations, maps and elements they draw.

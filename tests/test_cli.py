@@ -299,17 +299,63 @@ def test_version(capsys):
     assert capsys.readouterr().out.startswith("ghg ")
 
 
+def _child(probe: str) -> str:
+    """Stdout of `probe` run in a fresh `python -S` child that imports
+    ghg from this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); {probe}"
+    return subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_cli_import_stays_light():
     """A cold `ghg compute` pays for every module `ghg.cli` pulls in:
     dataclasses alone brings inspect, ast, dis and tokenize. ghg.verify
-    stays eagerly imported, since the benchmark reads it from sys.modules
-    right after importing ghg.cli. The package root imports no submodule."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    probe = (
-        f"import sys; sys.path.insert(0, {src!r}); import ghg; "
-        "print(sorted(m for m in sys.modules if m.startswith('ghg.'))); import ghg.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'ghg.verify') if m in sys.modules))"
+    is registered in sys.modules, since the benchmark reads it from there
+    right after importing ghg.cli, but lazily: random, which only the
+    suite imports, stays unloaded. The package root imports no submodule."""
+    out = _child(
+        "import ghg; print(sorted(m for m in sys.modules if m.startswith('ghg.'))); import ghg.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'ghg.verify', 'random') if m in sys.modules))"
     )
-    out = subprocess.run([sys.executable, "-S", "-c", probe],
-                         capture_output=True, text=True, check=True).stdout
     assert out.split("\n")[:2] == ["[]", "['ghg.verify']"]
+
+
+def test_lazy_verify_is_the_one_module():
+    """After ghg.cli, `import ghg.verify` and the package attribute give the
+    module in sys.modules; imported first, ghg.verify is the one ghg.cli
+    uses."""
+    out = _child(
+        "import ghg.cli; import ghg.verify; from ghg import verify; m = sys.modules['ghg.verify']; "
+        "print(ghg.verify is m, verify is m, ghg.cli.verify is m, m.SEED)"
+    )
+    assert out == "True True True 20260814\n"
+    out = _child(
+        "import ghg.verify; m = sys.modules['ghg.verify']; import ghg.cli; "
+        "print(ghg.cli.verify is m, ghg.verify is m)"
+    )
+    assert out == "True True\n"
+
+
+def test_verify_runs_checks_replaced_before_loading():
+    """The benchmark's contract: CHECKS replaced on sys.modules['ghg.verify']
+    right after importing ghg.cli is the list `ghg verify` runs."""
+    out = _child(
+        "import ghg.cli; "
+        "sys.modules['ghg.verify'].CHECKS = [('stub', lambda catalog, rng: 'stubbed')]; "
+        "print(ghg.cli.run(['verify']))"
+    )
+    assert out == "PASS stub: stubbed\n1/1 checks passed\n0\n"
+
+
+def test_compute_as_main_leaves_verify_unloaded():
+    """The route a cold `python -m ghg.cli compute` takes, where cli.py runs
+    as __main__ rather than as ghg.cli: the suite is never compiled."""
+    out = _child(
+        "import runpy; "
+        "sys.argv = ['ghg', 'compute', '--group', 'SU2', '--base', 'sphere:4', '--class', '6', '--degree', '2']\n"
+        "try:\n    runpy.run_module('ghg.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n    print('exit', exc.code)\n"
+        "print('random' in sys.modules)"
+    )
+    assert out == "Z/6\nexit 0\nFalse\n"
