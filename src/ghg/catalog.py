@@ -5,8 +5,11 @@ the loader is deliberately strict: unknown fields, non-canonical
 factors, inconsistent ranks, a nontrivial pi_0, even rational
 exponents, non-torsion pairing values, pairing values that are not
 killed by their generator's order, and nonzero pairing values on an
-abelian entry all reject the whole file. A missing pairing is a
-first-class answer (None), never a silent zero.
+abelian entry all reject the whole file. Catalog serves names, entries
+and pi tables; pairings and rational exponents are read off the entry
+(GroupCatalogEntry.samelson, .rational_exponents). A pairing missing
+from entry.samelson is unknown, never a silent zero:
+gaugecalc.connecting_hom_sphere raises PairingUnavailable for it.
 """
 from __future__ import annotations
 
@@ -111,10 +114,6 @@ class PairingMatrix(Value):
         return Homomorphism(self.source_n, self.target,
                             IntMatrix.from_columns(cols, self.target.ngens))
 
-    def apply(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        """Biadditive extension to arbitrary elements."""
-        return self.against(b).apply(a)
-
 
 class GroupCatalogEntry(Value):
     __slots__ = ("name", "abelian", "rational_exponents", "pi", "pi_sources", "samelson")
@@ -165,22 +164,6 @@ class Catalog(Value):
         if degree not in entry.pi:
             raise TableDepthError(name, entry.depth, degree)
         return entry.pi[degree]
-
-    def samelson(self, name: str, n: int, m: int) -> PairingMatrix | None:
-        """Stored pairing pi_n x pi_m -> pi_(n+m), or None when absent.
-
-        Structural zeros (a trivial group, a zero class, an abelian
-        entry) are decided by gaugecalc.connecting_hom_sphere, not here.
-        """
-        for degree in (n, m, n + m):
-            self.pi(name, degree)
-        return self.entry(name).samelson.get((n, m))
-
-    def rational_pi(self, name: str, degree: int) -> int:
-        """dim_Q of pi_degree tensor Q, from the exponent model."""
-        if degree < 1:
-            raise ValueError("rational degrees start at 1")
-        return self.entry(name).rational_exponents.count(degree)
 
 
 def default_catalog_path() -> Path:

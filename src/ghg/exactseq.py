@@ -28,6 +28,11 @@ DEFAULT_TORSION_BOUND = 10000
 _TRIAL_LIMIT = 10**6  # the largest trial divisor in factoring an exponent
 
 
+class TorsionBoundError(CapacityError):
+    def __init__(self, torsion_bound: int):
+        super().__init__(f"extension torsion order exceeds the bound {torsion_bound}")
+
+
 class SequenceResult(Value):
     """Outcome of pinning the middle group of an exact fragment.
 
@@ -93,7 +98,7 @@ def resolve_extension(
         # order of a high-genus sub can run to millions of digits
         order *= d
         if order > torsion_bound:
-            raise CapacityError(f"extension torsion order exceeds the bound {torsion_bound}")
+            raise TorsionBoundError(torsion_bound)
     rank = sub.rank + quot.rank
     # the primes of the order are those of the two exponents, each far cheaper to factor
     exponents = sub.invariant_factors[-1:] + quot.invariant_factors[-1:]
@@ -160,27 +165,23 @@ def lr_support(mu: tuple[int, ...], nu: tuple[int, ...], r: int) -> tuple[tuple[
     rows = mu + (0,) * len(nu)
     floor = nu[r:] + (0,) * min(r, len(nu))
     found = set()
-
-    def walk(i, used, above, lam):
+    stack = [(0, (0,) * len(nu), (), ())]  # an explicit stack: one level per row of lam
+    while stack:
+        i, used, above, lam = stack.pop()
         if all(u >= f for u, f in zip(used, floor)):
             found.add(tuple(x for x in lam + rows[i:] if x))
             if used == nu:
-                return
+                continue
         if i == len(rows) or (i > 0 and rows[i - 1] == 0 and not any(above)):
-            return  # below mu, an empty row leaves no room for the rest
+            continue  # below mu, an empty row leaves no room for the rest
         if i == 0:
             caps = (sum(nu),) * len(nu)
         else:
             caps = tuple(rows[i - 1] - rows[i] + sum(above[:k]) for k in range(len(nu)))
-        for fill in _row_fills(nu, used, caps):
-            walk(
-                i + 1,
-                tuple(u + a for u, a in zip(used, fill)),
-                fill,
-                lam + (rows[i] + sum(fill),),
-            )
-
-    walk(0, (0,) * len(nu), (), ())
+        stack.extend(
+            (i + 1, tuple(u + a for u, a in zip(used, fill)), fill, lam + (rows[i] + sum(fill),))
+            for fill in _row_fills(nu, used, caps)
+        )
     return tuple(sorted(found))
 
 

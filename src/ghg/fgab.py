@@ -381,9 +381,6 @@ class GroupElement(Value):
     def __neg__(self) -> GroupElement:
         return GroupElement(self.group, tuple(-c for c in self.coords))
 
-    def __sub__(self, other: GroupElement) -> GroupElement:
-        return self + (-other)
-
     def __mul__(self, k: int) -> GroupElement:
         k = operator.index(k)
         return GroupElement(self.group, tuple(k * c for c in self.coords))

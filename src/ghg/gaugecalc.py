@@ -10,18 +10,20 @@ whose connecting map is a negated Samelson product with b behind
     delta_n : pi_n(K) -> pi_n(K)^2g + pi_(n+dim-1)(K),
               a |-> (0, ..., 0, -<a, b>)
 
+The last block is the stored pairing's homomorphism against -b, read
+off the catalog entry (entry.samelson[(n, dim - 1)].against(-b)).
 pi_n(Gau(P)) is then the middle term between coker(delta_(n+1)) and
 ker(delta_n). The zero blocks make coker(delta_(n+1)) the S^dim
 cokernel plus pi_(n+1)(K)^2g, and ker(delta_n) the S^dim kernel. A
 trivial bundle splits, since the constant maps are a section of
 evaluation Gau(P) = Map(B, K) -> K. Rationally every Samelson product
 of a connected Lie group vanishes, so both maps die and the answer has
-a closed form in the exponents of K.
+a closed form in the exponents of K (entry.rational_exponents).
 """
 from __future__ import annotations
 
 from .catalog import Catalog
-from .exactseq import DEFAULT_TORSION_BOUND, SequenceResult, resolve_extension
+from .exactseq import DEFAULT_TORSION_BOUND, SequenceResult, TorsionBoundError, resolve_extension
 from .fgab import (
     FgAbGroup,
     GroupElement,
@@ -111,9 +113,9 @@ def connecting_hom_sphere(
 
     Zero without consulting pairing data when either end is trivial,
     when b = 0 (which a trivial pi_(m-1) forces), or when K is abelian;
-    these structural zeros are decided here only, as the catalog
-    reports stored pairings.
-    Raises PairingUnavailable when a genuinely needed pairing is missing.
+    else the pairing is read off entry.samelson. Only here are a stored
+    pairing, a structural zero, a degree past the pi table (catalog.pi's
+    TableDepthError) and a missing pairing (PairingUnavailable) told apart.
     """
     if n < 1:
         raise ValueError("connecting map degree must be >= 1")
@@ -127,7 +129,7 @@ def connecting_hom_sphere(
     codomain = catalog.pi(group, n + m - 1)
     if domain.is_trivial or codomain.is_trivial or b.is_zero or entry.abelian:
         return Homomorphism.zero(domain, codomain)
-    pairing = catalog.samelson(group, n, m - 1)
+    pairing = entry.samelson.get((n, m - 1))
     if pairing is None:
         raise PairingUnavailable(group, n, m - 1)
     return pairing.against(-b)
@@ -179,7 +181,9 @@ def gauge_homotopy(
     of delta_n is the S^dim kernel. A trivial bundle (class 0) splits:
     evaluation Gau(P) = Map(B, K) -> K has the constant-map section, so
     the answer is sub + quot, settled before the torsion bound like the
-    split rules of resolve_extension.
+    split rules of resolve_extension. When the genus summand alone
+    forces the torsion order past the bound, the query is refused before
+    that summand is built.
     """
     if n < 1:
         raise ValueError("gauge homotopy degrees start at 1 (degree 0 is out of scope)")
@@ -187,8 +191,11 @@ def gauge_homotopy(
     left = connecting_hom_sphere(catalog, group, base.dim, bundle.clazz, n + 1)
     right = connecting_hom_sphere(catalog, group, base.dim, bundle.clazz, n)
     coker, k, h1 = cokernel(left), 2 * base.genus, left.domain
-    sub = FgAbGroup.of(coker.rank + k * h1.rank, coker.invariant_factors + k * h1.invariant_factors)
     quot = kernel(right)
+    if (k >= max(1, torsion_bound.bit_length()) and h1.invariant_factors
+            and quot.invariant_factors and not bundle.clazz.is_zero):
+        raise TorsionBoundError(torsion_bound)  # |tors sub| >= 2^k > bound, tors quot != 0
+    sub = FgAbGroup.of(coker.rank + k * h1.rank, coker.invariant_factors + k * h1.invariant_factors)
     if bundle.clazz.is_zero:
         return SequenceResult(sub, quot, (direct_sum(sub, quot),))
     return resolve_extension(sub, quot, torsion_bound)
@@ -209,9 +216,9 @@ def gauge_homotopy_rational(
     """
     if n < 1:
         raise ValueError("gauge homotopy degrees start at 1 (degree 0 is out of scope)")
-    base = bundle.base
+    base, exponents = bundle.base, catalog.entry(group).rational_exponents
     return (
-        catalog.rational_pi(group, n + base.dim)
-        + 2 * base.genus * catalog.rational_pi(group, n + 1)
-        + catalog.rational_pi(group, n)
+        exponents.count(n + base.dim)
+        + 2 * base.genus * exponents.count(n + 1)
+        + exponents.count(n)
     )

@@ -8,8 +8,9 @@ The oracles the checks hold the engine against live here, not in the
 engine modules, which keep only what ``compute`` runs: middle_group
 resolves a literal five-term fragment, image reads the transform U of
 snf, enumerate_elements lists a finite group, det and is_diagonal test
-Smith forms directly, rational_via_zero_sequence runs the rationalized
-sequence of zero maps, and subgroup_quotient_pairs (on
+Smith forms directly (det also gives the maximal minors, whose gcd is
+the order of a presentation), rational_via_zero_sequence runs the
+rationalized sequence of zero maps, and subgroup_quotient_pairs (on
 subgroup_generators) enumerates every subgroup of a finite group. The
 subgroup search stays a search, made cheap: subgroup_generators adds
 element indices through a table built once, and from a subgroup H
@@ -220,9 +221,11 @@ def rational_via_zero_sequence(
     if n < 1:
         raise ValueError("gauge homotopy degrees start at 1 (degree 0 is out of scope)")
 
+    exponents = catalog.entry(group).rational_exponents
+
     def zero_delta(k: int) -> Homomorphism:
-        dim_k = catalog.rational_pi(group, k)
-        target = 2 * base.genus * dim_k + catalog.rational_pi(group, k + base.dim - 1)
+        dim_k = exponents.count(k)
+        target = 2 * base.genus * dim_k + exponents.count(k + base.dim - 1)
         return Homomorphism.zero(FgAbGroup(dim_k), FgAbGroup(target))
 
     result = middle_group(zero_delta(n + 1), zero_delta(n))
@@ -307,15 +310,16 @@ def check_canonicalize_idempotent(catalog, rng):
 
 
 def check_group_order_oracle(catalog, rng):
-    """Order of a random presentation equals its element count."""
+    """The order of a random presentation, 0 when infinite, is the gcd of
+    its maximal minors (the product of its Smith pivots, 0 when there are
+    fewer pivots than generators)."""
     for _ in range(ORDER_PRESENTATIONS):
         pres = random_presentation(rng)
-        g = canonicalize(pres)
-        if g.rank != 0 or g.torsion_order > 200:
-            continue
-        if len(enumerate_elements(g)) != g.torsion_order:
+        minors = (det(IntMatrix(rows, pres.cols))
+                  for rows in itertools.combinations(pres.data, pres.cols))
+        if (canonicalize(pres).order or 0) != gcd(*minors):
             raise CheckFailure(f"order mismatch for presentation {pres}")
-    return f"{ORDER_PRESENTATIONS} random presentations cross-checked by enumeration"
+    return f"{ORDER_PRESENTATIONS} random presentations cross-checked by their maximal minors"
 
 
 def check_hom_oracle(catalog, rng):
@@ -406,11 +410,12 @@ def check_catalog_consistency(catalog, rng):
                 a2 = _bounded_element(rng, pairing.source_n)
                 b1 = _bounded_element(rng, pairing.source_m)
                 b2 = _bounded_element(rng, pairing.source_m)
-                left = pairing.apply(a1 + a2, b1)
-                if left != pairing.apply(a1, b1) + pairing.apply(a2, b1):
+                at_b1, at_b2 = pairing.against(b1), pairing.against(b2)
+                left = at_b1.apply(a1 + a2)
+                if left != at_b1.apply(a1) + at_b1.apply(a2):
                     raise CheckFailure(f"{name}: pairing ({n},{m}) not additive on the left")
-                right = pairing.apply(a1, b1 + b2)
-                if right != pairing.apply(a1, b1) + pairing.apply(a1, b2):
+                right = pairing.against(b1 + b2).apply(a1)
+                if right != at_b1.apply(a1) + at_b2.apply(a1):
                     raise CheckFailure(f"{name}: pairing ({n},{m}) not additive on the right")
     return f"{len(catalog.names())} entries consistent"
 

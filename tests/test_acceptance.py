@@ -96,9 +96,10 @@ def test_criterion_snf_contract():
 
 
 def test_criterion_group_and_hom_oracle():
-    """200 random presentations of order <= 200 agree with brute-force
-    enumeration, and 200 random maps between groups of order <= 64
-    satisfy |ker| * |im| = |dom| and |im| * |coker| = |cod|."""
+    """200 random presentations, infinite ones included, have the gcd of
+    their maximal minors as order (0 when infinite), and 200 random maps
+    between groups of order <= 64 satisfy |ker| * |im| = |dom| and
+    |im| * |coker| = |cod|, against brute-force enumeration."""
     check_group_order_oracle(None, random.Random(SEED))
     check_hom_oracle(None, random.Random(SEED))
 

@@ -16,7 +16,7 @@ from ghg.catalog import (
     resolve_catalog_path,
 )
 from ghg.fgab import FgAbGroup, GroupElement
-from ghg.gaugecalc import connecting_hom_sphere
+from ghg.gaugecalc import PairingUnavailable, connecting_hom_sphere
 from ghg.verify import image
 
 
@@ -83,38 +83,28 @@ def test_unknown_group():
         cat.entry("NOPE")
 
 
-def test_rational_pi_counts_exponents():
-    cat = default_catalog()
-    assert cat.rational_pi("SU2", 3) == 1
-    assert cat.rational_pi("SU2", 4) == 0
-    assert cat.rational_pi("SU3", 5) == 1
-    assert cat.rational_pi("U1", 1) == 1
-    with pytest.raises(ValueError):
-        cat.rational_pi("SU2", 0)
-
-
 def test_stored_pairing_lookup():
     cat = default_catalog()
-    p = cat.samelson("SU2", 3, 3)
-    assert p is not None and not p.is_zero
+    p = cat.entry("SU2").samelson[(3, 3)]
+    assert not p.is_zero
     g3 = cat.pi("SU2", 3)
     a = GroupElement(g3, (2,))
     b = GroupElement(g3, (3,))
     # bilinear extension of <g, g> = 1 in Z/12
-    assert p.apply(a, b).coords == (6,)
-    assert p.apply(a, GroupElement.zero(g3)).is_zero
+    assert p.against(b).apply(a).coords == (6,)
+    assert p.against(GroupElement.zero(g3)).apply(a).is_zero
 
 
 def test_trivial_source_gives_zero_pairing():
-    # the catalog reports only stored pairings; connecting_hom_sphere
-    # decides the structural zeros without asking it
+    # the entry stores only pairings; connecting_hom_sphere decides the
+    # structural zeros without reading them
     cat = default_catalog()
-    assert cat.samelson("SU2", 2, 3) is None  # pi_2 = 0
+    assert (2, 3) not in cat.entry("SU2").samelson  # pi_2 = 0
     b = GroupElement.generator(cat.pi("SU2", 3), 0)
     delta = connecting_hom_sphere(cat, "SU2", 4, b, 2)  # pi_2 -> pi_5 = Z/2
     assert image(delta).is_trivial and not delta.codomain.is_trivial
     # trivial class group: an S^3 bundle has its class in pi_2 = 0
-    assert cat.samelson("SU2", 3, 2) is None
+    assert (3, 2) not in cat.entry("SU2").samelson
     clazz = GroupElement.zero(cat.pi("SU2", 2))
     delta = connecting_hom_sphere(cat, "SU2", 3, clazz, 3)  # pi_3 -> pi_5
     assert image(delta).is_trivial and not delta.domain.is_trivial and not delta.codomain.is_trivial
@@ -122,12 +112,12 @@ def test_trivial_source_gives_zero_pairing():
 
 def test_abelian_flag_gives_zero_pairing(tmp_path):
     cat = default_catalog()
-    assert cat.samelson("U1", 1, 1) is None
+    assert not cat.entry("U1").samelson
     # a copy of TEST marked abelian, nothing stored: every map on it is
     # zero although domain, class group and codomain are all nontrivial
     entry = dict(shipped_entry("TEST"), name="TA", abelian=True, samelson=[])
     cat = load_catalog(write_catalog(tmp_path, [entry]))
-    assert cat.samelson("TA", 1, 1) is None
+    assert not cat.entry("TA").samelson
     b = GroupElement.generator(cat.pi("TA", 1), 0)
     delta = connecting_hom_sphere(cat, "TA", 2, b, 1)  # pi_1 = Z -> pi_2 = Z/4
     assert image(delta).is_trivial and not delta.codomain.is_trivial
@@ -151,14 +141,20 @@ def test_connected_entry_rejects_nontrivial_pi_0(tmp_path):
 
 
 def test_unstored_pairing_is_none():
+    """An unstored pairing is unknown, not zero: delta_5 over S^4 needs
+    <pi_5, pi_3> -> pi_8 = Z/2, which SU2's entry lacks."""
     cat = default_catalog()
-    assert cat.samelson("SU2", 4, 5) is None
+    assert cat.entry("SU2").samelson.get((5, 3)) is None
+    b = GroupElement.generator(cat.pi("SU2", 3), 0)
+    with pytest.raises(PairingUnavailable, match="pi_5 x pi_3"):
+        connecting_hom_sphere(cat, "SU2", 4, b, 5)
 
 
 def test_pairing_needs_catalogued_degrees():
     cat = default_catalog()
-    with pytest.raises(TableDepthError):
-        cat.samelson("SU2", 6, 7)  # target degree 13 beyond the table
+    b = GroupElement.generator(cat.pi("SU2", 7), 0)
+    with pytest.raises(TableDepthError, match="degree 13 requested"):
+        connecting_hom_sphere(cat, "SU2", 8, b, 6)  # target degree 13 beyond the table
 
 
 def test_pairing_matrix_shape_checks():
@@ -185,13 +181,12 @@ def test_pairing_annihilation_check():
 def test_test_entry_biadditivity():
     """The synthetic entry exercises multi-generator targets."""
     cat = default_catalog()
-    p = cat.samelson("TEST", 3, 1)
+    p = cat.entry("TEST").samelson[(3, 1)]
     g3 = cat.pi("TEST", 3)
     g1 = cat.pi("TEST", 1)
     a = GroupElement(g3, (2, 1))
-    b = GroupElement(g1, (3,))
-    want = p.apply(GroupElement(g3, (2, 0)), b) + p.apply(GroupElement(g3, (0, 1)), b)
-    assert p.apply(a, b) == want
+    f = p.against(GroupElement(g1, (3,)))
+    assert f.apply(a) == f.apply(GroupElement(g3, (2, 0))) + f.apply(GroupElement(g3, (0, 1)))
 
 
 def test_against_is_the_stored_table_as_a_homomorphism():
@@ -221,10 +216,8 @@ def test_load_roundtrip(tmp_path):
     cat = load_catalog(path)
     assert cat.names() == ("G",)
     assert cat.pi("G", 2) == FgAbGroup.cyclic(2)
-    assert cat.samelson("G", 1, 1).apply(
-        GroupElement.generator(cat.pi("G", 1), 0),
-        GroupElement.generator(cat.pi("G", 1), 0),
-    ).coords == (1,)
+    gen = GroupElement.generator(cat.pi("G", 1), 0)
+    assert cat.entry("G").samelson[(1, 1)].against(gen).apply(gen).coords == (1,)
 
 
 def test_missing_file(tmp_path):
@@ -418,9 +411,10 @@ Z2_PAIRING = PairingMatrix(1, 1, Z2, Z2, Z2, ((GroupElement(Z2, (1,)),),))
                  id="pairing-column-count"),
     pytest.param(lambda _: PairingMatrix(1, 1, Z2, Z2, Z4, ((GroupElement(Z2, (1,)),),)),
                  ValueError, None, id="pairing-value-group"),
-    pytest.param(lambda _: Z2_PAIRING.apply(GroupElement(Z4, (1,)), GroupElement(Z2, (1,))),
+    # <a, b> is against(b).apply(a), so each side checks its own group
+    pytest.param(lambda _: Z2_PAIRING.against(GroupElement(Z2, (1,))).apply(GroupElement(Z4, (1,))),
                  ValueError, None, id="apply-left-group"),
-    pytest.param(lambda _: Z2_PAIRING.apply(GroupElement(Z2, (1,)), GroupElement(Z4, (1,))),
+    pytest.param(lambda _: Z2_PAIRING.against(GroupElement(Z4, (1,))).apply(GroupElement(Z2, (1,))),
                  ValueError, None, id="apply-right-group"),
 ])
 def test_rejections(tmp_path, call, exc, field):

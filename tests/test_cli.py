@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,17 @@ def test_high_genus_torsion_bound_exit(capsys):
     past the int-to-str digit limit, so the refusal must not print it."""
     code = cli.run(["compute", "--group", "TEST", "--base", "surface:20000",
                     "--degree", "2", "--class", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "ghg: compute: extension torsion order exceeds the bound 10000\n"
+
+
+def test_genus_four_million_refusal_is_fast(capsys):
+    """The genus summand alone, (Z/2)^8000000, forces the torsion order
+    past the bound, so the query is refused before that sum is built."""
+    start = time.perf_counter()
+    code = cli.run(["compute", "--group", "TEST", "--base", "surface:4000000",
+                    "--degree", "2", "--class", "1"])
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert capsys.readouterr().err == "ghg: compute: extension torsion order exceeds the bound 10000\n"
 

@@ -280,6 +280,14 @@ def test_subgroup_counts():
         assert len(closed) == count, moduli
 
 
+def test_lr_walk_takes_a_thousand_rows():
+    """lr_support walks with an explicit stack, one level per row of lam,
+    so sub = (Z/2)^1200 under a raised bound answers rather than
+    overflowing the interpreter stack."""
+    result = resolve_extension(FgAbGroup(0, (2,) * 1200), FgAbGroup.cyclic(2), 10**1000)
+    assert result.candidates == (FgAbGroup(0, (2,) * 1201), FgAbGroup(0, (2,) * 1199 + (4,)))
+
+
 def test_lr_support_free_rank_matches_definition():
     """lr_support(mu, nu, r) is the union of lr_support(mu, sigma, 0) over
     every sigma such that nu lies in lr_support(sigma, rho, 0) for some

@@ -1,10 +1,12 @@
 """Connecting homomorphisms and the gauge-group homotopy calculator."""
+import itertools
 import time
 from math import gcd
 
 import pytest
 
 from ghg.catalog import TableDepthError, default_catalog
+from ghg.exactseq import resolve_extension
 from ghg.fgab import (
     CapacityError,
     FgAbGroup,
@@ -131,9 +133,10 @@ def test_surface_delta_lands_in_last_block():
     assert d.codomain == FgAbGroup.of(2, (4,))
     # -<x, b> for the generator x of pi_1 is 3 in pi_2 = Z/4, the last
     # block, which the canonical codomain keeps as its Z/4 coordinate
-    pairing = CAT.samelson("TEST", 1, 1)
-    assert -pairing.apply(GroupElement.generator(g1, 0), b) == GroupElement(CAT.pi("TEST", 2), (3,))
-    got = d.apply(GroupElement.generator(g1, 0))
+    pairing = CAT.entry("TEST").samelson[(1, 1)]
+    gen = GroupElement.generator(g1, 0)
+    assert -pairing.against(b).apply(gen) == GroupElement(CAT.pi("TEST", 2), (3,))
+    got = d.apply(gen)
     assert got == GroupElement(d.codomain, (0, 0, 3))
     assert got.order() == 4
 
@@ -235,6 +238,23 @@ def test_high_genus_refusal_is_fast():
     assert time.perf_counter() - start < 1.0
 
 
+def test_genus_refusal_only_where_the_extension_refuses():
+    """gauge_homotopy refuses before building sub exactly when
+    resolve_extension on the built sub and quot would refuse too."""
+    bounds = sorted({*range(40), *(2**e + d for e in range(6, 13) for d in (-1, 0, 1))})
+    for genus, n, coords in itertools.product(range(4), (1, 2), ((1,), (2,), (3,))):
+        bundle = make_bundle(CAT, "TEST", Surface(genus), coords)
+        full = gauge_homotopy(CAT, "TEST", bundle, n, torsion_bound=10**9)
+        for bound in bounds:
+            try:
+                want = resolve_extension(full.sub, full.quot, bound)
+            except CapacityError:
+                with pytest.raises(CapacityError, match=f"exceeds the bound {bound}$"):
+                    gauge_homotopy(CAT, "TEST", bundle, n, torsion_bound=bound)
+            else:
+                assert gauge_homotopy(CAT, "TEST", bundle, n, torsion_bound=bound) == want
+
+
 def test_genus_zero_equals_two_sphere():
     for coords, n in (((1,), 1), ((1,), 2), ((2,), 2)):
         surf = gauge_homotopy(CAT, "TEST", make_bundle(CAT, "TEST", Surface(0), coords), n)
@@ -265,6 +285,8 @@ def test_rational_values():
     assert gauge_homotopy_rational(CAT, "TEST", make_bundle(CAT, "TEST", Surface(2), (0,)), 2) == 4
     assert gauge_homotopy_rational(CAT, "U1", make_bundle(CAT, "U1", Surface(1), (0,)), 1) == 1
     assert gauge_homotopy_rational(CAT, "U1", make_bundle(CAT, "U1", Sphere(1), ()), 1) == 1
+    # SU3 has exponents 3 and 5: dim pi_5 + dim pi_1 over S^4 in degree 1
+    assert gauge_homotopy_rational(CAT, "SU3", make_bundle(CAT, "SU3", Sphere(4), (0,)), 1) == 1
 
 
 def test_rational_is_class_independent():

@@ -11,7 +11,7 @@ import pytest
 from ghg import verify
 from ghg.catalog import default_catalog
 from ghg.exactseq import SequenceResult
-from ghg.fgab import Homomorphism
+from ghg.fgab import FgAbGroup, Homomorphism
 
 CAT = default_catalog()
 SRC = Path(verify.__file__).resolve().parent
@@ -54,6 +54,53 @@ def test_library_has_no_assert_statements():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def _calls_itself(fn: ast.FunctionDef) -> bool:
+    """fn calls its own name, directly or as a method of self or cls."""
+    for node in ast.walk(fn):
+        f = node.func if isinstance(node, ast.Call) else None
+        if isinstance(f, ast.Name) and f.id == fn.name:
+            return True
+        if (isinstance(f, ast.Attribute) and f.attr == fn.name
+                and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")):
+            return True
+    return False
+
+
+def test_library_has_no_recursion():
+    """A recursive walk takes one interpreter frame per level of its
+    input, so deep inputs raise RecursionError: library functions walk
+    with explicit stacks. Offenders are named module.outer.inner."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        todo = [(path.stem, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))]
+        while todo:
+            prefix, node = todo.pop()
+            for child in ast.iter_child_nodes(node):
+                name = prefix
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    name = f"{prefix}.{child.name}"
+                    if not isinstance(child, ast.ClassDef) and _calls_itself(child):
+                        offenders.append(name)
+                todo.append((name, child))
+    assert offenders == []
+
+
+def test_group_order_oracle_catches_a_wrong_canonical_form(monkeypatch):
+    """Counting the elements of canonicalize's answer checks nothing, as
+    enumeration lists exactly prod(invariant_factors); the maximal minors
+    of the presentation catch a canonical form with a doubled factor."""
+    real = verify.canonicalize
+
+    def doubled_last(pres):
+        g = real(pres)
+        return FgAbGroup(g.rank, g.invariant_factors[:-1] + tuple(2 * d for d in g.invariant_factors[-1:]))
+
+    verify.check_group_order_oracle(CAT, random.Random(verify.SEED))
+    monkeypatch.setattr(verify, "canonicalize", doubled_last)
+    with pytest.raises(verify.CheckFailure, match="order mismatch"):
+        verify.check_group_order_oracle(CAT, random.Random(verify.SEED))
 
 
 def test_verify_under_optimize_replays_the_golden_report():
