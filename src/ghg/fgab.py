@@ -7,6 +7,7 @@ exact kernel and cokernel of a homomorphism between groups in canonical
 form, one function each, read off Smith diagonals alone: the cokernel
 from one reduction of [f^T ; rel_cod], the kernel by rank-nullity on the
 free block and the torsion of the domain relations lifted through f.
+A zero map takes no reduction: coker(0: A -> B) = B, ker(0: A -> B) = A.
 Every invariant-factor chain is built by FgAbGroup.of or read off a
 Smith diagonal.
 
@@ -448,19 +449,23 @@ class Homomorphism(Value):
 
 def cokernel(f: Homomorphism) -> FgAbGroup:
     """Cokernel of a homomorphism: Z^h modulo the rows of [f^T ; rel_cod],
-    from one Smith diagonal (with h = 0 the zip yields no rows at all).
+    from one Smith diagonal (with h = 0 the zip yields no rows at all),
+    or from none when f is zero, since coker(0: A -> B) = B.
 
     >>> f = Homomorphism(FgAbGroup(1), FgAbGroup(1, (4,)), IntMatrix([[0], [2]]))
     >>> str(cokernel(f))
     'Z^1 + Z/2'
     """
     cod = f.codomain
+    if not any(map(any, f.matrix.data)):
+        return cod
     rows = [list(col) for col in zip(*f.matrix.data)] + _diagonal_relations(cod.generator_orders())
     return _presented(rows, cod.ngens)
 
 
 def kernel(f: Homomorphism) -> FgAbGroup:
-    """Kernel of a homomorphism, from two Smith diagonals.
+    """Kernel of a homomorphism, from two Smith diagonals, or from none
+    when f is zero, since ker(0: A -> B) = A.
 
     Write dom = Z^r + sum Z/d_j on g generators and cod = Z^q + sum Z/e_i
     on h generators, s of them torsion. The rank of ker f is its rank
@@ -483,6 +488,8 @@ def kernel(f: Homomorphism) -> FgAbGroup:
     'Z^1 + Z/2'
     """
     dom, cod, rows = f.domain, f.codomain, f.matrix.data
+    if not any(map(any, rows)):
+        return dom
     free = [list(row[:dom.rank]) for row in rows[:cod.rank]]
     torsion = list(zip(rows[cod.rank:], cod.invariant_factors))
     lifted = [[d * (k == j) for k in range(dom.ngens)] + [-d * row[j] // e for row, e in torsion]

@@ -175,7 +175,8 @@ def gauge_homotopy(
 
     with both connecting maps built from catalogued Samelson data.
     sub = coker delta_(n+1) takes one Smith diagonal (cokernel) and
-    quot = ker delta_n two (kernel), with no transforms. Both maps are
+    quot = ker delta_n two (kernel), with no transforms, and a zero map
+    takes none (coker(0: A -> B) = B, ker(0: A -> B) = A). Both maps are
     the S^dim maps with 2*genus zero blocks added, so the cokernel of
     delta_(n+1) gains pi_(n+1)(K)^2g as a direct summand and the kernel
     of delta_n is the S^dim kernel. A trivial bundle (class 0) splits:

@@ -476,7 +476,8 @@ def check_rational_two_path(catalog, rng):
 
 
 def check_rational_class_independence(catalog, rng):
-    """The rational answer ignores the bundle class."""
+    """The rational answer ignores the bundle class, and is the rank of
+    every candidate the integral engine gives for that class."""
     cases = [("SU2", Sphere(4)), ("TEST", Surface(2)), ("TEST", Sphere(2)), ("U1", Surface(1))]
     for name, base in cases:
         seen = set()
@@ -486,7 +487,11 @@ def check_rational_class_independence(catalog, rng):
                 for d in class_group(catalog, name, base).generator_orders()
             )
             bundle = make_bundle(catalog, name, base, coords)
-            seen.add(gauge_homotopy_rational(catalog, name, bundle, 2))
+            dim = gauge_homotopy_rational(catalog, name, bundle, 2)
+            ranks = {c.rank for c in gauge_homotopy(catalog, name, bundle, 2).candidates}
+            if ranks != {dim}:
+                raise CheckFailure(f"{name} over {base} class {coords}: ranks {ranks}, not Q^{dim}")
+            seen.add(dim)
         if len(seen) != 1:
             raise CheckFailure(f"{name} over {base}: class-dependent rational answer {seen}")
     return f"{len(cases)} sampled bundles are class-independent"

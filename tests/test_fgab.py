@@ -17,6 +17,8 @@ from ghg.fgab import (
     GroupElement,
     Homomorphism,
     IntMatrix,
+    _diagonal_relations,
+    _presented,
     _smith,
     canonicalize,
     cokernel,
@@ -410,8 +412,10 @@ def test_kernel_with_free_parts():
 
 
 def test_snf_calls_per_query(monkeypatch):
-    """An engine query runs three diagonal reductions and builds no
-    transform: with snf made to raise, every engine function answers."""
+    """An engine query runs at most three diagonal reductions and builds
+    no transform: with snf made to raise, every engine function answers.
+    A zero connecting map costs none, since coker(0: A -> B) = B and
+    ker(0: A -> B) = A, so each query pins its exact count."""
     calls = []
 
     def counting(m, nrows, ncols):
@@ -422,24 +426,34 @@ def test_snf_calls_per_query(monkeypatch):
         raise AssertionError("the engine asked for Smith transforms")
 
     cat = default_catalog()
-    queries = [(group, make_bundle(cat, group, base, clazz))
-               for group, base, clazz in (("SU2", Sphere(4), (3,)), ("TEST", Surface(1), (1,)))]
-    wants = [gauge_homotopy(cat, group, bundle, 2) for group, bundle in queries]
+    # (group, base, class, degree, reductions): SU2's delta_2 over S^4 has
+    # the trivial domain pi_2 = 0; both TEST surface maps are nonzero;
+    # TEST's stored pairing pi_2 x pi_1 vanishes against -b = 2, so only
+    # delta_1 is reduced; class 0 makes both maps zero
+    queries = [(group, make_bundle(cat, group, base, clazz), n, count)
+               for group, base, clazz, n, count in (("SU2", Sphere(4), (3,), 2, 1),
+                                                     ("TEST", Surface(1), (1,), 2, 3),
+                                                     ("TEST", Sphere(2), (-2,), 1, 2),
+                                                     ("SU2", Sphere(4), (0,), 2, 0))]
+    wants = [gauge_homotopy(cat, group, bundle, n) for group, bundle, n, _ in queries]
     f = Homomorphism(FgAbGroup(1, (4,)), FgAbGroup.cyclic(8), IntMatrix([[2, 2]]))
+    zero = Homomorphism.zero(f.domain, f.codomain)
     monkeypatch.setattr("ghg.fgab._smith", counting)
     # verify's image reads U and D off one snf and the preimage lattice
     # off one more reduction
     assert image(f) == FgAbGroup.cyclic(4)
     assert len(calls) == 2
     monkeypatch.setattr("ghg.fgab.snf", refuse)
-    for (group, bundle), want in zip(queries, wants):
+    for (group, bundle, n, count), want in zip(queries, wants):
         calls.clear()
-        assert gauge_homotopy(cat, group, bundle, 2) == want
-        assert len(calls) == 3
+        assert gauge_homotopy(cat, group, bundle, n) == want
+        assert len(calls) == count
     for function, arg, count, want in (
         (cokernel, f, 1, FgAbGroup.cyclic(2)),
         (kernel, f, 2, FgAbGroup(1)),
         (canonicalize, IntMatrix([[2, 0], [0, 3]]), 1, FgAbGroup.cyclic(6)),
+        (cokernel, zero, 0, f.codomain),
+        (kernel, zero, 0, f.domain),
     ):
         calls.clear()
         assert function(arg) == want
@@ -461,6 +475,49 @@ def test_cokernel_and_kernel_at_the_trivial_group():
         assert cokernel(into) == trivial and kernel(into) == group
         out_of = Homomorphism.zero(trivial, group)
         assert cokernel(out_of) == group and kernel(out_of) == trivial
+
+
+def test_zero_map_theorem_matches_the_smith_route():
+    """coker(0: A -> B) = B and ker(0: A -> B) = A, as the reductions
+    cokernel and kernel skip for a zero map would find them; maps zero
+    but for one entry in the last row or the last column take the
+    reduction route."""
+
+    def smith_cokernel(f):
+        rows = [list(col) for col in zip(*f.matrix.data)]
+        return _presented(rows + _diagonal_relations(f.codomain.generator_orders()),
+                          f.codomain.ngens)
+
+    def smith_kernel(f):
+        dom, cod, rows = f.domain, f.codomain, f.matrix.data
+        free = [list(row[:dom.rank]) for row in rows[:cod.rank]]
+        torsion = list(zip(rows[cod.rank:], cod.invariant_factors))
+        lifted = [[d * (k == j) for k in range(dom.ngens)] + [-d * row[j] // e for row, e in torsion]
+                  for j, d in enumerate(dom.invariant_factors, dom.rank)]
+        quotient = _presented(lifted, dom.ngens + len(torsion))
+        return FgAbGroup(_presented(free, dom.rank).rank, quotient.invariant_factors)
+
+    def draw(rank):
+        return FgAbGroup(rank, random_group(rng, 200, max_rank=0).invariant_factors)
+
+    rng = random.Random(41)
+    pairs = [(draw(k % 3), draw(k // 3 % 3)) for k in range(504)]
+    assert {(a.rank, b.rank) for a, b in pairs} == {(r, s) for r in range(3) for s in range(3)}
+    # one or both ends with no generators at all
+    assert {(a.ngens == 0, b.ngens == 0) for a, b in pairs} == {(x, y) for x in (0, 1) for y in (0, 1)}
+    for a, b in pairs:
+        zero = Homomorphism.zero(a, b)
+        assert cokernel(zero) == b == smith_cokernel(zero)
+        assert kernel(zero) == a == smith_kernel(zero)
+        if a.is_trivial or b.is_trivial:
+            continue
+        full = random_hom(rng, a, b).matrix.data
+        for i, j in ((b.ngens - 1, rng.randrange(a.ngens)), (rng.randrange(b.ngens), a.ngens - 1)):
+            entry = [[full[i][j] if (r, c) == (i, j) else 0 for c in range(a.ngens)]
+                     for r in range(b.ngens)]
+            f = Homomorphism(a, b, IntMatrix(entry, a.ngens))
+            assert cokernel(f) == smith_cokernel(f)
+            assert kernel(f) == smith_kernel(f)
 
 
 def test_lattice_helpers():

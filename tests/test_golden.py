@@ -10,13 +10,16 @@ and on the genus workload's kinds at a few genera.
 tests/golden_cli.jsonl pins the rest of the CLI: ``compute --format
 text`` on the same queries, ``rational`` in both formats on each of
 their distinct (group, base, degree), ``catalog`` in both formats on
-the shipped catalog and on an empty one, and ``verify`` as text.
+the shipped catalog and on an empty one, ``verify`` as text, then
+``--help`` of ghg and of each command, ``--version``, and three usage
+errors (see USAGE_ARGVS).
 
 Commands run with the repository root as working directory, so the
 catalog paths in the argvs (and in the JSON that prints them) are
-relative. Regenerate both files (only when an output is meant to
-change, naming the changed lines in CHANGES.md) from the repository
-root with
+relative, and with COLUMNS=80, the width argparse wraps help text to.
+An argparse exit (from --help or --version) is recorded as its code.
+Regenerate both files (only when an output is meant to change, naming
+the changed lines in CHANGES.md) from the repository root with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -34,8 +37,9 @@ import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
-from ghg import cli
+from ghg import __version__, cli
 from ghg.catalog import CatalogError, default_catalog
 from ghg.gaugecalc import Sphere, Surface, class_group
 
@@ -47,6 +51,13 @@ FORMATS = ("text", "json")
 BASES = tuple(Sphere(m) for m in range(1, 8)) + tuple(Surface(g) for g in range(3))
 DEGREES = range(1, 12)
 GENERA = (0, 1, 2, 4, 16, 64)
+HELP_ARGVS = [["--help"]] + [[cmd, "--help"] for cmd in cli._COMMANDS] + [["--version"]]
+# an unknown base kind, a degree below 1, and a missing required option
+USAGE_ARGVS = [
+    ["compute", "--group", "SU2", "--base", "torus:1", "--degree", "1"],
+    ["compute", "--group", "SU2", "--base", "sphere:4", "--degree", "0"],
+    ["compute", "--base", "sphere:4", "--degree", "1"],
+]
 
 
 def compute_argv(group, base, clazz, degree, fmt="json"):
@@ -102,7 +113,7 @@ def golden_cli_argvs():
     argvs += [["catalog", "--catalog", path, "--format", fmt]
               for path in CATALOGS for fmt in FORMATS]
     argvs.append(["verify"])
-    return argvs
+    return argvs + HELP_ARGVS + USAGE_ARGVS
 
 
 GOLDENS = {GOLDEN: golden_argvs, GOLDEN_CLI: golden_cli_argvs}
@@ -113,8 +124,11 @@ def record(argv):
     cwd = os.getcwd()
     os.chdir(ROOT)  # contextlib.chdir needs Python 3.11
     try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.run(argv)
+        with patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.run(argv)
+            except SystemExit as exc:
+                code = exc.code
     finally:
         os.chdir(cwd)
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
@@ -143,9 +157,18 @@ def test_golden_cli_covers_every_command():
     lines = load_golden(GOLDEN_CLI)
     assert [line["argv"] for line in lines] == golden_cli_argvs()
     # compute refuses the same queries with the same message in both formats
-    computes = [(line["exit"], line["stderr"]) for line in lines if line["argv"][0] == "compute"]
-    assert computes == [(line["exit"], line["stderr"]) for line in load_golden()]
-    assert all(line["exit"] == 0 and line["stderr"] == "" for line in lines[len(computes):])
+    golden = load_golden()
+    computes = [(line["exit"], line["stderr"]) for line in lines[:len(golden)]]
+    assert computes == [(line["exit"], line["stderr"]) for line in golden]
+    usage = len(USAGE_ARGVS)
+    assert all(line["exit"] == 0 and line["stderr"] == "" for line in lines[len(golden):-usage])
+    # help text opens with its usage line; --version prints the version
+    stdouts = {shlex.join(line["argv"]): line["stdout"]
+               for line in lines[-usage - len(HELP_ARGVS):-usage]}
+    assert stdouts.pop("--version") == f"ghg {__version__}\n"
+    assert all(out.startswith("usage: ghg") for out in stdouts.values())
+    assert all(line["exit"] == 1 and line["stdout"] == "" and
+               line["stderr"].startswith("ghg: usage error: ") for line in lines[-usage:])
     empty = {line["argv"][-1]: line["stdout"] for line in lines
              if line["argv"][:3] == ["catalog", "--catalog", CATALOGS[1]]}
     # an empty catalog lists nothing as text

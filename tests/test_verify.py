@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ghg import verify
+from ghg import gaugecalc, verify
 from ghg.catalog import default_catalog
 from ghg.exactseq import SequenceResult
 from ghg.fgab import FgAbGroup, Homomorphism
@@ -101,6 +101,22 @@ def test_group_order_oracle_catches_a_wrong_canonical_form(monkeypatch):
     monkeypatch.setattr(verify, "canonicalize", doubled_last)
     with pytest.raises(verify.CheckFailure, match="order mismatch"):
         verify.check_group_order_oracle(CAT, random.Random(verify.SEED))
+
+
+def test_rational_class_check_reads_the_engine(monkeypatch):
+    """gauge_homotopy_rational never reads the class, so the check holds
+    the integral engine's candidate ranks for each class against it: a
+    kernel that answers the codomain for a zero map changes the rank."""
+    real = gaugecalc.kernel
+
+    def codomain_for_zero(f):
+        return f.codomain if not any(map(any, f.matrix.data)) else real(f)
+
+    verify.check_rational_class_independence(CAT, random.Random(verify.SEED))
+    monkeypatch.setattr(gaugecalc, "kernel", codomain_for_zero)
+    with pytest.raises(verify.CheckFailure,
+                       match=r"TEST over surface:2 class \(2,\): ranks \{5\}, not Q\^4"):
+        verify.check_rational_class_independence(CAT, random.Random(verify.SEED))
 
 
 def test_verify_under_optimize_replays_the_golden_report():
