@@ -7,9 +7,10 @@ exact kernel and cokernel of a homomorphism between groups in canonical
 form, one function each, read off Smith diagonals alone: the cokernel
 from one reduction of [f^T ; rel_cod], the kernel by rank-nullity on the
 free block and the torsion of the domain relations lifted through f.
-A zero map takes no reduction: coker(0: A -> B) = B, ker(0: A -> B) = A.
-Every invariant-factor chain is built by FgAbGroup.of or read off a
-Smith diagonal.
+A zero map takes no reduction: coker(0: A -> B) = B, ker(0: A -> B) = A,
+nor a well-definedness scan: a zero matrix is a homomorphism between any
+two groups. A chain is its own canonical form, so FgAbGroup.of returns it
+as given and merges other orders; any other chain is a Smith diagonal.
 
 Conventions used throughout:
 
@@ -89,7 +90,7 @@ class IntMatrix(Value):
     __slots__ = ("data", "cols")
 
     def __init__(self, data, cols: int | None = None):
-        table = tuple(tuple(operator.index(v) for v in row) for row in data)
+        table = tuple(tuple(map(operator.index, row)) for row in data)
         if table:
             width = len(table[0])
             if any(len(row) != width for row in table):
@@ -227,6 +228,11 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             IntMatrix([row[:ncols] for row in m[nrows:]], ncols))
 
 
+def _is_chain(facs: tuple[int, ...]) -> bool:
+    """Whether facs is a divisibility chain with every entry >= 2."""
+    return not any(d < 2 or d % p for p, d in zip((1,) + facs, facs))
+
+
 class FgAbGroup(Value):
     """A finitely generated abelian group in canonical form.
 
@@ -245,7 +251,7 @@ class FgAbGroup(Value):
         if rank < 0:
             raise ValueError("negative rank")
         # one scan accepts a valid chain; a failure is then told apart
-        if any(d < 2 or d % p for p, d in zip((1,) + facs, facs)):
+        if not _is_chain(facs):
             if any(d < 2 for d in facs):
                 raise ValueError("invariant factors must be >= 2")
             raise ValueError(f"factors {facs} do not form a divisibility chain")
@@ -267,7 +273,10 @@ class FgAbGroup(Value):
         slot i becomes lcm(c_(i-m), gcd(c_i, d)), padding c with 1 below
         and d above. One merge per distinct order; it never factors.
         """
-        counts = Counter(map(abs, map(operator.index, orders)))
+        orders = tuple(map(abs, map(operator.index, orders)))
+        if _is_chain(orders):  # invariant factors are unique
+            return cls(rank, orders)
+        counts = Counter(orders)
         chain = []
         for d, m in counts.items():
             if d > 1:
@@ -372,7 +381,7 @@ class GroupElement(Value):
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __add__(self, other: GroupElement) -> GroupElement:
         if self.group != other.group:
@@ -416,17 +425,16 @@ class Homomorphism(Value):
                 f"matrix is {matrix.rows}x{matrix.cols}, expected "
                 f"{codomain.ngens}x{domain.ngens}"
             )
-        cod_orders = codomain.generator_orders()
-        for j, d in enumerate(domain.generator_orders()):
-            if d == 0:
-                continue
-            for i, e in enumerate(cod_orders):
-                val = d * matrix.data[i][j]
-                if (val != 0) if e == 0 else (val % e != 0):
-                    raise ValueError(
-                        f"ill-defined homomorphism: generator {j} has order {d} "
-                        f"but d*column is nonzero in coordinate {i}"
-                    )
+        if any(map(any, matrix.data)):  # a zero matrix kills every relation
+            cod_orders = codomain.generator_orders()
+            for j, d in enumerate(domain.generator_orders()):
+                if d == 0:
+                    continue
+                for i, e in enumerate(cod_orders):
+                    val = d * matrix.data[i][j]
+                    if (val != 0) if e == 0 else (val % e != 0):
+                        raise ValueError(f"ill-defined homomorphism: generator {j} has order {d} "
+                                         f"but d*column is nonzero in coordinate {i}")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "matrix", matrix)

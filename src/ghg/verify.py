@@ -393,7 +393,8 @@ def check_sign_invariance(catalog, rng):
 
 def check_catalog_consistency(catalog, rng):
     """Rank/exponent agreement, pairing torsion and annihilation,
-    biadditivity of stored pairings on bounded coordinates."""
+    biadditivity of stored pairings on bounded coordinates, which cannot
+    fail: against(b) is a Homomorphism (see ROADMAP item 7)."""
     for name in catalog.names():
         entry = catalog.entry(name)
         for degree, group in entry.pi.items():
@@ -498,7 +499,8 @@ def check_rational_class_independence(catalog, rng):
 
 
 def check_even_degree_vanishing(catalog, rng):
-    """Odd exponents + even sphere + even degree force dimension 0."""
+    """Odd exponents + even sphere + even degree force dimension 0; the
+    loader rejects even exponents, so this cannot fail (ROADMAP item 7)."""
     for name in ("SU2", "SU3"):
         for m in (2, 4, 6):
             size = class_group(catalog, name, Sphere(m)).ngens

@@ -162,11 +162,45 @@ def random_orders(rng, length):
             for _ in range(length)]
 
 
+def random_chain(rng, length):
+    """A divisibility chain with every entry >= 2, repeats included."""
+    chain, d = [], 1
+    for _ in range(length):
+        if d == 1 or rng.random() < 0.6:
+            d *= rng.choice((2, 3, 4, 5, 6, MERSENNE_61))
+        chain.append(d)
+    return chain
+
+
 def test_of_matches_the_smith_route():
+    """Random orders, and the edge of the chain that FgAbGroup.of returns
+    as given: valid chains, the same with one adjacent pair made
+    non-dividing, with a 1, a 0 or a negative entry added, or reversed,
+    each also as a one-shot iterator."""
+
+    def check(rank, orders):
+        want = smith_route(rank, orders)
+        assert FgAbGroup.of(rank, orders) == want, orders
+        assert FgAbGroup.of(rank, iter(orders)) == want, orders
+
     rng = random.Random(11)
     for _ in range(300):
-        rank, orders = rng.randint(0, 2), random_orders(rng, rng.randint(0, 12))
-        assert FgAbGroup.of(rank, orders) == smith_route(rank, orders), orders
+        check(rng.randint(0, 2), random_orders(rng, rng.randint(0, 12)))
+    for _ in range(300):
+        rank, chain = rng.randint(0, 2), random_chain(rng, rng.randint(1, 8))
+        assert FgAbGroup.of(rank, chain) == FgAbGroup(rank, tuple(chain))
+        check(rank, chain)
+        check(rank, chain[::-1])
+        negated = list(chain)
+        negated[rng.randrange(len(chain))] *= -1
+        check(rank, negated)
+        if len(chain) > 1:
+            # chain[i] times a prime no entry has stops dividing chain[i + 1]
+            i = rng.randrange(len(chain) - 1)
+            check(rank, chain[:i] + [chain[i] * MERSENNE_89] + chain[i + 1:])
+        for extra in (1, 0, -rng.choice(chain), -rng.randint(1, 100)):
+            at = rng.randint(0, len(chain))
+            check(rank, chain[:at] + [extra] + chain[at:])
 
 
 def test_of_matches_the_smith_route_on_long_runs():
@@ -270,6 +304,10 @@ def test_element_order():
 
 
 def test_hom_well_definedness_rejected():
+    """Ill-defined matrices raise. A zero matrix skips the scan, so it is
+    also built on ends that reject any nonzero entry and on ends with no
+    generators, and a matrix zero but for one ill-defined entry in its
+    last row or last column must still raise."""
     # Z/2 -> Z must be zero; the unit matrix violates 2*f(g) = 0
     with pytest.raises(ValueError):
         Homomorphism(FgAbGroup.cyclic(2), FgAbGroup(1), IntMatrix([[1]]))
@@ -277,6 +315,24 @@ def test_hom_well_definedness_rejected():
     with pytest.raises(ValueError):
         Homomorphism(FgAbGroup.cyclic(4), FgAbGroup.cyclic(8), IntMatrix([[1]]))
     Homomorphism(FgAbGroup.cyclic(4), FgAbGroup.cyclic(8), IntMatrix([[2]]))
+    ends = [(FgAbGroup.cyclic(2), FgAbGroup(1)), (FgAbGroup.cyclic(4), FgAbGroup.cyclic(8)),
+            (FgAbGroup(0), FgAbGroup(2, (2, 4))), (FgAbGroup(1, (3,)), FgAbGroup(0)),
+            (FgAbGroup(0), FgAbGroup(0)), (FgAbGroup(1, (2, 4)), FgAbGroup(2, (3, 9))),
+            (FgAbGroup(0, (2, 6, 12)), FgAbGroup(1, (5,)))]
+    for dom, cod in ends:
+        zero = IntMatrix([[0] * dom.ngens for _ in range(cod.ngens)], dom.ngens)
+        assert Homomorphism(dom, cod, zero).matrix == zero
+        assert Homomorphism(dom, cod, zero) == Homomorphism.zero(dom, cod)
+        with pytest.raises(ValueError):
+            Homomorphism(dom, cod, IntMatrix([[0] * (dom.ngens + 1)] * cod.ngens, dom.ngens + 1))
+    # entry 1 at a torsion domain generator is ill-defined on each of these
+    # ends: into Z, or into Z/e with e not dividing the order d
+    for dom, cod in ends[:2] + ends[5:]:
+        last_col = dom.ngens - 1
+        for i, j in ((cod.ngens - 1, last_col), (0, last_col), (cod.ngens - 1, dom.rank)):
+            entry = [[int((r, c) == (i, j)) for c in range(dom.ngens)] for r in range(cod.ngens)]
+            with pytest.raises(ValueError, match="ill-defined"):
+                Homomorphism(dom, cod, IntMatrix(entry, dom.ngens))
 
 
 def test_hom_apply_and_neg():
