@@ -171,8 +171,8 @@ def default_catalog_path() -> Path:
 
 
 def resolve_catalog_path(flag_value: str | None = None) -> Path:
-    """Flag beats the GHG_CATALOG environment variable beats the shipped file."""
-    if flag_value:
+    """Flag, even empty, beats a nonempty GHG_CATALOG beats the shipped file."""
+    if flag_value is not None:
         return Path(flag_value)
     env = os.environ.get("GHG_CATALOG")
     if env:

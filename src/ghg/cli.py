@@ -160,6 +160,8 @@ def _parse_class(text, group) -> tuple[int, ...]:
 
 
 def _load(args):
+    if args.catalog == "":  # an unset shell variable, say: never fall back
+        raise UsageError("--catalog needs a path, got an empty string")
     return load_catalog(resolve_catalog_path(args.catalog))
 
 

@@ -1,10 +1,10 @@
 """Exact algebra of finitely generated abelian groups.
 
 Everything in this module is arbitrary-precision integer arithmetic on
-small dense matrices: one in-place Smith reduction, which snf borders
-to record unimodular transforms, canonical forms of groups, and the
-exact kernel and cokernel of a homomorphism between groups in canonical
-form, one function each, read off Smith diagonals alone: the cokernel
+small dense matrices: one in-place Smith reduction, canonical forms of
+groups, and the exact kernel and cokernel of a homomorphism between
+groups in canonical form, one function each, read off Smith diagonals
+alone, so the engine builds no unimodular transform: the cokernel
 from one reduction of [f^T ; rel_cod], the kernel by rank-nullity on the
 free block and the torsion of the domain relations lifted through f.
 A zero map takes no reduction: coker(0: A -> B) = B, ker(0: A -> B) = A,
@@ -114,29 +114,6 @@ class IntMatrix(Value):
             raise ValueError("column of wrong height")
         return cls([[c[i] for c in columns] for i in range(rows)], len(columns))
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.data)
-
-    def transpose(self) -> IntMatrix:
-        return IntMatrix([self.column(j) for j in range(self.cols)], self.rows)
-
-    def __neg__(self) -> IntMatrix:
-        return IntMatrix([[-v for v in row] for row in self.data], self.cols)
-
-    def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        # zip(*()) is empty, but a product with no inner dimension is zero
-        ocols = list(zip(*other.data)) if other.rows else [()] * other.cols
-        out = [
-            [sum(a * b for a, b in zip(row, col)) for col in ocols]
-            for row in self.data
-        ]
-        return IntMatrix(out, other.cols)
-
-    def diagonal_entries(self) -> tuple[int, ...]:
-        return tuple(self.data[k][k] for k in range(min(self.rows, self.cols)))
-
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]!r}, cols={self.cols})"
 
@@ -206,26 +183,6 @@ def _smith(m: list[list[int]], nrows: int, ncols: int) -> list[int]:
                 continue
         t += 1
     return [m[k][k] for k in range(min(nrows, ncols))]
-
-
-def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: return unimodular (U, D, V) with U @ a @ V == D.
-
-    D has the same shape as ``a``, is diagonal with nonnegative entries,
-    and consecutive diagonal entries divide each other (zeros last).
-    _smith reduces the bordered matrix [[a, I], [I, 0]] to [[D, U], [V, 0]].
-
-    >>> u, d, v = snf(IntMatrix([[2, 0], [0, 3]]))
-    >>> d.diagonal_entries()
-    (1, 6)
-    """
-    nrows, ncols = a.rows, a.cols
-    m = [list(row) + [int(i == k) for k in range(nrows)] for i, row in enumerate(a.data)]
-    m += [[int(i == j) for j in range(ncols)] + [0] * nrows for i in range(ncols)]
-    _smith(m, nrows, ncols)
-    return (IntMatrix([row[ncols:] for row in m[:nrows]], nrows),
-            IntMatrix([row[:ncols] for row in m[:nrows]], ncols),
-            IntMatrix([row[:ncols] for row in m[nrows:]], ncols))
 
 
 def _is_chain(facs: tuple[int, ...]) -> bool:
@@ -301,9 +258,6 @@ class FgAbGroup(Value):
         """Group order, or None when infinite."""
         return self.torsion_order if self.rank == 0 else None
 
-    def torsion_part(self) -> FgAbGroup:
-        return FgAbGroup(0, self.invariant_factors)
-
     def generator_orders(self) -> tuple[int, ...]:
         return (0,) * self.rank + self.invariant_factors
 
@@ -322,29 +276,11 @@ def _diagonal_relations(orders) -> list[list[int]]:
     return [[d * (k == i) for k in range(len(orders))] for i, d in enumerate(orders) if d]
 
 
-def relation_matrix(group: FgAbGroup) -> IntMatrix:
-    """The defining relations of a group in canonical form.
-
-    >>> relation_matrix(FgAbGroup(1, (2,)))
-    IntMatrix([[0, 2]], cols=2)
-    """
-    return IntMatrix(_diagonal_relations(group.generator_orders()), group.ngens)
-
-
 def _presented(rows: list[list[int]], n: int) -> FgAbGroup:
     """Z^n modulo the row span of rows, row lists reduced in place: rank n
     minus the number of nonzero pivots, the pivots above 1 as its chain."""
     pivots = [x for x in _smith(rows, len(rows), n) if x != 0]
     return FgAbGroup(n - len(pivots), tuple(x for x in pivots if x > 1))
-
-
-def canonicalize(relations: IntMatrix) -> FgAbGroup:
-    """Canonical form of Z^relations.cols modulo the row span of relations.
-
-    >>> canonicalize(IntMatrix([[2, 0], [0, 3]]))
-    FgAbGroup(rank=0, invariant_factors=(6,))
-    """
-    return _presented([list(row) for row in relations.data], relations.cols)
 
 
 class GroupElement(Value):
@@ -372,12 +308,6 @@ class GroupElement(Value):
     @classmethod
     def zero(cls, group: FgAbGroup) -> GroupElement:
         return cls(group, (0,) * group.ngens)
-
-    @classmethod
-    def generator(cls, group: FgAbGroup, i: int) -> GroupElement:
-        coords = [0] * group.ngens
-        coords[i] = 1
-        return cls(group, tuple(coords))
 
     @property
     def is_zero(self) -> bool:
@@ -450,9 +380,6 @@ class Homomorphism(Value):
             sum(v * c for v, c in zip(row, element.coords)) for row in self.matrix.data
         )
         return GroupElement(self.codomain, out)
-
-    def __neg__(self) -> Homomorphism:
-        return Homomorphism(self.domain, self.codomain, -self.matrix)
 
 
 def cokernel(f: Homomorphism) -> FgAbGroup:

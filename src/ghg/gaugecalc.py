@@ -31,10 +31,10 @@ from .fgab import (
     IntMatrix,
     Value,
     _diagonal_relations,
+    _smith,
     cokernel,
     direct_sum,
     kernel,
-    snf,
 )
 
 
@@ -142,18 +142,20 @@ def connecting_hom_surface(
     surface: the first 2g blocks vanish and the last is the S^2 map
     -<., b>. Row k of V in one Smith form U R V = D of the block
     relations R is block generator k in the canonical codomain, read at
-    the pivots that are 0 (free), then above 1 (torsion)."""
+    the pivots that are 0 (free), then above 1 (torsion). _smith reduces
+    R over an identity border, which records V alone."""
     if genus < 0:
         raise ValueError("genus must be >= 0")
     last = connecting_hom_sphere(catalog, group, 2, b, n)
     orders = last.domain.generator_orders() * (2 * genus) + last.codomain.generator_orders()
-    _, d, v = snf(IntMatrix(_diagonal_relations(orders), len(orders)))
-    pivots = d.diagonal_entries() + (0,) * (len(orders) - d.rows)
+    k, relations = len(orders), _diagonal_relations(orders)
+    m = relations + [[int(i == j) for j in range(k)] for i in range(k)]
+    pivots = _smith(m, len(relations), k) + [0] * (k - len(relations))
     canon = [j for j, x in enumerate(pivots) if x == 0] + [j for j, x in enumerate(pivots) if x > 1]
-    rows = v.data[len(orders) - last.codomain.ngens:]
+    rows = m[len(m) - last.codomain.ngens:]
     codomain = FgAbGroup.of(0, orders)
     cols = [
-        GroupElement(codomain, [sum(r[j] * y for r, y in zip(rows, last.matrix.column(i)))
+        GroupElement(codomain, [sum(r[j] * y[i] for r, y in zip(rows, last.matrix.data))
                                 for j in canon]).coords
         for i in range(last.domain.ngens)
     ]

@@ -5,17 +5,20 @@ and raising CheckFailure with a diagnosis on failure. The random
 checks draw from a fixed seed so a verify run is reproducible.
 
 The oracles the checks hold the engine against live here, not in the
-engine modules, which keep only what ``compute`` runs: middle_group
-resolves a literal five-term fragment, image reads the transform U of
-snf, enumerate_elements lists a finite group, det and is_diagonal test
-Smith forms directly (det also gives the maximal minors, whose gcd is
-the order of a presentation), rational_via_zero_sequence runs the
-rationalized sequence of zero maps, and subgroup_quotient_pairs (on
-subgroup_generators) enumerates every subgroup of a finite group. The
-subgroup search stays a search, made cheap: subgroup_generators adds
-element indices through a table built once, and from a subgroup H
-closes H + <x> for one x per coset x + H, since every element of a
-coset generates the same subgroup over H.
+engine modules, which keep only what ``compute`` runs. Their algebra:
+snf borders fgab's Smith reduction to record unimodular transforms,
+matmul multiplies them back out, relation_matrix presents a group in
+canonical form and canonicalize reads a presentation's canonical form.
+The oracles: middle_group resolves a literal five-term fragment, image
+reads the transform U of snf, enumerate_elements lists a finite group,
+det and is_diagonal test Smith forms directly (det also gives the
+maximal minors, whose gcd is the order of a presentation),
+rational_via_zero_sequence runs the rationalized sequence of zero maps,
+and subgroup_quotient_pairs (on subgroup_generators) enumerates every
+subgroup of a finite group. The subgroup search stays a search, made
+cheap: subgroup_generators adds element indices through a table built
+once, and from a subgroup H closes H + <x> for one x per coset x + H,
+since every element of a coset generates the same subgroup over H.
 """
 from __future__ import annotations
 
@@ -32,11 +35,11 @@ from .fgab import (
     GroupElement,
     Homomorphism,
     IntMatrix,
-    canonicalize,
+    _diagonal_relations,
+    _presented,
+    _smith,
     cokernel,
     kernel,
-    relation_matrix,
-    snf,
 )
 from .gaugecalc import (
     BundleSpec,
@@ -68,6 +71,57 @@ class CheckFailure(AssertionError):
     pass
 
 
+# ------------------------------------------------------------------- algebra
+
+
+def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form: return unimodular (U, D, V) with U a V == D.
+
+    D has the same shape as ``a``, is diagonal with nonnegative entries,
+    and consecutive diagonal entries divide each other (zeros last).
+    _smith reduces the bordered matrix [[a, I], [I, 0]] to [[D, U], [V, 0]].
+
+    >>> u, d, v = snf(IntMatrix([[2, 0], [0, 3]]))
+    >>> d
+    IntMatrix([[1, 0], [0, 6]], cols=2)
+    """
+    nrows, ncols = a.rows, a.cols
+    m = [list(row) + [int(i == k) for k in range(nrows)] for i, row in enumerate(a.data)]
+    m += [[int(i == j) for j in range(ncols)] + [0] * nrows for i in range(ncols)]
+    _smith(m, nrows, ncols)
+    return (IntMatrix([row[ncols:] for row in m[:nrows]], nrows),
+            IntMatrix([row[:ncols] for row in m[:nrows]], ncols),
+            IntMatrix([row[:ncols] for row in m[nrows:]], ncols))
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a b; a shape mismatch raises ValueError."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in product")
+    # zip(*()) is empty, but a product with no inner dimension is zero
+    bcols = list(zip(*b.data)) if b.rows else [()] * b.cols
+    return IntMatrix([[sum(x * y for x, y in zip(row, col)) for col in bcols]
+                      for row in a.data], b.cols)
+
+
+def relation_matrix(group: FgAbGroup) -> IntMatrix:
+    """The defining relations of a group in canonical form.
+
+    >>> relation_matrix(FgAbGroup(1, (2,)))
+    IntMatrix([[0, 2]], cols=2)
+    """
+    return IntMatrix(_diagonal_relations(group.generator_orders()), group.ngens)
+
+
+def canonicalize(relations: IntMatrix) -> FgAbGroup:
+    """Canonical form of Z^relations.cols modulo the row span of relations.
+
+    >>> canonicalize(IntMatrix([[2, 0], [0, 3]]))
+    FgAbGroup(rank=0, invariant_factors=(6,))
+    """
+    return _presented([list(row) for row in relations.data], relations.cols)
+
+
 # ------------------------------------------------------------------- oracles
 
 
@@ -85,8 +139,11 @@ def _image_smith(f: Homomorphism) -> tuple[FgAbGroup, FgAbGroup]:
     are independent, their first g coordinates are a basis of the preimage
     lattice K = {x : f(x) is a codomain relation}, and im f = Z^g / K."""
     g, h = f.domain.ngens, f.codomain.ngens
-    u, d, _ = snf(IntMatrix(f.matrix.transpose().data + relation_matrix(f.codomain).data, h))
-    coker = FgAbGroup.of(h - min(d.rows, h), d.diagonal_entries())
+    # f^T row by row: with h = 0, zip(*f.matrix.data) would give no rows
+    rows = [[row[j] for row in f.matrix.data] for j in range(g)]
+    u, d, _ = snf(IntMatrix(rows + list(relation_matrix(f.codomain).data), h))
+    diag = [d.data[i][i] for i in range(min(d.rows, h))]
+    coker = FgAbGroup.of(h - len(diag), diag)
     return canonicalize(IntMatrix([row[:g] for row in u.data[h - coker.rank:]], g)), coker
 
 
@@ -282,17 +339,17 @@ def random_hom(rng, dom: FgAbGroup, cod: FgAbGroup) -> Homomorphism:
 
 
 def check_snf_suite(catalog, rng):
-    """U @ A @ V == D, |det U| = |det V| = 1, nonnegative divisor chain."""
+    """U A V == D, |det U| = |det V| = 1, nonnegative divisor chain."""
     for k in range(SNF_MATRICES):
         a = random_matrix(rng)
         u, d, v = snf(a)
-        if u @ a @ v != d:
+        if matmul(matmul(u, a), v) != d:
             raise CheckFailure(f"transform product mismatch on matrix #{k}: {a!r}")
         if abs(det(u)) != 1 or abs(det(v)) != 1:
             raise CheckFailure(f"non-unimodular transform on matrix #{k}: {a!r}")
         if not is_diagonal(d):
             raise CheckFailure(f"D not diagonal on matrix #{k}: {a!r}")
-        diag = d.diagonal_entries()
+        diag = [d.data[i][i] for i in range(min(d.rows, d.cols))]
         if any(x < 0 for x in diag):
             raise CheckFailure(f"negative diagonal on matrix #{k}: {a!r}")
         for x, y in zip(diag, diag[1:]):
@@ -354,7 +411,7 @@ def check_extension_oracle(catalog, rng):
         if x not in candidates:
             raise CheckFailure(f"{x} missing from resolve_extension({sub}, {quot})")
         for c in candidates:
-            if (sub, quot) not in subgroup_quotient_pairs(c.torsion_part()):
+            if (sub, quot) not in subgroup_quotient_pairs(FgAbGroup(0, c.invariant_factors)):
                 raise CheckFailure(
                     f"brute-force test rejects candidate {c} of resolve_extension({sub}, {quot})"
                 )
@@ -378,6 +435,11 @@ def check_free_rank_oracle(catalog, rng):
 
 def check_sign_invariance(catalog, rng):
     """middle_group is unchanged by negating either connecting map."""
+
+    def neg(f):
+        return Homomorphism(f.domain, f.codomain,
+                            IntMatrix([[-v for v in row] for row in f.matrix.data], f.matrix.cols))
+
     for _ in range(SIGN_FRAGMENTS):
         a = random_group(rng, 16)
         b = random_group(rng, 8, max_rank=0)
@@ -386,7 +448,7 @@ def check_sign_invariance(catalog, rng):
         left = random_hom(rng, a, b)
         right = random_hom(rng, c, d)
         base = middle_group(left, right)
-        if middle_group(-left, right) != base or middle_group(left, -right) != base:
+        if middle_group(neg(left), right) != base or middle_group(left, neg(right)) != base:
             raise CheckFailure(f"sign sensitivity for fragment {left} / {right}")
     return f"{SIGN_FRAGMENTS} random fragments stable under negating either map"
 
@@ -520,7 +582,7 @@ def check_class_negation(catalog, rng):
         minus = GroupElement(g3, (-k,))
         d_plus = connecting_hom_sphere(catalog, "SU2", 4, plus, 3)
         d_minus = connecting_hom_sphere(catalog, "SU2", 4, minus, 3)
-        gen = GroupElement.generator(g3, 0)
+        gen = GroupElement(g3, (1,))
         if d_minus.apply(gen) != -d_plus.apply(gen):
             raise CheckFailure(f"delta not negated entrywise at k={k}")
         a = gauge_homotopy(catalog, "SU2", BundleSpec(Sphere(4), plus), 2)

@@ -1,6 +1,7 @@
 """Catalog loading, lookup semantics, and schema validation."""
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +42,11 @@ def shipped_entry(name):
     """A fresh copy of a shipped catalog entry as raw JSON."""
     raw = json.loads(default_catalog_path().read_text(encoding="utf-8"))
     return next(e for e in raw if e["name"] == name)
+
+
+def unit(group, i):
+    """Generator i of a group in canonical form."""
+    return GroupElement(group, tuple(int(k == i) for k in range(group.ngens)))
 
 
 def write_catalog(tmp_path, entries):
@@ -100,7 +106,7 @@ def test_trivial_source_gives_zero_pairing():
     # structural zeros without reading them
     cat = default_catalog()
     assert (2, 3) not in cat.entry("SU2").samelson  # pi_2 = 0
-    b = GroupElement.generator(cat.pi("SU2", 3), 0)
+    b = GroupElement(cat.pi("SU2", 3), (1,))
     delta = connecting_hom_sphere(cat, "SU2", 4, b, 2)  # pi_2 -> pi_5 = Z/2
     assert image(delta).is_trivial and not delta.codomain.is_trivial
     # trivial class group: an S^3 bundle has its class in pi_2 = 0
@@ -118,7 +124,7 @@ def test_abelian_flag_gives_zero_pairing(tmp_path):
     entry = dict(shipped_entry("TEST"), name="TA", abelian=True, samelson=[])
     cat = load_catalog(write_catalog(tmp_path, [entry]))
     assert not cat.entry("TA").samelson
-    b = GroupElement.generator(cat.pi("TA", 1), 0)
+    b = GroupElement(cat.pi("TA", 1), (1,))
     delta = connecting_hom_sphere(cat, "TA", 2, b, 1)  # pi_1 = Z -> pi_2 = Z/4
     assert image(delta).is_trivial and not delta.codomain.is_trivial
 
@@ -145,14 +151,14 @@ def test_unstored_pairing_is_none():
     <pi_5, pi_3> -> pi_8 = Z/2, which SU2's entry lacks."""
     cat = default_catalog()
     assert cat.entry("SU2").samelson.get((5, 3)) is None
-    b = GroupElement.generator(cat.pi("SU2", 3), 0)
+    b = GroupElement(cat.pi("SU2", 3), (1,))
     with pytest.raises(PairingUnavailable, match="pi_5 x pi_3"):
         connecting_hom_sphere(cat, "SU2", 4, b, 5)
 
 
 def test_pairing_needs_catalogued_degrees():
     cat = default_catalog()
-    b = GroupElement.generator(cat.pi("SU2", 7), 0)
+    b = GroupElement(cat.pi("SU2", 7), (1,))
     with pytest.raises(TableDepthError, match="degree 13 requested"):
         connecting_hom_sphere(cat, "SU2", 8, b, 6)  # target degree 13 beyond the table
 
@@ -196,11 +202,11 @@ def test_against_is_the_stored_table_as_a_homomorphism():
     pairings = [(name, p) for name in cat.names() for p in cat.entry(name).samelson.values()]
     assert len(pairings) == 5
     for name, p in pairings:
-        gens = [GroupElement.generator(p.source_n, i) for i in range(p.source_n.ngens)]
+        gens = [unit(p.source_n, i) for i in range(p.source_n.ngens)]
         for j in range(p.source_m.ngens):
-            f = p.against(GroupElement.generator(p.source_m, j))
+            f = p.against(unit(p.source_m, j))
             assert f.domain == p.source_n and f.codomain == p.target
-            assert [f.matrix.column(i) for i in range(len(gens))] == [
+            assert [tuple(r[i] for r in f.matrix.data) for i in range(len(gens))] == [
                 row[j].coords for row in p.values]
         axes = [range(-2, 3) if d == 0 else range(d) for d in p.source_m.generator_orders()]
         for coords in itertools.product(*axes):
@@ -216,7 +222,7 @@ def test_load_roundtrip(tmp_path):
     cat = load_catalog(path)
     assert cat.names() == ("G",)
     assert cat.pi("G", 2) == FgAbGroup.cyclic(2)
-    gen = GroupElement.generator(cat.pi("G", 1), 0)
+    gen = GroupElement(cat.pi("G", 1), (1,))
     assert cat.entry("G").samelson[(1, 1)].against(gen).apply(gen).coords == (1,)
 
 
@@ -358,8 +364,9 @@ def test_resolve_catalog_path(tmp_path, monkeypatch):
     assert resolve_catalog_path(None) == default_catalog_path()
     monkeypatch.setenv("GHG_CATALOG", str(tmp_path / "env.json"))
     assert resolve_catalog_path(None) == tmp_path / "env.json"
-    # explicit flag wins over the environment
+    # explicit flag wins over the environment, even an empty one
     assert resolve_catalog_path(str(tmp_path / "flag.json")) == tmp_path / "flag.json"
+    assert resolve_catalog_path("") == Path("")
 
 
 def _edited(edit):

@@ -246,6 +246,25 @@ def test_catalog_flag_overrides(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.startswith("G: depth 3")
 
 
+def test_empty_catalog_flag_is_usage_error(tmp_path, capsys, monkeypatch):
+    """An empty --catalog, as an unset shell variable gives, names no file:
+    it neither falls back to GHG_CATALOG nor to the shipped table."""
+    for env in (None, tiny_catalog(tmp_path)):
+        if env is None:
+            monkeypatch.delenv("GHG_CATALOG", raising=False)
+        else:
+            monkeypatch.setenv("GHG_CATALOG", env)
+        code = cli.run(["compute", "--group", "SU2", "--base", "sphere:4", "--degree", "2",
+                        "--catalog", ""])
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert "usage error: --catalog needs a path" in out.err
+    # an empty variable still counts as unset
+    monkeypatch.setenv("GHG_CATALOG", "")
+    assert cli.run(["compute", "--group", "SU2", "--base", "sphere:4", "--degree", "2"]) == 0
+    assert capsys.readouterr().out == "Z/12\n"
+
+
 def test_catalog_env_var(tmp_path, capsys, monkeypatch):
     """Genus 1, class 1: the kernel of delta_1 is 2Z and delta_2 dies
     against the trivial pi_3, leaving Z + coker = Z + (Z/2)^2."""

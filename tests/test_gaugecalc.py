@@ -134,7 +134,7 @@ def test_surface_delta_lands_in_last_block():
     # -<x, b> for the generator x of pi_1 is 3 in pi_2 = Z/4, the last
     # block, which the canonical codomain keeps as its Z/4 coordinate
     pairing = CAT.entry("TEST").samelson[(1, 1)]
-    gen = GroupElement.generator(g1, 0)
+    gen = GroupElement(g1, (1,))
     assert -pairing.against(b).apply(gen) == GroupElement(CAT.pi("TEST", 2), (3,))
     got = d.apply(gen)
     assert got == GroupElement(d.codomain, (0, 0, 3))
