@@ -14,8 +14,8 @@ coefficient c^lam_{mu nu} is positive (T. Klein, "The Hall polynomial",
 J. Algebra 12 (1969); Macdonald, Symmetric Functions and Hall
 Polynomials, Ch. II 4), so the candidates are every choice of one such
 lam per prime. Several candidates mean the answer is genuinely
-ambiguous and all of them are reported. The brute-force subgroup
-enumeration this is checked against lives in ``verify``.
+ambiguous and all of them are reported. ``verify`` checks the
+candidates against the middle groups of the classes of Ext^1(quot, sub).
 """
 from __future__ import annotations
 

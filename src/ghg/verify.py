@@ -14,18 +14,15 @@ reads the transform U of snf, enumerate_elements lists a finite group,
 det and is_diagonal test Smith forms directly (det also gives the
 maximal minors, whose gcd is the order of a presentation),
 rational_via_zero_sequence runs the rationalized sequence of zero maps,
-and subgroup_quotient_pairs (on subgroup_generators) enumerates every
-subgroup of a finite group. The subgroup search stays a search, made
-cheap: subgroup_generators adds element indices through a table built
-once, and from a subgroup H closes H + <x> for one x per coset x + H,
-since every element of a coset generates the same subgroup over H.
+and extension_types types the middle group of every class of
+Ext^1(quot, sub), which is every extension of quot by sub, free rank
+included.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 from . import SEED
 from .catalog import Catalog
@@ -65,6 +62,8 @@ SIGN_FRAGMENTS = 100
 MATRIX_MAX_DIM, MATRIX_SPAN = 6, 9
 PRESENTATION_MAX_GENS, PRESENTATION_SPAN = 3, 6
 HOM_FREE_SPAN, ELEMENT_SPAN = 3, 4
+# The most Ext^1 classes extension_types types before it answers None.
+EXT_CLASSES = 256
 
 
 class CheckFailure(AssertionError):
@@ -156,70 +155,41 @@ def image(f: Homomorphism) -> FgAbGroup:
     return _image_smith(f)[0]
 
 
-def subgroup_generators(moduli) -> list[tuple[tuple[int, ...], ...]]:
-    """One generating tuple per subgroup of Z/m1 + ... + Z/mk, found by
-    closing element sets under addition.
-
-    Elements are their indices in itertools.product order (0 is zero),
-    added through a table built once, and a subgroup is a frozenset of
-    indices. From each subgroup H the search closes H + <x> for one x
-    per coset x + H: every y in x + H gives H + <y> = H + <x>. The x
-    tried is the first of its coset in element order, which is the
-    first element to reach each new subgroup, so the coset rule changes
-    neither the subgroups found nor their generators.
-
-    >>> sorted(subgroup_generators((4,)))
-    [(), ((1,),), ((2,),)]
-    """
-    elements = list(itertools.product(*(range(m) for m in moduli)))
-    table = [[0]]
-    for m in moduli:
-        # append Z/m: the pair (a, u) has index a * m + u
-        table = [[s * m + (u + v) % m for s in row for v in range(m)]
-                 for row in table for u in range(m)]
-
-    def close(subgroup, x):
-        new = set(subgroup)
-        step = table[x]
-        shift = x
-        while shift not in subgroup:
-            new.update(map(table[shift].__getitem__, subgroup))
-            shift = step[shift]
-        return frozenset(new)
-
-    start = frozenset({0})
-    generators = {start: ()}
-    queue = [start]
-    while queue:
-        subgroup = queue.pop()
-        gens = generators[subgroup]
-        tried = set(subgroup)
-        for x in range(len(elements)):
-            if x in tried:
-                continue
-            tried.update(map(table[x].__getitem__, subgroup))
-            bigger = close(subgroup, x)
-            if bigger not in generators:
-                generators[bigger] = gens + (elements[x],)
-                queue.append(bigger)
-    return list(generators.values())
-
-
-@functools.lru_cache(maxsize=None)
-def subgroup_quotient_pairs(group: FgAbGroup) -> frozenset:
-    """All pairs (type of H, type of group/H) over subgroups H of a
-    finite group, from subgroup_generators: what resolve_extension is
-    held against."""
-    if group.rank != 0:
-        raise ValueError("subgroup enumeration needs a finite group")
-    return frozenset(_subgroup_types(group, gens)
-                     for gens in subgroup_generators(group.invariant_factors))
-
-
 def _subgroup_types(group: FgAbGroup, gens) -> tuple[FgAbGroup, FgAbGroup]:
     """Types of S and group/S, for S generated by the coordinate tuples gens."""
     return _image_smith(Homomorphism(FgAbGroup(len(gens)), group,
                                      IntMatrix.from_columns(gens, group.ngens)))
+
+
+def extension_types(sub: FgAbGroup, quot: FgAbGroup) -> tuple[FgAbGroup, ...] | None:
+    """Every type of X in 0 -> sub -> X -> quot -> 0, sorted by rank then
+    factor list, or None when there are more than EXT_CLASSES classes.
+
+    For quot = Z^s + Z/b_1 + ... + Z/b_t, Ext^1(quot, sub) is the sum of
+    the sub/b_j sub (Hilton & Stammbach, A Course in Homological Algebra,
+    GTM 4, Ch. III), and the class c = (c_j) has middle group
+    X_c = (sub + Z^t)/<(-c_j, b_j e_j)> + Z^s. Every extension is some
+    X_c, so their types are all the types, free rank included. A
+    coordinate of c_j on a generator of order d (0 when free) runs over
+    range(gcd(d, b_j)), one representative per class.
+
+    >>> [str(x) for x in extension_types(FgAbGroup(1), FgAbGroup.cyclic(2))]
+    ['Z^1', 'Z^1 + Z/2']
+    """
+    orders, factors = sub.generator_orders(), quot.invariant_factors
+    n, t = len(orders), len(factors)
+    ranges = [range(gcd(d, b)) for b in factors for d in orders]
+    if prod(map(len, ranges)) > EXT_CLASSES:
+        return None
+    types = set()
+    for c in itertools.product(*ranges):
+        # fresh rows per class: _presented reduces them in place
+        rows = _diagonal_relations(orders + (0,) * t)
+        rows += [[-x for x in c[j * n:(j + 1) * n]] + [b * (k == j) for k in range(t)]
+                 for j, b in enumerate(factors)]
+        x = _presented(rows, n + t)
+        types.add(FgAbGroup(x.rank + quot.rank, x.invariant_factors))
+    return tuple(sorted(types, key=lambda x: (x.rank, x.invariant_factors)))
 
 
 def enumerate_elements(group: FgAbGroup) -> list[GroupElement]:
@@ -398,39 +368,48 @@ def check_hom_oracle(catalog, rng):
     return f"{HOM_MAPS} random maps decomposed and recounted"
 
 
+def _check_subgroup_pairs(draws, what: str) -> str:
+    """For each drawn group X and generators of a subgroup S,
+    resolve_extension(S, X/S) must list X, and must list exactly the
+    extension_types(S, X/S) wherever there are at most EXT_CLASSES classes;
+    a group missing from the list is named first."""
+    compared = 0
+    for x, gens in draws:
+        sub, quot = _subgroup_types(x, gens)
+        candidates = resolve_extension(sub, quot).candidates
+        types = extension_types(sub, quot)
+        missing = [g for g in (x,) + (types or ()) if g not in candidates]
+        if missing:
+            raise CheckFailure(f"{missing[0]} missing from resolve_extension({sub}, {quot})")
+        if types is not None and candidates != types:
+            raise CheckFailure(f"resolve_extension({sub}, {quot}) lists "
+                               f"{', '.join(map(str, candidates))}, "
+                               f"Ext^1 gives {', '.join(map(str, types))}")
+        compared += types is not None
+    return (f"{len(draws)} random {what} re-contain the source group, and {compared}/"
+            f"{len(draws)} with at most {EXT_CLASSES} Ext^1 classes list exactly the Ext^1 types")
+
+
 def check_extension_oracle(catalog, rng):
-    """Build X, a random subgroup S and X/S. resolve_extension(S, X/S)
-    must list X, and brute-force subgroup enumeration must find a
-    subgroup of type S with quotient X/S in every group it lists."""
+    """Build X, a random subgroup S and X/S, with X finite."""
+    draws = []
     for _ in range(EXTENSION_SUBGROUPS):
         x = random_group(rng, 64, max_rank=0)
         k = rng.randint(0, 3)
-        gens = [tuple(rng.randrange(d) for d in x.invariant_factors) for _ in range(k)]
-        sub, quot = _subgroup_types(x, gens)
-        candidates = resolve_extension(sub, quot).candidates
-        if x not in candidates:
-            raise CheckFailure(f"{x} missing from resolve_extension({sub}, {quot})")
-        for c in candidates:
-            if (sub, quot) not in subgroup_quotient_pairs(FgAbGroup(0, c.invariant_factors)):
-                raise CheckFailure(
-                    f"brute-force test rejects candidate {c} of resolve_extension({sub}, {quot})"
-                )
-    return (f"{EXTENSION_SUBGROUPS} random subgroup/quotient pairs re-contain the source group, "
-            "and enumeration realizes every candidate")
+        draws.append((x, [tuple(rng.randrange(d) for d in x.invariant_factors) for _ in range(k)]))
+    return _check_subgroup_pairs(draws, "subgroup/quotient pairs")
 
 
 def check_free_rank_oracle(catalog, rng):
     """Build X = Z^r + T with r >= 1, a subgroup S generated by elements
-    with free coordinates, and X/S: resolve_extension(S, X/S) must list
-    X, also where the free part of X absorbs torsion of X/S."""
+    with free coordinates, and X/S, where the free part of X can absorb
+    torsion of X/S."""
+    draws = []
     for _ in range(FREE_RANK_SUBGROUPS):
         x = FgAbGroup(rng.randint(1, 2), random_group(rng, 32, max_rank=0).invariant_factors)
         k = rng.randint(1, 3)
-        gens = [_bounded_element(rng, x).coords for _ in range(k)]
-        sub, quot = _subgroup_types(x, gens)
-        if x not in resolve_extension(sub, quot).candidates:
-            raise CheckFailure(f"{x} missing from resolve_extension({sub}, {quot})")
-    return f"{FREE_RANK_SUBGROUPS} random subgroups of infinite groups re-contain the source group"
+        draws.append((x, [_bounded_element(rng, x).coords for _ in range(k)]))
+    return _check_subgroup_pairs(draws, "subgroups of infinite groups")
 
 
 def check_sign_invariance(catalog, rng):

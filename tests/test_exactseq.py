@@ -13,7 +13,7 @@ from ghg.exactseq import (
     resolve_extension,
 )
 from ghg.fgab import CapacityError, FgAbGroup, Homomorphism, IntMatrix, cokernel
-from ghg.verify import image, middle_group, subgroup_generators, subgroup_quotient_pairs
+from ghg.verify import extension_types, middle_group
 
 
 def _partitions(n: int) -> list[tuple[int, ...]]:
@@ -168,17 +168,15 @@ def test_torsion_types():
         assert all(b % a == 0 for a, b in zip(t, t[1:]))
 
 
-def test_subgroup_quotient_pairs_z4():
-    pairs = subgroup_quotient_pairs(FgAbGroup.cyclic(4))
-    as_names = {(str(s), str(q)) for s, q in pairs}
-    assert as_names == {("0", "Z/4"), ("Z/2", "Z/2"), ("Z/4", "0")}
-
-
 def test_realizes_extension():
-    z2_z4 = (FgAbGroup.cyclic(2), FgAbGroup.cyclic(4))
-    assert z2_z4 in subgroup_quotient_pairs(FgAbGroup.cyclic(8))
-    assert z2_z4 in subgroup_quotient_pairs(FgAbGroup.of(0, (2, 4)))
-    assert z2_z4 not in subgroup_quotient_pairs(FgAbGroup.of(0, (2, 2, 2)))
+    """Z/4 has the subgroup/quotient pairs (0, Z/4), (Z/2, Z/2) and
+    (Z/4, 0); Z/8 and Z/2 + Z/4 have a subgroup Z/2 with quotient Z/4,
+    and (Z/2)^3 has none."""
+    z2, z4 = FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
+    for sub, quot in ((FgAbGroup(0), z4), (z2, z2), (z4, FgAbGroup(0))):
+        assert z4 in extension_types(sub, quot)
+    assert extension_types(z2, z4) == (FgAbGroup.of(0, (2, 4)), FgAbGroup.cyclic(8))
+    assert FgAbGroup.of(0, (2, 2, 2)) not in extension_types(z2, z4)
 
 
 def test_candidate_invariants_random():
@@ -231,53 +229,28 @@ def test_resolve_multi_prime():
     assert [c.invariant_factors for c in r.candidates] == [(2, 180), (3, 120), (6, 60), (360,)]
 
 
-def test_candidates_match_brute_force():
+def test_candidates_match_ext():
     """For every pair of nontrivial finite groups with |sub| * |quot| <= 64,
-    the candidates are exactly the groups of that order in which
-    subgroup enumeration finds a subgroup of type sub with quotient quot."""
+    the candidates are exactly the Ext^1 types of the extensions of quot
+    by sub. (Z/2)^3 by (Z/2)^3 has 2^9 classes, past the cap, and its
+    candidates are the four types of order 64 with a (Z/2)^3 subgroup
+    of quotient (Z/2)^3."""
     groups = [FgAbGroup(0, t) for n in range(2, 33) for t in torsion_types_of_order(n)]
+    cube = FgAbGroup(0, (2, 2, 2))
     pairs = 0
     for sub in groups:
         for quot in groups:
-            order = sub.order * quot.order
-            if order > 64:
+            if sub.order * quot.order > 64:
                 continue
             r = resolve_extension(sub, quot)
-            want = tuple(
-                FgAbGroup(0, t)
-                for t in torsion_types_of_order(order)
-                if (sub, quot) in subgroup_quotient_pairs(FgAbGroup(0, t))
-            )
-            assert r.candidates == want, (sub, quot)
+            if sub == quot == cube:
+                assert extension_types(sub, quot) is None
+                assert [c.invariant_factors for c in r.candidates] == [
+                    (2,) * 6, (2, 2, 2, 2, 4), (2, 2, 4, 4), (4, 4, 4)]
+            else:
+                assert r.candidates == extension_types(sub, quot), (sub, quot)
             pairs += 1
     assert pairs == 308
-
-
-def test_subgroup_counts():
-    """subgroup_generators finds each subgroup exactly once: the known
-    counts, (2,)*6 being the 2825 subspaces of F_2^6, with every
-    returned tuple closed by a plain loop and no subgroup repeated."""
-    known = {
-        (12,): 6, (2, 2): 5, (2, 2, 2): 16, (2, 2, 2, 2): 67, (3, 3): 6,
-        (2, 4): 8, (4, 4): 15, (2, 8): 11, (2, 2, 4): 27, (6, 6): 30,
-        (2,) * 6: 2825,
-    }
-    for moduli, count in known.items():
-        found = subgroup_generators(moduli)
-        assert len(found) == count, moduli
-        closed = set()
-        for gens in found:
-            subgroup = {(0,) * len(moduli)}
-            while True:
-                bigger = subgroup | {
-                    tuple((a + b) % m for a, b, m in zip(h, g, moduli))
-                    for h in subgroup for g in gens
-                }
-                if bigger == subgroup:
-                    break
-                subgroup = bigger
-            closed.add(frozenset(subgroup))
-        assert len(closed) == count, moduli
 
 
 def test_lr_walk_takes_a_thousand_rows():
@@ -319,29 +292,23 @@ def test_free_rank_candidate_counts():
 
 
 def test_free_rank_exhaustive():
-    """X = Z + T with |T| <= 6 and Z^2 + T with |T| <= 2. Every subgroup S
-    containing nX, n = 2 * exponent(T), is generated by nX and lifts of
-    a subgroup of X/nX. resolve_extension(S, X/S) must list X, and every
-    swept group it lists for a finite X/S of exponent dividing its n must
-    realize (S, X/S) in the sweep, so the candidates are exact."""
-    family = [FgAbGroup(r, t) for r, top in ((1, 6), (2, 2))
-              for order in range(1, top + 1) for t in torsion_types_of_order(order)]
-    modulus = {x: 2 * max(x.invariant_factors, default=1) for x in family}
-    realized = {}
-    for x, n in modulus.items():
-        lattice = [tuple(n * (i == j) for i in range(x.ngens)) for j in range(x.rank)]
-        for gens in subgroup_generators((n,) * x.rank + x.invariant_factors):
-            cols = lattice + list(gens)
-            phi = Homomorphism(FgAbGroup(len(cols)), x, IntMatrix.from_columns(cols, x.ngens))
-            sub, quot = image(phi), cokernel(phi)
-            realized.setdefault((sub, quot), set()).add(x)
-    absorbed = 0
-    for (sub, quot), xs in realized.items():
-        r = resolve_extension(sub, quot)
-        assert xs <= set(r.candidates), (sub, quot)
-        exponent = max(quot.invariant_factors, default=1)
-        for c in r.candidates:
-            if quot.rank == 0 and c in modulus and modulus[c] % exponent == 0:
-                assert c in xs, (c, sub, quot)
-        absorbed += any(c.torsion_order < sub.torsion_order * quot.torsion_order for c in r.candidates)
-    assert len(realized) == 80 and absorbed > 0
+    """Every (sub, quot) with free ranks at most 2 summing to at most 3,
+    torsion orders at most 16 and their product at most 32: the
+    candidates equal the Ext^1 types wherever there are at most
+    EXT_CLASSES classes, and a free sub absorbs torsion somewhere."""
+    groups = [FgAbGroup(r, t) for r in range(3) for n in range(1, 17)
+              for t in torsion_types_of_order(n)]
+    pairs = compared = absorbed = 0
+    for sub in groups:
+        for quot in groups:
+            if sub.rank + quot.rank > 3 or sub.torsion_order * quot.torsion_order > 32:
+                continue
+            r = resolve_extension(sub, quot)
+            types = extension_types(sub, quot)
+            if types is not None:
+                assert r.candidates == types, (sub, quot)
+                compared += 1
+            pairs += 1
+            absorbed += any(c.torsion_order < sub.torsion_order * quot.torsion_order
+                            for c in r.candidates)
+    assert (pairs, compared) == (1200, 1167) and absorbed > 0

@@ -46,6 +46,36 @@ def test_free_rank_oracle_catches_unabsorbed_torsion(monkeypatch):
         verify.check_free_rank_oracle(CAT, random.Random(verify.SEED))
 
 
+def test_free_rank_oracle_catches_a_spurious_candidate(monkeypatch):
+    """A resolve_extension that also lists a cyclic group of twice the full
+    torsion order still lists every source group, so only the comparison
+    with the Ext^1 types catches it."""
+    real = verify.resolve_extension
+
+    def spurious(sub, quot):
+        extra = FgAbGroup.cyclic(2 * sub.torsion_order * quot.torsion_order)
+        return SequenceResult(sub, quot, real(sub, quot).candidates + (extra,))
+
+    verify.check_free_rank_oracle(CAT, random.Random(verify.SEED))
+    monkeypatch.setattr(verify, "resolve_extension", spurious)
+    with pytest.raises(verify.CheckFailure, match="Ext\\^1 gives"):
+        verify.check_free_rank_oracle(CAT, random.Random(verify.SEED))
+
+
+def test_extension_types_small_cases():
+    z2, z4 = FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
+    z, z_z2 = FgAbGroup(1), FgAbGroup(1, (2,))
+    assert verify.extension_types(z2, z2) == (FgAbGroup(0, (2, 2)), z4)
+    # the doubling map Z -> Z has cokernel Z/2
+    assert verify.extension_types(z, z2) == (z, z_z2)
+    assert verify.extension_types(z2, z) == (z_z2,)
+    for g in (z_z2, FgAbGroup(2, (2, 6))):
+        assert verify.extension_types(FgAbGroup(0), g) == (g,)
+        assert verify.extension_types(g, FgAbGroup(0)) == (g,)
+    cube = FgAbGroup(0, (2, 2, 2))
+    assert verify.extension_types(cube, cube) is None
+
+
 def test_library_has_no_assert_statements():
     """python -O strips assert, so library self-checks must be explicit."""
     offenders = []
