@@ -168,13 +168,19 @@ def test_torsion_types():
         assert all(b % a == 0 for a, b in zip(t, t[1:]))
 
 
-def test_realizes_extension():
+def test_subgroup_quotient_pairs_z4():
     """Z/4 has the subgroup/quotient pairs (0, Z/4), (Z/2, Z/2) and
-    (Z/4, 0); Z/8 and Z/2 + Z/4 have a subgroup Z/2 with quotient Z/4,
-    and (Z/2)^3 has none."""
+    (Z/4, 0), so each of them has Z/4 among its extensions."""
     z2, z4 = FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
-    for sub, quot in ((FgAbGroup(0), z4), (z2, z2), (z4, FgAbGroup(0))):
-        assert z4 in extension_types(sub, quot)
+    assert extension_types(FgAbGroup(0), z4) == (z4,)
+    assert extension_types(z2, z2) == (FgAbGroup.of(0, (2, 2)), z4)
+    assert extension_types(z4, FgAbGroup(0)) == (z4,)
+
+
+def test_realizes_extension():
+    """Z/8 and Z/2 + Z/4 have a subgroup Z/2 with quotient Z/4, and
+    (Z/2)^3 has none."""
+    z2, z4 = FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
     assert extension_types(z2, z4) == (FgAbGroup.of(0, (2, 4)), FgAbGroup.cyclic(8))
     assert FgAbGroup.of(0, (2, 2, 2)) not in extension_types(z2, z4)
 
