@@ -126,12 +126,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _int(text: str, what: str) -> int:
+    """int(text), or past the int digit limit a UsageError naming it."""
+    try:
+        return int(text)
+    except ValueError:
+        if sum(c.isdecimal() for c in text) <= sys.get_int_max_str_digits():
+            raise
+        raise UsageError(f"{what} has over {sys.get_int_max_str_digits()} digits") from None
+
+
 def _parse_base(text: str) -> Sphere | Surface:
     kind, sep, tail = text.partition(":")
     if not sep or not tail:
         raise UsageError(f"base must look like sphere:M or surface:G, got {text!r}")
     try:
-        value = int(tail)
+        value = _int(tail, "base parameter")
     except ValueError:
         raise UsageError(f"base parameter must be an integer, got {tail!r}") from None
     make = {"sphere": Sphere, "surface": Surface}.get(kind)
@@ -147,7 +157,7 @@ def _parse_class(text, group) -> tuple[int, ...]:
     if text is None:
         return (0,) * group.ngens
     try:
-        coords = tuple(int(part.strip()) for part in text.split(","))
+        coords = tuple(_int(part.strip(), "class coordinate") for part in text.split(","))
     except ValueError:
         raise UsageError(f"class coordinates must be integers, got {text!r}") from None
     if len(coords) == group.ngens:

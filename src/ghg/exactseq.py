@@ -1,25 +1,23 @@
 """Middle terms of five-term exact fragments A -> B -> X -> C -> D.
 
-Exactness pins X between sub = coker(A -> B) and quot = ker(C -> D):
-0 -> sub -> X -> quot -> 0. The resolution rules are deliberately
-small: a free quotient splits, a trivial side collapses, and anything
-else is answered one prime at a time. X has rank rank(sub) + rank(quot)
-and its torsion is an extension of tors sub by a subgroup T of
-tors quot, where (tors quot)/T needs at most rank(sub) generators (so
-T = tors quot when sub is finite). It splits into p-primary parts,
-each an extension of the p-part of sub by the p-part of T. A finite
-abelian p-group of type lam has a subgroup of
-type mu with quotient of type nu exactly when the Littlewood-Richardson
-coefficient c^lam_{mu nu} is positive (T. Klein, "The Hall polynomial",
-J. Algebra 12 (1969); Macdonald, Symmetric Functions and Hall
-Polynomials, Ch. II 4), so the candidates are every choice of one such
-lam per prime. Several candidates mean the answer is genuinely
-ambiguous and all of them are reported. ``verify`` checks the
-candidates against the middle groups of the classes of Ext^1(quot, sub).
+Exactness pins X between sub = coker(A -> B) and quot = ker(C -> D),
+0 -> sub -> X -> quot -> 0. The rules are deliberately small: a free
+quotient splits, a trivial side collapses, and anything else is answered
+one prime at a time. X has rank rank(sub) + rank(quot) and its torsion
+is an extension of tors sub by a subgroup T of tors quot, where
+(tors quot)/T needs at most rank(sub) generators (so T = tors quot when
+sub is finite); it splits into p-primary parts. A finite abelian p-group
+of type lam has a subgroup of type mu with quotient of type nu exactly
+when the Littlewood-Richardson coefficient c^lam_{mu nu} is positive
+(T. Klein, "The Hall polynomial", J. Algebra 12 (1969); Macdonald,
+Symmetric Functions and Hall Polynomials, Ch. II 4), so the candidates
+are every choice of one such lam per prime, found by merging LR tableaux
+of equal content and last row. Several candidates mean the answer is
+genuinely ambiguous and all of them are reported. ``verify`` checks them
+against the middle groups of the classes of Ext^1(quot, sub).
 """
 from __future__ import annotations
 
-import functools
 import itertools
 
 from .fgab import CapacityError, FgAbGroup, Value, direct_sum
@@ -72,12 +70,9 @@ def resolve_extension(
     3. otherwise the torsion order |tors sub| * |tors quot| must not
        exceed torsion_bound and the two exponents must factor by trial
        division up to 10^6 (CapacityError), and X has rank
-       r + rank(quot), r = rank(sub), with, at each prime p, a p-primary
-       part of every type lam in lr_support(mu, nu, r), where mu and nu
-       are the types of the p-parts of sub and quot: one LR walk of
-       shape lam/mu that keeps every tableau whose content sigma lies
-       inside nu and above the floor sigma_i >= nu_(i+r) (sigma = nu
-       when sub is finite).
+       r + rank(quot), r = rank(sub), and at each prime p a p-primary
+       part of every type in lr_support(mu, nu, r), mu and nu the types
+       of the p-parts of sub and quot (merged LR tableau states).
 
     The free part of quot splits off. The torsion of X meets sub in
     tors sub and maps onto a subgroup T of tors quot, and (tors quot)/T
@@ -137,27 +132,23 @@ def _row_fills(nu, used, caps) -> list[tuple[int, ...]]:
     return fills
 
 
-@functools.lru_cache(maxsize=None)
 def lr_support(mu: tuple[int, ...], nu: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
     """Every partition lam, sorted, with c^lam_{mu sigma} > 0 for the type
     sigma of a subgroup of the p-group of type nu whose quotient needs at
-    most r generators (for r = 0 only sigma = nu): the types of the
-    p-groups with a subgroup of type mu and quotient of such a type sigma.
+    most r generators. By Klein's theorem such a quotient has a type rho
+    with at most r parts and c^nu_{sigma rho} > 0, so sigma lies inside nu
+    with nu_(i+r) <= sigma_i (sigma = nu for r = 0): an LR tableau of
+    content rho is column-strict with entries at most len(rho), and
+    numbering each column of nu/sigma from the top gives one conversely.
 
-    By Klein's theorem sigma is allowed exactly when c^nu_{sigma rho} > 0
-    for some rho with at most r parts. Such a rho exists exactly when
-    sigma fits inside nu and no column of nu/sigma holds more than r
-    cells, i.e. nu_(i+r) <= sigma_i: an LR tableau is column-strict with
-    entries at most len(rho), and conversely numbering the cells of each
-    column of nu/sigma 1, 2, ... from the top gives an LR tableau.
-
-    One walk searches the LR tableaux of shape lam/mu and content inside
-    nu row by row. Row i of lam is mu_i plus the entries placed in it; an
-    entry k+1 in row i must sit below a cell of row i-1 that lies in mu or
-    holds at most k, which caps how many entries <= k+1 row i can take.
-    Every node is an LR tableau whose remaining rows are empty, and the
-    lattice-word rule keeps its content a partition inside nu, so the
-    walk records lam at every node whose content meets that column floor.
+    The LR tableaux of shape lam/mu and content inside nu grow a row of
+    lam at a time: row i is mu_i plus its entries, each entry k+1 below a
+    cell of row i-1 in mu or holding at most k, which caps the entries
+    <= k+1 that row i can take. What a tableau can become depends only on
+    its content and last row fill, so tableaux agreeing on both share one
+    state holding their rows of lam so far. A state is a tableau with its
+    remaining rows empty, so lam is recorded at every state whose content
+    meets the column floor.
 
     >>> lr_support((1,), (1,), 0)
     ((1, 1), (2,))
@@ -165,23 +156,22 @@ def lr_support(mu: tuple[int, ...], nu: tuple[int, ...], r: int) -> tuple[tuple[
     rows = mu + (0,) * len(nu)
     floor = nu[r:] + (0,) * min(r, len(nu))
     found = set()
-    stack = [(0, (0,) * len(nu), (), ())]  # an explicit stack: one level per row of lam
-    while stack:
-        i, used, above, lam = stack.pop()
-        if all(u >= f for u, f in zip(used, floor)):
-            found.add(tuple(x for x in lam + rows[i:] if x))
-            if used == nu:
-                continue
-        if i == len(rows) or (i > 0 and rows[i - 1] == 0 and not any(above)):
-            continue  # below mu, an empty row leaves no room for the rest
-        if i == 0:
-            caps = (sum(nu),) * len(nu)
-        else:
-            caps = tuple(rows[i - 1] - rows[i] + sum(above[:k]) for k in range(len(nu)))
-        stack.extend(
-            (i + 1, tuple(u + a for u, a in zip(used, fill)), fill, lam + (rows[i] + sum(fill),))
-            for fill in _row_fills(nu, used, caps)
-        )
+    states = {((0,) * len(nu), ()): {()}}  # (content, last row fill) -> rows of lam so far
+    for i in range(len(rows) + 1):
+        merged = {}
+        for (used, above), prefixes in states.items():
+            if all(u >= f for u, f in zip(used, floor)):
+                found.update(tuple(x for x in lam + rows[i:] if x) for lam in prefixes)
+                if used == nu:
+                    continue
+            if i == len(rows) or (i > 0 and rows[i - 1] == 0 and not any(above)):
+                continue  # below mu, an empty row leaves no room for the rest
+            caps = [sum(nu)] * len(nu) if i == 0 else [
+                rows[i - 1] - rows[i] + sum(above[:k]) for k in range(len(nu))]
+            for fill in _row_fills(nu, used, caps):
+                key = (tuple(u + a for u, a in zip(used, fill)), fill)
+                merged.setdefault(key, set()).update(lam + (rows[i] + sum(fill),) for lam in prefixes)
+        states = merged
     return tuple(sorted(found))
 
 

@@ -213,6 +213,20 @@ def test_genus_four_million_refusal_is_fast(capsys):
     assert capsys.readouterr().err == "ghg: compute: extension torsion order exceeds the bound 10000\n"
 
 
+def test_integer_past_digit_limit_is_usage_error(capsys):
+    """A --base or --class integer with more digits than int() converts
+    is refused with the digit limit named, not as a non-integer."""
+    limit = sys.get_int_max_str_digits()
+    huge = "9" * (limit + 1)
+    for base, clazz, what in ((f"sphere:{huge}", "0", "base parameter"),
+                              ("sphere:4", huge, "class coordinate")):
+        code = cli.run(["compute", "--group", "SU2", "--base", base, "--class", clazz,
+                        "--degree", "2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"ghg: usage error: {what} has over {limit} digits\n"
+
+
 def test_negative_torsion_bound_is_usage_error(capsys):
     code = cli.run(["compute", "--group", "SU2", "--base", "sphere:4",
                     "--class", "0", "--degree", "2", "--torsion-bound", "-1"])

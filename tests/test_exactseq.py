@@ -9,6 +9,7 @@ from ghg.exactseq import (
     _assemble,
     _primary_type,
     _primes,
+    _row_fills,
     lr_support,
     resolve_extension,
 )
@@ -260,11 +261,64 @@ def test_candidates_match_ext():
 
 
 def test_lr_walk_takes_a_thousand_rows():
-    """lr_support walks with an explicit stack, one level per row of lam,
-    so sub = (Z/2)^1200 under a raised bound answers rather than
+    """lr_support loops over the rows of lam rather than recursing, so
+    sub = (Z/2)^1200 under a raised bound answers rather than
     overflowing the interpreter stack."""
     result = resolve_extension(FgAbGroup(0, (2,) * 1200), FgAbGroup.cyclic(2), 10**1000)
     assert result.candidates == (FgAbGroup(0, (2,) * 1201), FgAbGroup(0, (2,) * 1199 + (4,)))
+
+
+def _lr_walk(mu, nu, r):
+    """The reference for lr_support: one walk over the LR tableaux of
+    shape lam/mu and content inside nu, a node per tableau, each row of
+    lam a level of an explicit stack."""
+    rows = mu + (0,) * len(nu)
+    floor = nu[r:] + (0,) * min(r, len(nu))
+    found = set()
+    stack = [(0, (0,) * len(nu), (), ())]
+    while stack:
+        i, used, above, lam = stack.pop()
+        if all(u >= f for u, f in zip(used, floor)):
+            found.add(tuple(x for x in lam + rows[i:] if x))
+            if used == nu:
+                continue
+        if i == len(rows) or (i > 0 and rows[i - 1] == 0 and not any(above)):
+            continue
+        if i == 0:
+            caps = (sum(nu),) * len(nu)
+        else:
+            caps = tuple(rows[i - 1] - rows[i] + sum(above[:k]) for k in range(len(nu)))
+        stack.extend(
+            (i + 1, tuple(u + a for u, a in zip(used, fill)), fill, lam + (rows[i] + sum(fill),))
+            for fill in _row_fills(nu, used, caps)
+        )
+    return tuple(sorted(found))
+
+
+def test_lr_support_matches_tableau_walk():
+    """Merging tableaux by content and last row loses no lam: lr_support
+    equals the per-tableau walk on every (mu, nu, r) with |mu| + |nu| <= 10
+    and r <= 2."""
+    triples = 0
+    for n in range(11):
+        for a in range(n + 1):
+            for mu in _partitions(a):
+                for nu in _partitions(n - a):
+                    for r in range(3):
+                        assert lr_support(mu, nu, r) == _lr_walk(mu, nu, r), (mu, nu, r)
+                        triples += 1
+    assert triples == 3645
+
+
+def test_wide_ladder_extension_fast():
+    """Z + Z/2 + ... + Z/32 by Z/2 + ... + Z/32 has torsion order 2^30 and
+    6,249 candidates; merged tableau states answer it in well under the
+    time a per-tableau walk takes."""
+    ladder = (2, 4, 8, 16, 32)
+    start = time.perf_counter()
+    r = resolve_extension(FgAbGroup.of(1, ladder), FgAbGroup.of(0, ladder), 2**30)
+    assert time.perf_counter() - start < 2.0
+    assert len(r.candidates) == 6249
 
 
 def test_lr_support_free_rank_matches_definition():
