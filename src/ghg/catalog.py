@@ -9,7 +9,7 @@ abelian entry all reject the whole file. Catalog serves names, entries
 and pi tables; pairings and rational exponents are read off the entry
 (GroupCatalogEntry.samelson, .rational_exponents). A pairing missing
 from entry.samelson is unknown, never a silent zero:
-gaugecalc.connecting_hom_sphere raises PairingUnavailable for it.
+gaugecalc raises PairingUnavailable for it.
 """
 from __future__ import annotations
 

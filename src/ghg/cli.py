@@ -104,13 +104,13 @@ def _build_parser() -> _Parser:
             default=None,
             help="bundle class as comma-separated coordinates (default: 0)",
         )
-        p.add_argument("--degree", type=int, required=True, help="homotopy degree, >= 1")
+        p.add_argument("--degree", type=_int("degree"), required=True, help="homotopy degree, >= 1")
 
     p = sub.add_parser("compute", parents=[common], help="integral homotopy group")
     bundle_args(p)
     p.add_argument(
         "--torsion-bound",
-        type=int,
+        type=_int("torsion bound"),
         default=DEFAULT_TORSION_BOUND,
         help=f"largest extension torsion order to resolve (default: {DEFAULT_TORSION_BOUND})",
     )
@@ -121,19 +121,23 @@ def _build_parser() -> _Parser:
     sub.add_parser("catalog", parents=[common], help="list the catalogued groups")
 
     p = sub.add_parser("verify", parents=[common], help="run the invariant checks")
-    p.add_argument("--seed", type=int, default=SEED, help=f"random seed (default: {SEED})")
+    p.add_argument("--seed", type=_int("seed"), default=SEED, help=f"random seed (default: {SEED})")
 
     return parser
 
 
-def _int(text: str, what: str) -> int:
-    """int(text), or past the int digit limit a UsageError naming it."""
-    try:
-        return int(text)
-    except ValueError:
-        if sum(c.isdecimal() for c in text) <= sys.get_int_max_str_digits():
-            raise
-        raise UsageError(f"{what} has over {sys.get_int_max_str_digits()} digits") from None
+def _int(what: str):
+    """An int parser for the value named what: named int, so that argparse keeps
+    its "invalid int value" text, and past the int digit limit a UsageError."""
+    def parse(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            if sum(c.isdecimal() for c in text) <= sys.get_int_max_str_digits():
+                raise
+            raise UsageError(f"{what} has over {sys.get_int_max_str_digits()} digits") from None
+    parse.__name__ = "int"
+    return parse
 
 
 def _parse_base(text: str) -> Sphere | Surface:
@@ -141,7 +145,7 @@ def _parse_base(text: str) -> Sphere | Surface:
     if not sep or not tail:
         raise UsageError(f"base must look like sphere:M or surface:G, got {text!r}")
     try:
-        value = _int(tail, "base parameter")
+        value = _int("base parameter")(tail)
     except ValueError:
         raise UsageError(f"base parameter must be an integer, got {tail!r}") from None
     make = {"sphere": Sphere, "surface": Surface}.get(kind)
@@ -157,7 +161,7 @@ def _parse_class(text, group) -> tuple[int, ...]:
     if text is None:
         return (0,) * group.ngens
     try:
-        coords = tuple(_int(part.strip(), "class coordinate") for part in text.split(","))
+        coords = tuple(_int("class coordinate")(part.strip()) for part in text.split(","))
     except ValueError:
         raise UsageError(f"class coordinates must be integers, got {text!r}") from None
     if len(coords) == group.ngens:

@@ -11,6 +11,7 @@ A zero map takes no reduction: coker(0: A -> B) = B, ker(0: A -> B) = A,
 nor a well-definedness scan: a zero matrix is a homomorphism between any
 two groups. A chain is its own canonical form, so FgAbGroup.of returns it
 as given and merges other orders; any other chain is a Smith diagonal.
+A sum with a trivial summand is the other summand, with no merge.
 
 Conventions used throughout:
 
@@ -441,4 +442,6 @@ def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     >>> str(direct_sum(FgAbGroup.cyclic(2), FgAbGroup.cyclic(3)))
     'Z/6'
     """
+    if a.is_trivial or b.is_trivial:
+        return b if a.is_trivial else a
     return FgAbGroup.of(a.rank + b.rank, a.invariant_factors + b.invariant_factors)

@@ -11,7 +11,8 @@ whose connecting map is a negated Samelson product with b behind
               a |-> (0, ..., 0, -<a, b>)
 
 The last block is the stored pairing's homomorphism against -b, read
-off the catalog entry (entry.samelson[(n, dim - 1)].against(-b)).
+off the catalog entry (entry.samelson[(n, dim - 1)].against(-b)), or
+a structural zero (b = 0, an end trivial, K abelian) that builds no map.
 pi_n(Gau(P)) is then the middle term between coker(delta_(n+1)) and
 ker(delta_n). The zero blocks make coker(delta_(n+1)) the S^dim
 cokernel plus pi_(n+1)(K)^2g, and ker(delta_n) the S^dim kernel. A
@@ -22,7 +23,7 @@ a closed form in the exponents of K (entry.rational_exponents).
 """
 from __future__ import annotations
 
-from .catalog import Catalog
+from .catalog import Catalog, GroupCatalogEntry
 from .exactseq import DEFAULT_TORSION_BOUND, SequenceResult, TorsionBoundError, resolve_extension
 from .fgab import (
     FgAbGroup,
@@ -105,34 +106,42 @@ def make_bundle(catalog: Catalog, group: str, base: Sphere | Surface, coords) ->
     return BundleSpec(base, GroupElement(class_group(catalog, group, base), tuple(coords)))
 
 
+def _ends(catalog: Catalog, group: str, m: int, b: GroupElement, *degrees: int):
+    """The entry of group, then pi_d(group) for each d, once b is checked to lie in pi_(m-1)."""
+    entry, class_gp = catalog.entry(group), catalog.pi(group, m - 1)
+    if b.group != class_gp:
+        raise ValueError(f"bundle class must lie in pi_{m - 1}({group}) = {class_gp}")
+    return (entry, *(catalog.pi(group, d) for d in degrees))
+
+
+def _pairing_map(entry: GroupCatalogEntry, b: GroupElement, n: int, m: int,
+                 domain: FgAbGroup, codomain: FgAbGroup) -> Homomorphism | None:
+    """delta_n : domain = pi_n(K) -> codomain = pi_(n+m-1)(K) over S^m, or
+    None for a structural zero (an end trivial, b = 0, K abelian), decided
+    before pairing data is read; a missing pairing raises PairingUnavailable."""
+    if domain.is_trivial or codomain.is_trivial or b.is_zero or entry.abelian:
+        return None
+    pairing = entry.samelson.get((n, m - 1))
+    if pairing is None:
+        raise PairingUnavailable(entry.name, n, m - 1)
+    return pairing.against(-b)
+
+
 def connecting_hom_sphere(
     catalog: Catalog, group: str, m: int, b: GroupElement, n: int
 ) -> Homomorphism:
     """delta_n = -<., b> = <., -b> : pi_n(K) -> pi_(n+m-1)(K) over S^m,
-    the stored pairing's homomorphism against -b (it is biadditive).
-
-    Zero without consulting pairing data when either end is trivial,
-    when b = 0 (which a trivial pi_(m-1) forces), or when K is abelian;
-    else the pairing is read off entry.samelson. Only here are a stored
-    pairing, a structural zero, a degree past the pi table (catalog.pi's
-    TableDepthError) and a missing pairing (PairingUnavailable) told apart.
+    the stored pairing's homomorphism against -b (it is biadditive), or
+    zero where _pairing_map, the one place the rules live, finds a
+    structural zero. A degree past the pi table raises TableDepthError.
     """
     if n < 1:
         raise ValueError("connecting map degree must be >= 1")
     if m < 1:
         raise ValueError("sphere dimension must be >= 1")
-    entry = catalog.entry(group)
-    class_gp = catalog.pi(group, m - 1)
-    if b.group != class_gp:
-        raise ValueError(f"bundle class must lie in pi_{m - 1}({group}) = {class_gp}")
-    domain = catalog.pi(group, n)
-    codomain = catalog.pi(group, n + m - 1)
-    if domain.is_trivial or codomain.is_trivial or b.is_zero or entry.abelian:
-        return Homomorphism.zero(domain, codomain)
-    pairing = entry.samelson.get((n, m - 1))
-    if pairing is None:
-        raise PairingUnavailable(group, n, m - 1)
-    return pairing.against(-b)
+    entry, domain, codomain = _ends(catalog, group, m, b, n, n + m - 1)
+    f = _pairing_map(entry, b, n, m, domain, codomain)
+    return Homomorphism.zero(domain, codomain) if f is None else f
 
 
 def connecting_hom_surface(
@@ -175,31 +184,32 @@ def gauge_homotopy(
 
         pi_(n+1)(K) --delta--> (target) -> pi_n(Gau P) -> pi_n(K) --delta--> (target)
 
-    with both connecting maps built from catalogued Samelson data.
-    sub = coker delta_(n+1) takes one Smith diagonal (cokernel) and
-    quot = ker delta_n two (kernel), with no transforms, and a zero map
-    takes none (coker(0: A -> B) = B, ker(0: A -> B) = A). Both maps are
-    the S^dim maps with 2*genus zero blocks added, so the cokernel of
-    delta_(n+1) gains pi_(n+1)(K)^2g as a direct summand and the kernel
-    of delta_n is the S^dim kernel. A trivial bundle (class 0) splits:
-    evaluation Gau(P) = Map(B, K) -> K has the constant-map section, so
-    the answer is sub + quot, settled before the torsion bound like the
-    split rules of resolve_extension. When the genus summand alone
-    forces the torsion order past the bound, the query is refused before
-    that summand is built.
+    with both connecting maps read off one catalog entry. A structural
+    zero builds no map (coker(0: A -> B) = B, ker(0: A -> B) = A); else
+    coker takes one Smith diagonal and ker two, with no transforms. The
+    2*genus zero blocks make coker delta_(n+1) the S^dim cokernel plus
+    pi_(n+1)(K)^2g and ker delta_n the S^dim kernel. A trivial bundle
+    (class 0) splits: evaluation Gau(P) = Map(B, K) -> K has the
+    constant-map section, so the answer is sub + quot, settled before the
+    torsion bound like the split rules of resolve_extension. When the
+    genus summand alone forces the torsion order past the bound, the
+    query is refused before that summand is built. Errors come in
+    connecting_hom_sphere's order, delta_(n+1) first.
     """
     if n < 1:
         raise ValueError("gauge homotopy degrees start at 1 (degree 0 is out of scope)")
-    base = bundle.base
-    left = connecting_hom_sphere(catalog, group, base.dim, bundle.clazz, n + 1)
-    right = connecting_hom_sphere(catalog, group, base.dim, bundle.clazz, n)
-    coker, k, h1 = cokernel(left), 2 * base.genus, left.domain
-    quot = kernel(right)
+    dim, k, b = bundle.base.dim, 2 * bundle.base.genus, bundle.clazz
+    entry, h1, top, pin, bottom = _ends(catalog, group, dim, b, n + 1, n + dim, n, n + dim - 1)
+    left = _pairing_map(entry, b, n + 1, dim, h1, top)
+    right = _pairing_map(entry, b, n, dim, pin, bottom)
+    coker = top if left is None else cokernel(left)
+    quot = pin if right is None else kernel(right)
     if (k >= max(1, torsion_bound.bit_length()) and h1.invariant_factors
-            and quot.invariant_factors and not bundle.clazz.is_zero):
+            and quot.invariant_factors and not b.is_zero):
         raise TorsionBoundError(torsion_bound)  # |tors sub| >= 2^k > bound, tors quot != 0
-    sub = FgAbGroup.of(coker.rank + k * h1.rank, coker.invariant_factors + k * h1.invariant_factors)
-    if bundle.clazz.is_zero:
+    sub = coker if not k or h1.is_trivial else FgAbGroup.of(
+        coker.rank + k * h1.rank, coker.invariant_factors + k * h1.invariant_factors)
+    if b.is_zero:
         return SequenceResult(sub, quot, (direct_sum(sub, quot),))
     return resolve_extension(sub, quot, torsion_bound)
 

@@ -21,6 +21,7 @@ included.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from math import gcd, prod
 
@@ -99,7 +100,7 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         raise ValueError("shape mismatch in product")
     # zip(*()) is empty, but a product with no inner dimension is zero
     bcols = list(zip(*b.data)) if b.rows else [()] * b.cols
-    return IntMatrix([[sum(x * y for x, y in zip(row, col)) for col in bcols]
+    return IntMatrix([[sum(map(operator.mul, row, col)) for col in bcols]
                       for row in a.data], b.cols)
 
 

@@ -227,6 +227,24 @@ def test_integer_past_digit_limit_is_usage_error(capsys):
         assert captured.err == f"ghg: usage error: {what} has over {limit} digits\n"
 
 
+def test_option_integer_past_digit_limit_is_usage_error(capsys):
+    """--degree, --torsion-bound and --seed name the int digit limit as
+    --base and --class do, rather than echo every digit as no int; a value
+    that is no integer at all keeps argparse's own message."""
+    limit = sys.get_int_max_str_digits()
+    compute = ["compute", "--group", "SU2", "--base", "sphere:4", "--class", "0", "--degree"]
+    for value, template in (("9" * 5000, "ghg: usage error: {what} has over %d digits\n" % limit),
+                            ("abc", "ghg: usage error: argument {flag}: invalid int value: 'abc'\n")):
+        for argv, flag, what in ((compute + [value], "--degree", "degree"),
+                                 (compute + ["2", "--torsion-bound", value], "--torsion-bound",
+                                  "torsion bound"),
+                                 (["verify", "--seed", value], "--seed", "seed")):
+            code = cli.run(argv)
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err == template.format(what=what, flag=flag)
+
+
 def test_negative_torsion_bound_is_usage_error(capsys):
     code = cli.run(["compute", "--group", "SU2", "--base", "sphere:4",
                     "--class", "0", "--degree", "2", "--torsion-bound", "-1"])

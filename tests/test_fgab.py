@@ -38,6 +38,7 @@ from ghg.verify import (
     relation_matrix,
     snf,
 )
+from test_golden import answered_queries
 
 
 def diagonal(m):
@@ -515,6 +516,44 @@ def test_snf_calls_per_query(monkeypatch):
         calls.clear()
         assert function(arg) == want
         assert len(calls) == count
+
+
+def test_objects_built_per_query(monkeypatch):
+    """A structural zero connecting map (class 0, an end trivial, K
+    abelian) builds no Homomorphism and no IntMatrix, and a sphere sub
+    is the cokernel itself, so the work is pinned and not only the time:
+    exact totals over the answered queries of tests/golden_compute.jsonl.
+    Only the stored pairing's map of a nonzero class is built."""
+    cat = default_catalog()
+    queries = answered_queries(cat)
+    counts = Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Homomorphism, "__init__", counting("Homomorphism", Homomorphism.__init__))
+    monkeypatch.setattr(IntMatrix, "__init__", counting("IntMatrix", IntMatrix.__init__))
+    monkeypatch.setattr(FgAbGroup, "of", classmethod(counting("of", FgAbGroup.of.__func__)))
+    # (group, base, class, degree, maps built): class 0 and SU2's
+    # delta_2, delta_1 over S^4 (pi_2 = pi_1 = 0) are structural zeros;
+    # at degree 2 with class 3, delta_3 is the stored pairing's map
+    for group, base, clazz, n, built in (("SU2", Sphere(4), (0,), 2, 0),
+                                         ("SU2", Sphere(4), (3,), 1, 0),
+                                         ("TEST", Surface(1), (0,), 2, 0),
+                                         ("SU2", Sphere(4), (3,), 2, 1)):
+        bundle = make_bundle(cat, group, base, clazz)
+        counts.clear()
+        gauge_homotopy(cat, group, bundle, n)
+        assert counts["Homomorphism"] == counts["IntMatrix"] == built
+    counts.clear()
+    for group, bundle, n in queries:
+        gauge_homotopy(cat, group, bundle, n)
+    # 46 stored pairings' maps; every other connecting map is a structural zero
+    assert len(queries) == 538
+    assert counts == {"Homomorphism": 92, "IntMatrix": 92, "of": 284}
 
 
 def test_engine_modules_hold_no_transform_algebra():

@@ -26,6 +26,7 @@ from ghg.gaugecalc import (
     make_bundle,
 )
 from ghg.verify import image, middle_group, rational_via_zero_sequence
+from test_golden import answered_queries
 
 CAT = default_catalog()
 
@@ -277,6 +278,25 @@ def test_surface_split_matches_literal_maps(group, degree, coords):
             connecting_hom_surface(CAT, group, genus, bundle.clazz, degree),
         )
         assert gauge_homotopy(CAT, group, bundle, degree) == literal
+
+
+def test_sphere_queries_match_literal_maps():
+    """On every answered sphere query of the golden grid, the engine, which
+    builds no structural zero map, equals middle_group of the public maps
+    connecting_hom_sphere builds. Class 0 splits in the engine, so there
+    the literal candidates must contain its split answer."""
+    spheres = [q for q in answered_queries(CAT) if isinstance(q[1].base, Sphere)]
+    assert len(spheres) == 256
+    for group, bundle, n in spheres:
+        b, m = bundle.clazz, bundle.base.dim
+        literal = middle_group(connecting_hom_sphere(CAT, group, m, b, n + 1),
+                               connecting_hom_sphere(CAT, group, m, b, n))
+        got = gauge_homotopy(CAT, group, bundle, n)
+        if b.is_zero:
+            assert (got.sub, got.quot) == (literal.sub, literal.quot)
+            assert got.resolved in literal.candidates
+        else:
+            assert got == literal
 
 
 def test_rational_values():

@@ -41,7 +41,7 @@ from unittest.mock import patch
 
 from ghg import __version__, cli
 from ghg.catalog import CatalogError, default_catalog
-from ghg.gaugecalc import Sphere, Surface, class_group
+from ghg.gaugecalc import Sphere, Surface, class_group, make_bundle
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden_compute.jsonl"
@@ -137,6 +137,14 @@ def record(argv):
 def load_golden(path=GOLDEN):
     with path.open(encoding="utf-8") as fh:
         return [json.loads(line) for line in fh]
+
+
+def answered_queries(catalog):
+    """(group, bundle, degree) of every answered line of the compute golden
+    file, read off its JSON document."""
+    docs = [json.loads(line["stdout"]) for line in load_golden() if line["exit"] == 0]
+    return [(doc["group"], make_bundle(catalog, doc["group"], cli._parse_base(doc["base"]),
+                                       doc["class"]), doc["degree"]) for doc in docs]
 
 
 def test_golden_corpus_covers_every_query_kind():
