@@ -101,7 +101,8 @@ def resolve_extension(
         p: lr_support(_primary_type(sub, p), _primary_type(quot, p), sub.rank)
         for p in set().union(*map(_primes, exponents))
     }
-    return SequenceResult(sub, quot, (FgAbGroup(rank, factors) for factors in _assemble(per_prime)))
+    # each chain of _assemble is the invariant factors of an FgAbGroup.of
+    return SequenceResult(sub, quot, (FgAbGroup._from_chain(rank, c) for c in _assemble(per_prime)))
 
 
 def _primary_type(group: FgAbGroup, p: int) -> tuple[int, ...]:

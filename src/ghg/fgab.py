@@ -11,7 +11,7 @@ A zero map takes no reduction: coker(0: A -> B) = B, ker(0: A -> B) = A,
 nor a well-definedness scan: a zero matrix is a homomorphism between any
 two groups. A chain is its own canonical form, so FgAbGroup.of returns it
 as given and merges other orders; any other chain is a Smith diagonal.
-A sum with a trivial summand is the other summand, with no merge.
+A torsion-free (or trivial) summand leaves the other's chain as it is.
 
 Conventions used throughout:
 
@@ -196,7 +196,10 @@ class FgAbGroup(Value):
 
     ``rank`` free summands followed by cyclic summands whose orders form
     a divisibility chain; the constructor rejects anything else, so two
-    groups are isomorphic exactly when they are equal.
+    groups are isomorphic exactly when they are equal. Each chain is
+    validated once, where it is formed: by the scan in ``of``, or by this
+    constructor, which checks ``of``'s merges and ``_smith``'s pivots.
+    ``_from_chain`` skips the scan, for a chain such as an existing group's.
 
     >>> str(FgAbGroup(2, (2, 6)))
     'Z^2 + Z/2 + Z/6'
@@ -217,6 +220,14 @@ class FgAbGroup(Value):
         object.__setattr__(self, "invariant_factors", facs)
 
     @classmethod
+    def _from_chain(cls, rank: int, chain: tuple[int, ...]) -> FgAbGroup:
+        """Z^rank + chain, with rank and chain already validated."""
+        group = object.__new__(cls)
+        object.__setattr__(group, "rank", rank)
+        object.__setattr__(group, "invariant_factors", chain)
+        return group
+
+    @classmethod
     def cyclic(cls, d: int) -> FgAbGroup:
         """Z/d, with Z/0 = Z and Z/1 trivial."""
         return cls.of(0, (d,))
@@ -229,11 +240,15 @@ class FgAbGroup(Value):
         partitions (Macdonald, Symmetric Functions and Hall Polynomials,
         II 1), so adding m copies of Z/d to a chain c is one sorted merge:
         slot i becomes lcm(c_(i-m), gcd(c_i, d)), padding c with 1 below
-        and d above. One merge per distinct order; it never factors.
+        and d above. One merge per distinct order; it never factors. Orders
+        that form a chain are scanned once and kept; a merged chain is
+        validated by the constructor, as a check of the merge.
         """
-        orders = tuple(map(abs, map(operator.index, orders)))
+        rank, orders = operator.index(rank), tuple(map(abs, map(operator.index, orders)))
+        if rank < 0:
+            raise ValueError("negative rank")
         if _is_chain(orders):  # invariant factors are unique
-            return cls(rank, orders)
+            return cls._from_chain(rank, orders)
         counts = Counter(orders)
         chain = []
         for d, m in counts.items():
@@ -284,6 +299,12 @@ def _presented(rows: list[list[int]], n: int) -> FgAbGroup:
     return FgAbGroup(n - len(pivots), tuple(x for x in pivots if x > 1))
 
 
+def _reduced(group: FgAbGroup, coords: tuple[int, ...]) -> tuple[int, ...]:
+    """Coordinates in group with each torsion entry reduced to [0, di)."""
+    rank = group.rank
+    return coords[:rank] + tuple(c % d for c, d in zip(coords[rank:], group.invariant_factors))
+
+
 class GroupElement(Value):
     """An element of a group in canonical form, as a coordinate row.
 
@@ -299,12 +320,8 @@ class GroupElement(Value):
             raise ValueError(
                 f"need {group.ngens} coordinates for {group}, got {len(coords)}"
             )
-        rank = group.rank
-        reduced = coords[:rank] + tuple(
-            c % d for c, d in zip(coords[rank:], group.invariant_factors)
-        )
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coords", reduced)
+        object.__setattr__(self, "coords", _reduced(group, coords))
 
     @classmethod
     def zero(cls, group: FgAbGroup) -> GroupElement:
@@ -431,7 +448,7 @@ def kernel(f: Homomorphism) -> FgAbGroup:
     lifted = [[d * (k == j) for k in range(dom.ngens)] + [-d * row[j] // e for row, e in torsion]
               for j, d in enumerate(dom.invariant_factors, dom.rank)]
     quotient = _presented(lifted, dom.ngens + len(torsion))
-    return FgAbGroup(_presented(free, dom.rank).rank, quotient.invariant_factors)
+    return FgAbGroup._from_chain(_presented(free, dom.rank).rank, quotient.invariant_factors)
 
 
 def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
@@ -444,4 +461,6 @@ def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     """
     if a.is_trivial or b.is_trivial:
         return b if a.is_trivial else a
-    return FgAbGroup.of(a.rank + b.rank, a.invariant_factors + b.invariant_factors)
+    if a.invariant_factors and b.invariant_factors:
+        return FgAbGroup.of(a.rank + b.rank, a.invariant_factors + b.invariant_factors)
+    return FgAbGroup._from_chain(a.rank + b.rank, a.invariant_factors or b.invariant_factors)

@@ -32,6 +32,7 @@ from .fgab import (
     IntMatrix,
     Value,
     _diagonal_relations,
+    _reduced,
     _smith,
     cokernel,
     direct_sum,
@@ -163,11 +164,8 @@ def connecting_hom_surface(
     canon = [j for j, x in enumerate(pivots) if x == 0] + [j for j, x in enumerate(pivots) if x > 1]
     rows = m[len(m) - last.codomain.ngens:]
     codomain = FgAbGroup.of(0, orders)
-    cols = [
-        GroupElement(codomain, [sum(r[j] * y[i] for r, y in zip(rows, last.matrix.data))
-                                for j in canon]).coords
-        for i in range(last.domain.ngens)
-    ]
+    cols = [_reduced(codomain, tuple(sum(r[j] * y[i] for r, y in zip(rows, last.matrix.data))
+                                     for j in canon)) for i in range(last.domain.ngens)]
     return Homomorphism(last.domain, codomain, IntMatrix.from_columns(cols, codomain.ngens))
 
 

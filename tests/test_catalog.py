@@ -16,7 +16,7 @@ from ghg.catalog import (
     load_catalog,
     resolve_catalog_path,
 )
-from ghg.fgab import FgAbGroup, GroupElement
+from ghg.fgab import FgAbGroup, GroupElement, Homomorphism, IntMatrix
 from ghg.gaugecalc import PairingUnavailable, connecting_hom_sphere
 from ghg.verify import image
 
@@ -215,6 +215,30 @@ def test_against_is_the_stored_table_as_a_homomorphism():
             # the columns are reduced coordinates, so they negate as elements
             assert [minus.apply(a) for a in gens] == [-p.against(b).apply(a) for a in gens]
             assert connecting_hom_sphere(cat, name, p.m + 1, b, p.n) == minus
+
+
+def reference_against(pairing, b):
+    """<., b> with column i the element sum sum_j b_j values[i][j], built
+    term by term in GroupElement arithmetic."""
+    zero = GroupElement.zero(pairing.target)
+    cols = [sum((y * v for y, v in zip(b.coords, row)), zero).coords for row in pairing.values]
+    return Homomorphism(pairing.source_n, pairing.target,
+                        IntMatrix.from_columns(cols, pairing.target.ngens))
+
+
+def test_against_matches_the_element_sum():
+    """The integer-coordinate against equals the element-sum definition,
+    entry for entry, on every stored pairing and every class with free
+    coordinates in -3..3 and every torsion residue."""
+    cat = default_catalog()
+    pairings = [p for name in cat.names() for p in cat.entry(name).samelson.values()]
+    assert len(pairings) == 5
+    for p in pairings:
+        axes = [range(-3, 4) if d == 0 else range(d) for d in p.source_m.generator_orders()]
+        for coords in itertools.product(*axes):
+            b = GroupElement(p.source_m, coords)
+            got, want = p.against(b), reference_against(p, b)
+            assert got == want and got.matrix.data == want.matrix.data, (p.n, p.m, coords)
 
 
 def test_load_roundtrip(tmp_path):

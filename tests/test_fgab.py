@@ -11,6 +11,7 @@ from math import prod
 
 import pytest
 
+import ghg.fgab
 from ghg.catalog import default_catalog
 from ghg.fgab import (
     FgAbGroup,
@@ -240,6 +241,27 @@ def test_of_never_factors():
     got = FgAbGroup.of(1, orders)
     assert time.perf_counter() - start < 1.0
     assert got == smith_route(1, orders)
+
+
+def test_of_rejects_negative_rank():
+    """Zero orders add to the rank, but cannot make up a negative one:
+    on the chain path and on the merge path alike."""
+    for orders in ((), (2,), (0,), (0, 2, 3), (0, 0, 4)):
+        with pytest.raises(ValueError, match="negative rank"):
+            FgAbGroup.of(-1, orders)
+    assert FgAbGroup.of(0, (0, 2, 3)) == FgAbGroup(1, (6,))
+
+
+def test_direct_sum_with_a_torsion_free_side_keeps_the_chain(monkeypatch):
+    """A torsion-free summand adds its rank and leaves the other chain as
+    it is: no merge, and no scan of a chain already validated."""
+    for a, b in ((FgAbGroup(2, (2, 6)), FgAbGroup(1)), (FgAbGroup(0, (3,)), FgAbGroup(0)),
+                 (FgAbGroup(1), FgAbGroup(0))):
+        want = FgAbGroup(a.rank + b.rank, a.invariant_factors + b.invariant_factors)
+        with monkeypatch.context() as patch:
+            patch.setattr(ghg.fgab, "_is_chain", None)  # any scan would raise
+            sums = direct_sum(a, b), direct_sum(b, a)
+        assert sums == (want, want)
 
 
 def test_canonical_names():
@@ -523,7 +545,9 @@ def test_objects_built_per_query(monkeypatch):
     abelian) builds no Homomorphism and no IntMatrix, and a sphere sub
     is the cokernel itself, so the work is pinned and not only the time:
     exact totals over the answered queries of tests/golden_compute.jsonl.
-    Only the stored pairing's map of a nonzero class is built."""
+    Only the stored pairing's map of a nonzero class is built, on integer
+    coordinates with no element per term, and each chain is scanned by
+    _is_chain once, where it is first formed."""
     cat = default_catalog()
     queries = answered_queries(cat)
     counts = Counter()
@@ -537,6 +561,8 @@ def test_objects_built_per_query(monkeypatch):
     monkeypatch.setattr(Homomorphism, "__init__", counting("Homomorphism", Homomorphism.__init__))
     monkeypatch.setattr(IntMatrix, "__init__", counting("IntMatrix", IntMatrix.__init__))
     monkeypatch.setattr(FgAbGroup, "of", classmethod(counting("of", FgAbGroup.of.__func__)))
+    monkeypatch.setattr(ghg.fgab, "_is_chain", counting("_is_chain", ghg.fgab._is_chain))
+    monkeypatch.setattr(GroupElement, "__init__", counting("GroupElement", GroupElement.__init__))
     # (group, base, class, degree, maps built): class 0 and SU2's
     # delta_2, delta_1 over S^4 (pi_2 = pi_1 = 0) are structural zeros;
     # at degree 2 with class 3, delta_3 is the stored pairing's map
@@ -548,12 +574,15 @@ def test_objects_built_per_query(monkeypatch):
         counts.clear()
         gauge_homotopy(cat, group, bundle, n)
         assert counts["Homomorphism"] == counts["IntMatrix"] == built
+        # -b, and nothing else: no element is built per term of the map
+        assert counts["GroupElement"] == built
     counts.clear()
     for group, bundle, n in queries:
         gauge_homotopy(cat, group, bundle, n)
     # 46 stored pairings' maps; every other connecting map is a structural zero
     assert len(queries) == 538
-    assert counts == {"Homomorphism": 92, "IntMatrix": 92, "of": 284}
+    assert counts == {"Homomorphism": 92, "IntMatrix": 92, "GroupElement": 92, "of": 206,
+                      "_is_chain": 395}
 
 
 def test_engine_modules_hold_no_transform_algebra():
@@ -670,12 +699,13 @@ def test_group_order_matches_enumeration_on_random_presentations():
 def test_module_doctests():
     import doctest
 
+    import ghg.catalog
     import ghg.exactseq
     import ghg.fgab
     import ghg.gaugecalc
     import ghg.verify
 
-    for module in (ghg.fgab, ghg.exactseq, ghg.gaugecalc, ghg.verify):
+    for module in (ghg.fgab, ghg.catalog, ghg.exactseq, ghg.gaugecalc, ghg.verify):
         result = doctest.testmod(module)
         assert result.attempted > 0
         assert result.failed == 0

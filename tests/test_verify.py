@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ghg import gaugecalc, verify
-from ghg.catalog import default_catalog
+from ghg.catalog import Catalog, PairingMatrix, default_catalog
 from ghg.exactseq import SequenceResult
 from ghg.fgab import FgAbGroup, Homomorphism
 
@@ -147,6 +147,21 @@ def test_rational_class_check_reads_the_engine(monkeypatch):
     with pytest.raises(verify.CheckFailure,
                        match=r"TEST over surface:2 class \(2,\): ranks \{5\}, not Q\^4"):
         verify.check_rational_class_independence(CAT, random.Random(verify.SEED))
+
+
+def test_catalog_check_catches_a_negated_pairing(monkeypatch):
+    """An against that negates its argument returns <., -b>. Its entries
+    are reduced coordinates, so the types cannot tell; the bilinear sum
+    does, on SU2's (3, 3) pairing into Z/12 and TEST's (1, 1) into Z/4."""
+    real = PairingMatrix.against
+    monkeypatch.setattr(PairingMatrix, "against", lambda pairing, b: real(pairing, -b))
+    for name, pairing in (("SU2", (3, 3)), ("TEST", (1, 1))):
+        alone = Catalog({name: CAT.entry(name)}, CAT.path)
+        with pytest.raises(verify.CheckFailure, match=rf"{name}: pairing \({pairing[0]},"
+                                                      rf"{pairing[1]}\) against .* bilinear"):
+            verify.check_catalog_consistency(alone, random.Random(verify.SEED))
+    report = {name: passed for name, passed, _ in verify.run_all(CAT)}
+    assert report["catalog_consistency"] is False
 
 
 def test_verify_under_optimize_replays_the_golden_report():
