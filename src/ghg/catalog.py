@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .fgab import FgAbGroup, GroupElement, Homomorphism, IntMatrix, Value, _reduced
+from .fgab import FgAbGroup, GroupElement, Homomorphism, Value, _reduced
 
 _ENTRY_FIELDS = {"name", "connected", "abelian", "rational_exponents", "pi", "samelson"}
 _PI_FIELDS = {"degree": int, "rank": int, "factors": list, "source": str}
@@ -107,24 +107,24 @@ class PairingMatrix(Value):
 
     def against(self, b: GroupElement) -> Homomorphism:
         """<., b> : pi_n -> pi_(n+m), a homomorphism since the pairing is
-        biadditive; its column i is sum_j b_j values[i][j], summed on
-        integer coordinates and then reduced modulo the target's
-        invariant factors, with no element built per term.
+        biadditive; the image of generator i is sum_j b_j values[i][j],
+        summed on integer coordinates and then reduced modulo the
+        target's invariant factors, with no element built per term.
 
         >>> z4 = FgAbGroup.cyclic(4)
         >>> pairing = PairingMatrix(1, 1, z4, z4, z4, ((GroupElement(z4, (1,)),),))
-        >>> pairing.against(GroupElement(z4, (-1,))).matrix
-        IntMatrix([[3]], cols=1)
+        >>> pairing.against(GroupElement(z4, (-1,))).images
+        ((3,),)
         """
         if b.group != self.source_m:
             raise ValueError(f"right argument must lie in pi_{self.m} = {self.source_m}")
         target = self.target
         if b.is_zero:  # also the case of no generators, where a row is empty
             return Homomorphism.zero(self.source_n, target)
-        cols = [_reduced(target, tuple(sum(map(operator.mul, b.coords, entries))
-                                       for entries in zip(*(v.coords for v in row))))
-                for row in self.values]
-        return Homomorphism(self.source_n, target, IntMatrix.from_columns(cols, target.ngens))
+        images = [_reduced(target, tuple(sum(map(operator.mul, b.coords, entries))
+                                         for entries in zip(*(v.coords for v in row))))
+                  for row in self.values]
+        return Homomorphism(self.source_n, target, images)
 
 
 class GroupCatalogEntry(Value):

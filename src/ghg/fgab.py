@@ -1,17 +1,17 @@
 """Exact algebra of finitely generated abelian groups.
 
-Everything in this module is arbitrary-precision integer arithmetic on
-small dense matrices: one in-place Smith reduction, canonical forms of
-groups, and the exact kernel and cokernel of a homomorphism between
-groups in canonical form, one function each, read off Smith diagonals
-alone, so the engine builds no unimodular transform: the cokernel
-from one reduction of [f^T ; rel_cod], the kernel by rank-nullity on the
+Everything in this module is arbitrary-precision integer arithmetic:
+one in-place Smith reduction, canonical forms of groups, and the exact
+kernel and cokernel of a homomorphism between groups in canonical form,
+one function each, read off Smith diagonals alone, so the engine builds
+no unimodular transform: the cokernel from one reduction of the images
+stacked over the codomain relations, the kernel by rank-nullity on the
 free block and the torsion of the domain relations lifted through f.
 A zero map takes no reduction: coker(0: A -> B) = B, ker(0: A -> B) = A,
-nor a well-definedness scan: a zero matrix is a homomorphism between any
-two groups. A chain is its own canonical form, so FgAbGroup.of returns it
-as given and merges other orders; any other chain is a Smith diagonal.
-A torsion-free (or trivial) summand leaves the other's chain as it is.
+and a zero image needs no well-definedness check. A chain is its own
+canonical form, so FgAbGroup.of returns it as given and merges other
+orders; any other chain is a Smith diagonal. A torsion-free (or trivial)
+summand leaves the other's chain as it is.
 
 Conventions used throughout:
 
@@ -20,10 +20,11 @@ Conventions used throughout:
 * element coordinates list the free generators first, then the torsion
   generators in factor order, torsion entries reduced to [0, di);
 * a cyclic order (or element order) of 0 means infinite, i.e. Z = Z/0;
-* a presentation is its relation matrix: a g-column matrix presents
-  Z^g modulo its row span, so relations are rows and elements are
-  coordinate rows over the generators. The cokernel of f is presented so
-  too: [f^T ; rel_cod] stacks the generator images over the relations.
+* a map is the images of its generators: images[j] is the codomain
+  coordinates of f(e_j);
+* a presentation is its relation rows: g-entry rows present Z^g modulo
+  their span, so coker f is presented by the images of f stacked over
+  the codomain relations.
 """
 from __future__ import annotations
 
@@ -78,45 +79,6 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class IntMatrix(Value):
-    """Immutable dense matrix over Z.
-
-    Entries are Python ints, so no intermediate result can overflow.
-    Rows of the constructor argument must all have the same length; the
-    column count must be passed explicitly only when there are no rows.
-    """
-
-    __slots__ = ("data", "cols")
-
-    def __init__(self, data, cols: int | None = None):
-        table = tuple(tuple(map(operator.index, row)) for row in data)
-        if table:
-            width = len(table[0])
-            if any(len(row) != width for row in table):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError("cols does not match row width")
-            cols = width
-        elif cols is None:
-            cols = 0
-        object.__setattr__(self, "data", table)
-        object.__setattr__(self, "cols", cols)
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
-
-    @classmethod
-    def from_columns(cls, columns, rows: int) -> IntMatrix:
-        columns = [tuple(c) for c in columns]
-        if any(len(c) != rows for c in columns):
-            raise ValueError("column of wrong height")
-        return cls([[c[i] for c in columns] for i in range(rows)], len(columns))
-
-    def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self.data]!r}, cols={self.cols})"
 
 
 def _smith(m: list[list[int]], nrows: int, ncols: int) -> list[int]:
@@ -357,62 +319,52 @@ class GroupElement(Value):
 
 
 class Homomorphism(Value):
-    """Integer matrix acting on canonical coordinates.
-
-    Columns are indexed by domain generators and rows by codomain
-    generators; torsion rows are read modulo their invariant factor.
-    Construction rejects matrices that do not kill the domain relations,
-    i.e. every column must be annihilated by its generator's order.
+    """A homomorphism as the tuple of its generators' images: images[j]
+    is the codomain coordinate tuple of f(e_j), torsion entries read
+    modulo their invariant factor. Construction rejects a wrong count or
+    length of images, and the image y of a generator of order d unless
+    d * y is 0 in the codomain; a zero image needs no check.
     """
 
-    __slots__ = ("domain", "codomain", "matrix")
+    __slots__ = ("domain", "codomain", "images")
 
-    def __init__(self, domain: FgAbGroup, codomain: FgAbGroup, matrix: IntMatrix):
-        if matrix.rows != codomain.ngens or matrix.cols != domain.ngens:
-            raise ValueError(
-                f"matrix is {matrix.rows}x{matrix.cols}, expected "
-                f"{codomain.ngens}x{domain.ngens}"
-            )
-        if any(map(any, matrix.data)):  # a zero matrix kills every relation
-            cod_orders = codomain.generator_orders()
-            for j, d in enumerate(domain.generator_orders()):
-                if d == 0:
-                    continue
-                for i, e in enumerate(cod_orders):
-                    val = d * matrix.data[i][j]
-                    if (val != 0) if e == 0 else (val % e != 0):
-                        raise ValueError(f"ill-defined homomorphism: generator {j} has order {d} "
-                                         f"but d*column is nonzero in coordinate {i}")
+    def __init__(self, domain: FgAbGroup, codomain: FgAbGroup, images):
+        images = tuple(tuple(map(operator.index, y)) for y in images)
+        if len(images) != domain.ngens or any(len(y) != codomain.ngens for y in images):
+            raise ValueError(f"need {domain.ngens} images of {codomain.ngens} coordinates")
+        for j, d in enumerate(domain.invariant_factors, domain.rank):
+            if any(images[j]) and any(_reduced(codomain, tuple(d * c for c in images[j]))):
+                raise ValueError(f"ill-defined homomorphism: generator {j} has order {d} "
+                                 f"but {d} times its image {images[j]} is nonzero")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def zero(cls, domain: FgAbGroup, codomain: FgAbGroup) -> Homomorphism:
-        return cls(domain, codomain, IntMatrix([[0] * domain.ngens] * codomain.ngens, domain.ngens))
+        return cls(domain, codomain, ((0,) * codomain.ngens,) * domain.ngens)
 
     def apply(self, element: GroupElement) -> GroupElement:
         if element.group != self.domain:
             raise ValueError("element not in the domain")
-        out = tuple(
-            sum(v * c for v, c in zip(row, element.coords)) for row in self.matrix.data
-        )
-        return GroupElement(self.codomain, out)
+        return GroupElement(self.codomain, tuple(
+            sum(x * y[i] for x, y in zip(element.coords, self.images))
+            for i in range(self.codomain.ngens)))
 
 
 def cokernel(f: Homomorphism) -> FgAbGroup:
-    """Cokernel of a homomorphism: Z^h modulo the rows of [f^T ; rel_cod],
-    from one Smith diagonal (with h = 0 the zip yields no rows at all),
-    or from none when f is zero, since coker(0: A -> B) = B.
+    """Cokernel of a homomorphism: Z^h modulo the images of f stacked
+    over the codomain relations, from one Smith diagonal, or from none
+    when f is zero, since coker(0: A -> B) = B.
 
-    >>> f = Homomorphism(FgAbGroup(1), FgAbGroup(1, (4,)), IntMatrix([[0], [2]]))
+    >>> f = Homomorphism(FgAbGroup(1), FgAbGroup(1, (4,)), [(0, 2)])
     >>> str(cokernel(f))
     'Z^1 + Z/2'
     """
     cod = f.codomain
-    if not any(map(any, f.matrix.data)):
+    if not any(map(any, f.images)):
         return cod
-    rows = [list(col) for col in zip(*f.matrix.data)] + _diagonal_relations(cod.generator_orders())
+    rows = [list(y) for y in f.images] + _diagonal_relations(cod.generator_orders())
     return _presented(rows, cod.ngens)
 
 
@@ -421,34 +373,35 @@ def kernel(f: Homomorphism) -> FgAbGroup:
     when f is zero, since ker(0: A -> B) = A.
 
     Write dom = Z^r + sum Z/d_j on g generators and cod = Z^q + sum Z/e_i
-    on h generators, s of them torsion. The rank of ker f is its rank
-    over Q: by rank-nullity it is the nullity of the free block M, the
-    first q rows of f cut to the first r columns, which is the rank of
-    Z^r modulo the rows of M.
+    on h generators, s of them torsion, and f_ij for coordinate i of the
+    image of generator j. The rank of ker f is its rank over Q: by
+    rank-nullity it is r minus the rank of the free block, the first q
+    coordinates of the images of the first r generators.
 
     The torsion of ker f is the kernel of f on tors(dom). Lift the
     relation d_j e_j of each finite-order generator j to the row
     (d_j e_j, y) of Z^(g+s), with y_i = -d_j f_ij / e_i at each torsion
     coordinate i of cod (exact, as Homomorphism checks). The lifted
-    rows lie in L = {(x, y) : x f^T + y rel_cod = 0}, which projects
+    rows lie in L = {(x, y) : f(x) + y rel_cod = 0}, which projects
     injectively onto the preimage lattice {x : f(x) is a codomain
     relation}, and L modulo them is ker f. Z^(g+s) / L embeds in Z^h, so
     it is free and L is a direct summand: Z^(g+s) modulo the lifted rows
     is ker f plus a free group, whose torsion is the torsion of ker f.
 
-    >>> f = Homomorphism(FgAbGroup(1, (4,)), FgAbGroup.cyclic(2), IntMatrix([[1, 1]]))
+    >>> f = Homomorphism(FgAbGroup(1, (4,)), FgAbGroup.cyclic(2), [(1,), (1,)])
     >>> str(kernel(f))
     'Z^1 + Z/2'
     """
-    dom, cod, rows = f.domain, f.codomain, f.matrix.data
-    if not any(map(any, rows)):
+    dom, cod, images = f.domain, f.codomain, f.images
+    if not any(map(any, images)):
         return dom
-    free = [list(row[:dom.rank]) for row in rows[:cod.rank]]
-    torsion = list(zip(rows[cod.rank:], cod.invariant_factors))
-    lifted = [[d * (k == j) for k in range(dom.ngens)] + [-d * row[j] // e for row, e in torsion]
+    free = [list(y[:cod.rank]) for y in images[:dom.rank]]
+    nullity = dom.rank - sum(1 for x in _smith(free, dom.rank, cod.rank) if x)
+    lifted = [[d * (k == j) for k in range(dom.ngens)]
+              + [-d * c // e for c, e in zip(images[j][cod.rank:], cod.invariant_factors)]
               for j, d in enumerate(dom.invariant_factors, dom.rank)]
-    quotient = _presented(lifted, dom.ngens + len(torsion))
-    return FgAbGroup._from_chain(_presented(free, dom.rank).rank, quotient.invariant_factors)
+    quotient = _presented(lifted, dom.ngens + len(cod.invariant_factors))
+    return FgAbGroup._from_chain(nullity, quotient.invariant_factors)
 
 
 def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:

@@ -29,7 +29,6 @@ from .fgab import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
-    IntMatrix,
     Value,
     _diagonal_relations,
     _reduced,
@@ -164,9 +163,9 @@ def connecting_hom_surface(
     canon = [j for j, x in enumerate(pivots) if x == 0] + [j for j, x in enumerate(pivots) if x > 1]
     rows = m[len(m) - last.codomain.ngens:]
     codomain = FgAbGroup.of(0, orders)
-    cols = [_reduced(codomain, tuple(sum(r[j] * y[i] for r, y in zip(rows, last.matrix.data))
-                                     for j in canon)) for i in range(last.domain.ngens)]
-    return Homomorphism(last.domain, codomain, IntMatrix.from_columns(cols, codomain.ngens))
+    images = [_reduced(codomain, tuple(sum(r[j] * c for r, c in zip(rows, y)) for j in canon))
+              for y in last.images]
+    return Homomorphism(last.domain, codomain, images)
 
 
 def gauge_homotopy(

@@ -6,9 +6,10 @@ checks draw from a fixed seed so a verify run is reproducible.
 
 The oracles the checks hold the engine against live here, not in the
 engine modules, which keep only what ``compute`` runs. Their algebra:
-snf borders fgab's Smith reduction to record unimodular transforms,
-matmul multiplies them back out, relation_matrix presents a group in
-canonical form and canonicalize reads a presentation's canonical form.
+IntMatrix is an immutable dense integer matrix, snf borders fgab's
+Smith reduction to record unimodular transforms, matmul multiplies them
+back out, relation_matrix presents a group in canonical form and
+canonicalize reads a presentation's canonical form.
 The oracles: middle_group resolves a literal five-term fragment, image
 reads the transform U of snf, enumerate_elements lists a finite group,
 det and is_diagonal test Smith forms directly (det also gives the
@@ -26,13 +27,13 @@ import random
 from math import gcd, prod
 
 from . import SEED
-from .catalog import Catalog
+from .catalog import Catalog, CatalogError
 from .exactseq import SequenceResult, resolve_extension
 from .fgab import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
-    IntMatrix,
+    Value,
     _diagonal_relations,
     _presented,
     _smith,
@@ -72,6 +73,30 @@ class CheckFailure(AssertionError):
 
 
 # ------------------------------------------------------------------- algebra
+
+
+class IntMatrix(Value):
+    """Immutable dense matrix over Z, as a tuple of equal-length rows of
+    Python ints; the column count must be passed only when there are no rows."""
+
+    __slots__ = ("data", "cols")
+
+    def __init__(self, data, cols: int | None = None):
+        table = tuple(tuple(map(operator.index, row)) for row in data)
+        width = len(table[0]) if table else cols or 0
+        if any(len(row) != width for row in table):
+            raise ValueError("ragged rows")
+        if cols not in (None, width):
+            raise ValueError("cols does not match row width")
+        object.__setattr__(self, "data", table)
+        object.__setattr__(self, "cols", width)
+
+    @property
+    def rows(self) -> int:
+        return len(self.data)
+
+    def __repr__(self):
+        return f"IntMatrix({[list(r) for r in self.data]!r}, cols={self.cols})"
 
 
 def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -132,16 +157,15 @@ def middle_group(left: Homomorphism, right: Homomorphism) -> SequenceResult:
 
 
 def _image_smith(f: Homomorphism) -> tuple[FgAbGroup, FgAbGroup]:
-    """(im f, coker f) from one Smith form U P V = D of P = [f^T ; rel_cod]:
+    """(im f, coker f) from one Smith form U P V = D of P, the images of f
+    stacked over the codomain relations rel_cod:
     coker f = Z^h / D, with zero and missing pivots free and unit ones
     dropped. For r nonzero pivots, rows r.. of U span the left kernel of
     P; a kernel row (x, y) has f(x) = -y rel_cod, so as the rows of rel_cod
     are independent, their first g coordinates are a basis of the preimage
     lattice K = {x : f(x) is a codomain relation}, and im f = Z^g / K."""
     g, h = f.domain.ngens, f.codomain.ngens
-    # f^T row by row: with h = 0, zip(*f.matrix.data) would give no rows
-    rows = [[row[j] for row in f.matrix.data] for j in range(g)]
-    u, d, _ = snf(IntMatrix(rows + list(relation_matrix(f.codomain).data), h))
+    u, d, _ = snf(IntMatrix(f.images + relation_matrix(f.codomain).data, h))
     diag = [d.data[i][i] for i in range(min(d.rows, h))]
     coker = FgAbGroup.of(h - len(diag), diag)
     return canonicalize(IntMatrix([row[:g] for row in u.data[h - coker.rank:]], g)), coker
@@ -150,7 +174,7 @@ def _image_smith(f: Homomorphism) -> tuple[FgAbGroup, FgAbGroup]:
 def image(f: Homomorphism) -> FgAbGroup:
     """Image of a homomorphism, read off the transform U of snf.
 
-    >>> str(image(Homomorphism(FgAbGroup(1), FgAbGroup.cyclic(12), IntMatrix([[5]]))))
+    >>> str(image(Homomorphism(FgAbGroup(1), FgAbGroup.cyclic(12), [(5,)])))
     'Z/12'
     """
     return _image_smith(f)[0]
@@ -158,8 +182,7 @@ def image(f: Homomorphism) -> FgAbGroup:
 
 def _subgroup_types(group: FgAbGroup, gens) -> tuple[FgAbGroup, FgAbGroup]:
     """Types of S and group/S, for S generated by the coordinate tuples gens."""
-    return _image_smith(Homomorphism(FgAbGroup(len(gens)), group,
-                                     IntMatrix.from_columns(gens, group.ngens)))
+    return _image_smith(Homomorphism(FgAbGroup(len(gens)), group, gens))
 
 
 def extension_types(sub: FgAbGroup, quot: FgAbGroup) -> tuple[FgAbGroup, ...] | None:
@@ -289,21 +312,21 @@ def random_group(rng, max_order: int, max_rank: int = 1) -> FgAbGroup:
 
 
 def random_hom(rng, dom: FgAbGroup, cod: FgAbGroup) -> Homomorphism:
-    """Uniform-ish well-defined map: each column is drawn from the
+    """Uniform-ish well-defined map: each image is drawn from the
     elements of the codomain killed by the generator's order."""
-    cols = []
+    images = []
     for d in dom.generator_orders():
-        col = []
+        y = []
         for e in cod.generator_orders():
             if e == 0:
-                col.append(rng.randint(-HOM_FREE_SPAN, HOM_FREE_SPAN) if d == 0 else 0)
+                y.append(rng.randint(-HOM_FREE_SPAN, HOM_FREE_SPAN) if d == 0 else 0)
             elif d == 0:
-                col.append(rng.randrange(e))
+                y.append(rng.randrange(e))
             else:
                 g = gcd(e, d)
-                col.append((e // g) * rng.randrange(g))
-        cols.append(col)
-    return Homomorphism(dom, cod, IntMatrix.from_columns(cols, cod.ngens))
+                y.append((e // g) * rng.randrange(g))
+        images.append(y)
+    return Homomorphism(dom, cod, images)
 
 
 # -------------------------------------------------------------------- checks
@@ -417,8 +440,7 @@ def check_sign_invariance(catalog, rng):
     """middle_group is unchanged by negating either connecting map."""
 
     def neg(f):
-        return Homomorphism(f.domain, f.codomain,
-                            IntMatrix([[-v for v in row] for row in f.matrix.data], f.matrix.cols))
+        return Homomorphism(f.domain, f.codomain, [[-c for c in y] for y in f.images])
 
     for _ in range(SIGN_FRAGMENTS):
         a = random_group(rng, 16)
@@ -593,6 +615,31 @@ def check_genus_zero_matches_sphere(catalog, rng):
     return "genus-0 surfaces agree with the S^2 sphere route"
 
 
+def check_trivial_bundle_split(catalog, rng):
+    """Class 0 splits: the constant maps are a section of evaluation
+    Map(B, K) -> K, so Gau(P) = K x Map_*(B, K), and the suspension of B
+    is S^(dim+1) plus 2g copies of S^2. So the engine must answer exactly
+    pi_n(K) + pi_(n+dim)(K) + pi_(n+1)(K)^2g, read straight off the pi
+    tables; queries past a table are skipped and counted."""
+    compared = skipped = 0
+    for name, base, n in itertools.product(catalog.names(), _all_bases(), range(1, 11)):
+        try:
+            bundle = BundleSpec(base, GroupElement.zero(class_group(catalog, name, base)))
+            got = gauge_homotopy(catalog, name, bundle, n).candidates
+            parts = [catalog.pi(name, d) for d in (n, n + base.dim) + (n + 1,) * 2 * base.genus]
+        except CatalogError:
+            skipped += 1
+            continue
+        want = FgAbGroup.of(sum(p.rank for p in parts),
+                            [d for p in parts for d in p.invariant_factors])
+        if got != (want,):
+            raise CheckFailure(f"{name} over {base} degree {n}: engine "
+                               f"{', '.join(map(str, got))}, split {want}")
+        compared += 1
+    return (f"{compared} class-0 queries equal the split pi_n + pi_(n+dim) + pi_(n+1)^2g; "
+            f"{skipped} past a table skipped")
+
+
 CHECKS = [
     ("snf_random_suite", check_snf_suite),
     ("canonicalize_idempotent", check_canonicalize_idempotent),
@@ -609,6 +656,7 @@ CHECKS = [
     ("even_degree_vanishing", check_even_degree_vanishing),
     ("class_negation", check_class_negation),
     ("genus_zero_matches_sphere", check_genus_zero_matches_sphere),
+    ("trivial_bundle_split", check_trivial_bundle_split),
 ]
 
 

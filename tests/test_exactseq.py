@@ -13,7 +13,7 @@ from ghg.exactseq import (
     lr_support,
     resolve_extension,
 )
-from ghg.fgab import CapacityError, FgAbGroup, Homomorphism, IntMatrix, cokernel
+from ghg.fgab import CapacityError, FgAbGroup, Homomorphism, cokernel
 from ghg.verify import extension_types, middle_group
 
 
@@ -43,7 +43,7 @@ def torsion_types_of_order(order: int) -> list[tuple[int, ...]]:
 
 
 def scalar(dom, cod, k):
-    return Homomorphism(dom, cod, IntMatrix([[k]]))
+    return Homomorphism(dom, cod, [(k,)])
 
 
 Z = FgAbGroup(1)

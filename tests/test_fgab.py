@@ -17,7 +17,6 @@ from ghg.fgab import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
-    IntMatrix,
     _diagonal_relations,
     _presented,
     _smith,
@@ -27,6 +26,7 @@ from ghg.fgab import (
 )
 from ghg.gaugecalc import Sphere, Surface, gauge_homotopy, make_bundle
 from ghg.verify import (
+    IntMatrix,
     canonicalize,
     det,
     enumerate_elements,
@@ -331,43 +331,43 @@ def test_element_order():
 
 
 def test_hom_well_definedness_rejected():
-    """Ill-defined matrices raise. A zero matrix skips the scan, so it is
-    also built on ends that reject any nonzero entry and on ends with no
-    generators, and a matrix zero but for one ill-defined entry in its
-    last row or last column must still raise."""
-    # Z/2 -> Z must be zero; the unit matrix violates 2*f(g) = 0
+    """Ill-defined images raise. A zero image needs no check, so zero
+    images are also built on ends that reject any nonzero entry and on
+    ends with no generators, and images zero but for one ill-defined
+    entry in the last image or the last coordinate must still raise."""
+    # Z/2 -> Z must be zero; the unit image violates 2*f(g) = 0
     with pytest.raises(ValueError):
-        Homomorphism(FgAbGroup.cyclic(2), FgAbGroup(1), IntMatrix([[1]]))
+        Homomorphism(FgAbGroup.cyclic(2), FgAbGroup(1), [(1,)])
     # Z/4 -> Z/8 by 1 is ill-defined (4*1 != 0 mod 8), by 2 is fine
     with pytest.raises(ValueError):
-        Homomorphism(FgAbGroup.cyclic(4), FgAbGroup.cyclic(8), IntMatrix([[1]]))
-    Homomorphism(FgAbGroup.cyclic(4), FgAbGroup.cyclic(8), IntMatrix([[2]]))
+        Homomorphism(FgAbGroup.cyclic(4), FgAbGroup.cyclic(8), [(1,)])
+    Homomorphism(FgAbGroup.cyclic(4), FgAbGroup.cyclic(8), [(2,)])
     ends = [(FgAbGroup.cyclic(2), FgAbGroup(1)), (FgAbGroup.cyclic(4), FgAbGroup.cyclic(8)),
             (FgAbGroup(0), FgAbGroup(2, (2, 4))), (FgAbGroup(1, (3,)), FgAbGroup(0)),
             (FgAbGroup(0), FgAbGroup(0)), (FgAbGroup(1, (2, 4)), FgAbGroup(2, (3, 9))),
             (FgAbGroup(0, (2, 6, 12)), FgAbGroup(1, (5,)))]
     for dom, cod in ends:
-        zero = IntMatrix([[0] * dom.ngens for _ in range(cod.ngens)], dom.ngens)
-        assert Homomorphism(dom, cod, zero).matrix == zero
+        zero = ((0,) * cod.ngens,) * dom.ngens
+        assert Homomorphism(dom, cod, zero).images == zero
         assert Homomorphism(dom, cod, zero) == Homomorphism.zero(dom, cod)
         with pytest.raises(ValueError):
-            Homomorphism(dom, cod, IntMatrix([[0] * (dom.ngens + 1)] * cod.ngens, dom.ngens + 1))
+            Homomorphism(dom, cod, zero + ((0,) * cod.ngens,))
     # entry 1 at a torsion domain generator is ill-defined on each of these
     # ends: into Z, or into Z/e with e not dividing the order d
     for dom, cod in ends[:2] + ends[5:]:
         last_col = dom.ngens - 1
         for i, j in ((cod.ngens - 1, last_col), (0, last_col), (cod.ngens - 1, dom.rank)):
-            entry = [[int((r, c) == (i, j)) for c in range(dom.ngens)] for r in range(cod.ngens)]
+            entry = [[int((r, c) == (i, j)) for r in range(cod.ngens)] for c in range(dom.ngens)]
             with pytest.raises(ValueError, match="ill-defined"):
-                Homomorphism(dom, cod, IntMatrix(entry, dom.ngens))
+                Homomorphism(dom, cod, entry)
 
 
 def test_hom_apply_and_neg():
-    f = Homomorphism(FgAbGroup(1), FgAbGroup.cyclic(12), IntMatrix([[5]]))
+    f = Homomorphism(FgAbGroup(1), FgAbGroup.cyclic(12), [(5,)])
     assert f.apply(GroupElement(f.domain, (3,))).coords == (3,)
     assert (-f.apply(GroupElement(f.domain, (1,)))).coords == (7,)
     assert image(Homomorphism.zero(f.domain, f.codomain)).is_trivial
-    assert Homomorphism(f.codomain, f.codomain, IntMatrix([[1]])).apply(
+    assert Homomorphism(f.codomain, f.codomain, [(1,)]).apply(
         GroupElement(f.codomain, (7,))
     ).coords == (7,)
 
@@ -377,7 +377,7 @@ def decompose(f):
 
 
 def test_kernel_image_cokernel_examples():
-    times5 = Homomorphism(FgAbGroup(1), FgAbGroup.cyclic(12), IntMatrix([[5]]))
+    times5 = Homomorphism(FgAbGroup(1), FgAbGroup.cyclic(12), [(5,)])
     assert decompose(times5) == (
         FgAbGroup(1),
         FgAbGroup.cyclic(12),
@@ -389,14 +389,14 @@ def test_kernel_image_cokernel_examples():
         FgAbGroup(0),
         FgAbGroup.cyclic(8),
     )
-    doubling = Homomorphism(FgAbGroup(1), FgAbGroup(1), IntMatrix([[2]]))
+    doubling = Homomorphism(FgAbGroup(1), FgAbGroup(1), [(2,)])
     assert decompose(doubling) == (
         FgAbGroup(0),
         FgAbGroup(1),
         FgAbGroup.cyclic(2),
     )
     g = FgAbGroup(1, (2, 4))
-    ident = Homomorphism(g, g, IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    ident = Homomorphism(g, g, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert decompose(ident) == (
         FgAbGroup(0),
         FgAbGroup(1, (2, 4)),
@@ -422,12 +422,12 @@ def test_kernel_image_cokernel_against_enumeration():
 
 def presentation_cokernel(f):
     """Reference: coker f as Z^h modulo the codomain relations and the
-    image columns of f, canonicalized."""
+    images of f, canonicalized."""
     cod, h = f.codomain, f.codomain.ngens
     relations = [
         [d if k == cod.rank + i else 0 for k in range(h)]
         for i, d in enumerate(cod.invariant_factors)
-    ] + [[row[j] for row in f.matrix.data] for j in range(f.domain.ngens)]
+    ] + [list(y) for y in f.images]
     return canonicalize(IntMatrix(relations, h))
 
 
@@ -481,17 +481,17 @@ def test_kernel_with_free_parts():
         rank_drop = rank_drop or (0 < ker.rank < dom.rank and ker.torsion_order > 1)
     assert mixed_domain and mixed_kernel and rank_drop
     # free blocks of full and partial rank, torsion lifted through the codomain
-    for dom, cod, rows, expected in (
-        (FgAbGroup(2), FgAbGroup(1), [[1, 2]], FgAbGroup(1)),
-        (FgAbGroup(2), FgAbGroup(2), [[1, 2], [2, 4]], FgAbGroup(1)),
-        (FgAbGroup(1), FgAbGroup(1), [[3]], FgAbGroup(0)),
-        (FgAbGroup(1), FgAbGroup.cyclic(2), [[1]], FgAbGroup(1)),
-        (FgAbGroup.cyclic(4), FgAbGroup.cyclic(2), [[1]], FgAbGroup.cyclic(2)),
-        (FgAbGroup(1, (4,)), FgAbGroup(1, (2,)), [[1, 0], [0, 1]], FgAbGroup.cyclic(2)),
-        (FgAbGroup(2, (4,)), FgAbGroup(1, (2,)), [[1, 1, 0], [0, 0, 1]], FgAbGroup(1, (2,))),
-        (FgAbGroup(1, (4,)), FgAbGroup.cyclic(2), [[1, 1]], FgAbGroup(1, (2,))),
+    for dom, cod, images, expected in (
+        (FgAbGroup(2), FgAbGroup(1), [(1,), (2,)], FgAbGroup(1)),
+        (FgAbGroup(2), FgAbGroup(2), [(1, 2), (2, 4)], FgAbGroup(1)),
+        (FgAbGroup(1), FgAbGroup(1), [(3,)], FgAbGroup(0)),
+        (FgAbGroup(1), FgAbGroup.cyclic(2), [(1,)], FgAbGroup(1)),
+        (FgAbGroup.cyclic(4), FgAbGroup.cyclic(2), [(1,)], FgAbGroup.cyclic(2)),
+        (FgAbGroup(1, (4,)), FgAbGroup(1, (2,)), [(1, 0), (0, 1)], FgAbGroup.cyclic(2)),
+        (FgAbGroup(2, (4,)), FgAbGroup(1, (2,)), [(1, 0), (1, 0), (0, 1)], FgAbGroup(1, (2,))),
+        (FgAbGroup(1, (4,)), FgAbGroup.cyclic(2), [(1,), (1,)], FgAbGroup(1, (2,))),
     ):
-        assert kernel(Homomorphism(dom, cod, IntMatrix(rows))) == expected
+        assert kernel(Homomorphism(dom, cod, images)) == expected
 
 
 def test_snf_calls_per_query(monkeypatch):
@@ -515,7 +515,7 @@ def test_snf_calls_per_query(monkeypatch):
                                                      ("TEST", Sphere(2), (-2,), 1, 2),
                                                      ("SU2", Sphere(4), (0,), 2, 0))]
     wants = [gauge_homotopy(cat, group, bundle, n) for group, bundle, n, _ in queries]
-    f = Homomorphism(FgAbGroup(1, (4,)), FgAbGroup.cyclic(8), IntMatrix([[2, 2]]))
+    f = Homomorphism(FgAbGroup(1, (4,)), FgAbGroup.cyclic(8), [(2,), (2,)])
     zero = Homomorphism.zero(f.domain, f.codomain)
     # verify binds _smith by name for its snf
     monkeypatch.setattr("ghg.fgab._smith", counting)
@@ -542,7 +542,7 @@ def test_snf_calls_per_query(monkeypatch):
 
 def test_objects_built_per_query(monkeypatch):
     """A structural zero connecting map (class 0, an end trivial, K
-    abelian) builds no Homomorphism and no IntMatrix, and a sphere sub
+    abelian) builds no Homomorphism, and a sphere sub
     is the cokernel itself, so the work is pinned and not only the time:
     exact totals over the answered queries of tests/golden_compute.jsonl.
     Only the stored pairing's map of a nonzero class is built, on integer
@@ -559,7 +559,6 @@ def test_objects_built_per_query(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Homomorphism, "__init__", counting("Homomorphism", Homomorphism.__init__))
-    monkeypatch.setattr(IntMatrix, "__init__", counting("IntMatrix", IntMatrix.__init__))
     monkeypatch.setattr(FgAbGroup, "of", classmethod(counting("of", FgAbGroup.of.__func__)))
     monkeypatch.setattr(ghg.fgab, "_is_chain", counting("_is_chain", ghg.fgab._is_chain))
     monkeypatch.setattr(GroupElement, "__init__", counting("GroupElement", GroupElement.__init__))
@@ -573,7 +572,7 @@ def test_objects_built_per_query(monkeypatch):
         bundle = make_bundle(cat, group, base, clazz)
         counts.clear()
         gauge_homotopy(cat, group, bundle, n)
-        assert counts["Homomorphism"] == counts["IntMatrix"] == built
+        assert counts["Homomorphism"] == built
         # -b, and nothing else: no element is built per term of the map
         assert counts["GroupElement"] == built
     counts.clear()
@@ -581,17 +580,17 @@ def test_objects_built_per_query(monkeypatch):
         gauge_homotopy(cat, group, bundle, n)
     # 46 stored pairings' maps; every other connecting map is a structural zero
     assert len(queries) == 538
-    assert counts == {"Homomorphism": 92, "IntMatrix": 92, "GroupElement": 92, "of": 206,
-                      "_is_chain": 395}
+    assert counts == {"Homomorphism": 92, "GroupElement": 92, "of": 206, "_is_chain": 359}
 
 
 def test_engine_modules_hold_no_transform_algebra():
-    """The transform-bearing algebra lives in ghg.verify alone: no engine
-    module that ghg.cli loads has it, and the oracle-only methods are gone."""
+    """The matrix type and the transform-bearing algebra live in ghg.verify
+    alone: no engine module that ghg.cli loads has them, and the
+    oracle-only methods are gone."""
     import ghg.cli
 
     for module in ("fgab", "gaugecalc", "exactseq", "catalog", "cli"):
-        for name in ("snf", "canonicalize", "relation_matrix"):
+        for name in ("IntMatrix", "snf", "canonicalize", "relation_matrix"):
             assert not hasattr(getattr(ghg, module), name), (module, name)
     for cls, names in ((IntMatrix, ("transpose", "column", "diagonal_entries", "__matmul__",
                                     "__neg__")),
@@ -623,16 +622,18 @@ def test_cokernel_and_kernel_at_the_trivial_group():
 def test_zero_map_theorem_matches_the_smith_route():
     """coker(0: A -> B) = B and ker(0: A -> B) = A, as the reductions
     cokernel and kernel skip for a zero map would find them; maps zero
-    but for one entry in the last row or the last column take the
+    but for one entry in the last coordinate or the last image take the
     reduction route."""
 
     def smith_cokernel(f):
-        rows = [list(col) for col in zip(*f.matrix.data)]
+        rows = [list(y) for y in f.images]
         return _presented(rows + _diagonal_relations(f.codomain.generator_orders()),
                           f.codomain.ngens)
 
     def smith_kernel(f):
-        dom, cod, rows = f.domain, f.codomain, f.matrix.data
+        # the free block is read off the transposed images, as rows of f
+        dom, cod = f.domain, f.codomain
+        rows = [[y[i] for y in f.images] for i in range(cod.ngens)]
         free = [list(row[:dom.rank]) for row in rows[:cod.rank]]
         torsion = list(zip(rows[cod.rank:], cod.invariant_factors))
         lifted = [[d * (k == j) for k in range(dom.ngens)] + [-d * row[j] // e for row, e in torsion]
@@ -654,18 +655,18 @@ def test_zero_map_theorem_matches_the_smith_route():
         assert kernel(zero) == a == smith_kernel(zero)
         if a.is_trivial or b.is_trivial:
             continue
-        full = random_hom(rng, a, b).matrix.data
+        full = random_hom(rng, a, b).images
         for i, j in ((b.ngens - 1, rng.randrange(a.ngens)), (rng.randrange(b.ngens), a.ngens - 1)):
-            entry = [[full[i][j] if (r, c) == (i, j) else 0 for c in range(a.ngens)]
-                     for r in range(b.ngens)]
-            f = Homomorphism(a, b, IntMatrix(entry, a.ngens))
+            entry = [[full[j][i] if (r, c) == (i, j) else 0 for r in range(b.ngens)]
+                     for c in range(a.ngens)]
+            f = Homomorphism(a, b, entry)
             assert cokernel(f) == smith_cokernel(f)
             assert kernel(f) == smith_kernel(f)
 
 
 def test_lattice_helpers():
     # the image from the Smith form of the preimage lattice
-    f = Homomorphism(FgAbGroup(1, (4,)), FgAbGroup.cyclic(8), IntMatrix([[2, 2]]))
+    f = Homomorphism(FgAbGroup(1, (4,)), FgAbGroup.cyclic(8), [(2,), (2,)])
     assert decompose(f) == (FgAbGroup(1), FgAbGroup.cyclic(4), FgAbGroup.cyclic(2))
 
 
@@ -717,10 +718,10 @@ Z4 = FgAbGroup.cyclic(4)
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: IntMatrix([[1, 2]], 3), id="cols-mismatch"),
-    pytest.param(lambda: IntMatrix.from_columns([(1, 2)], 3), id="column-height"),
+    pytest.param(lambda: Homomorphism(Z2, Z4, [(1, 2)]), id="column-height"),
     pytest.param(lambda: matmul(IntMatrix([[1, 2]]), IntMatrix([[1, 2]])), id="product-shape"),
-    pytest.param(lambda: Homomorphism(Z2, Z4, IntMatrix([[2, 0]])), id="hom-shape"),
-    pytest.param(lambda: Homomorphism(Z2, Z4, IntMatrix([[2]])).apply(GroupElement(Z4, (1,))),
+    pytest.param(lambda: Homomorphism(Z2, Z4, [(2,), (0,)]), id="hom-shape"),
+    pytest.param(lambda: Homomorphism(Z2, Z4, [(2,)]).apply(GroupElement(Z4, (1,))),
                  id="apply-outside-domain"),
 ])
 def test_shape_rejections(call):

@@ -8,8 +8,9 @@ import pytest
 
 from ghg.catalog import Catalog, GroupCatalogEntry, PairingMatrix, default_catalog
 from ghg.exactseq import SequenceResult, resolve_extension
-from ghg.fgab import FgAbGroup, GroupElement, Homomorphism, IntMatrix
+from ghg.fgab import FgAbGroup, GroupElement, Homomorphism
 from ghg.gaugecalc import BundleSpec, Sphere, Surface
+from ghg.verify import IntMatrix
 
 Z2 = FgAbGroup.cyclic(2)
 Z4 = FgAbGroup.cyclic(4)
@@ -26,9 +27,9 @@ def hashable_cases():
          "FgAbGroup(rank=0, invariant_factors=())"),
         (two, ("group", "coords"),
          "GroupElement(group=FgAbGroup(rank=0, invariant_factors=(4,)), coords=(2,))"),
-        (Homomorphism(Z2, Z4, IntMatrix([[2]])), ("domain", "codomain", "matrix"),
+        (Homomorphism(Z2, Z4, [(2,)]), ("domain", "codomain", "images"),
          "Homomorphism(domain=FgAbGroup(rank=0, invariant_factors=(2,)), "
-         "codomain=FgAbGroup(rank=0, invariant_factors=(4,)), matrix=IntMatrix([[2]], cols=1))"),
+         "codomain=FgAbGroup(rank=0, invariant_factors=(4,)), images=((2,),))"),
         (PairingMatrix(1, 1, Z2, Z2, Z4, ((two,),)),
          ("n", "m", "source_n", "source_m", "target", "values"),
          "PairingMatrix(n=1, m=1, source_n=FgAbGroup(rank=0, invariant_factors=(2,)), "

@@ -2,6 +2,7 @@
 import ast
 import os
 import random
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from ghg import gaugecalc, verify
 from ghg.catalog import Catalog, PairingMatrix, default_catalog
-from ghg.exactseq import SequenceResult
+from ghg.exactseq import SequenceResult, resolve_extension
 from ghg.fgab import FgAbGroup, Homomorphism
 
 CAT = default_catalog()
@@ -60,6 +61,41 @@ def test_free_rank_oracle_catches_a_spurious_candidate(monkeypatch):
     monkeypatch.setattr(verify, "resolve_extension", spurious)
     with pytest.raises(verify.CheckFailure, match="Ext\\^1 gives"):
         verify.check_free_rank_oracle(CAT, random.Random(verify.SEED))
+
+
+def test_trivial_bundle_check_catches_a_class_zero_that_does_not_split(monkeypatch):
+    """An engine that sends class 0 to resolve_extension, as if it had no
+    section, answers Z/2 + Z/2 and Z/4 for SU2 over S^1 in degree 4;
+    every other check passes it, and the split closed form fails it."""
+    monkeypatch.setattr(gaugecalc, "SequenceResult",
+                        lambda sub, quot, candidates: resolve_extension(sub, quot))
+    failed = {name: detail for name, passed, detail in verify.run_all(CAT) if not passed}
+    assert failed == {"trivial_bundle_split": "SU2 over sphere:1 degree 4: engine "
+                                              "Z/2 + Z/2, Z/4, split Z/2 + Z/2"}
+
+
+def test_work_of_verify_is_pinned(monkeypatch):
+    """The maps, matrices and Smith reductions of a full verify run at the
+    shipped seed, counted exactly, so the work is pinned and not only the
+    time. Class-0 queries build no map and take no reduction."""
+    counts = Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Homomorphism, "__init__", counting("Homomorphism", Homomorphism.__init__))
+    monkeypatch.setattr(verify.IntMatrix, "__init__",
+                        counting("IntMatrix", verify.IntMatrix.__init__))
+    # verify's snf and connecting_hom_surface bind _smith by name
+    smith = counting("_smith", verify._smith)
+    for module in ("ghg.fgab", "ghg.gaugecalc", "ghg.verify"):
+        monkeypatch.setattr(f"{module}._smith", smith)
+    report = list(verify.run_all(default_catalog(), verify.SEED))
+    assert all(passed for _, passed, _ in report)
+    assert counts == {"Homomorphism": 1972, "IntMatrix": 10482, "_smith": 4404}
 
 
 def test_extension_types_small_cases():
@@ -140,7 +176,7 @@ def test_rational_class_check_reads_the_engine(monkeypatch):
     real = gaugecalc.kernel
 
     def codomain_for_zero(f):
-        return f.codomain if not any(map(any, f.matrix.data)) else real(f)
+        return f.codomain if not any(map(any, f.images)) else real(f)
 
     verify.check_rational_class_independence(CAT, random.Random(verify.SEED))
     monkeypatch.setattr(gaugecalc, "kernel", codomain_for_zero)
