@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .fgab import FgAbGroup, GroupElement, Homomorphism, Value, _reduced
+from .fgab import FgAbGroup, GroupElement, Homomorphism, Value
 
 _ENTRY_FIELDS = {"name", "connected", "abelian", "rational_exponents", "pi", "samelson"}
 _PI_FIELDS = {"degree": int, "rank": int, "factors": list, "source": str}
@@ -108,8 +108,8 @@ class PairingMatrix(Value):
     def against(self, b: GroupElement) -> Homomorphism:
         """<., b> : pi_n -> pi_(n+m), a homomorphism since the pairing is
         biadditive; the image of generator i is sum_j b_j values[i][j],
-        summed on integer coordinates and then reduced modulo the
-        target's invariant factors, with no element built per term.
+        summed on integer coordinates, which Homomorphism reduces, with
+        no element built per term.
 
         >>> z4 = FgAbGroup.cyclic(4)
         >>> pairing = PairingMatrix(1, 1, z4, z4, z4, ((GroupElement(z4, (1,)),),))
@@ -121,9 +121,8 @@ class PairingMatrix(Value):
         target = self.target
         if b.is_zero:  # also the case of no generators, where a row is empty
             return Homomorphism.zero(self.source_n, target)
-        images = [_reduced(target, tuple(sum(map(operator.mul, b.coords, entries))
-                                         for entries in zip(*(v.coords for v in row))))
-                  for row in self.values]
+        images = [[sum(map(operator.mul, b.coords, entries))
+                   for entries in zip(*(v.coords for v in row))] for row in self.values]
         return Homomorphism(self.source_n, target, images)
 
 

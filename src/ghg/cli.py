@@ -31,7 +31,6 @@ from .exactseq import DEFAULT_TORSION_BOUND
 from .fgab import CapacityError
 from .gaugecalc import (
     BundleSpec,
-    PairingUnavailable,
     Sphere,
     Surface,
     class_group,
@@ -299,7 +298,7 @@ def run(argv=None) -> int:
     except (CatalogParseError, CatalogValidationError) as exc:
         print(f"ghg: catalog: {exc}", file=sys.stderr)
         return 2
-    except (CatalogError, PairingUnavailable, CapacityError) as exc:
+    except (CatalogError, CapacityError) as exc:
         print(f"ghg: compute: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

