@@ -330,9 +330,10 @@ class Homomorphism(Value):
     __slots__ = ("domain", "codomain", "images")
 
     def __init__(self, domain: FgAbGroup, codomain: FgAbGroup, images):
-        images = tuple(_reduced(codomain, tuple(map(operator.index, y))) for y in images)
+        images = tuple(tuple(map(operator.index, y)) for y in images)
         if len(images) != domain.ngens or any(len(y) != codomain.ngens for y in images):
             raise ValueError(f"need {domain.ngens} images of {codomain.ngens} coordinates")
+        images = tuple(_reduced(codomain, y) for y in images)
         for j, d in enumerate(domain.invariant_factors, domain.rank):
             if any(images[j]) and any(_reduced(codomain, tuple(d * c for c in images[j]))):
                 raise ValueError(f"ill-defined homomorphism: generator {j} has order {d} "

@@ -11,7 +11,14 @@ from math import gcd
 from ghg import cli
 from ghg.catalog import default_catalog
 from ghg.fgab import FgAbGroup
-from ghg.gaugecalc import Sphere, Surface, gauge_homotopy, make_bundle
+from ghg.gaugecalc import (
+    Sphere,
+    Surface,
+    class_group,
+    gauge_homotopy,
+    gauge_homotopy_rational,
+    make_bundle,
+)
 from ghg.verify import (
     SEED,
     check_extension_oracle,
@@ -19,6 +26,7 @@ from ghg.verify import (
     check_hom_oracle,
     check_sign_invariance,
     check_snf_suite,
+    rational_via_zero_sequence,
 )
 
 CAT = default_catalog()
@@ -50,9 +58,6 @@ def test_criterion_rational_closed_form():
     """Closed-form rational dimensions match the zero-map sequence
     route and the exponent bookkeeping for SU2, SU3, U1 over spheres
     S^1..S^6 and surfaces of genus 0..3, degrees 1..10, within 1s."""
-    from ghg.gaugecalc import class_group, gauge_homotopy_rational, make_bundle
-    from ghg.verify import rational_via_zero_sequence
-
     bases = [Sphere(m) for m in range(1, 7)] + [Surface(g) for g in range(4)]
     start = time.perf_counter()
     cases = 0
@@ -81,8 +86,6 @@ def test_criterion_rational_closed_form():
 def test_criterion_even_degree_vanishing():
     """Odd-exponent groups over even spheres have no rational homotopy
     in even degrees."""
-    from ghg.gaugecalc import class_group, gauge_homotopy_rational
-
     for name in ("SU2", "SU3"):
         for m in (2, 4, 6):
             size = class_group(CAT, name, Sphere(m)).ngens

@@ -730,7 +730,8 @@ Z4 = FgAbGroup.cyclic(4)
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: IntMatrix([[1, 2]], 3), id="cols-mismatch"),
-    pytest.param(lambda: Homomorphism(Z2, Z4, [(1, 2)]), id="column-height"),
+    pytest.param(lambda: Homomorphism(Z2, Z4, [(2, 0)]), id="column-height"),
+    pytest.param(lambda: Homomorphism(Z2, FgAbGroup(1), [(0, 5)]), id="column-height-free"),
     pytest.param(lambda: matmul(IntMatrix([[1, 2]]), IntMatrix([[1, 2]])), id="product-shape"),
     pytest.param(lambda: Homomorphism(Z2, Z4, [(2,), (0,)]), id="hom-shape"),
     pytest.param(lambda: Homomorphism(Z2, Z4, [(2,)]).apply(GroupElement(Z4, (1,))),
