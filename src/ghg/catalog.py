@@ -3,10 +3,11 @@
 The catalog is a JSON file (see the shipped ``data/catalog.json``) and
 the loader is deliberately strict: unknown fields, non-canonical
 factors, inconsistent ranks, a nontrivial pi_0, even rational
-exponents, non-torsion pairing values, pairing values that are not
-killed by their generator's order, and nonzero pairing values on an
-abelian entry all reject the whole file. Catalog serves names, entries
-and pi tables; pairings and rational exponents are read off the entry
+exponents, a pairing table that is not a homomorphism in each variable
+or has a non-torsion value, and nonzero pairing values on an abelian
+entry all reject the whole file. A pairing is stored as its table of
+reduced integer coordinates. Catalog serves names, entries and pi
+tables; pairings and rational exponents are read off the entry
 (GroupCatalogEntry.samelson, .rational_exponents). A pairing missing
 from entry.samelson is unknown, never a silent zero:
 gaugecalc raises PairingUnavailable for it.
@@ -59,8 +60,10 @@ class TableDepthError(CatalogError):
 
 class PairingMatrix(Value):
     """Values of a biadditive pairing pi_n x pi_m -> pi_(n+m) on the
-    canonical generator pairs; values[i][j] pairs generator i of pi_n
-    with generator j of pi_m."""
+    canonical generator pairs: values[i][j] is <e_i, f_j>, the reduced
+    target coordinates. A table extends to a pairing exactly when each
+    row <e_i, .> and each column <., f_j> is a homomorphism and every
+    value is torsion, so rows and columns are built as Homomorphisms."""
 
     __slots__ = ("n", "m", "source_n", "source_m", "target", "values")
 
@@ -71,29 +74,15 @@ class PairingMatrix(Value):
         source_n: FgAbGroup,
         source_m: FgAbGroup,
         target: FgAbGroup,
-        values: tuple[tuple[GroupElement, ...], ...],
+        values,
     ):
         if len(values) != source_n.ngens:
             raise ValueError("pairing value rows do not match pi_n generators")
-        n_orders = source_n.generator_orders()
-        m_orders = source_m.generator_orders()
-        for i, row in enumerate(values):
-            if len(row) != source_m.ngens:
-                raise ValueError("pairing value columns do not match pi_m generators")
-            for j, val in enumerate(row):
-                if val.group != target:
-                    raise ValueError("pairing value lies in the wrong group")
-                if val.order() == 0:
-                    raise ValueError(
-                        f"pairing value at ({i}, {j}) has infinite order; "
-                        "stored values must be torsion"
-                    )
-                for d in (n_orders[i], m_orders[j]):
-                    if d != 0 and not (d * val).is_zero:
-                        raise ValueError(
-                            f"pairing value at ({i}, {j}) is not killed by the "
-                            f"generator order {d}"
-                        )
+        values = tuple(Homomorphism(source_m, target, row).images for row in values)
+        for column in zip(*values):
+            Homomorphism(source_n, target, column)
+        if any(any(v[:target.rank]) for row in values for v in row):
+            raise ValueError("pairing values must be torsion")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "source_n", source_n)
@@ -103,16 +92,15 @@ class PairingMatrix(Value):
 
     @property
     def is_zero(self) -> bool:
-        return all(v.is_zero for row in self.values for v in row)
+        return not any(any(v) for row in self.values for v in row)
 
     def against(self, b: GroupElement) -> Homomorphism:
         """<., b> : pi_n -> pi_(n+m), a homomorphism since the pairing is
         biadditive; the image of generator i is sum_j b_j values[i][j],
-        summed on integer coordinates, which Homomorphism reduces, with
-        no element built per term.
+        summed on integer coordinates, which Homomorphism reduces.
 
         >>> z4 = FgAbGroup.cyclic(4)
-        >>> pairing = PairingMatrix(1, 1, z4, z4, z4, ((GroupElement(z4, (1,)),),))
+        >>> pairing = PairingMatrix(1, 1, z4, z4, z4, (((1,),),))
         >>> pairing.against(GroupElement(z4, (-1,))).images
         ((3,),)
         """
@@ -121,8 +109,8 @@ class PairingMatrix(Value):
         target = self.target
         if b.is_zero:  # also the case of no generators, where a row is empty
             return Homomorphism.zero(self.source_n, target)
-        images = [[sum(map(operator.mul, b.coords, entries))
-                   for entries in zip(*(v.coords for v in row))] for row in self.values]
+        images = [[sum(map(operator.mul, b.coords, entries)) for entries in zip(*row)]
+                  for row in self.values]
         return Homomorphism(self.source_n, target, images)
 
 
@@ -312,18 +300,13 @@ def _build_entry(item) -> GroupCatalogEntry:
                 )
         if (n, m) in samelson:
             raise CatalogValidationError(name, "samelson", f"pairing ({n}, {m}) listed twice")
-        target = pi[n + m]
         try:
-            parsed = tuple(
-                tuple(
-                    GroupElement(target, tuple(_int(c, name, "samelson.values") for c in cell))
-                    for cell in vrow
-                )
-                for vrow in values
-            )
-            samelson[(n, m)] = PairingMatrix(n, m, pi[n], pi[m], target, parsed)
+            parsed = [[[_int(c, name, "samelson.values") for c in cell] for cell in vrow]
+                      for vrow in values]
+            samelson[(n, m)] = PairingMatrix(n, m, pi[n], pi[m], pi[n + m], parsed)
         except (TypeError, ValueError) as exc:
-            raise CatalogValidationError(name, "samelson.values", str(exc)) from None
+            raise CatalogValidationError(name, "samelson.values",
+                                         f"pairing ({n}, {m}): {exc}") from None
         if abelian and not samelson[(n, m)].is_zero:
             raise CatalogValidationError(
                 name, "samelson.values", f"pairing ({n}, {m}) of an abelian group must be zero"

@@ -19,7 +19,7 @@ Conventions used throughout:
   d1 | d2 | ... | dt and every di >= 2;
 * element coordinates list the free generators first, then the torsion
   generators in factor order, torsion entries reduced to [0, di);
-* a cyclic order (or element order) of 0 means infinite, i.e. Z = Z/0;
+* a cyclic order of 0 means infinite, i.e. Z = Z/0;
 * a map is the images of its generators: images[j] is the codomain
   coordinates of f(e_j);
 * a presentation is its relation rows: g-entry rows present Z^g modulo
@@ -306,16 +306,6 @@ class GroupElement(Value):
         return GroupElement(self.group, tuple(k * c for c in self.coords))
 
     __rmul__ = __mul__
-
-    def order(self) -> int:
-        """Additive order; 0 means infinite order."""
-        rank = self.group.rank
-        if any(c != 0 for c in self.coords[:rank]):
-            return 0
-        return lcm(
-            *(d // gcd(c, d) for c, d in zip(self.coords[rank:], self.group.invariant_factors)),
-            1,
-        )
 
 
 class Homomorphism(Value):

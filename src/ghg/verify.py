@@ -457,18 +457,21 @@ def check_sign_invariance(catalog, rng):
 
 def check_catalog_consistency(catalog, rng):
     """against(b).apply(a) equals the bilinear sum sum_ij a_i b_j
-    values[i][j] in element arithmetic, for sampled bounded a, b and
-    their sums; the loader has already checked ranks and torsion."""
+    values[i][j] in element arithmetic, each value taken as an element of
+    the target, for sampled bounded a, b and their sums; the loader has
+    already checked that the values are torsion and that each row and
+    column is a homomorphism."""
     for name in catalog.names():
         for (n, m), pairing in catalog.entry(name).samelson.items():
             zero = GroupElement.zero(pairing.target)
+            cells = [[GroupElement(pairing.target, v) for v in row] for row in pairing.values]
             for _ in range(20):
                 a1 = _bounded_element(rng, pairing.source_n)
                 a2 = _bounded_element(rng, pairing.source_n)
                 b1 = _bounded_element(rng, pairing.source_m)
                 b2 = _bounded_element(rng, pairing.source_m)
                 for a, b in ((a1, b1), (a2, b2), (a1 + a2, b1 + b2)):
-                    bilinear = sum((x * y * v for x, row in zip(a.coords, pairing.values)
+                    bilinear = sum((x * y * v for x, row in zip(a.coords, cells)
                                     for y, v in zip(b.coords, row)), zero)
                     if pairing.against(b).apply(a) != bilinear:
                         raise CheckFailure(f"{name}: pairing ({n},{m}) against {b.coords} "

@@ -166,22 +166,68 @@ def test_pairing_needs_catalogued_degrees():
 def test_pairing_matrix_shape_checks():
     z12 = FgAbGroup.cyclic(12)
     free = FgAbGroup(1)
-    good = PairingMatrix(3, 3, free, free, z12, ((GroupElement(z12, (1,)),),))
+    good = PairingMatrix(3, 3, free, free, z12, (((1,),),))
     assert not good.is_zero
     with pytest.raises(ValueError):
         PairingMatrix(3, 3, free, free, z12, ())  # row count mismatch
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="torsion"):
         # value of infinite order is not allowed
-        PairingMatrix(1, 1, free, free, FgAbGroup(1), ((GroupElement(FgAbGroup(1), (1,)),),))
+        PairingMatrix(1, 1, free, free, FgAbGroup(1), (((1,),),))
 
 
 def test_pairing_annihilation_check():
     # source generator of order 2 forces 2 * value = 0
     z2 = FgAbGroup.cyclic(2)
     z4 = FgAbGroup.cyclic(4)
-    with pytest.raises(ValueError, match="not killed"):
-        PairingMatrix(1, 1, z2, z2, z4, ((GroupElement(z4, (1,)),),))
-    PairingMatrix(1, 1, z2, z2, z4, ((GroupElement(z4, (2,)),),))
+    with pytest.raises(ValueError, match="ill-defined homomorphism"):
+        PairingMatrix(1, 1, z2, z2, z4, (((1,),),))
+    assert PairingMatrix(1, 1, z2, z2, z4, (((6,),),)).values == (((2,),),)
+
+
+Z = FgAbGroup(1)
+
+
+# A row <e_i, .> is checked against the orders of pi_m and a column
+# <., f_j> against those of pi_n, so the right-variable case is caught
+# by the row builds alone and the left-variable case by the column
+# builds alone. Pairing an order-2 generator with itself would be
+# rejected by both.
+@pytest.mark.parametrize("source_n, source_m, target, reason", [
+    pytest.param(Z, FgAbGroup.cyclic(2), FgAbGroup.cyclic(4), "ill-defined", id="right-variable"),
+    pytest.param(FgAbGroup.cyclic(2), Z, FgAbGroup.cyclic(4), "ill-defined", id="left-variable"),
+    pytest.param(Z, Z, Z, "torsion", id="not-torsion"),
+    pytest.param(Z, Z, FgAbGroup.cyclic(4), None, id="accepted"),
+])
+def test_pairing_checks_each_variable(source_n, source_m, target, reason):
+    if reason is None:
+        assert PairingMatrix(1, 1, source_n, source_m, target, (((1,),),)).values == (((1,),),)
+    else:
+        with pytest.raises(ValueError, match=reason):
+            PairingMatrix(1, 1, source_n, source_m, target, (((1,),),))
+
+
+# The same through the loader. A free pi sits only at an odd degree, so a
+# pairing of two free generators lands in an even degree, where pi is
+# finite: the not-torsion case cannot be written as a valid catalog.
+@pytest.mark.parametrize("factors, n, m, reason", [
+    pytest.param([[], [2], [4]], 1, 2, "ill-defined", id="right-variable"),
+    pytest.param([[], [2], [4]], 2, 1, "ill-defined", id="left-variable"),
+    pytest.param([[], [4]], 1, 1, None, id="accepted"),
+])
+def test_loader_checks_each_variable(tmp_path, factors, n, m, reason):
+    """pi_1 = Z, then pi_2, pi_3, ... with the given factors; the one
+    pairing (n, m) has the value 1."""
+    pi = [{"degree": d, "rank": int(d == 1), "factors": f, "source": "x"}
+          for d, f in enumerate([[]] + factors)]
+    path = write_catalog(tmp_path, [entry_dict(pi=pi, samelson=[
+        {"n": n, "m": m, "values": [[[1]]]}])])
+    if reason is None:
+        assert load_catalog(path).entry("G").samelson[(n, m)].values == (((1,),),)
+    else:
+        expected = rf"pairing \({n}, {m}\): {reason}"
+        with pytest.raises(CatalogValidationError, match=expected) as info:
+            load_catalog(path)
+        assert info.value.field == "samelson.values"
 
 
 def test_test_entry_biadditivity():
@@ -206,7 +252,7 @@ def test_against_is_the_stored_table_as_a_homomorphism():
         for j in range(p.source_m.ngens):
             f = p.against(unit(p.source_m, j))
             assert f.domain == p.source_n and f.codomain == p.target
-            assert list(f.images) == [row[j].coords for row in p.values]
+            assert list(f.images) == [row[j] for row in p.values]
         axes = [range(-2, 3) if d == 0 else range(d) for d in p.source_m.generator_orders()]
         for coords in itertools.product(*axes):
             b = GroupElement(p.source_m, coords)
@@ -220,7 +266,8 @@ def reference_against(pairing, b):
     """<., b> with image i the element sum sum_j b_j values[i][j], built
     term by term in GroupElement arithmetic."""
     zero = GroupElement.zero(pairing.target)
-    images = [sum((y * v for y, v in zip(b.coords, row)), zero).coords for row in pairing.values]
+    images = [sum((y * GroupElement(pairing.target, v) for y, v in zip(b.coords, row)), zero).coords
+              for row in pairing.values]
     return Homomorphism(pairing.source_n, pairing.target, images)
 
 
@@ -377,7 +424,7 @@ def test_samelson_annihilation_enforced(tmp_path):
     e["samelson"] = [{"n": 1, "m": 1, "values": [[[0], [0]], [[0], [1]]]}]
     e["rational_exponents"] = [1]
     path = write_catalog(tmp_path, [e])
-    with pytest.raises(CatalogValidationError, match="not killed"):
+    with pytest.raises(CatalogValidationError, match=r"pairing \(1, 1\): ill-defined homomorphism"):
         load_catalog(path)
 
 
@@ -404,7 +451,7 @@ def _load(entries):
 
 Z2 = FgAbGroup.cyclic(2)
 Z4 = FgAbGroup.cyclic(4)
-Z2_PAIRING = PairingMatrix(1, 1, Z2, Z2, Z2, ((GroupElement(Z2, (1,)),),))
+Z2_PAIRING = PairingMatrix(1, 1, Z2, Z2, Z2, (((1,),),))
 
 
 @pytest.mark.parametrize("call, exc, field", [
@@ -438,7 +485,9 @@ Z2_PAIRING = PairingMatrix(1, 1, Z2, Z2, Z2, ((GroupElement(Z2, (1,)),),))
                  CatalogValidationError, "samelson.values", id="pairing-degree-0-without-values"),
     pytest.param(lambda _: PairingMatrix(1, 1, Z2, Z2, Z2, ((),)), ValueError, None,
                  id="pairing-column-count"),
-    pytest.param(lambda _: PairingMatrix(1, 1, Z2, Z2, Z4, ((GroupElement(Z2, (1,)),),)),
+    # a value is a coordinate tuple, which carries no group: one from the
+    # wrong group shows as a tuple of the wrong length
+    pytest.param(lambda _: PairingMatrix(1, 1, Z2, Z2, Z4, (((1, 0),),)),
                  ValueError, None, id="pairing-value-group"),
     # <a, b> is against(b).apply(a), so each side checks its own group
     pytest.param(lambda _: Z2_PAIRING.against(GroupElement(Z2, (1,))).apply(GroupElement(Z4, (1,))),

@@ -30,12 +30,12 @@ def hashable_cases():
         (Homomorphism(Z2, Z4, [(2,)]), ("domain", "codomain", "images"),
          "Homomorphism(domain=FgAbGroup(rank=0, invariant_factors=(2,)), "
          "codomain=FgAbGroup(rank=0, invariant_factors=(4,)), images=((2,),))"),
-        (PairingMatrix(1, 1, Z2, Z2, Z4, ((two,),)),
+        (PairingMatrix(1, 1, Z2, Z2, Z4, (((2,),),)),
          ("n", "m", "source_n", "source_m", "target", "values"),
          "PairingMatrix(n=1, m=1, source_n=FgAbGroup(rank=0, invariant_factors=(2,)), "
          "source_m=FgAbGroup(rank=0, invariant_factors=(2,)), "
          "target=FgAbGroup(rank=0, invariant_factors=(4,)), "
-         "values=((GroupElement(group=FgAbGroup(rank=0, invariant_factors=(4,)), coords=(2,)),),))"),
+         "values=(((2,),),))"),
         (SequenceResult(Z2, Z2, (FgAbGroup(0, (2, 2)), Z4)), ("sub", "quot", "candidates"),
          "SequenceResult(sub=FgAbGroup(rank=0, invariant_factors=(2,)), "
          "quot=FgAbGroup(rank=0, invariant_factors=(2,)), "
