@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .fgab import FgAbGroup, GroupElement, Homomorphism, Value
+from .fgab import FgAbGroup, Homomorphism, Value
 
 _ENTRY_FIELDS = {"name", "connected", "abelian", "rational_exponents", "pi", "samelson"}
 _PI_FIELDS = {"degree": int, "rank": int, "factors": list, "source": str}
@@ -78,9 +78,14 @@ class PairingMatrix(Value):
     ):
         if len(values) != source_n.ngens:
             raise ValueError("pairing value rows do not match pi_n generators")
-        values = tuple(Homomorphism(source_m, target, row).images for row in values)
-        for column in zip(*values):
-            Homomorphism(source_n, target, column)
+        for i, row in enumerate(values):
+            for j, v in enumerate(row):
+                if len(v) != target.ngens:
+                    raise ValueError(f"cell ({i}, {j}) has length {len(v)}, not {target.ngens}")
+        values = tuple(_named_map(source_m, target, row, f"row <e_{i}, .>").images
+                       for i, row in enumerate(values))
+        for j, column in enumerate(zip(*values)):
+            _named_map(source_n, target, column, f"column <., f_{j}>")
         if any(any(v[:target.rank]) for row in values for v in row):
             raise ValueError("pairing values must be torsion")
         object.__setattr__(self, "n", n)
@@ -94,24 +99,32 @@ class PairingMatrix(Value):
     def is_zero(self) -> bool:
         return not any(any(v) for row in self.values for v in row)
 
-    def against(self, b: GroupElement) -> Homomorphism:
-        """<., b> : pi_n -> pi_(n+m), a homomorphism since the pairing is
-        biadditive; the image of generator i is sum_j b_j values[i][j],
-        summed on integer coordinates, which Homomorphism reduces.
+    def against(self, b: tuple[int, ...]) -> Homomorphism:
+        """<., b> : pi_n -> pi_(n+m) for b in pi_m, given by its coordinates, a
+        homomorphism since the pairing is biadditive; the image of generator i
+        is sum_j b_j values[i][j], summed on integers, which Homomorphism reduces.
 
         >>> z4 = FgAbGroup.cyclic(4)
         >>> pairing = PairingMatrix(1, 1, z4, z4, z4, (((1,),),))
-        >>> pairing.against(GroupElement(z4, (-1,))).images
+        >>> pairing.against((-1,)).images
         ((3,),)
         """
-        if b.group != self.source_m:
+        if len(b) != self.source_m.ngens:
             raise ValueError(f"right argument must lie in pi_{self.m} = {self.source_m}")
         target = self.target
-        if b.is_zero:  # also the case of no generators, where a row is empty
+        if not any(b):  # also the case of no generators, where a row is empty
             return Homomorphism.zero(self.source_n, target)
-        images = [[sum(map(operator.mul, b.coords, entries)) for entries in zip(*row)]
+        images = [[sum(map(operator.mul, b, entries)) for entries in zip(*row)]
                   for row in self.values]
         return Homomorphism(self.source_n, target, images)
+
+
+def _named_map(domain: FgAbGroup, target: FgAbGroup, images, where: str) -> Homomorphism:
+    """Homomorphism(domain, target, images), a rejection naming where."""
+    try:
+        return Homomorphism(domain, target, images)
+    except ValueError as exc:
+        raise ValueError(f"{exc}, in {where}") from None
 
 
 class GroupCatalogEntry(Value):
@@ -216,10 +229,10 @@ def _want(mapping, key, types, entry, where):
     return value
 
 
-def _int(value, entry, where):
+def _int(value, entry, where, prefix=""):
     # bool is an int subclass; keep the schema strict
     if not isinstance(value, int) or isinstance(value, bool):
-        raise CatalogValidationError(entry, where, "expected an integer")
+        raise CatalogValidationError(entry, where, prefix + "expected an integer")
     return value
 
 
@@ -300,13 +313,13 @@ def _build_entry(item) -> GroupCatalogEntry:
                 )
         if (n, m) in samelson:
             raise CatalogValidationError(name, "samelson", f"pairing ({n}, {m}) listed twice")
+        pairing = f"pairing ({n}, {m}): "
         try:
-            parsed = [[[_int(c, name, "samelson.values") for c in cell] for cell in vrow]
+            parsed = [[[_int(c, name, "samelson.values", pairing) for c in cell] for cell in vrow]
                       for vrow in values]
             samelson[(n, m)] = PairingMatrix(n, m, pi[n], pi[m], pi[n + m], parsed)
         except (TypeError, ValueError) as exc:
-            raise CatalogValidationError(name, "samelson.values",
-                                         f"pairing ({n}, {m}): {exc}") from None
+            raise CatalogValidationError(name, "samelson.values", f"{pairing}{exc}") from None
         if abelian and not samelson[(n, m)].is_zero:
             raise CatalogValidationError(
                 name, "samelson.values", f"pairing ({n}, {m}) of an abelian group must be zero"

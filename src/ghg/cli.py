@@ -198,7 +198,7 @@ def _cmd_compute(args) -> tuple[int, dict, str]:
         "command": "compute",
         "group": args.group,
         "base": str(base),
-        "class": list(bundle.clazz.coords),
+        "class": list(bundle.clazz),
         "degree": args.degree,
         "torsion_bound": args.torsion_bound,
         "resolved": result.is_resolved,

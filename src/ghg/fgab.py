@@ -267,47 +267,6 @@ def _reduced(group: FgAbGroup, coords: tuple[int, ...]) -> tuple[int, ...]:
     return coords[:rank] + tuple(c % d for c, d in zip(coords[rank:], group.invariant_factors))
 
 
-class GroupElement(Value):
-    """An element of a group in canonical form, as a coordinate row.
-
-    Torsion coordinates are reduced to [0, di) on construction, so
-    structural equality is element equality.
-    """
-
-    __slots__ = ("group", "coords")
-
-    def __init__(self, group: FgAbGroup, coords: tuple[int, ...]):
-        coords = tuple(map(operator.index, coords))
-        if len(coords) != group.ngens:
-            raise ValueError(
-                f"need {group.ngens} coordinates for {group}, got {len(coords)}"
-            )
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coords", _reduced(group, coords))
-
-    @classmethod
-    def zero(cls, group: FgAbGroup) -> GroupElement:
-        return cls(group, (0,) * group.ngens)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def __add__(self, other: GroupElement) -> GroupElement:
-        if self.group != other.group:
-            raise ValueError("elements of different groups")
-        return GroupElement(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> GroupElement:
-        return GroupElement(self.group, tuple(-c for c in self.coords))
-
-    def __mul__(self, k: int) -> GroupElement:
-        k = operator.index(k)
-        return GroupElement(self.group, tuple(k * c for c in self.coords))
-
-    __rmul__ = __mul__
-
-
 class Homomorphism(Value):
     """A homomorphism as the tuple of its generators' images: images[j]
     is the codomain coordinate tuple of f(e_j), torsion entries reduced
@@ -335,13 +294,6 @@ class Homomorphism(Value):
     @classmethod
     def zero(cls, domain: FgAbGroup, codomain: FgAbGroup) -> Homomorphism:
         return cls(domain, codomain, ((0,) * codomain.ngens,) * domain.ngens)
-
-    def apply(self, element: GroupElement) -> GroupElement:
-        if element.group != self.domain:
-            raise ValueError("element not in the domain")
-        return GroupElement(self.codomain, tuple(
-            sum(x * y[i] for x, y in zip(element.coords, self.images))
-            for i in range(self.codomain.ngens)))
 
 
 def cokernel(f: Homomorphism) -> FgAbGroup:

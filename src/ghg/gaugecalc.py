@@ -23,14 +23,16 @@ a closed form in the exponents of K (entry.rational_exponents).
 """
 from __future__ import annotations
 
+import operator
+
 from .catalog import Catalog, CatalogError, GroupCatalogEntry
 from .exactseq import DEFAULT_TORSION_BOUND, SequenceResult, TorsionBoundError, resolve_extension
 from .fgab import (
     FgAbGroup,
-    GroupElement,
     Homomorphism,
     Value,
     _diagonal_relations,
+    _reduced,
     _smith,
     cokernel,
     direct_sum,
@@ -83,15 +85,14 @@ class Surface(Value):
 
 
 class BundleSpec(Value):
-    """A principal K-bundle: base plus classifying element.
-
-    The class lives in pi_(dim-1)(K): clutching over S^dim, and
-    pi_1(K) = H^2 of a surface.
+    """A principal K-bundle: base plus classifying element, the coordinate
+    tuple of an element of pi_(dim-1)(K): clutching over S^dim, and
+    pi_1(K) = H^2 of a surface. The engine counts and reduces it.
     """
 
     __slots__ = ("base", "clazz")
 
-    def __init__(self, base: Sphere | Surface, clazz: GroupElement):
+    def __init__(self, base: Sphere | Surface, clazz: tuple[int, ...]):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "clazz", clazz)
 
@@ -102,32 +103,33 @@ def class_group(catalog: Catalog, group: str, base: Sphere | Surface) -> FgAbGro
 
 
 def make_bundle(catalog: Catalog, group: str, base: Sphere | Surface, coords) -> BundleSpec:
-    return BundleSpec(base, GroupElement(class_group(catalog, group, base), tuple(coords)))
+    return BundleSpec(base, _ends(catalog, group, base.dim, coords)[1])
 
 
-def _ends(catalog: Catalog, group: str, m: int, b: GroupElement, *degrees: int):
-    """The entry of group, then pi_d(group) for each d, once b is checked to lie in pi_(m-1)."""
+def _ends(catalog: Catalog, group: str, m: int, b, *degrees: int):
+    """The entry of group, the class b counted and reduced in pi_(m-1), then each pi_d."""
     entry, class_gp = catalog.entry(group), catalog.pi(group, m - 1)
-    if b.group != class_gp:
+    b = tuple(map(operator.index, b))
+    if len(b) != class_gp.ngens:
         raise ValueError(f"bundle class must lie in pi_{m - 1}({group}) = {class_gp}")
-    return (entry, *(catalog.pi(group, d) for d in degrees))
+    return (entry, _reduced(class_gp, b), *(catalog.pi(group, d) for d in degrees))
 
 
-def _pairing_map(entry: GroupCatalogEntry, b: GroupElement, n: int, m: int,
+def _pairing_map(entry: GroupCatalogEntry, b: tuple[int, ...], n: int, m: int,
                  domain: FgAbGroup, codomain: FgAbGroup) -> Homomorphism | None:
     """delta_n : domain = pi_n(K) -> codomain = pi_(n+m-1)(K) over S^m, or
     None for a structural zero (an end trivial, b = 0, K abelian), decided
     before pairing data is read; a missing pairing raises PairingUnavailable."""
-    if domain.is_trivial or codomain.is_trivial or b.is_zero or entry.abelian:
+    if domain.is_trivial or codomain.is_trivial or not any(b) or entry.abelian:
         return None
     pairing = entry.samelson.get((n, m - 1))
     if pairing is None:
         raise PairingUnavailable(entry.name, n, m - 1)
-    return pairing.against(-b)
+    return pairing.against(tuple(-c for c in b))
 
 
 def connecting_hom_sphere(
-    catalog: Catalog, group: str, m: int, b: GroupElement, n: int
+    catalog: Catalog, group: str, m: int, b: tuple[int, ...], n: int
 ) -> Homomorphism:
     """delta_n = -<., b> = <., -b> : pi_n(K) -> pi_(n+m-1)(K) over S^m,
     the stored pairing's homomorphism against -b (it is biadditive), or
@@ -138,13 +140,13 @@ def connecting_hom_sphere(
         raise ValueError("connecting map degree must be >= 1")
     if m < 1:
         raise ValueError("sphere dimension must be >= 1")
-    entry, domain, codomain = _ends(catalog, group, m, b, n, n + m - 1)
+    entry, b, domain, codomain = _ends(catalog, group, m, b, n, n + m - 1)
     f = _pairing_map(entry, b, n, m, domain, codomain)
     return Homomorphism.zero(domain, codomain) if f is None else f
 
 
 def connecting_hom_surface(
-    catalog: Catalog, group: str, genus: int, b: GroupElement, n: int
+    catalog: Catalog, group: str, genus: int, b: tuple[int, ...], n: int
 ) -> Homomorphism:
     """delta_n : pi_n(K) -> pi_n(K)^2g + pi_(n+1)(K) over a genus-g
     surface: the first 2g blocks vanish and the last is the S^2 map
@@ -193,18 +195,19 @@ def gauge_homotopy(
     """
     if n < 1:
         raise ValueError("gauge homotopy degrees start at 1 (degree 0 is out of scope)")
-    dim, k, b = bundle.base.dim, 2 * bundle.base.genus, bundle.clazz
-    entry, h1, top, pin, bottom = _ends(catalog, group, dim, b, n + 1, n + dim, n, n + dim - 1)
+    dim, k = bundle.base.dim, 2 * bundle.base.genus
+    entry, b, h1, top, pin, bottom = _ends(catalog, group, dim, bundle.clazz,
+                                           n + 1, n + dim, n, n + dim - 1)
     left = _pairing_map(entry, b, n + 1, dim, h1, top)
     right = _pairing_map(entry, b, n, dim, pin, bottom)
     coker = top if left is None else cokernel(left)
     quot = pin if right is None else kernel(right)
     if (k >= max(1, torsion_bound.bit_length()) and h1.invariant_factors
-            and quot.invariant_factors and not b.is_zero):
+            and quot.invariant_factors and any(b)):
         raise TorsionBoundError(torsion_bound)  # |tors sub| >= 2^k > bound, tors quot != 0
     sub = coker if not k or h1.is_trivial else FgAbGroup.of(
         coker.rank + k * h1.rank, coker.invariant_factors + k * h1.invariant_factors)
-    if b.is_zero:
+    if not any(b):
         return SequenceResult(sub, quot, (direct_sum(sub, quot),))
     return resolve_extension(sub, quot, torsion_bound)
 

@@ -1,6 +1,7 @@
 """Catalog loading, lookup semantics, and schema validation."""
 import itertools
 import json
+import operator
 from pathlib import Path
 
 import pytest
@@ -16,9 +17,9 @@ from ghg.catalog import (
     load_catalog,
     resolve_catalog_path,
 )
-from ghg.fgab import FgAbGroup, GroupElement, Homomorphism
+from ghg.fgab import FgAbGroup, Homomorphism, _reduced
 from ghg.gaugecalc import PairingUnavailable, connecting_hom_sphere
-from ghg.verify import image
+from ghg.verify import apply, image
 
 
 def entry_dict(**overrides):
@@ -45,8 +46,13 @@ def shipped_entry(name):
 
 
 def unit(group, i):
-    """Generator i of a group in canonical form."""
-    return GroupElement(group, tuple(int(k == i) for k in range(group.ngens)))
+    """Generator i of a group in canonical form, as its coordinates."""
+    return tuple(int(k == i) for k in range(group.ngens))
+
+
+def negated(group, x):
+    """-x in group, reduced."""
+    return _reduced(group, tuple(-c for c in x))
 
 
 def write_catalog(tmp_path, entries):
@@ -93,12 +99,9 @@ def test_stored_pairing_lookup():
     cat = default_catalog()
     p = cat.entry("SU2").samelson[(3, 3)]
     assert not p.is_zero
-    g3 = cat.pi("SU2", 3)
-    a = GroupElement(g3, (2,))
-    b = GroupElement(g3, (3,))
     # bilinear extension of <g, g> = 1 in Z/12
-    assert p.against(b).apply(a).coords == (6,)
-    assert p.against(GroupElement.zero(g3)).apply(a).is_zero
+    assert apply(p.against((3,)), (2,)) == (6,)
+    assert apply(p.against((0,)), (2,)) == (0,)
 
 
 def test_trivial_source_gives_zero_pairing():
@@ -106,13 +109,11 @@ def test_trivial_source_gives_zero_pairing():
     # structural zeros without reading them
     cat = default_catalog()
     assert (2, 3) not in cat.entry("SU2").samelson  # pi_2 = 0
-    b = GroupElement(cat.pi("SU2", 3), (1,))
-    delta = connecting_hom_sphere(cat, "SU2", 4, b, 2)  # pi_2 -> pi_5 = Z/2
+    delta = connecting_hom_sphere(cat, "SU2", 4, (1,), 2)  # pi_2 -> pi_5 = Z/2
     assert image(delta).is_trivial and not delta.codomain.is_trivial
     # trivial class group: an S^3 bundle has its class in pi_2 = 0
     assert (3, 2) not in cat.entry("SU2").samelson
-    clazz = GroupElement.zero(cat.pi("SU2", 2))
-    delta = connecting_hom_sphere(cat, "SU2", 3, clazz, 3)  # pi_3 -> pi_5
+    delta = connecting_hom_sphere(cat, "SU2", 3, (), 3)  # pi_3 -> pi_5
     assert image(delta).is_trivial and not delta.domain.is_trivial and not delta.codomain.is_trivial
 
 
@@ -124,8 +125,7 @@ def test_abelian_flag_gives_zero_pairing(tmp_path):
     entry = dict(shipped_entry("TEST"), name="TA", abelian=True, samelson=[])
     cat = load_catalog(write_catalog(tmp_path, [entry]))
     assert not cat.entry("TA").samelson
-    b = GroupElement(cat.pi("TA", 1), (1,))
-    delta = connecting_hom_sphere(cat, "TA", 2, b, 1)  # pi_1 = Z -> pi_2 = Z/4
+    delta = connecting_hom_sphere(cat, "TA", 2, (1,), 1)  # pi_1 = Z -> pi_2 = Z/4
     assert image(delta).is_trivial and not delta.codomain.is_trivial
 
 
@@ -151,16 +151,14 @@ def test_unstored_pairing_is_none():
     <pi_5, pi_3> -> pi_8 = Z/2, which SU2's entry lacks."""
     cat = default_catalog()
     assert cat.entry("SU2").samelson.get((5, 3)) is None
-    b = GroupElement(cat.pi("SU2", 3), (1,))
     with pytest.raises(PairingUnavailable, match="pi_5 x pi_3"):
-        connecting_hom_sphere(cat, "SU2", 4, b, 5)
+        connecting_hom_sphere(cat, "SU2", 4, (1,), 5)
 
 
 def test_pairing_needs_catalogued_degrees():
     cat = default_catalog()
-    b = GroupElement(cat.pi("SU2", 7), (1,))
     with pytest.raises(TableDepthError, match="degree 13 requested"):
-        connecting_hom_sphere(cat, "SU2", 8, b, 6)  # target degree 13 beyond the table
+        connecting_hom_sphere(cat, "SU2", 8, (1,), 6)  # target degree 13 beyond the table
 
 
 def test_pairing_matrix_shape_checks():
@@ -234,11 +232,9 @@ def test_test_entry_biadditivity():
     """The synthetic entry exercises multi-generator targets."""
     cat = default_catalog()
     p = cat.entry("TEST").samelson[(3, 1)]
-    g3 = cat.pi("TEST", 3)
-    g1 = cat.pi("TEST", 1)
-    a = GroupElement(g3, (2, 1))
-    f = p.against(GroupElement(g1, (3,)))
-    assert f.apply(a) == f.apply(GroupElement(g3, (2, 0))) + f.apply(GroupElement(g3, (0, 1)))
+    f = p.against((3,))
+    parts = map(operator.add, apply(f, (2, 0)), apply(f, (0, 1)))
+    assert apply(f, (2, 1)) == _reduced(f.codomain, tuple(parts))
 
 
 def test_against_is_the_stored_table_as_a_homomorphism():
@@ -254,20 +250,25 @@ def test_against_is_the_stored_table_as_a_homomorphism():
             assert f.domain == p.source_n and f.codomain == p.target
             assert list(f.images) == [row[j] for row in p.values]
         axes = [range(-2, 3) if d == 0 else range(d) for d in p.source_m.generator_orders()]
-        for coords in itertools.product(*axes):
-            b = GroupElement(p.source_m, coords)
-            minus = p.against(-b)
+        for b in itertools.product(*axes):
+            minus = p.against(tuple(-c for c in b))
             # the columns are reduced coordinates, so they negate as elements
-            assert [minus.apply(a) for a in gens] == [-p.against(b).apply(a) for a in gens]
+            assert [apply(minus, a) for a in gens] == [negated(p.target, apply(p.against(b), a))
+                                                       for a in gens]
             assert connecting_hom_sphere(cat, name, p.m + 1, b, p.n) == minus
 
 
 def reference_against(pairing, b):
     """<., b> with image i the element sum sum_j b_j values[i][j], built
-    term by term in GroupElement arithmetic."""
-    zero = GroupElement.zero(pairing.target)
-    images = [sum((y * GroupElement(pairing.target, v) for y, v in zip(b.coords, row)), zero).coords
-              for row in pairing.values]
+    term by term, each term and each partial sum reduced in the target."""
+    target = pairing.target
+    images = []
+    for row in pairing.values:
+        total = (0,) * target.ngens
+        for y, v in zip(b, row):
+            term = _reduced(target, tuple(y * c for c in v))
+            total = _reduced(target, tuple(map(operator.add, total, term)))
+        images.append(total)
     return Homomorphism(pairing.source_n, pairing.target, images)
 
 
@@ -280,10 +281,9 @@ def test_against_matches_the_element_sum():
     assert len(pairings) == 5
     for p in pairings:
         axes = [range(-3, 4) if d == 0 else range(d) for d in p.source_m.generator_orders()]
-        for coords in itertools.product(*axes):
-            b = GroupElement(p.source_m, coords)
+        for b in itertools.product(*axes):
             got, want = p.against(b), reference_against(p, b)
-            assert got == want and got.images == want.images, (p.n, p.m, coords)
+            assert got == want and got.images == want.images, (p.n, p.m, b)
 
 
 def test_load_roundtrip(tmp_path):
@@ -291,8 +291,7 @@ def test_load_roundtrip(tmp_path):
     cat = load_catalog(path)
     assert cat.names() == ("G",)
     assert cat.pi("G", 2) == FgAbGroup.cyclic(2)
-    gen = GroupElement(cat.pi("G", 1), (1,))
-    assert cat.entry("G").samelson[(1, 1)].against(gen).apply(gen).coords == (1,)
+    assert apply(cat.entry("G").samelson[(1, 1)].against((1,)), (1,)) == (1,)
 
 
 def test_missing_file(tmp_path):
@@ -428,6 +427,32 @@ def test_samelson_annihilation_enforced(tmp_path):
         load_catalog(path)
 
 
+# A pairing rejection names the pairing, then the cell or the partial
+# map at fault: the row <e_i, .> on pi_m or the column <., f_j> on pi_n.
+# pi_1 = Z + Z/f_1, pi_2 = Z/f_2, ... for the factor lists given.
+@pytest.mark.parametrize("factors, n, m, values, message", [
+    pytest.param([[], [2]], 1, 1, [[[True]]], "expected an integer", id="bool-cell"),
+    pytest.param([[], [2]], 1, 1, [[["1"]]], "expected an integer", id="string-cell"),
+    pytest.param([[2], [8]], 1, 1, [[[0], [0]], [[0], [4, 0]]],
+                 "cell (1, 1) has length 2, not 1", id="cell-length"),
+    pytest.param([[], [2], [4]], 1, 2, [[[1]]],
+                 "ill-defined homomorphism: generator 0 has order 2 but 2 times its image "
+                 "(1,) is nonzero, in row <e_0, .>", id="ill-defined-row"),
+    pytest.param([[], [2], [4]], 2, 1, [[[1]]],
+                 "ill-defined homomorphism: generator 0 has order 2 but 2 times its image "
+                 "(1,) is nonzero, in column <., f_0>", id="ill-defined-column"),
+])
+def test_pairing_rejections_name_the_cell(tmp_path, factors, n, m, values, message):
+    pi = [{"degree": d, "rank": int(d == 1), "factors": f, "source": "x"}
+          for d, f in enumerate([[]] + factors)]
+    pairing = {"n": n, "m": m, "values": values}
+    path = write_catalog(tmp_path, [entry_dict(pi=pi, samelson=[pairing])])
+    with pytest.raises(CatalogValidationError) as info:
+        load_catalog(path)
+    assert info.value.field == "samelson.values"
+    assert str(info.value).endswith(f"'samelson.values': pairing ({n}, {m}): {message}")
+
+
 def test_resolve_catalog_path(tmp_path, monkeypatch):
     monkeypatch.delenv("GHG_CATALOG", raising=False)
     assert resolve_catalog_path(None) == default_catalog_path()
@@ -489,10 +514,11 @@ Z2_PAIRING = PairingMatrix(1, 1, Z2, Z2, Z2, (((1,),),))
     # wrong group shows as a tuple of the wrong length
     pytest.param(lambda _: PairingMatrix(1, 1, Z2, Z2, Z4, (((1, 0),),)),
                  ValueError, None, id="pairing-value-group"),
-    # <a, b> is against(b).apply(a), so each side checks its own group
-    pytest.param(lambda _: Z2_PAIRING.against(GroupElement(Z2, (1,))).apply(GroupElement(Z4, (1,))),
+    # <a, b> is apply(against(b), a), so each side checks its own group;
+    # an element from another group shows as a tuple of the wrong length
+    pytest.param(lambda _: apply(Z2_PAIRING.against((1,)), (1, 0)),
                  ValueError, None, id="apply-left-group"),
-    pytest.param(lambda _: Z2_PAIRING.against(GroupElement(Z4, (1,))).apply(GroupElement(Z2, (1,))),
+    pytest.param(lambda _: Z2_PAIRING.against((1, 0)),
                  ValueError, None, id="apply-right-group"),
 ])
 def test_rejections(tmp_path, call, exc, field):

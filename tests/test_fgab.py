@@ -5,6 +5,7 @@ transforms back out, check unimodularity through exact determinants,
 and check the divisibility chain entry by entry.
 """
 import random
+import sys
 import time
 from collections import Counter
 from math import gcd, lcm, prod
@@ -15,7 +16,6 @@ import ghg.fgab
 from ghg.catalog import default_catalog
 from ghg.fgab import (
     FgAbGroup,
-    GroupElement,
     Homomorphism,
     _diagonal_relations,
     _presented,
@@ -27,6 +27,7 @@ from ghg.fgab import (
 from ghg.gaugecalc import Sphere, Surface, gauge_homotopy, make_bundle
 from ghg.verify import (
     IntMatrix,
+    apply,
     canonicalize,
     det,
     enumerate_elements,
@@ -306,21 +307,6 @@ def test_direct_sum_commutes_and_adds_rank():
         assert s.torsion_order == a.torsion_order * b.torsion_order
 
 
-def test_element_arithmetic():
-    g = FgAbGroup(1, (4,))
-    a = GroupElement(g, (2, 3))
-    b = GroupElement(g, (-1, 2))
-    assert (a + b).coords == (1, 1)
-    assert (3 * b).coords == (-3, 2)
-    assert (-a).coords == (-2, 1)
-    assert GroupElement(g, (0, 9)).coords == (0, 1)
-    assert GroupElement.zero(g).is_zero
-    with pytest.raises(ValueError):
-        GroupElement(g, (1,))
-    with pytest.raises(ValueError):
-        a + GroupElement.zero(FgAbGroup.cyclic(4))
-
-
 def test_hom_well_definedness_rejected():
     """Ill-defined images raise. A zero image needs no check, so zero
     images are also built on ends that reject any nonzero entry and on
@@ -366,13 +352,14 @@ def test_equal_maps_compare_equal():
 
 
 def test_hom_apply_and_neg():
+    """verify.apply reduces in the codomain, so a negated argument gives
+    the reduced negation, and an unreduced argument its residue."""
     f = Homomorphism(FgAbGroup(1), FgAbGroup.cyclic(12), [(5,)])
-    assert f.apply(GroupElement(f.domain, (3,))).coords == (3,)
-    assert (-f.apply(GroupElement(f.domain, (1,)))).coords == (7,)
+    assert apply(f, (3,)) == (3,)
+    assert apply(f, (-1,)) == (7,)
     assert image(Homomorphism.zero(f.domain, f.codomain)).is_trivial
-    assert Homomorphism(f.codomain, f.codomain, [(1,)]).apply(
-        GroupElement(f.codomain, (7,))
-    ).coords == (7,)
+    assert apply(Homomorphism(f.codomain, f.codomain, [(1,)]), (19,)) == (7,)
+    assert apply(Homomorphism(FgAbGroup(0), f.codomain, []), ()) == (0,)
 
 
 def decompose(f):
@@ -415,8 +402,8 @@ def test_kernel_image_cokernel_against_enumeration():
         f = random_hom(rng, dom, cod)
         ker, im, coker = decompose(f)
         elements = enumerate_elements(dom)
-        ker_count = sum(1 for x in elements if f.apply(x).is_zero)
-        image_set = {f.apply(x).coords for x in elements}
+        ker_count = sum(1 for x in elements if not any(apply(f, x)))
+        image_set = {apply(f, x) for x in elements}
         assert ker.order == ker_count
         assert im.order == len(image_set)
         assert coker.order * len(image_set) == cod.order
@@ -461,9 +448,10 @@ def test_cokernel_matches_presentation_route():
     assert len(kinds) == 12
 
 
-def torsion_order(x):
-    """The additive order of an element of a finite group."""
-    return lcm(1, *(d // gcd(c, d) for c, d in zip(x.coords, x.group.invariant_factors)))
+def torsion_order(x, factors):
+    """The additive order of the element x of the finite group with the
+    given invariant factors."""
+    return lcm(1, *(d // gcd(c, d) for c, d in zip(x, factors)))
 
 
 def test_kernel_with_free_parts():
@@ -481,10 +469,10 @@ def test_kernel_with_free_parts():
         assert ker.rank == dom.rank - (cod.rank - presentation_cokernel(f).rank)
         free = (0,) * dom.rank
         torsion = enumerate_elements(FgAbGroup(0, dom.invariant_factors))
-        killed = Counter(torsion_order(x) for x in torsion
-                         if f.apply(GroupElement(dom, free + x.coords)).is_zero)
+        killed = Counter(torsion_order(x, dom.invariant_factors) for x in torsion
+                         if not any(apply(f, free + x)))
         ker_torsion = enumerate_elements(FgAbGroup(0, ker.invariant_factors))
-        assert Counter(map(torsion_order, ker_torsion)) == killed
+        assert Counter(torsion_order(x, ker.invariant_factors) for x in ker_torsion) == killed
         mixed_domain = mixed_domain or (dom.rank > 0 and dom.torsion_order > 1)
         mixed_kernel = mixed_kernel or (ker.rank > 0 and ker.torsion_order > 1)
         # a nonzero free x free block: the kernel loses rank
@@ -556,8 +544,8 @@ def test_objects_built_per_query(monkeypatch):
     is the cokernel itself, so the work is pinned and not only the time:
     exact totals over the answered queries of tests/golden_compute.jsonl.
     Only the stored pairing's map of a nonzero class is built, on integer
-    coordinates with no element per term, and each chain is scanned by
-    _is_chain once, where it is first formed."""
+    coordinates, and each chain is scanned by _is_chain once, where it is
+    first formed."""
     cat = default_catalog()
     queries = answered_queries(cat)
     counts = Counter()
@@ -571,7 +559,6 @@ def test_objects_built_per_query(monkeypatch):
     monkeypatch.setattr(Homomorphism, "__init__", counting("Homomorphism", Homomorphism.__init__))
     monkeypatch.setattr(FgAbGroup, "of", classmethod(counting("of", FgAbGroup.of.__func__)))
     monkeypatch.setattr(ghg.fgab, "_is_chain", counting("_is_chain", ghg.fgab._is_chain))
-    monkeypatch.setattr(GroupElement, "__init__", counting("GroupElement", GroupElement.__init__))
     # (group, base, class, degree, maps built): class 0 and SU2's
     # delta_2, delta_1 over S^4 (pi_2 = pi_1 = 0) are structural zeros;
     # at degree 2 with class 3, delta_3 is the stored pairing's map
@@ -583,29 +570,32 @@ def test_objects_built_per_query(monkeypatch):
         counts.clear()
         gauge_homotopy(cat, group, bundle, n)
         assert counts["Homomorphism"] == built
-        # -b, and nothing else: no element is built per term of the map
-        assert counts["GroupElement"] == built
     counts.clear()
     for group, bundle, n in queries:
         gauge_homotopy(cat, group, bundle, n)
     # 46 stored pairings' maps; every other connecting map is a structural zero
     assert len(queries) == 538
-    assert counts == {"Homomorphism": 92, "GroupElement": 92, "of": 206, "_is_chain": 359}
+    assert counts == {"Homomorphism": 92, "of": 206, "_is_chain": 359}
 
 
 def test_engine_modules_hold_no_transform_algebra():
     """The matrix type and the transform-bearing algebra live in ghg.verify
     alone: no engine module that ghg.cli loads has them, and the
-    oracle-only methods are gone."""
+    oracle-only methods are gone. An element is its coordinate tuple, so
+    no ghg module, ghg.verify included, binds an element type, and a map
+    is applied by verify.apply alone."""
     import ghg.cli
+    import ghg.verify
 
     for module in ("fgab", "gaugecalc", "exactseq", "catalog", "cli"):
         for name in ("IntMatrix", "snf", "canonicalize", "relation_matrix"):
             assert not hasattr(getattr(ghg, module), name), (module, name)
+    modules = [m for key, m in sys.modules.items() if key.partition(".")[0] == "ghg"]
+    assert ghg.verify in modules
+    assert not [m.__name__ for m in modules if hasattr(m, "GroupElement")]
     for cls, names in ((IntMatrix, ("transpose", "column", "diagonal_entries", "__matmul__",
                                     "__neg__")),
-                       (Homomorphism, ("__neg__",)), (FgAbGroup, ("torsion_part",)),
-                       (GroupElement, ("generator", "order"))):
+                       (Homomorphism, ("__neg__", "apply")), (FgAbGroup, ("torsion_part",))):
         for name in names:
             assert not hasattr(cls, name), (cls.__name__, name)
 
@@ -694,8 +684,8 @@ def test_enumerate_elements():
     g = FgAbGroup(0, (2, 4))
     elems = enumerate_elements(g)
     assert len(elems) == 8
-    assert len({e.coords for e in elems}) == 8
-    assert enumerate_elements(FgAbGroup(0)) == [GroupElement(FgAbGroup(0), ())]
+    assert len(set(elems)) == 8 and elems[1] == (0, 1)
+    assert enumerate_elements(FgAbGroup(0)) == [()]
     with pytest.raises(ValueError):
         enumerate_elements(FgAbGroup(1))
 
@@ -732,8 +722,8 @@ Z4 = FgAbGroup.cyclic(4)
     pytest.param(lambda: Homomorphism(Z2, FgAbGroup(1), [(0, 5)]), id="column-height-free"),
     pytest.param(lambda: matmul(IntMatrix([[1, 2]]), IntMatrix([[1, 2]])), id="product-shape"),
     pytest.param(lambda: Homomorphism(Z2, Z4, [(2,), (0,)]), id="hom-shape"),
-    pytest.param(lambda: Homomorphism(Z2, Z4, [(2,)]).apply(GroupElement(Z4, (1,))),
-                 id="apply-outside-domain"),
+    # an element is a coordinate tuple, so one outside the domain has the wrong length
+    pytest.param(lambda: apply(Homomorphism(Z2, Z4, [(2,)]), (1, 0)), id="apply-outside-domain"),
 ])
 def test_shape_rejections(call):
     with pytest.raises(ValueError):

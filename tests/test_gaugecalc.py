@@ -7,11 +7,7 @@ import pytest
 
 from ghg.catalog import TableDepthError, default_catalog
 from ghg.exactseq import resolve_extension
-from ghg.fgab import (
-    CapacityError,
-    FgAbGroup,
-    GroupElement,
-)
+from ghg.fgab import CapacityError, FgAbGroup
 from ghg.gaugecalc import (
     BundleSpec,
     PairingUnavailable,
@@ -24,14 +20,10 @@ from ghg.gaugecalc import (
     gauge_homotopy_rational,
     make_bundle,
 )
-from ghg.verify import image, middle_group, rational_via_zero_sequence
+from ghg.verify import apply, image, middle_group, rational_via_zero_sequence
 from test_golden import answered_queries
 
 CAT = default_catalog()
-
-
-def su2_class(k):
-    return GroupElement(CAT.pi("SU2", 3), (k,))
 
 
 def test_base_validation():
@@ -53,36 +45,59 @@ def test_class_group():
 
 def test_make_bundle_reduces_class():
     b = make_bundle(CAT, "TEST", Sphere(3), (5,))  # classes live in Z/4
-    assert b.clazz.coords == (1,)
-    with pytest.raises(ValueError):
-        make_bundle(CAT, "SU2", Sphere(4), (1, 2))
+    assert b.clazz == (1,)
+    assert make_bundle(CAT, "SU2", Sphere(4), [-7]).clazz == (-7,)  # Z: left as given
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda coords: make_bundle(CAT, "SU2", Sphere(4), coords), id="make_bundle"),
+    pytest.param(lambda coords: connecting_hom_sphere(CAT, "SU2", 4, coords, 3),
+                 id="connecting_hom_sphere"),
+])
+def test_class_coordinates_are_checked(build):
+    """A class is integer coordinates in pi_(dim-1): a non-integer
+    coordinate is a TypeError, and a wrong count a ValueError naming the
+    group."""
+    for bad in ((1.5,), ("1",), (None,)):
+        with pytest.raises(TypeError):
+            build(bad)
+    for count in ((), (1, 2)):
+        with pytest.raises(ValueError, match=r"must lie in pi_3\(SU2\) = Z\^1"):
+            build(count)
+
+
+def test_unreduced_class_meets_the_class_zero_split():
+    """A BundleSpec built by hand is reduced by the engine, so the class
+    4 in Z/4 is class 0 and splits."""
+    want = gauge_homotopy(CAT, "TEST", BundleSpec(Sphere(3), (0,)), 1)
+    assert want.is_resolved
+    assert gauge_homotopy(CAT, "TEST", BundleSpec(Sphere(3), (4,)), 1) == want
 
 
 def test_sphere_delta_is_negated_pairing():
     # <g, g> = 1 in pi_6(SU2) = Z/12, so delta_3 multiplies by -k
     for k in (1, 5, 12):
-        d = connecting_hom_sphere(CAT, "SU2", 4, su2_class(k), 3)
+        d = connecting_hom_sphere(CAT, "SU2", 4, (k,), 3)
         assert d.images == (((-k) % 12,),)
         assert d.domain == FgAbGroup(1)
         assert d.codomain == FgAbGroup.cyclic(12)
 
 
 def test_sphere_delta_zero_shortcuts():
-    assert image(connecting_hom_sphere(CAT, "SU2", 4, su2_class(1), 2)).is_trivial  # pi_2 = 0
-    assert image(connecting_hom_sphere(CAT, "SU2", 4, su2_class(0), 3)).is_trivial  # b = 0
-    u1 = GroupElement(CAT.pi("U1", 1), (5,))
+    assert image(connecting_hom_sphere(CAT, "SU2", 4, (1,), 2)).is_trivial  # pi_2 = 0
+    assert image(connecting_hom_sphere(CAT, "SU2", 4, (0,), 3)).is_trivial  # b = 0
     # abelian entries never need stored pairings
-    assert image(connecting_hom_sphere(CAT, "U1", 2, u1, 1)).is_trivial
+    assert image(connecting_hom_sphere(CAT, "U1", 2, (5,), 1)).is_trivial
 
 
 def test_sphere_delta_wrong_class_group():
     with pytest.raises(ValueError, match="must lie in"):
-        connecting_hom_sphere(CAT, "SU2", 2, su2_class(1), 3)
+        connecting_hom_sphere(CAT, "SU2", 2, (1,), 3)
 
 
 def test_pairing_unavailable():
     with pytest.raises(PairingUnavailable) as info:
-        connecting_hom_sphere(CAT, "SU2", 4, su2_class(1), 4)
+        connecting_hom_sphere(CAT, "SU2", 4, (1,), 4)
     exc = info.value
     assert (exc.group, exc.n, exc.m) == ("SU2", 4, 3)
     assert "pi_4 x pi_3" in str(exc)
@@ -120,32 +135,26 @@ SURFACE_DELTAS = {
 
 def test_surface_delta_matrices_are_pinned():
     for (group, coords, n), by_genus in SURFACE_DELTAS.items():
-        b = GroupElement(CAT.pi(group, 1), coords)
         for genus, (codomain, images) in enumerate(by_genus):
-            d = connecting_hom_surface(CAT, group, genus, b, n)
+            d = connecting_hom_surface(CAT, group, genus, coords, n)
             assert d.domain == CAT.pi(group, n)
             assert (str(d.codomain), d.images) == (codomain, images), (group, coords, n, genus)
 
 
 def test_surface_delta_lands_in_last_block():
-    g1 = CAT.pi("TEST", 1)
-    b = GroupElement(g1, (1,))
-    d = connecting_hom_surface(CAT, "TEST", 1, b, 1)
+    d = connecting_hom_surface(CAT, "TEST", 1, (1,), 1)
     assert d.codomain == FgAbGroup.of(2, (4,))
     # -<x, b> for the generator x of pi_1 is 3 in pi_2 = Z/4, the last
     # block, which the canonical codomain keeps as its Z/4 coordinate
     pairing = CAT.entry("TEST").samelson[(1, 1)]
-    gen = GroupElement(g1, (1,))
-    assert -pairing.against(b).apply(gen) == GroupElement(CAT.pi("TEST", 2), (3,))
-    got = d.apply(gen)
-    assert got == GroupElement(d.codomain, (0, 0, 3))
-    assert (4 * got).is_zero and not (2 * got).is_zero  # of order 4
+    assert apply(pairing.against((1,)), (1,)) == (1,)
+    assert apply(d, (1,)) == (0, 0, 3)
+    assert apply(d, (4,)) == (0, 0, 0) and apply(d, (2,)) != (0, 0, 0)  # of order 4
 
 
 def test_surface_delta_zero_shortcuts():
-    u1 = GroupElement(CAT.pi("U1", 1), (3,))
-    assert image(connecting_hom_surface(CAT, "U1", 1, u1, 1)).is_trivial
-    su2 = GroupElement.zero(CAT.pi("SU2", 1))
+    assert image(connecting_hom_surface(CAT, "U1", 1, (3,), 1)).is_trivial
+    su2 = ()  # pi_1(SU2) = 0
     d = connecting_hom_surface(CAT, "SU2", 1, su2, 3)
     assert image(d).is_trivial
     # codomain is still the full 2g + 1 block sum: Z^2 + Z/2
@@ -224,7 +233,7 @@ def test_high_genus_merges_in_linear_time():
     """pi_4(SU2)^16000 = (Z/2)^16000 joins sub as 16000 copies of one
     order, merged at once rather than pair by pair."""
     start = time.perf_counter()
-    r = gauge_homotopy(CAT, "SU2", BundleSpec(Surface(8000), GroupElement(CAT.pi("SU2", 1), ())), 3)
+    r = gauge_homotopy(CAT, "SU2", BundleSpec(Surface(8000), ()), 3)
     assert time.perf_counter() - start < 1.0
     assert r.resolved == FgAbGroup(1, (2,) * 16001)
 
@@ -292,7 +301,7 @@ def test_sphere_queries_match_literal_maps():
         literal = middle_group(connecting_hom_sphere(CAT, group, m, b, n + 1),
                                connecting_hom_sphere(CAT, group, m, b, n))
         got = gauge_homotopy(CAT, group, bundle, n)
-        if b.is_zero:
+        if not any(b):
             assert (got.sub, got.quot) == (literal.sub, literal.quot)
             assert got.resolved in literal.candidates
         else:
@@ -334,9 +343,9 @@ def test_rational_degree_zero_rejected():
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda: connecting_hom_sphere(CAT, "SU2", 4, su2_class(1), 0), id="sphere-n-0"),
-    pytest.param(lambda: connecting_hom_sphere(CAT, "SU2", 0, su2_class(1), 3), id="sphere-m-0"),
-    pytest.param(lambda: connecting_hom_surface(CAT, "SU2", -1, su2_class(1), 3), id="genus-negative"),
+    pytest.param(lambda: connecting_hom_sphere(CAT, "SU2", 4, (1,), 0), id="sphere-n-0"),
+    pytest.param(lambda: connecting_hom_sphere(CAT, "SU2", 0, (1,), 3), id="sphere-m-0"),
+    pytest.param(lambda: connecting_hom_surface(CAT, "SU2", -1, (1,), 3), id="genus-negative"),
 ])
 def test_connecting_map_rejections(call):
     with pytest.raises(ValueError):

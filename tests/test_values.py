@@ -8,7 +8,7 @@ import pytest
 
 from ghg.catalog import Catalog, GroupCatalogEntry, PairingMatrix, default_catalog
 from ghg.exactseq import SequenceResult, resolve_extension
-from ghg.fgab import FgAbGroup, GroupElement, Homomorphism
+from ghg.fgab import FgAbGroup, Homomorphism
 from ghg.gaugecalc import BundleSpec, Sphere, Surface
 from ghg.verify import IntMatrix
 
@@ -19,14 +19,14 @@ ENTRY = default_catalog().entry("SU2")
 
 def hashable_cases():
     """(value, field names in order, repr) for every hashable value type."""
-    two = GroupElement(Z4, (2,))
     return [
         (FgAbGroup(1, (2,)), ("rank", "invariant_factors"),
          "FgAbGroup(rank=1, invariant_factors=(2,))"),
         (FgAbGroup(0), ("rank", "invariant_factors"),
          "FgAbGroup(rank=0, invariant_factors=())"),
-        (two, ("group", "coords"),
-         "GroupElement(group=FgAbGroup(rank=0, invariant_factors=(4,)), coords=(2,))"),
+        (Homomorphism.zero(FgAbGroup(0), Z4), ("domain", "codomain", "images"),
+         "Homomorphism(domain=FgAbGroup(rank=0, invariant_factors=()), "
+         "codomain=FgAbGroup(rank=0, invariant_factors=(4,)), images=())"),
         (Homomorphism(Z2, Z4, [(2,)]), ("domain", "codomain", "images"),
          "Homomorphism(domain=FgAbGroup(rank=0, invariant_factors=(2,)), "
          "codomain=FgAbGroup(rank=0, invariant_factors=(4,)), images=((2,),))"),
@@ -43,9 +43,8 @@ def hashable_cases():
          "FgAbGroup(rank=0, invariant_factors=(4,))))"),
         (Sphere(2), ("dim",), "Sphere(dim=2)"),
         (Surface(2), ("genus",), "Surface(genus=2)"),
-        (BundleSpec(Sphere(2), two), ("base", "clazz"),
-         "BundleSpec(base=Sphere(dim=2), "
-         "clazz=GroupElement(group=FgAbGroup(rank=0, invariant_factors=(4,)), coords=(2,)))"),
+        (BundleSpec(Sphere(2), (2,)), ("base", "clazz"),
+         "BundleSpec(base=Sphere(dim=2), clazz=(2,))"),
         (BundleSpec(Surface(1), None), ("base", "clazz"),
          "BundleSpec(base=Surface(genus=1), clazz=None)"),
         (IntMatrix([[2, 0]]), ("data", "cols"), "IntMatrix([[2, 0]], cols=2)"),
@@ -111,15 +110,13 @@ def test_constructor_checks_and_defaults():
     with pytest.raises(ValueError):
         FgAbGroup(0, (4, 2))
     with pytest.raises(ValueError):
-        GroupElement(Z2, (1, 1))
-    with pytest.raises(ValueError):
         Sphere(0)
     with pytest.raises(ValueError):
         Surface(-1)
     assert str(FgAbGroup(True)) == "Z^1"
     for bad in (lambda: FgAbGroup(1.5), lambda: FgAbGroup(0, (2.5,)), lambda: FgAbGroup(0, ("6",)),
                 lambda: FgAbGroup.of(0, (2.5,)), lambda: FgAbGroup.of(1.5),
-                lambda: FgAbGroup.cyclic("6"), lambda: GroupElement(Z4, (1.5,))):
+                lambda: FgAbGroup.cyclic("6"), lambda: Homomorphism(Z2, Z4, [(1.5,)])):
         with pytest.raises(TypeError):
             bad()
 

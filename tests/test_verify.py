@@ -191,7 +191,8 @@ def test_catalog_check_catches_a_negated_pairing(monkeypatch):
     are reduced coordinates, so the types cannot tell; the bilinear sum
     does, on SU2's (3, 3) pairing into Z/12 and TEST's (1, 1) into Z/4."""
     real = PairingMatrix.against
-    monkeypatch.setattr(PairingMatrix, "against", lambda pairing, b: real(pairing, -b))
+    monkeypatch.setattr(PairingMatrix, "against",
+                        lambda pairing, b: real(pairing, tuple(-c for c in b)))
     for name, pairing in (("SU2", (3, 3)), ("TEST", (1, 1))):
         alone = Catalog({name: CAT.entry(name)}, CAT.path)
         with pytest.raises(verify.CheckFailure, match=rf"{name}: pairing \({pairing[0]},"
