@@ -1,4 +1,5 @@
-"""tools/bench_record.py: the pair summary follows each metric's direction."""
+"""tools/bench_record.py: the pair summary follows each metric's direction
+and gives each side's median and quartiles."""
 import importlib.util
 from pathlib import Path
 
@@ -17,7 +18,11 @@ def test_summary_counts_wins_by_direction():
              for s, p, c in ((1, 2.0, 1.0), (2, 2.0, 3.0), (3, 4.0, 1.0))]
     got = bench_record.summary(pairs, metrics)
     assert got == {
-        "wall_s": {"parent_median": 2.0, "change_median": 1.0, "change_wins": 2, "pairs": 3},
-        "queries_per_s": {"parent_median": 0.5, "change_median": 1.0, "change_wins": 2,
-                          "pairs": 3},
+        "wall_s": {"parent_median": 2.0, "parent_quartiles": [2.0, 4.0],
+                   "change_median": 1.0, "change_quartiles": [1.0, 3.0],
+                   "change_wins": 2, "pairs": 3},
+        "queries_per_s": {"parent_median": 0.5, "parent_quartiles": [0.25, 0.5],
+                          "change_median": 1.0, "change_quartiles": [1 / 3, 1.0],
+                          "change_wins": 2, "pairs": 3},
     }
+

@@ -1,20 +1,21 @@
 """Record the benchmark of one commit as BENCH_<n>.json.
 
-    python3 tools/bench_record.py --out BENCH_31.json --seconds 5 [--parent ../parent]
+    python3 tools/bench_record.py --out BENCH_31.json --parent ../parent
 
-Run from the root of a clean checkout. For each workload of
-BENCHMARK.json it keeps the final JSON line of
+Run from the root of a clean checkout, with a checkout of the parent
+commit at --parent. For each workload W of BENCHMARK.json it runs
+PAIRS alternating pairs of
 
-    python3 bench/run.py --workload W --seed 1 --seconds S --trace 0
+    python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
-and the host: the commit, the CPU count, the Python version and whether
-the package's bytecode was cached. With --parent, a checkout of the
-parent commit, it also runs PAIRS alternating pairs of each of
-PAIR_WORKLOADS over seeds 1, 2, ..., the parent first on odd seeds and
-this checkout first on even ones, and records every pair with, per
-end-to-end metric, both medians and the number of pairs the change wins. A file made this
-way records; it proves a claimed gain only under the rules of README
-"Reproducing a speed claim".
+over seeds S = 1, 2, ..., the parent first on odd seeds and this
+checkout first on even ones, with T the benchmark's run_seconds. It
+records every pair and, per end-to-end metric, both sides' medians and
+quartiles and the number of pairs the change wins; the final JSON line
+of this checkout's seed-1 run of each workload; and the host: the
+commit, the CPU count, the Python version and whether the package's
+bytecode was cached. A file made this way records; it proves a claimed
+gain only under the rules of README "Reproducing a speed claim".
 """
 from __future__ import annotations
 
@@ -27,10 +28,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-# sweep and genus time the engine in one interpreter; cold_cli and verify
-# are dominated by interpreter start and by the fixed verify suite
-PAIR_WORKLOADS = ("sweep", "genus")
-PAIRS, PAIR_SECONDS = 10, 4.0
+PAIRS = 10
 
 
 def final_line(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -48,17 +46,25 @@ def values(line: dict) -> dict:
     return {name: m["value"] for name, m in line["metrics"].items()}
 
 
+def quartiles(xs: list) -> list:
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    return [q1, q3]
+
+
 def summary(pairs: list, metrics: list) -> dict:
-    """Per end-to-end metric: the parent's and the change's medians and
-    how many pairs the change wins, by the metric's direction."""
+    """Per end-to-end metric: each side's median and quartiles and how
+    many pairs the change wins, by the metric's direction."""
     out = {}
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "lower" else -1
         both = [(p["parent"][name], p["change"][name]) for p in pairs
                 if name in p["parent"] and name in p["change"]]
         if both:
-            out[name] = {"parent_median": statistics.median(a for a, _ in both),
-                         "change_median": statistics.median(b for _, b in both),
+            parent, change = [a for a, _ in both], [b for _, b in both]
+            out[name] = {"parent_median": statistics.median(parent),
+                         "parent_quartiles": quartiles(parent),
+                         "change_median": statistics.median(change),
+                         "change_quartiles": quartiles(change),
                          "change_wins": sum(sign * (b - a) < 0 for a, b in both),
                          "pairs": len(both)}
     return out
@@ -74,30 +80,29 @@ def bytecode_cached(root: Path) -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--parent", type=Path, required=True)
     args = parser.parse_args(argv)
 
     root = Path.cwd()
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
                             text=True, check=True).stdout.strip()
     record = {"commit": commit,
-              "command": "python3 bench/run.py --workload W --seed 1 "
-                         f"--seconds {args.seconds:g} --trace 0",
-              "runs": {w["name"]: final_line(root, w["name"], 1, args.seconds)
-                       for w in spec["workloads"]}}
-    if args.parent is not None:
-        record["pairs"] = {}
-        for workload in PAIR_WORKLOADS:
-            pairs = []
-            for seed in range(1, PAIRS + 1):
-                order = [("parent", args.parent), ("change", root)]
-                runs = {side: final_line(where, workload, seed, PAIR_SECONDS)
-                        for side, where in (order if seed % 2 else order[::-1])}
-                pairs.append({"seed": seed, **{side: values(r) for side, r in runs.items()}})
-            record["pairs"][workload] = {"seconds": PAIR_SECONDS, "runs": pairs,
-                                         "summary": summary(pairs, spec["end_to_end"])}
+              "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} "
+                         "--trace 0",
+              "runs": {}, "pairs": {}}
+    for w in spec["workloads"]:
+        pairs = []
+        for seed in range(1, PAIRS + 1):
+            order = [("parent", args.parent), ("change", root)]
+            runs = {side: final_line(where, w["name"], seed, seconds)
+                    for side, where in (order if seed % 2 else order[::-1])}
+            if seed == 1:
+                record["runs"][w["name"]] = runs["change"]
+            pairs.append({"seed": seed, **{side: values(r) for side, r in runs.items()}})
+        record["pairs"][w["name"]] = {"runs": pairs,
+                                      "summary": summary(pairs, spec["end_to_end"])}
     record["host"] = {"cpus": os.cpu_count(), "python": platform.python_version(),
                       "bytecode_cached": bytecode_cached(root)}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
