@@ -10,12 +10,13 @@ PAIRS alternating pairs of
 
 over seeds S = 1, 2, ..., the parent first on odd seeds and this
 checkout first on even ones, with T the benchmark's run_seconds. It
-records every pair and, per end-to-end metric, both sides' medians and
-quartiles and the number of pairs the change wins; the final JSON line
-of this checkout's seed-1 run of each workload; and the host: the
-commit, the CPU count, the Python version and whether the package's
-bytecode was cached. A file made this way records; it proves a claimed
-gain only under the rules of README "Reproducing a speed claim".
+records every pair (its metrics and failed operations) and, per
+end-to-end metric, both sides' medians and quartiles and the number of
+pairs the change wins; the final JSON line of this checkout's seed-1
+run of each workload; and the host: the commit, the CPU count, the
+Python version and whether the package's bytecode was cached. A file
+made this way records; it proves a claimed gain only under the rules
+of README "Reproducing a speed claim".
 """
 from __future__ import annotations
 
@@ -43,7 +44,8 @@ def final_line(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def values(line: dict) -> dict:
-    return {name: m["value"] for name, m in line["metrics"].items()}
+    """The metric values of one run, with its count of failed operations."""
+    return {"failed": line["failed"], **{name: m["value"] for name, m in line["metrics"].items()}}
 
 
 def quartiles(xs: list) -> list:
