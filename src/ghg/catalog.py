@@ -77,8 +77,10 @@ class PairingMatrix(Value):
         values,
     ):
         if len(values) != source_n.ngens:
-            raise ValueError("pairing value rows do not match pi_n generators")
+            raise ValueError(f"{len(values)} value rows, not {source_n.ngens}")
         for i, row in enumerate(values):
+            if len(row) != source_m.ngens:
+                raise ValueError(f"row {i} has {len(row)} cells, not {source_m.ngens}")
             for j, v in enumerate(row):
                 if len(v) != target.ngens:
                     raise ValueError(f"cell ({i}, {j}) has length {len(v)}, not {target.ngens}")

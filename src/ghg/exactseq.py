@@ -11,14 +11,16 @@ of type lam has a subgroup of type mu with quotient of type nu exactly
 when the Littlewood-Richardson coefficient c^lam_{mu nu} is positive
 (T. Klein, "The Hall polynomial", J. Algebra 12 (1969); Macdonald,
 Symmetric Functions and Hall Polynomials, Ch. II 4), so the candidates
-are every choice of one such lam per prime, found by merging LR tableaux
-of equal content and last row. Several candidates mean the answer is
-genuinely ambiguous and all of them are reported. ``verify`` checks them
-against the middle groups of the classes of Ext^1(quot, sub).
+are every choice of one such lam per prime: a horizontal strip for a
+cyclic nu (Pieri's rule, ibid. Ch. I (5.16)), else found by merging LR
+tableaux of equal content and last row. Several candidates mean the
+answer is genuinely ambiguous and all of them are reported. ``verify``
+checks them against the middle groups of the classes of Ext^1(quot, sub).
 """
 from __future__ import annotations
 
 import itertools
+from math import prod
 
 from .fgab import CapacityError, FgAbGroup, Value, direct_sum
 
@@ -72,7 +74,8 @@ def resolve_extension(
        division up to 10^6 (CapacityError), and X has rank
        r + rank(quot), r = rank(sub), and at each prime p a p-primary
        part of every type in lr_support(mu, nu, r), mu and nu the types
-       of the p-parts of sub and quot (merged LR tableau states).
+       of the p-parts of sub and quot (Pieri's rule for a cyclic nu,
+       merged LR tableau states otherwise).
 
     The free part of quot splits off. The torsion of X meets sub in
     tors sub and maps onto a subgroup T of tors quot, and (tors quot)/T
@@ -101,8 +104,8 @@ def resolve_extension(
         p: lr_support(_primary_type(sub, p), _primary_type(quot, p), sub.rank)
         for p in set().union(*map(_primes, exponents))
     }
-    # each chain of _assemble is the invariant factors of an FgAbGroup.of
-    return SequenceResult(sub, quot, (FgAbGroup._from_chain(rank, c) for c in _assemble(per_prime)))
+    # the constructor checks each closed-form chain of _assemble
+    return SequenceResult(sub, quot, (FgAbGroup(rank, c) for c in _assemble(per_prime)))
 
 
 def _primary_type(group: FgAbGroup, p: int) -> tuple[int, ...]:
@@ -149,11 +152,16 @@ def lr_support(mu: tuple[int, ...], nu: tuple[int, ...], r: int) -> tuple[tuple[
     its content and last row fill, so tableaux agreeing on both share one
     state holding their rows of lam so far. A state is a tableau with its
     remaining rows empty, so lam is recorded at every state whose content
-    meets the column floor.
+    meets the column floor. A cyclic or empty nu = (k) needs no walk:
+    sigma is (k) at r = 0 and any (j), j <= k, at r >= 1, and
+    c^lam_{mu (j)} > 0 exactly when lam/mu is a horizontal strip of j
+    cells (Pieri's rule, Macdonald, Ch. I (5.16)).
 
     >>> lr_support((1,), (1,), 0)
     ((1, 1), (2,))
     """
+    if len(nu) <= 1:  # Pieri's rule; nu = () leaves lam = mu alone
+        return _horizontal_strips(mu, 0 if r else sum(nu), sum(nu))
     rows = mu + (0,) * len(nu)
     floor = nu[r:] + (0,) * min(r, len(nu))
     found = set()
@@ -176,6 +184,20 @@ def lr_support(mu: tuple[int, ...], nu: tuple[int, ...], r: int) -> tuple[tuple[
     return tuple(sorted(found))
 
 
+def _horizontal_strips(mu: tuple[int, ...], low: int, high: int) -> tuple[tuple[int, ...], ...]:
+    """Every partition lam = mu + a, sorted, with lam/mu a horizontal strip
+    of low to high cells: a_1 >= 0 is free and a_i <= mu_(i-1) - mu_i for
+    2 <= i <= len(mu) + 1, so only the corners (the first row and each row
+    below a drop in mu) can grow, and the loop runs over them alone."""
+    rows = mu + (0,)
+    strips = [(rows, 0)]  # (lam so far, cells added)
+    for i in [0] + [i for i in range(1, len(rows)) if rows[i - 1] > rows[i]]:
+        room = high if i == 0 else rows[i - 1] - rows[i]
+        strips = [(lam[:i] + (lam[i] + a,) + lam[i + 1:], n + a)
+                  for lam, n in strips for a in range(min(room, high - n) + 1)]
+    return tuple(sorted(tuple(x for x in lam if x) for lam, n in strips if n >= low))
+
+
 def _primes(n: int) -> set[int]:
     """The primes of n, by trial division up to _TRIAL_LIMIT; a cofactor
     left below _TRIAL_LIMIT**2 is then prime, and a larger one refused."""
@@ -195,7 +217,11 @@ def _primes(n: int) -> set[int]:
 
 def _assemble(per_prime: dict[int, list]) -> list[tuple[int, ...]]:
     """Sorted invariant-factor chains of the groups whose p-primary part
-    has, at each prime p, a type in per_prime[p] (exponent partitions)."""
-    combos = itertools.product(*([[p ** e for e in part] for part in parts]
-                                 for p, parts in per_prime.items()))
-    return sorted(FgAbGroup.of(0, itertools.chain(*combo)).invariant_factors for combo in combos)
+    has, at each prime p, a type in per_prime[p] (exponent partitions,
+    largest part first). Lining the primes' parts up from the largest,
+    the k-th largest invariant factor is prod_p p**lam_p[k], a missing
+    part counting as 0."""
+    primes = tuple(per_prime)
+    return sorted(tuple(prod(map(pow, primes, exps))
+                        for exps in itertools.zip_longest(*combo, fillvalue=0))[::-1]
+                  for combo in itertools.product(*per_prime.values()))

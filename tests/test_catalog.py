@@ -427,12 +427,14 @@ def test_samelson_annihilation_enforced(tmp_path):
         load_catalog(path)
 
 
-# A pairing rejection names the pairing, then the cell or the partial
+# A pairing rejection names the pairing, then the count, cell or partial
 # map at fault: the row <e_i, .> on pi_m or the column <., f_j> on pi_n.
 # pi_1 = Z + Z/f_1, pi_2 = Z/f_2, ... for the factor lists given.
 @pytest.mark.parametrize("factors, n, m, values, message", [
     pytest.param([[], [2]], 1, 1, [[[True]]], "expected an integer", id="bool-cell"),
     pytest.param([[], [2]], 1, 1, [[["1"]]], "expected an integer", id="string-cell"),
+    pytest.param([[], [2]], 1, 1, [[[1]], [[1]]], "2 value rows, not 1", id="row-count"),
+    pytest.param([[], [2]], 1, 1, [[[1], [1]]], "row 0 has 2 cells, not 1", id="cell-count"),
     pytest.param([[2], [8]], 1, 1, [[[0], [0]], [[0], [4, 0]]],
                  "cell (1, 1) has length 2, not 1", id="cell-length"),
     pytest.param([[], [2], [4]], 1, 2, [[[1]]],

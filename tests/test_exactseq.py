@@ -1,4 +1,5 @@
 """Middle-group extraction and extension resolution."""
+import itertools
 import random
 import time
 
@@ -308,6 +309,34 @@ def test_lr_support_matches_tableau_walk():
                         assert lr_support(mu, nu, r) == _lr_walk(mu, nu, r), (mu, nu, r)
                         triples += 1
     assert triples == 3645
+
+
+def test_pieri_matches_tableau_walk():
+    """For a nu of at most one part, lr_support reads horizontal strips
+    off Pieri's rule; past the walk-reference test's sizes it still
+    equals the per-tableau walk, on every mu with |mu| <= 14, nu = () or
+    (k) with k <= 6, and r <= 2."""
+    triples = 0
+    for mu in (m for a in range(15) for m in _partitions(a)):
+        for nu in [()] + [(k,) for k in range(1, 7)]:
+            for r in range(3):
+                assert lr_support(mu, nu, r) == _lr_walk(mu, nu, r), (mu, nu, r)
+                triples += 1
+    assert triples == 10668
+
+
+def test_assemble_matches_merge():
+    """The closed form of _assemble, each prime's parts lined up from the
+    largest, gives the chains that FgAbGroup.of merges from the prime
+    powers, on random partitions at one to three primes."""
+    rng = random.Random(11)
+    for _ in range(300):
+        primes = rng.sample((2, 3, 5, 7), rng.randint(1, 3))
+        per_prime = {p: [rng.choice(_partitions(rng.randint(0, 5))) for _ in range(rng.randint(1, 3))]
+                     for p in primes}
+        merged = [FgAbGroup.of(0, [p ** e for p, part in zip(primes, combo) for e in part])
+                  .invariant_factors for combo in itertools.product(*per_prime.values())]
+        assert _assemble(per_prime) == sorted(merged), per_prime
 
 
 def test_wide_ladder_extension_fast():

@@ -14,6 +14,8 @@ stays without one.
 """
 import sys
 from contextlib import ExitStack
+from itertools import product, zip_longest
+from math import prod
 from typing import Callable, NamedTuple
 from unittest import mock
 
@@ -65,6 +67,15 @@ def _scaled(f: Homomorphism, k: int) -> Homomorphism:
 
 def _drop_last_candidate(result, sub, quot, *bound):
     return SequenceResult(sub, quot, result.candidates[:-1] or result.candidates)
+
+
+def _aligned_at_smallest(per_prime):
+    """_assemble with each prime's parts lined up from the smallest, so
+    that the k-th smallest factor is prod_p p**(k-th smallest part)."""
+    primes = tuple(per_prime)
+    return sorted(tuple(prod(map(pow, primes, exps))
+                        for exps in zip_longest(*(part[::-1] for part in combo), fillvalue=0))
+                  for combo in product(*per_prime.values()))
 
 
 def _border_rows_untouched(real):
@@ -134,6 +145,12 @@ MUTANTS = [
     _row("lr_support ignores r",
          exactseq, "lr_support", lambda real: lambda mu, nu, r: real(mu, nu, 0),
          "free_rank_oracle"),
+    _row("_horizontal_strips ignores the free rank",
+         exactseq, "_horizontal_strips", lambda real: lambda mu, low, high: real(mu, high, high),
+         "free_rank_oracle"),
+    _row("_assemble lines primes up at the smallest part",
+         exactseq, "_assemble", lambda real: _aligned_at_smallest,
+         "extension_oracle", "free_rank_oracle", "sign_invariance"),
     _row("cokernel drops its last invariant factor",
          fgab, "cokernel", _on_result(lambda g, f: FgAbGroup(g.rank, g.invariant_factors[:-1])),
          "hom_oracle", "su2_gcd_table", "genus_zero_matches_sphere"),
@@ -209,7 +226,8 @@ MUTANTS = [
 ]
 
 NO_UNIQUE_MUTANT = {
-    "sign_invariance": "no row fails it: coker and ker of -f equal those of f for any correct "
+    "sign_invariance": "no row fails it alone (the _assemble row fails two other checks with "
+                       "it): coker and ker of -f equal those of f for any correct "
                        "reduction, and the sign-breaking faults tried (cokernel or kernel "
                        "reading negative entries as 0) fail no check, since every torsion "
                        "entry is reduced and no drawn map has free entries. It stays only "
