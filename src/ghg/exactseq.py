@@ -152,8 +152,8 @@ def lr_support(mu: tuple[int, ...], nu: tuple[int, ...], r: int) -> tuple[tuple[
     its content and last row fill, so tableaux agreeing on both share one
     state holding their rows of lam so far. A state is a tableau with its
     remaining rows empty, so lam is recorded at every state whose content
-    meets the column floor. A cyclic or empty nu = (k) needs no walk:
-    sigma is (k) at r = 0 and any (j), j <= k, at r >= 1, and
+    meets the column floor. A nu = (k), or (), needs no walk: sigma
+    is (k) at r = 0 and any (j), j <= k, at r >= 1, and
     c^lam_{mu (j)} > 0 exactly when lam/mu is a horizontal strip of j
     cells (Pieri's rule, Macdonald, Ch. I (5.16)).
 
