@@ -5,11 +5,12 @@ and raising CheckFailure with a diagnosis on failure. The random
 checks draw from a fixed seed so a verify run is reproducible.
 
 The oracles the checks hold the engine against live here, not in the
-engine modules, which keep only what ``compute`` runs. Their algebra:
-IntMatrix is an immutable dense integer matrix, snf borders fgab's
-Smith reduction to record unimodular transforms, matmul multiplies them
-back out, relation_matrix presents a group in canonical form and
-canonicalize reads a presentation's canonical form.
+engine modules, which keep only what ``compute`` runs. Their algebra
+takes a matrix as the engine does, as a list of integer rows, with its
+width passed beside it only where it may have no rows: snf borders
+fgab's Smith reduction to record unimodular transforms, matmul
+multiplies them back out, and canonicalize reads a presentation's
+canonical form, such as a group's own _diagonal_relations.
 An element is its coordinate tuple, as a bundle class is: apply
 evaluates a map on one, reduced in the codomain.
 The oracles: middle_group resolves a literal five-term fragment, image
@@ -34,7 +35,6 @@ from .exactseq import SequenceResult, resolve_extension
 from .fgab import (
     FgAbGroup,
     Homomorphism,
-    Value,
     _diagonal_relations,
     _presented,
     _reduced,
@@ -77,76 +77,41 @@ class CheckFailure(AssertionError):
 # ------------------------------------------------------------------- algebra
 
 
-class IntMatrix(Value):
-    """Immutable dense matrix over Z, as a tuple of equal-length rows of
-    Python ints; the column count must be passed only when there are no rows."""
-
-    __slots__ = ("data", "cols")
-
-    def __init__(self, data, cols: int | None = None):
-        table = tuple(tuple(map(operator.index, row)) for row in data)
-        width = len(table[0]) if table else cols or 0
-        if any(len(row) != width for row in table):
-            raise ValueError("ragged rows")
-        if cols not in (None, width):
-            raise ValueError("cols does not match row width")
-        object.__setattr__(self, "data", table)
-        object.__setattr__(self, "cols", width)
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
-
-    def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self.data]!r}, cols={self.cols})"
-
-
-def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: return unimodular (U, D, V) with U a V == D.
+def snf(a, ncols: int) -> tuple[list, list, list]:
+    """Smith normal form of the integer rows a, ncols wide: unimodular
+    (U, D, V), as row lists, with U a V == D.
 
     D has the same shape as ``a``, is diagonal with nonnegative entries,
     and consecutive diagonal entries divide each other (zeros last).
     _smith reduces the bordered matrix [[a, I], [I, 0]] to [[D, U], [V, 0]].
 
-    >>> u, d, v = snf(IntMatrix([[2, 0], [0, 3]]))
-    >>> d
-    IntMatrix([[1, 0], [0, 6]], cols=2)
+    >>> snf([[2, 0], [0, 3]], 2)[1]
+    [[1, 0], [0, 6]]
     """
-    nrows, ncols = a.rows, a.cols
-    m = [list(row) + [int(i == k) for k in range(nrows)] for i, row in enumerate(a.data)]
+    nrows = len(a)
+    m = [list(row) + [int(i == k) for k in range(nrows)] for i, row in enumerate(a)]
     m += [[int(i == j) for j in range(ncols)] + [0] * nrows for i in range(ncols)]
     _smith(m, nrows, ncols)
-    return (IntMatrix([row[ncols:] for row in m[:nrows]], nrows),
-            IntMatrix([row[:ncols] for row in m[:nrows]], ncols),
-            IntMatrix([row[:ncols] for row in m[nrows:]], ncols))
+    return ([row[ncols:] for row in m[:nrows]], [row[:ncols] for row in m[:nrows]],
+            [row[:ncols] for row in m[nrows:]])
 
 
-def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """The product a b; a shape mismatch raises ValueError."""
-    if a.cols != b.rows:
+def matmul(a, b) -> list[list[int]]:
+    """The product a b of row lists; a shape mismatch raises ValueError."""
+    if any(len(row) != len(b) for row in a) or any(len(row) != len(b[0]) for row in b):
         raise ValueError("shape mismatch in product")
-    # zip(*()) is empty, but a product with no inner dimension is zero
-    bcols = list(zip(*b.data)) if b.rows else [()] * b.cols
-    return IntMatrix([[sum(map(operator.mul, row, col)) for col in bcols]
-                      for row in a.data], b.cols)
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
-def relation_matrix(group: FgAbGroup) -> IntMatrix:
-    """The defining relations of a group in canonical form.
+def canonicalize(relations, ncols: int) -> FgAbGroup:
+    """Canonical form of Z^ncols modulo the row span of relations, which
+    are left as they are.
 
-    >>> relation_matrix(FgAbGroup(1, (2,)))
-    IntMatrix([[0, 2]], cols=2)
-    """
-    return IntMatrix(_diagonal_relations(group.generator_orders()), group.ngens)
-
-
-def canonicalize(relations: IntMatrix) -> FgAbGroup:
-    """Canonical form of Z^relations.cols modulo the row span of relations.
-
-    >>> canonicalize(IntMatrix([[2, 0], [0, 3]]))
+    >>> canonicalize([[2, 0], [0, 3]], 2)
     FgAbGroup(rank=0, invariant_factors=(6,))
     """
-    return _presented([list(row) for row in relations.data], relations.cols)
+    return _presented([list(row) for row in relations], ncols)
 
 
 def apply(f: Homomorphism, x) -> tuple[int, ...]:
@@ -175,10 +140,10 @@ def _image_smith(f: Homomorphism) -> tuple[FgAbGroup, FgAbGroup]:
     are independent, their first g coordinates are a basis of the preimage
     lattice K = {x : f(x) is a codomain relation}, and im f = Z^g / K."""
     g, h = f.domain.ngens, f.codomain.ngens
-    u, d, _ = snf(IntMatrix(f.images + relation_matrix(f.codomain).data, h))
-    diag = [d.data[i][i] for i in range(min(d.rows, h))]
+    u, d, _ = snf([*f.images, *_diagonal_relations(f.codomain.generator_orders())], h)
+    diag = [d[i][i] for i in range(min(len(d), h))]
     coker = FgAbGroup.of(h - len(diag), diag)
-    return canonicalize(IntMatrix([row[:g] for row in u.data[h - coker.rank:]], g)), coker
+    return canonicalize([row[:g] for row in u[h - coker.rank:]], g), coker
 
 
 def image(f: Homomorphism) -> FgAbGroup:
@@ -233,23 +198,19 @@ def enumerate_elements(group: FgAbGroup) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(d) for d in group.invariant_factors)))
 
 
-def is_diagonal(m: IntMatrix) -> bool:
-    return all(
-        v == 0
-        for i, row in enumerate(m.data)
-        for j, v in enumerate(row)
-        if i != j
-    )
+def is_diagonal(m) -> bool:
+    return all(v == 0 for i, row in enumerate(m) for j, v in enumerate(row) if i != j)
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
+def det(m) -> int:
+    """Exact determinant of the square rows m by fraction-free (Bareiss)
+    elimination."""
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
     if n == 0:
         return 1
-    a = [list(row) for row in m.data]
+    a = [list(row) for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -297,25 +258,25 @@ def rational_via_zero_sequence(
 # ---------------------------------------------------------------- generators
 
 
-def random_matrix(rng) -> IntMatrix:
+def random_matrix(rng) -> list[list[int]]:
+    """Integer rows, at least one, each at least one entry wide."""
     rows = rng.randint(1, MATRIX_MAX_DIM)
     cols = rng.randint(1, MATRIX_MAX_DIM)
     span = MATRIX_SPAN
-    return IntMatrix([[rng.randint(-span, span) for _ in range(cols)] for _ in range(rows)])
+    return [[rng.randint(-span, span) for _ in range(cols)] for _ in range(rows)]
 
 
-def random_presentation(rng) -> IntMatrix:
+def random_presentation(rng) -> tuple[list[list[int]], int]:
+    """(relation rows, generator count), the count passed as there may be no rows."""
     gens = rng.randint(0, PRESENTATION_MAX_GENS)
     rels = rng.randint(0, gens + 2)
     span = PRESENTATION_SPAN
-    return IntMatrix(
-        [[rng.randint(-span, span) for _ in range(gens)] for _ in range(rels)], gens
-    )
+    return [[rng.randint(-span, span) for _ in range(gens)] for _ in range(rels)], gens
 
 
 def random_group(rng, max_order: int, max_rank: int = 1) -> FgAbGroup:
     while True:
-        g = canonicalize(random_presentation(rng))
+        g = canonicalize(*random_presentation(rng))
         if g.rank <= max_rank and g.torsion_order <= max_order:
             return g
 
@@ -345,14 +306,14 @@ def check_snf_suite(catalog, rng):
     """U A V == D, |det U| = |det V| = 1, nonnegative divisor chain."""
     for k in range(SNF_MATRICES):
         a = random_matrix(rng)
-        u, d, v = snf(a)
+        u, d, v = snf(a, len(a[0]))
         if matmul(matmul(u, a), v) != d:
             raise CheckFailure(f"transform product mismatch on matrix #{k}: {a!r}")
         if abs(det(u)) != 1 or abs(det(v)) != 1:
             raise CheckFailure(f"non-unimodular transform on matrix #{k}: {a!r}")
         if not is_diagonal(d):
             raise CheckFailure(f"D not diagonal on matrix #{k}: {a!r}")
-        diag = [d.data[i][i] for i in range(min(d.rows, d.cols))]
+        diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
         if any(x < 0 for x in diag):
             raise CheckFailure(f"negative diagonal on matrix #{k}: {a!r}")
         for x, y in zip(diag, diag[1:]):
@@ -364,7 +325,7 @@ def check_snf_suite(catalog, rng):
 def check_canonicalize_idempotent(catalog, rng):
     for _ in range(CANONICAL_GROUPS):
         g = random_group(rng, 200, max_rank=2)
-        if canonicalize(relation_matrix(g)) != g:
+        if canonicalize(_diagonal_relations(g.generator_orders()), g.ngens) != g:
             raise CheckFailure(f"canonical form of {g} not a fixed point")
     return f"{CANONICAL_GROUPS} canonical groups are fixed points"
 
@@ -374,11 +335,10 @@ def check_group_order_oracle(catalog, rng):
     its maximal minors (the product of its Smith pivots, 0 when there are
     fewer pivots than generators)."""
     for _ in range(ORDER_PRESENTATIONS):
-        pres = random_presentation(rng)
-        minors = (det(IntMatrix(rows, pres.cols))
-                  for rows in itertools.combinations(pres.data, pres.cols))
-        if (canonicalize(pres).order or 0) != gcd(*minors):
-            raise CheckFailure(f"order mismatch for presentation {pres}")
+        rows, gens = random_presentation(rng)
+        minors = map(det, itertools.combinations(rows, gens))
+        if (canonicalize(rows, gens).order or 0) != gcd(*minors):
+            raise CheckFailure(f"order mismatch for {rows} on {gens} generators")
     return f"{ORDER_PRESENTATIONS} random presentations cross-checked by their maximal minors"
 
 

@@ -10,7 +10,6 @@ from ghg.catalog import Catalog, GroupCatalogEntry, PairingMatrix, default_catal
 from ghg.exactseq import SequenceResult, resolve_extension
 from ghg.fgab import FgAbGroup, Homomorphism
 from ghg.gaugecalc import BundleSpec, Sphere, Surface
-from ghg.verify import IntMatrix
 
 Z2 = FgAbGroup.cyclic(2)
 Z4 = FgAbGroup.cyclic(4)
@@ -47,8 +46,6 @@ def hashable_cases():
          "BundleSpec(base=Sphere(dim=2), clazz=(2,))"),
         (BundleSpec(Surface(1), None), ("base", "clazz"),
          "BundleSpec(base=Surface(genus=1), clazz=None)"),
-        (IntMatrix([[2, 0]]), ("data", "cols"), "IntMatrix([[2, 0]], cols=2)"),
-        (IntMatrix([], 3), ("data", "cols"), "IntMatrix([], cols=3)"),
     ]
 
 

@@ -75,7 +75,7 @@ def test_trivial_bundle_check_catches_a_class_zero_that_does_not_split(monkeypat
 
 
 def test_work_of_verify_is_pinned(monkeypatch):
-    """The maps, matrices and Smith reductions of a full verify run at the
+    """The maps and Smith reductions of a full verify run at the
     shipped seed, counted exactly, so the work is pinned and not only the
     time. Class-0 queries build no map and take no reduction; the catalog
     load builds each stored pairing's rows and columns as maps."""
@@ -88,15 +88,13 @@ def test_work_of_verify_is_pinned(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Homomorphism, "__init__", counting("Homomorphism", Homomorphism.__init__))
-    monkeypatch.setattr(verify.IntMatrix, "__init__",
-                        counting("IntMatrix", verify.IntMatrix.__init__))
     # verify's snf and connecting_hom_surface bind _smith by name
     smith = counting("_smith", verify._smith)
     for module in ("ghg.fgab", "ghg.gaugecalc", "ghg.verify"):
         monkeypatch.setattr(f"{module}._smith", smith)
     report = list(verify.run_all(default_catalog(), verify.SEED))
     assert all(passed for _, passed, _ in report)
-    assert counts == {"Homomorphism": 2002, "IntMatrix": 10482, "_smith": 4431}
+    assert counts == {"Homomorphism": 2002, "_smith": 4431}
 
 
 def test_extension_types_small_cases():
@@ -160,8 +158,8 @@ def test_group_order_oracle_catches_a_wrong_canonical_form(monkeypatch):
     of the presentation catch a canonical form with a doubled factor."""
     real = verify.canonicalize
 
-    def doubled_last(pres):
-        g = real(pres)
+    def doubled_last(relations, ncols):
+        g = real(relations, ncols)
         return FgAbGroup(g.rank, g.invariant_factors[:-1] + tuple(2 * d for d in g.invariant_factors[-1:]))
 
     verify.check_group_order_oracle(CAT, random.Random(verify.SEED))
