@@ -343,22 +343,28 @@ def check_group_order_oracle(catalog, rng):
 
 
 def check_hom_oracle(catalog, rng):
-    """|ker| * |im| = |dom| and |im| * |coker| = |cod|, against brute force."""
-    for _ in range(HOM_MAPS):
-        dom = random_group(rng, 64, max_rank=0)
-        cod = random_group(rng, 64, max_rank=0)
-        f = random_hom(rng, dom, cod)
-        ker, im, coker = kernel(f), image(f), cokernel(f)
-        elems = enumerate_elements(dom)
+    """|ker| and |im| against brute force, |ker| * |im| = |dom| and
+    |im| * |coker| = |cod|, for random maps between finite groups; then
+    the same but the last for fixed maps into codomains with free rank,
+    whose torsion coordinates start after the free ones."""
+    maps = [random_hom(rng, random_group(rng, 64, max_rank=0), random_group(rng, 64, max_rank=0))
+            for _ in range(HOM_MAPS)]
+    fixed = [Homomorphism(FgAbGroup.cyclic(4), FgAbGroup(1, (4,)), [(0, 2)]),
+             Homomorphism(FgAbGroup(0, (2, 4)), FgAbGroup(2, (2, 8)), [(0, 0, 1, 4), (0, 0, 1, 2)]),
+             Homomorphism(FgAbGroup.cyclic(6), FgAbGroup(1, (2, 6)), [(0, 1, 3)])]
+    for f in maps + fixed:
+        ker, im = kernel(f), image(f)
+        elems = enumerate_elements(f.domain)
         ker_n = sum(1 for x in elems if not any(apply(f, x)))
         im_n = len({apply(f, x) for x in elems})
         if ker.order != ker_n or im.order != im_n:
             raise CheckFailure(f"decomposition disagrees with enumeration for {f}")
-        if ker.order * im.order != dom.order:
+        if ker.order * im.order != f.domain.order:
             raise CheckFailure(f"|ker|*|im| != |dom| for {f}")
-        if im.order * coker.order != cod.order:
+        if f.codomain.rank == 0 and im.order * cokernel(f).order != f.codomain.order:
             raise CheckFailure(f"|im|*|coker| != |cod| for {f}")
-    return f"{HOM_MAPS} random maps decomposed and recounted"
+    return (f"{HOM_MAPS} random maps and {len(fixed)} fixed maps into free-rank codomains "
+            "decomposed and recounted")
 
 
 def _check_subgroup_pairs(draws, what: str) -> str:
@@ -379,18 +385,23 @@ def _check_subgroup_pairs(draws, what: str) -> str:
                                f"{', '.join(map(str, candidates))}, "
                                f"Ext^1 gives {', '.join(map(str, types))}")
         compared += types is not None
-    return (f"{len(draws)} random {what} re-contain the source group, and {compared}/"
+    return (f"{len(draws)} {what} re-contain the source group, and {compared}/"
             f"{len(draws)} with at most {EXT_CLASSES} Ext^1 classes list exactly the Ext^1 types")
 
 
 def check_extension_oracle(catalog, rng):
-    """Build X, a random subgroup S and X/S, with X finite."""
+    """Build X, a random subgroup S and X/S, with X finite; then the fixed
+    X = Z/16, S = <8>: sub Z/2 and quot Z/8 take a horizontal strip of
+    the drop below mu = (1) plus two cells, so a strip that outgrows
+    the row above lists the extra type Z/4 + Z/4."""
     draws = []
     for _ in range(EXTENSION_SUBGROUPS):
         x = random_group(rng, 64, max_rank=0)
         k = rng.randint(0, 3)
         draws.append((x, [tuple(rng.randrange(d) for d in x.invariant_factors) for _ in range(k)]))
-    return _check_subgroup_pairs(draws, "subgroup/quotient pairs")
+    draws.append((FgAbGroup.cyclic(16), [(8,)]))
+    return _check_subgroup_pairs(
+        draws, f"subgroup/quotient pairs ({EXTENSION_SUBGROUPS} random, 1 fixed)")
 
 
 def check_free_rank_oracle(catalog, rng):
@@ -402,7 +413,7 @@ def check_free_rank_oracle(catalog, rng):
         x = FgAbGroup(rng.randint(1, 2), random_group(rng, 32, max_rank=0).invariant_factors)
         k = rng.randint(1, 3)
         draws.append((x, [_bounded_element(rng, x) for _ in range(k)]))
-    return _check_subgroup_pairs(draws, "subgroups of infinite groups")
+    return _check_subgroup_pairs(draws, "random subgroups of infinite groups")
 
 
 def check_sign_invariance(catalog, rng):

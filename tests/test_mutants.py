@@ -16,6 +16,7 @@ import sys
 from contextlib import ExitStack
 from itertools import product, zip_longest
 from math import prod
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 from unittest import mock
 
@@ -102,6 +103,29 @@ def _transposed_v(usv, a, ncols):
     return u, d, [list(col) for col in zip(*v)]
 
 
+def _strips_one_cell_over(mu, low, high):
+    """_horizontal_strips with room for one cell more than the drop above
+    each row, keeping only the lam that are still partitions."""
+    rows = mu + (0,)
+    strips = [(rows, 0)]
+    for i in [0] + [i for i in range(1, len(rows)) if rows[i - 1] > rows[i]]:
+        room = high if i == 0 else rows[i - 1] - rows[i] + 1
+        strips = [(lam[:i] + (lam[i] + a,) + lam[i + 1:], n + a)
+                  for lam, n in strips for a in range(min(room, high - n) + 1)]
+    lams = {tuple(x for x in lam if x) for lam, n in strips if n >= low}
+    return tuple(sorted(lam for lam in lams if list(lam) == sorted(lam, reverse=True)))
+
+
+def _torsion_read_from_index_0(real):
+    """kernel reading each image's torsion coordinates from index 0, not
+    from cod.rank, so a free-rank codomain's free entries stand in for them."""
+    def kernel(f):
+        q = f.codomain.rank
+        images = tuple(y[:q] + y[:len(y) - q] for y in f.images)
+        return real(SimpleNamespace(domain=f.domain, codomain=f.codomain, images=images))
+    return kernel
+
+
 def _kernel_loses_rank(ker, f):
     if ker.rank and any(map(any, f.images)):
         return FgAbGroup(ker.rank - 1, ker.invariant_factors)
@@ -148,6 +172,9 @@ MUTANTS = [
     _row("_horizontal_strips ignores the free rank",
          exactseq, "_horizontal_strips", lambda real: lambda mu, low, high: real(mu, high, high),
          "free_rank_oracle"),
+    _row("_horizontal_strips lets a row grow one cell past the drop above it",
+         exactseq, "_horizontal_strips", lambda real: _strips_one_cell_over,
+         "extension_oracle"),
     _row("_assemble lines primes up at the smallest part",
          exactseq, "_assemble", lambda real: _aligned_at_smallest,
          "extension_oracle", "free_rank_oracle", "sign_invariance"),
@@ -161,6 +188,9 @@ MUTANTS = [
          "rational_two_path", "genus_zero_matches_sphere"),
     _row("kernel answers the domain when the codomain has torsion",
          fgab, "kernel", _on_result(lambda g, f: f.domain if f.codomain.invariant_factors else g),
+         "hom_oracle"),
+    _row("kernel reads a free-rank codomain's torsion coordinates from index 0",
+         fgab, "kernel", _torsion_read_from_index_0,
          "hom_oracle"),
     # degree 1 of rational_class_independence is what catches this one
     _row("kernel of a nonzero map loses one free rank",

@@ -94,7 +94,7 @@ def test_work_of_verify_is_pinned(monkeypatch):
         monkeypatch.setattr(f"{module}._smith", smith)
     report = list(verify.run_all(default_catalog(), verify.SEED))
     assert all(passed for _, passed, _ in report)
-    assert counts == {"Homomorphism": 2002, "_smith": 4431}
+    assert counts == {"Homomorphism": 2006, "_smith": 4447}
 
 
 def test_extension_types_small_cases():
