@@ -1,7 +1,12 @@
 """tools/bench_record.py: the pair summary follows each metric's direction
-and gives each side's median and quartiles."""
+and gives each side's median and quartiles; a run that fails or answers
+wrongly stops the record, and the record names both commits."""
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
 SPEC = importlib.util.spec_from_file_location("bench_record", PATH)
@@ -26,3 +31,53 @@ def test_summary_counts_wins_by_direction():
                           "change_wins": 2, "pairs": 3},
     }
 
+
+
+FAKE_RUN = """import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+print(json.dumps({"correct": CORRECT, "failed": 0,
+                  "metrics": {"wall_s": {"value": seed, "unit": "s"}}}))
+sys.exit(CODE)
+"""
+
+
+def fake_checkout(root, correct=True, code=0):
+    """A one-commit git checkout of one workload, whose bench/run.py
+    prints a final line with the given correctness and exits with code."""
+    (root / "bench").mkdir(parents=True)
+    (root / "bench" / "run.py").write_text(
+        FAKE_RUN.replace("CORRECT", repr(correct)).replace("CODE", str(code)), encoding="utf-8")
+    spec = {"run_seconds": 1, "workloads": [{"name": "sweep"}],
+            "end_to_end": [{"name": "wall_s", "better": "lower"}]}
+    (root / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", root.name]):
+        subprocess.run(git + args, cwd=root, check=True, capture_output=True)
+    return root
+
+
+@pytest.mark.parametrize("correct, code", [(False, 0), (True, 1)], ids=["wrong", "exit-1"])
+def test_a_failed_or_wrong_run_stops_the_record(tmp_path, monkeypatch, correct, code):
+    parent = fake_checkout(tmp_path / "parent", correct, code)
+    with pytest.raises(SystemExit, match="sweep seed 3 on the parent side"):
+        bench_record.final_line("parent", parent, "sweep", 3, 1)
+    change = fake_checkout(tmp_path / "change")
+    monkeypatch.chdir(change)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit, match="sweep seed 1 on the parent side"):
+        bench_record.main(["--out", str(out), "--parent", str(parent)])
+    assert not out.exists()
+
+
+def test_record_names_both_commits(tmp_path, monkeypatch):
+    parent, change = fake_checkout(tmp_path / "parent"), fake_checkout(tmp_path / "change")
+    monkeypatch.setattr(bench_record, "PAIRS", 2)
+    monkeypatch.chdir(change)
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--out", str(out), "--parent", str(parent)]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    heads = bench_record.head(change), bench_record.head(parent)
+    assert heads[0] != heads[1]
+    assert (record["commit"], record["parent_commit"]) == heads
+    assert [p["seed"] for p in record["pairs"]["sweep"]["runs"]] == [1, 2]

@@ -13,8 +13,10 @@ checkout first on even ones, with T the benchmark's run_seconds. It
 records every pair (its metrics and failed operations) and, per
 end-to-end metric, both sides' medians and quartiles and the number of
 pairs the change wins; the final JSON line of this checkout's seed-1
-run of each workload; and the host: the commit, the CPU count, the
-Python version and whether the package's bytecode was cached. A file
+run of each workload; both commits; and the host: the CPU count, the
+Python version and whether the package's bytecode was cached. A run
+that exits nonzero or is not correct stops the record, naming its
+workload, seed and side, and writes nothing. A file
 made this way records; it proves a claimed gain only under the rules
 of README "Reproducing a speed claim".
 """
@@ -32,15 +34,19 @@ from pathlib import Path
 PAIRS = 10
 
 
-def final_line(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last JSON line of one untraced bench/run.py in root."""
+def final_line(side: str, root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The last JSON line of one untraced bench/run.py in root; a run that
+    exits nonzero, prints nothing or answers wrongly stops the record."""
     out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                          cwd=root, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
-    if not lines:
-        raise SystemExit(f"bench_record: {workload} in {root} printed nothing:\n{out.stderr}")
-    return json.loads(lines[-1])
+    line = json.loads(lines[-1]) if lines else {}
+    if out.returncode or line.get("correct") is not True:
+        raise SystemExit(f"bench_record: {workload} seed {seed} on the {side} side ({root}) "
+                         f"exited {out.returncode}, correct={line.get('correct')}:\n"
+                         f"{out.stdout[-2000:]}{out.stderr[-2000:]}")
+    return line
 
 
 def values(line: dict) -> dict:
@@ -72,6 +78,12 @@ def summary(pairs: list, metrics: list) -> dict:
     return out
 
 
+def head(root: Path) -> str:
+    """The commit checked out at root."""
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
 def bytecode_cached(root: Path) -> bool:
     """Whether every module of the package has bytecode for this interpreter."""
     src = root / "src" / "ghg"
@@ -88,9 +100,7 @@ def main(argv=None) -> int:
     root = Path.cwd()
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
-                            text=True, check=True).stdout.strip()
-    record = {"commit": commit,
+    record = {"commit": head(root), "parent_commit": head(args.parent),
               "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} "
                          "--trace 0",
               "runs": {}, "pairs": {}}
@@ -98,7 +108,7 @@ def main(argv=None) -> int:
         pairs = []
         for seed in range(1, PAIRS + 1):
             order = [("parent", args.parent), ("change", root)]
-            runs = {side: final_line(where, w["name"], seed, seconds)
+            runs = {side: final_line(side, where, w["name"], seed, seconds)
                     for side, where in (order if seed % 2 else order[::-1])}
             if seed == 1:
                 record["runs"][w["name"]] = runs["change"]
