@@ -343,10 +343,10 @@ def check_group_order_oracle(catalog, rng):
 
 
 def check_hom_oracle(catalog, rng):
-    """|ker| and |im| against brute force, |ker| * |im| = |dom| and
-    |im| * |coker| = |cod|, for random maps between finite groups; then
-    the same but the last for fixed maps into codomains with free rank,
-    whose torsion coordinates start after the free ones."""
+    """|ker| and |im| against brute force, with |ker| * |im| = |dom| and
+    |im| * |coker| = |cod|, for random maps between finite groups. Fixed
+    maps into codomains with free rank, whose torsion coordinates start
+    after the free ones, take every check but the last."""
     maps = [random_hom(rng, random_group(rng, 64, max_rank=0), random_group(rng, 64, max_rank=0))
             for _ in range(HOM_MAPS)]
     fixed = [Homomorphism(FgAbGroup.cyclic(4), FgAbGroup(1, (4,)), [(0, 2)]),
