@@ -11,11 +11,11 @@ of type lam has a subgroup of type mu with quotient of type nu exactly
 when the Littlewood-Richardson coefficient c^lam_{mu nu} is positive
 (T. Klein, "The Hall polynomial", J. Algebra 12 (1969); Macdonald,
 Symmetric Functions and Hall Polynomials, Ch. II 4), so the candidates
-are every choice of one such lam per prime: a horizontal strip for a
-cyclic nu (Pieri's rule, ibid. Ch. I (5.16)), else found by merging LR
-tableaux of equal content and last row. Several candidates mean the
-answer is genuinely ambiguous and all of them are reported. ``verify``
-checks them against the middle groups of the classes of Ext^1(quot, sub).
+are every choice of one such lam per prime, each found by adding one
+horizontal strip per part of nu under the lattice-word condition (ibid.
+Ch. I 9). Several candidates mean the answer is genuinely ambiguous and
+all of them are reported. ``verify`` checks them against the middle
+groups of the classes of Ext^1(quot, sub).
 """
 from __future__ import annotations
 
@@ -74,8 +74,8 @@ def resolve_extension(
        division up to 10^6 (CapacityError), and X has rank
        r + rank(quot), r = rank(sub), and at each prime p a p-primary
        part of every type in lr_support(mu, nu, r), mu and nu the types
-       of the p-parts of sub and quot (Pieri's rule for a cyclic nu,
-       merged LR tableau states otherwise).
+       of the p-parts of sub and quot (one horizontal strip per part
+       of nu, a lattice-word cap between consecutive strips).
 
     The free part of quot splits off. The torsion of X meets sub in
     tors sub and maps onto a subgroup T of tors quot, and (tors quot)/T
@@ -122,20 +122,6 @@ def _primary_type(group: FgAbGroup, p: int) -> tuple[int, ...]:
     return tuple(exponents)
 
 
-def _row_fills(nu, used, caps) -> list[tuple[int, ...]]:
-    """Every filling of one row of an LR tableau: a[k] entries k+1, in
-    increasing order, such that the content stays within nu
-    (used[k] + a[k] <= nu[k]), the reading word stays a lattice word
-    (used[k] + a[k] <= used[k-1], as a row is read right to left and so
-    its k+1's come before its k's) and columns stay strict
-    (a[0] + ... + a[k] <= caps[k])."""
-    fills = [()]
-    for k, want in enumerate(nu):
-        room = want - used[k] if k == 0 else min(want - used[k], used[k - 1] - used[k])
-        fills = [f + (a,) for f in fills for a in range(min(room, caps[k] - sum(f)) + 1)]
-    return fills
-
-
 def lr_support(mu: tuple[int, ...], nu: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
     """Every partition lam, sorted, with c^lam_{mu sigma} > 0 for the type
     sigma of a subgroup of the p-group of type nu whose quotient needs at
@@ -145,57 +131,46 @@ def lr_support(mu: tuple[int, ...], nu: tuple[int, ...], r: int) -> tuple[tuple[
     content rho is column-strict with entries at most len(rho), and
     numbering each column of nu/sigma from the top gives one conversely.
 
-    The LR tableaux of shape lam/mu and content inside nu grow a row of
-    lam at a time: row i is mu_i plus its entries, each entry k+1 below a
-    cell of row i-1 in mu or holding at most k, which caps the entries
-    <= k+1 that row i can take. What a tableau can become depends only on
-    its content and last row fill, so tableaux agreeing on both share one
-    state holding their rows of lam so far. A state is a tableau with its
-    remaining rows empty, so lam is recorded at every state whose content
-    meets the column floor. A nu = (k), or (), needs no walk: sigma
-    is (k) at r = 0 and any (j), j <= k, at r >= 1, and
-    c^lam_{mu (j)} > 0 exactly when lam/mu is a horizontal strip of j
-    cells (Pieri's rule, Macdonald, Ch. I (5.16)).
+    An LR tableau of shape lam/mu and content sigma is a chain of
+    horizontal strips, its entries k+1 laid around its entries <= k, whose
+    reading word (each row right to left, top to bottom) is a lattice
+    word: rows 0..i hold no more entries k+1 than rows 0..i-1 hold
+    entries k (Macdonald, Ch. I 9). So part k of nu adds a strip of
+    nu_(k+r) to nu_k cells, capped by the strip of part k-1, and what a
+    tableau can become depends only on its shapes before and after its
+    last strip. A nu of one part is Pieri's rule (ibid. Ch. I (5.16)):
+    lam/mu is a horizontal strip.
 
     >>> lr_support((1,), (1,), 0)
     ((1, 1), (2,))
     """
-    if len(nu) <= 1:  # Pieri's rule; nu = () leaves lam = mu alone
-        return _horizontal_strips(mu, 0 if r else sum(nu), sum(nu))
-    rows = mu + (0,) * len(nu)
-    floor = nu[r:] + (0,) * min(r, len(nu))
-    found = set()
-    states = {((0,) * len(nu), ()): {()}}  # (content, last row fill) -> rows of lam so far
-    for i in range(len(rows) + 1):
-        merged = {}
-        for (used, above), prefixes in states.items():
-            if all(u >= f for u, f in zip(used, floor)):
-                found.update(tuple(x for x in lam + rows[i:] if x) for lam in prefixes)
-                if used == nu:
-                    continue
-            if i == len(rows) or (i > 0 and rows[i - 1] == 0 and not any(above)):
-                continue  # below mu, an empty row leaves no room for the rest
-            caps = [sum(nu)] * len(nu) if i == 0 else [
-                rows[i - 1] - rows[i] + sum(above[:k]) for k in range(len(nu))]
-            for fill in _row_fills(nu, used, caps):
-                key = (tuple(u + a for u, a in zip(used, fill)), fill)
-                merged.setdefault(key, set()).update(lam + (rows[i] + sum(fill),) for lam in prefixes)
-        states = merged
-    return tuple(sorted(found))
+    # row 0 is a virtual row above mu that a virtual strip has filled, as
+    # long as mu and nu together, so that neither cap binds the first part
+    lam = (sum(mu + nu),) + mu + (0,) * len(nu)
+    states = {((0,) * len(lam), lam)}  # (shape before the last strip, shape after it)
+    for low, high in zip(nu[r:] + (0,) * r, nu):
+        states = {(lam, new) for before, lam in states
+                  for new, cells in _strips(before, lam, high) if cells >= low}
+    # the rows below the virtual one less their zeros, which trail (the
+    # virtual row is 0 only when mu and nu are empty)
+    return tuple(sorted({lam[1:len(lam) - lam.count(0)] for _, lam in states}))
 
 
-def _horizontal_strips(mu: tuple[int, ...], low: int, high: int) -> tuple[tuple[int, ...], ...]:
-    """Every partition lam = mu + a, sorted, with lam/mu a horizontal strip
-    of low to high cells: a_1 >= 0 is free and a_i <= mu_(i-1) - mu_i for
-    2 <= i <= len(mu) + 1, so only the corners (the first row and each row
-    below a drop in mu) can grow, and the loop runs over them alone."""
-    rows = mu + (0,)
-    strips = [(rows, 0)]  # (lam so far, cells added)
-    for i in [0] + [i for i in range(1, len(rows)) if rows[i - 1] > rows[i]]:
-        room = high if i == 0 else rows[i - 1] - rows[i]
-        strips = [(lam[:i] + (lam[i] + a,) + lam[i + 1:], n + a)
-                  for lam, n in strips for a in range(min(room, high - n) + 1)]
-    return tuple(sorted(tuple(x for x in lam if x) for lam, n in strips if n >= low))
+def _strips(before: tuple[int, ...], lam: tuple[int, ...], high: int) -> list:
+    """Every shape lam + a, with its number of cells |a| <= high, such
+    that a is a horizontal strip (a_i <= lam_(i-1) - lam_i, so row 0 stays
+    and only the rows below a drop can grow) and rows 1..i take at most
+    the cells that lam/before has in rows 0..i-1."""
+    strips = [(lam, 0)]  # (shape so far, cells added)
+    cap = 0  # the cells of lam/before above row i
+    for i in range(1, len(lam)):
+        cap += lam[i - 1] - before[i - 1]
+        room = lam[i - 1] - lam[i]
+        if room and cap:
+            limit = min(high, cap)
+            strips = [(s[:i] + (s[i] + a,) + s[i + 1:], n + a)
+                      for s, n in strips for a in range(min(room, limit - n) + 1)]
+    return strips
 
 
 def _primes(n: int) -> set[int]:

@@ -10,7 +10,6 @@ from ghg.exactseq import (
     _assemble,
     _primary_type,
     _primes,
-    _row_fills,
     lr_support,
     resolve_extension,
 )
@@ -262,17 +261,33 @@ def test_candidates_match_ext():
 
 
 def test_lr_walk_takes_a_thousand_rows():
-    """lr_support loops over the rows of lam rather than recursing, so
-    sub = (Z/2)^1200 under a raised bound answers rather than
-    overflowing the interpreter stack."""
+    """lr_support loops over the parts of nu and its strip helper over
+    the rows of lam, neither recursing, so sub = (Z/2)^1200 under a
+    raised bound answers rather than overflowing the interpreter stack."""
     result = resolve_extension(FgAbGroup(0, (2,) * 1200), FgAbGroup.cyclic(2), 10**1000)
     assert result.candidates == (FgAbGroup(0, (2,) * 1201), FgAbGroup(0, (2,) * 1199 + (4,)))
+
+
+def _row_fills(nu, used, caps) -> list[tuple[int, ...]]:
+    """Every filling of one row of an LR tableau: a[k] entries k+1, in
+    increasing order, such that the content stays within nu
+    (used[k] + a[k] <= nu[k]), the reading word stays a lattice word
+    (used[k] + a[k] <= used[k-1], as a row is read right to left and so
+    its k+1's come before its k's) and columns stay strict
+    (a[0] + ... + a[k] <= caps[k])."""
+    fills = [()]
+    for k, want in enumerate(nu):
+        room = want - used[k] if k == 0 else min(want - used[k], used[k - 1] - used[k])
+        fills = [f + (a,) for f in fills for a in range(min(room, caps[k] - sum(f)) + 1)]
+    return fills
 
 
 def _lr_walk(mu, nu, r):
     """The reference for lr_support: one walk over the LR tableaux of
     shape lam/mu and content inside nu, a node per tableau, each row of
-    lam a level of an explicit stack."""
+    lam a level of an explicit stack. It fills a row of lam at a time,
+    where lr_support adds a strip per part of nu, and shares no code
+    with it."""
     rows = mu + (0,) * len(nu)
     floor = nu[r:] + (0,) * min(r, len(nu))
     found = set()
@@ -297,9 +312,9 @@ def _lr_walk(mu, nu, r):
 
 
 def test_lr_support_matches_tableau_walk():
-    """Merging tableaux by content and last row loses no lam: lr_support
-    equals the per-tableau walk on every (mu, nu, r) with |mu| + |nu| <= 10
-    and r <= 2."""
+    """Keeping only the shapes before and after the last strip loses no
+    lam: lr_support equals the per-tableau walk on every (mu, nu, r) with
+    |mu| + |nu| <= 10 and r <= 2."""
     triples = 0
     for n in range(11):
         for a in range(n + 1):
@@ -312,10 +327,10 @@ def test_lr_support_matches_tableau_walk():
 
 
 def test_pieri_matches_tableau_walk():
-    """For a nu of at most one part, lr_support reads horizontal strips
-    off Pieri's rule; past the walk-reference test's sizes it still
-    equals the per-tableau walk, on every mu with |mu| <= 14, nu = () or
-    (k) with k <= 6, and r <= 2."""
+    """For a nu of at most one part, lr_support adds at most one
+    horizontal strip, which is Pieri's rule; past the walk-reference
+    test's sizes it still equals the per-tableau walk, on every mu with
+    |mu| <= 14, nu = () or (k) with k <= 6, and r <= 2."""
     triples = 0
     for mu in (m for a in range(15) for m in _partitions(a)):
         for nu in [()] + [(k,) for k in range(1, 7)]:
@@ -341,13 +356,25 @@ def test_assemble_matches_merge():
 
 def test_wide_ladder_extension_fast():
     """Z + Z/2 + ... + Z/32 by Z/2 + ... + Z/32 has torsion order 2^30 and
-    6,249 candidates; merged tableau states answer it in well under the
-    time a per-tableau walk takes."""
+    6,249 candidates; keeping one state per pair of shapes around the
+    last strip answers it in well under the time a per-tableau walk
+    takes."""
     ladder = (2, 4, 8, 16, 32)
     start = time.perf_counter()
     r = resolve_extension(FgAbGroup.of(1, ladder), FgAbGroup.of(0, ladder), 2**30)
     assert time.perf_counter() - start < 2.0
     assert len(r.candidates) == 6249
+
+
+def test_six_part_ladder_extension():
+    """Z/2 + ... + Z/64 by itself has torsion order 2^42 and 10,873
+    candidates, all from one lr_support call with nu = (6, 5, 4, 3, 2, 1):
+    six strips answer it in a few seconds."""
+    ladder = FgAbGroup.of(0, (2, 4, 8, 16, 32, 64))
+    start = time.perf_counter()
+    r = resolve_extension(ladder, ladder, 2**42)
+    assert time.perf_counter() - start < 4.0
+    assert len(r.candidates) == 10873
 
 
 def test_lr_support_free_rank_matches_definition():

@@ -103,17 +103,19 @@ def _transposed_v(usv, a, ncols):
     return u, d, [list(col) for col in zip(*v)]
 
 
-def _strips_one_cell_over(mu, low, high):
-    """_horizontal_strips with room for one cell more than the drop above
-    each row, keeping only the lam that are still partitions."""
-    rows = mu + (0,)
-    strips = [(rows, 0)]
-    for i in [0] + [i for i in range(1, len(rows)) if rows[i - 1] > rows[i]]:
-        room = high if i == 0 else rows[i - 1] - rows[i] + 1
-        strips = [(lam[:i] + (lam[i] + a,) + lam[i + 1:], n + a)
-                  for lam, n in strips for a in range(min(room, high - n) + 1)]
-    lams = {tuple(x for x in lam if x) for lam, n in strips if n >= low}
-    return tuple(sorted(lam for lam in lams if list(lam) == sorted(lam, reverse=True)))
+def _strips_one_cell_over(before, lam, high):
+    """_strips with room for one cell more than the drop above each row
+    that can grow, keeping only the shapes that are still partitions."""
+    strips = [(lam, 0)]
+    cap = 0
+    for i in range(1, len(lam)):
+        cap += lam[i - 1] - before[i - 1]
+        room = lam[i - 1] - lam[i]
+        if room and cap:
+            limit = min(high, cap)
+            strips = [(s[:i] + (s[i] + a,) + s[i + 1:], n + a)
+                      for s, n in strips for a in range(min(room + 1, limit - n) + 1)]
+    return [(s, n) for s, n in strips if list(s) == sorted(s, reverse=True)]
 
 
 def _torsion_read_from_index_0(real):
@@ -169,12 +171,17 @@ MUTANTS = [
     _row("lr_support ignores r",
          exactseq, "lr_support", lambda real: lambda mu, nu, r: real(mu, nu, 0),
          "free_rank_oracle"),
-    _row("_horizontal_strips ignores the free rank",
-         exactseq, "_horizontal_strips", lambda real: lambda mu, low, high: real(mu, high, high),
+    _row("_strips ignores the free rank",
+         exactseq, "_strips",
+         _on_result(lambda strips, before, lam, high: [(s, n) for s, n in strips if n == high]),
          "free_rank_oracle"),
-    _row("_horizontal_strips lets a row grow one cell past the drop above it",
-         exactseq, "_horizontal_strips", lambda real: _strips_one_cell_over,
+    _row("_strips lets a row grow one cell past the drop above it",
+         exactseq, "_strips", lambda real: _strips_one_cell_over,
          "extension_oracle"),
+    # an empty shape before lam lets every row take up to high cells
+    _row("_strips drops the lattice-word cap",
+         exactseq, "_strips", lambda real: lambda before, lam, high: real((0,) * len(lam), lam, high),
+         "free_rank_oracle"),
     _row("_assemble lines primes up at the smallest part",
          exactseq, "_assemble", lambda real: _aligned_at_smallest,
          "extension_oracle", "free_rank_oracle", "sign_invariance"),
