@@ -132,10 +132,10 @@ def lr_support(mu: tuple[int, ...], nu: tuple[int, ...], r: int) -> tuple[tuple[
     numbering each column of nu/sigma from the top gives one conversely.
 
     An LR tableau of shape lam/mu and content sigma is a chain of
-    horizontal strips, its entries k+1 laid around its entries <= k, whose
-    reading word (each row right to left, top to bottom) is a lattice
-    word: rows 0..i hold no more entries k+1 than rows 0..i-1 hold
-    entries k (Macdonald, Ch. I 9). So part k of nu adds a strip of
+    horizontal strips, its entries k+1 one strip outside its entries
+    <= k, whose reading word (each row right to left, top to bottom) is
+    a lattice word: rows 0..i hold no more entries k+1 than rows 0..i-1
+    hold entries k (Macdonald, Ch. I 9). So part k of nu adds a strip of
     nu_(k+r) to nu_k cells, capped by the strip of part k-1, and what a
     tableau can become depends only on its shapes before and after its
     last strip. A nu of one part is Pieri's rule (ibid. Ch. I (5.16)):
@@ -151,12 +151,12 @@ def lr_support(mu: tuple[int, ...], nu: tuple[int, ...], r: int) -> tuple[tuple[
     for low, high in zip(nu[r:] + (0,) * r, nu):
         states = {(lam, new) for before, lam in states
                   for new, cells in _strips(before, lam, high) if cells >= low}
-    # the rows below the virtual one less their zeros, which trail (the
-    # virtual row is 0 only when mu and nu are empty)
+    # the real rows less their zeros, which trail (row 0 is 0 only for empty mu and nu)
     return tuple(sorted({lam[1:len(lam) - lam.count(0)] for _, lam in states}))
 
 
-def _strips(before: tuple[int, ...], lam: tuple[int, ...], high: int) -> list:
+def _strips(before: tuple[int, ...], lam: tuple[int, ...],
+            high: int) -> list[tuple[tuple[int, ...], int]]:
     """Every shape lam + a, with its number of cells |a| <= high, such
     that a is a horizontal strip (a_i <= lam_(i-1) - lam_i, so row 0 stays
     and only the rows below a drop can grow) and rows 1..i take at most

@@ -180,7 +180,8 @@ MUTANTS = [
          "extension_oracle"),
     # an empty shape before lam lets every row take up to high cells
     _row("_strips drops the lattice-word cap",
-         exactseq, "_strips", lambda real: lambda before, lam, high: real((0,) * len(lam), lam, high),
+         exactseq, "_strips",
+         lambda real: lambda before, lam, high: real((0,) * len(lam), lam, high),
          "free_rank_oracle"),
     _row("_assemble lines primes up at the smallest part",
          exactseq, "_assemble", lambda real: _aligned_at_smallest,
