@@ -153,6 +153,14 @@ class GroupCatalogEntry(Value):
     def depth(self) -> int:
         return max(self.pi)
 
+    def homotopy(self, degree: int) -> FgAbGroup:
+        """Catalogued pi_degree, or a table-depth signal beyond the table."""
+        if degree < 0:
+            raise ValueError("negative homotopy degree")
+        if degree not in self.pi:
+            raise TableDepthError(self.name, self.depth, degree)
+        return self.pi[degree]
+
 
 class Catalog(Value):
     __slots__ = ("entries", "path")
@@ -171,13 +179,8 @@ class Catalog(Value):
             raise UnknownGroupError(name, self.names()) from None
 
     def pi(self, name: str, degree: int) -> FgAbGroup:
-        """Catalogued pi_degree, or a table-depth signal beyond the table."""
-        entry = self.entry(name)
-        if degree < 0:
-            raise ValueError("negative homotopy degree")
-        if degree not in entry.pi:
-            raise TableDepthError(name, entry.depth, degree)
-        return entry.pi[degree]
+        """Catalogued pi_degree of the named group (GroupCatalogEntry.homotopy)."""
+        return self.entry(name).homotopy(degree)
 
 
 def default_catalog_path() -> Path:

@@ -273,7 +273,9 @@ class Homomorphism(Value):
     to [0, di) on construction, so structural equality is equality of
     maps. Construction rejects a wrong count or length of images, and
     the image y of a generator of order d unless d * y is 0 in the
-    codomain; a zero image needs no check.
+    codomain; a zero image needs no check. Both the reduction and the
+    check read the codomain's generator orders, 0 for a free coordinate,
+    which is left as given.
     """
 
     __slots__ = ("domain", "codomain", "images")
@@ -282,9 +284,11 @@ class Homomorphism(Value):
         images = tuple(tuple(map(operator.index, y)) for y in images)
         if len(images) != domain.ngens or any(len(y) != codomain.ngens for y in images):
             raise ValueError(f"need {domain.ngens} images of {codomain.ngens} coordinates")
-        images = tuple(_reduced(codomain, y) for y in images)
+        orders = codomain.generator_orders()
+        images = tuple(tuple([c % e if e else c for c, e in zip(y, orders)]) for y in images)
         for j, d in enumerate(domain.invariant_factors, domain.rank):
-            if any(images[j]) and any(_reduced(codomain, tuple(d * c for c in images[j]))):
+            if any(images[j]) and any([d * c % e if e else d * c
+                                       for c, e in zip(images[j], orders)]):
                 raise ValueError(f"ill-defined homomorphism: generator {j} has order {d} "
                                  f"but {d} times its image {images[j]} is nonzero")
         object.__setattr__(self, "domain", domain)

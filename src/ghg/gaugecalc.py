@@ -107,12 +107,15 @@ def make_bundle(catalog: Catalog, group: str, base: Sphere | Surface, coords) ->
 
 
 def _ends(catalog: Catalog, group: str, m: int, b, *degrees: int):
-    """The entry of group, the class b counted and reduced in pi_(m-1), then each pi_d."""
-    entry, class_gp = catalog.entry(group), catalog.pi(group, m - 1)
+    """The entry of group, the class b counted and reduced in pi_(m-1), then
+    each pi_d, all read off the one entry; the class is checked before any
+    pi_d, which fail in the order given."""
+    entry = catalog.entry(group)
+    class_gp = entry.homotopy(m - 1)
     b = tuple(map(operator.index, b))
     if len(b) != class_gp.ngens:
         raise ValueError(f"bundle class must lie in pi_{m - 1}({group}) = {class_gp}")
-    return (entry, _reduced(class_gp, b), *(catalog.pi(group, d) for d in degrees))
+    return (entry, _reduced(class_gp, b), *map(entry.homotopy, degrees))
 
 
 def _pairing_map(entry: GroupCatalogEntry, b: tuple[int, ...], n: int, m: int,

@@ -13,7 +13,7 @@ from math import gcd, lcm, prod
 import pytest
 
 import ghg.fgab
-from ghg.catalog import default_catalog
+from ghg.catalog import Catalog, default_catalog
 from ghg.fgab import (
     FgAbGroup,
     Homomorphism,
@@ -555,6 +555,7 @@ def test_objects_built_per_query(monkeypatch):
     monkeypatch.setattr(Homomorphism, "__init__", counting("Homomorphism", Homomorphism.__init__))
     monkeypatch.setattr(FgAbGroup, "of", classmethod(counting("of", FgAbGroup.of.__func__)))
     monkeypatch.setattr(ghg.fgab, "_is_chain", counting("_is_chain", ghg.fgab._is_chain))
+    monkeypatch.setattr(Catalog, "entry", counting("Catalog.entry", Catalog.entry))
     # (group, base, class, degree, maps built): class 0 and SU2's
     # delta_2, delta_1 over S^4 (pi_2 = pi_1 = 0) are structural zeros;
     # at degree 2 with class 3, delta_3 is the stored pairing's map
@@ -571,9 +572,10 @@ def test_objects_built_per_query(monkeypatch):
         gauge_homotopy(cat, group, bundle, n)
     # 46 stored pairings' maps; every other connecting map is a structural zero.
     # resolve_extension forms its candidates' chains in closed form, without
-    # of, and scans each once in the FgAbGroup constructor
+    # of, and scans each once in the FgAbGroup constructor. Each query looks
+    # up its catalog entry once and reads every pi group off it
     assert len(queries) == 538
-    assert counts == {"Homomorphism": 92, "of": 166, "_is_chain": 339}
+    assert counts == {"Homomorphism": 92, "of": 166, "_is_chain": 339, "Catalog.entry": 538}
 
 
 def test_engine_modules_hold_no_transform_algebra():

@@ -49,21 +49,31 @@ def test_make_bundle_reduces_class():
     assert make_bundle(CAT, "SU2", Sphere(4), [-7]).clazz == (-7,)  # Z: left as given
 
 
-@pytest.mark.parametrize("build", [
-    pytest.param(lambda coords: make_bundle(CAT, "SU2", Sphere(4), coords), id="make_bundle"),
-    pytest.param(lambda coords: connecting_hom_sphere(CAT, "SU2", 4, coords, 3),
+@pytest.mark.parametrize("build, depth_error", [
+    pytest.param(lambda coords: make_bundle(CAT, "SU2", Sphere(4), coords), False,
+                 id="make_bundle"),
+    pytest.param(lambda coords: connecting_hom_sphere(CAT, "SU2", 4, coords, 3), False,
                  id="connecting_hom_sphere"),
+    pytest.param(lambda coords: connecting_hom_sphere(CAT, "SU2", 4, coords, 10), True,
+                 id="connecting_hom_sphere-past-table"),
+    pytest.param(lambda coords: gauge_homotopy(CAT, "SU2", BundleSpec(Sphere(4), coords), 9),
+                 True, id="gauge_homotopy-past-table"),
 ])
-def test_class_coordinates_are_checked(build):
+def test_class_coordinates_are_checked(build, depth_error):
     """A class is integer coordinates in pi_(dim-1): a non-integer
     coordinate is a TypeError, and a wrong count a ValueError naming the
-    group."""
+    group. Both come before any degree is looked up, so a build that
+    needs pi_13 of SU2, past its table, reports the class first and the
+    table depth only for a good class."""
     for bad in ((1.5,), ("1",), (None,)):
         with pytest.raises(TypeError):
             build(bad)
     for count in ((), (1, 2)):
         with pytest.raises(ValueError, match=r"must lie in pi_3\(SU2\) = Z\^1"):
             build(count)
+    if depth_error:
+        with pytest.raises(TableDepthError, match="degree 13 requested"):
+            build((1,))
 
 
 def test_unreduced_class_meets_the_class_zero_split():
