@@ -7,9 +7,10 @@ exponents, a pairing table that is not a homomorphism in each variable
 or has a non-torsion value, and nonzero pairing values on an abelian
 entry all reject the whole file. A pairing is stored as its table of
 reduced integer coordinates. Catalog serves names, entries and pi
-tables; pairings and rational exponents are read off the entry
-(GroupCatalogEntry.samelson, .rational_exponents). A pairing missing
-from entry.samelson is unknown, never a silent zero:
+tables; pi groups, pairings and rational exponents are read off the
+entry (GroupCatalogEntry.homotopy, .samelson, .rational_exponents),
+and Catalog.pi looks the entry up and calls homotopy. A pairing
+missing from entry.samelson is unknown, never a silent zero:
 gaugecalc raises PairingUnavailable for it.
 """
 from __future__ import annotations
