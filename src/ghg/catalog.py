@@ -6,11 +6,10 @@ factors, inconsistent ranks, a nontrivial pi_0, even rational
 exponents, a pairing table that is not a homomorphism in each variable
 or has a non-torsion value, and nonzero pairing values on an abelian
 entry all reject the whole file. A pairing is stored as its table of
-reduced integer coordinates. Catalog serves names, entries and pi
-tables; pi groups, pairings and rational exponents are read off the
-entry (GroupCatalogEntry.homotopy, .samelson, .rational_exponents),
-and Catalog.pi looks the entry up and calls homotopy. A pairing
-missing from entry.samelson is unknown, never a silent zero:
+reduced integer coordinates. Catalog serves names and entries; pi
+groups, pairings and rational exponents are read off the entry
+(GroupCatalogEntry.homotopy, .samelson, .rational_exponents). A
+pairing missing from entry.samelson is unknown, never a silent zero:
 gaugecalc raises PairingUnavailable for it.
 """
 from __future__ import annotations
@@ -178,10 +177,6 @@ class Catalog(Value):
             return self.entries[name]
         except KeyError:
             raise UnknownGroupError(name, self.names()) from None
-
-    def pi(self, name: str, degree: int) -> FgAbGroup:
-        """Catalogued pi_degree of the named group (GroupCatalogEntry.homotopy)."""
-        return self.entry(name).homotopy(degree)
 
 
 def default_catalog_path() -> Path:

@@ -99,7 +99,7 @@ class BundleSpec(Value):
 
 def class_group(catalog: Catalog, group: str, base: Sphere | Surface) -> FgAbGroup:
     """The group the classifying element must live in."""
-    return catalog.pi(group, base.dim - 1)
+    return catalog.entry(group).homotopy(base.dim - 1)
 
 
 def make_bundle(catalog: Catalog, group: str, base: Sphere | Surface, coords) -> BundleSpec:

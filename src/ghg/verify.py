@@ -417,15 +417,15 @@ def check_free_rank_oracle(catalog, rng):
 
 
 def check_sign_invariance(catalog, rng):
-    """middle_group is unchanged by negating either connecting map."""
+    """middle_group is unchanged by negating either connecting map, free ranks included."""
 
     def neg(f):
         return Homomorphism(f.domain, f.codomain, [[-c for c in y] for y in f.images])
 
     for _ in range(SIGN_FRAGMENTS):
         a = random_group(rng, 16)
-        b = random_group(rng, 8, max_rank=0)
-        c = random_group(rng, 8, max_rank=0)
+        b = random_group(rng, 8)
+        c = random_group(rng, 8)
         d = random_group(rng, 16)
         left = random_hom(rng, a, b)
         right = random_hom(rng, c, d)
@@ -563,13 +563,15 @@ def check_trivial_bundle_split(catalog, rng):
     Map(B, K) -> K, so Gau(P) = K x Map_*(B, K), and the suspension of B
     is S^(dim+1) plus 2g copies of S^2. So the engine must answer exactly
     pi_n(K) + pi_(n+dim)(K) + pi_(n+1)(K)^2g, read straight off the pi
-    tables; queries past a table are skipped and counted."""
+    tables, and the same at torsion bound 0, since a split is settled
+    before the bound; queries past a table are skipped and counted."""
     compared = skipped = 0
     for name, base, n in itertools.product(catalog.names(), _all_bases(), range(1, 11)):
         try:
             bundle = BundleSpec(base, (0,) * class_group(catalog, name, base).ngens)
             got = gauge_homotopy(catalog, name, bundle, n).candidates
-            parts = [catalog.pi(name, d) for d in (n, n + base.dim) + (n + 1,) * 2 * base.genus]
+            parts = [catalog.entry(name).homotopy(d)
+                     for d in (n, n + base.dim) + (n + 1,) * 2 * base.genus]
         except TableDepthError:
             skipped += 1
             continue
@@ -578,6 +580,8 @@ def check_trivial_bundle_split(catalog, rng):
         if got != (want,):
             raise CheckFailure(f"{name} over {base} degree {n}: engine "
                                f"{', '.join(map(str, got))}, split {want}")
+        if gauge_homotopy(catalog, name, bundle, n, 0).candidates != got:
+            raise CheckFailure(f"{name} over {base} degree {n}: answer changes at torsion bound 0")
         compared += 1
     return (f"{compared} class-0 queries equal the split pi_n + pi_(n+dim) + pi_(n+1)^2g; "
             f"{skipped} past a table skipped")

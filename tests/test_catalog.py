@@ -69,24 +69,24 @@ def test_default_catalog_names():
 
 def test_su2_low_degrees():
     cat = default_catalog()
-    assert cat.pi("SU2", 0).is_trivial
-    assert cat.pi("SU2", 2).is_trivial
-    assert cat.pi("SU2", 3) == FgAbGroup(1)
-    assert cat.pi("SU2", 4) == FgAbGroup.cyclic(2)
-    assert cat.pi("SU2", 6) == FgAbGroup.cyclic(12)
+    assert cat.entry("SU2").homotopy(0).is_trivial
+    assert cat.entry("SU2").homotopy(2).is_trivial
+    assert cat.entry("SU2").homotopy(3) == FgAbGroup(1)
+    assert cat.entry("SU2").homotopy(4) == FgAbGroup.cyclic(2)
+    assert cat.entry("SU2").homotopy(6) == FgAbGroup.cyclic(12)
     assert cat.entry("SU2").depth == 12
 
 
 def test_pi_beyond_depth():
     cat = default_catalog()
     with pytest.raises(TableDepthError, match="ends at degree 12; degree 13"):
-        cat.pi("SU2", 13)
+        cat.entry("SU2").homotopy(13)
 
 
 def test_negative_degree_rejected():
     cat = default_catalog()
     with pytest.raises(ValueError):
-        cat.pi("SU2", -1)
+        cat.entry("SU2").homotopy(-1)
 
 
 def test_unknown_group():
@@ -290,7 +290,7 @@ def test_load_roundtrip(tmp_path):
     path = write_catalog(tmp_path, [entry_dict()])
     cat = load_catalog(path)
     assert cat.names() == ("G",)
-    assert cat.pi("G", 2) == FgAbGroup.cyclic(2)
+    assert cat.entry("G").homotopy(2) == FgAbGroup.cyclic(2)
     assert apply(cat.entry("G").samelson[(1, 1)].against((1,)), (1,)) == (1,)
 
 

@@ -147,7 +147,7 @@ def test_surface_delta_matrices_are_pinned():
     for (group, coords, n), by_genus in SURFACE_DELTAS.items():
         for genus, (codomain, images) in enumerate(by_genus):
             d = connecting_hom_surface(CAT, group, genus, coords, n)
-            assert d.domain == CAT.pi(group, n)
+            assert d.domain == CAT.entry(group).homotopy(n)
             assert (str(d.codomain), d.images) == (codomain, images), (group, coords, n, genus)
 
 

@@ -1,7 +1,7 @@
 """Golden corpora: CLI commands replayed byte for byte.
 
-Each golden file holds one JSON object per line with the argv, the exit
-code and the exact stdout and stderr of one command.
+Each .jsonl golden file holds one JSON object per line with the argv,
+the exit code and the exact stdout and stderr of one command.
 
 tests/golden_compute.jsonl pins ``ghg compute --format json`` on every
 query of the benchmark grid, answered or refused (see grid_queries),
@@ -14,16 +14,19 @@ the shipped catalog and on an empty one, ``verify`` as text, then
 ``--help`` of ghg and of each command, ``--version``, and three usage
 errors (see USAGE_ARGVS).
 
+tests/golden_verify.json is the exact stdout of ``ghg verify --format
+json`` alone, the report at the shipped seed.
+
 Commands run with the repository root as working directory, so the
 catalog paths in the argvs (and in the JSON that prints them) are
 relative, and with COLUMNS=80, the width argparse wraps help text to.
 An argparse exit (from --help or --version) is recorded as its code.
-Regenerate both files (only when an output is meant to change, naming
-the changed lines in CHANGES.md) from the repository root with
+Regenerate all three files (only when an output is meant to change,
+naming the changed lines in CHANGES.md) from the repository root with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
-and list every line whose replay differs, as its file name and argv,
+and list every command whose replay differs, as its file name and argv,
 writing nothing and exiting 1 if there is any, with
 
     PYTHONPATH=src python3 tests/test_golden.py --diff
@@ -46,6 +49,7 @@ from ghg.gaugecalc import Sphere, Surface, class_group, make_bundle
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden_compute.jsonl"
 GOLDEN_CLI = ROOT / "tests" / "golden_cli.jsonl"
+GOLDEN_VERIFY = ROOT / "tests" / "golden_verify.json"
 CATALOGS = ("src/ghg/data/catalog.json", "tests/empty_catalog.json")
 FORMATS = ("text", "json")
 BASES = tuple(Sphere(m) for m in range(1, 8)) + tuple(Surface(g) for g in range(3))
@@ -116,7 +120,8 @@ def golden_cli_argvs():
     return argvs + HELP_ARGVS + USAGE_ARGVS
 
 
-GOLDENS = {GOLDEN: golden_argvs, GOLDEN_CLI: golden_cli_argvs}
+GOLDENS = {GOLDEN: golden_argvs, GOLDEN_CLI: golden_cli_argvs,
+           GOLDEN_VERIFY: lambda: [["verify", "--format", "json"]]}
 
 
 def record(argv):
@@ -183,7 +188,19 @@ def test_golden_cli_covers_every_command():
     assert empty["text"] == "" and json.loads(empty["json"])["entries"] == []
 
 
+def render(path, argvs) -> str:
+    """The text of a golden file: a record per line, or for a .json file
+    the stdout of its one command."""
+    if path.suffix == ".json":
+        (argv,) = argvs
+        return record(argv)["stdout"]
+    return "".join(json.dumps(record(cmd), sort_keys=True) + "\n" for cmd in argvs)
+
+
 def changed_lines(path=GOLDEN):
+    if path.suffix == ".json":
+        argvs = GOLDENS[path]()
+        return [] if render(path, argvs) == path.read_text(encoding="utf-8") else argvs
     return [want["argv"] for want in load_golden(path) if record(want["argv"]) != want]
 
 
@@ -207,6 +224,16 @@ def test_diff_exits_1_when_a_line_differs(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == f"golden.jsonl: {shlex.join(lines[1]['argv'])}\n"
 
 
+def test_a_json_golden_file_is_one_stdout(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "version.json"
+    monkeypatch.setitem(globals(), "GOLDENS", {path: lambda: [["--version"]]})
+    path.write_text(f"ghg {__version__}\n\n", encoding="utf-8")
+    assert main(["--diff"]) == 1
+    assert capsys.readouterr().out == "version.json: --version\n"
+    assert main([]) == 0 and path.read_text(encoding="utf-8") == f"ghg {__version__}\n"
+    assert main(["--diff"]) == 0 and capsys.readouterr().out == ""
+
+
 def main(argv):
     """Regenerate the golden files, or with --diff list the lines whose
     replay differs and exit 1 if there is any."""
@@ -221,9 +248,7 @@ def main(argv):
             print(line)
         return 1 if changed else 0
     for path, argvs in GOLDENS.items():
-        with path.open("w", encoding="utf-8") as fh:
-            for cmd in argvs():
-                fh.write(json.dumps(record(cmd), sort_keys=True) + "\n")
+        path.write_text(render(path, argvs()), encoding="utf-8")
     return 0
 
 

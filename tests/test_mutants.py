@@ -9,8 +9,7 @@ binds it, so that ``from .fgab import kernel`` sees the fault too; a
 method or property is patched on its class. A row that no check fails
 is an equivalent mutant, and says why no check can fail it.
 
-Every check fails alone on some row, or NO_UNIQUE_MUTANT says why it
-stays without one.
+Every check fails alone on some row.
 """
 import sys
 from contextlib import ExitStack
@@ -24,7 +23,7 @@ import pytest
 
 from ghg import SEED, exactseq, fgab, gaugecalc, verify
 from ghg.catalog import PairingMatrix, default_catalog
-from ghg.exactseq import SequenceResult, resolve_extension
+from ghg.exactseq import DEFAULT_TORSION_BOUND, SequenceResult, TorsionBoundError, resolve_extension
 from ghg.fgab import FgAbGroup, Homomorphism, direct_sum
 
 CAT = default_catalog()
@@ -128,6 +127,16 @@ def _torsion_read_from_index_0(real):
     return kernel
 
 
+def _negative_free_read_as_0(real):
+    """cokernel or kernel reading each negative free coordinate of an
+    image as 0, which only a map with free images of either sign shows."""
+    def fake(f):
+        q = f.codomain.rank
+        images = tuple(tuple(max(c, 0) for c in y[:q]) + y[q:] for y in f.images)
+        return real(SimpleNamespace(domain=f.domain, codomain=f.codomain, images=images))
+    return fake
+
+
 def _kernel_loses_rank(ker, f):
     if ker.rank and any(map(any, f.images)):
         return FgAbGroup(ker.rank - 1, ker.invariant_factors)
@@ -136,6 +145,17 @@ def _kernel_loses_rank(ker, f):
 
 def _class_zero_unsplit(result, catalog, group, bundle, n, *bound):
     return resolve_extension(result.sub, result.quot, *bound) if not any(bundle.clazz) else result
+
+
+def _refused_whatever_the_class(result, catalog, group, bundle, n,
+                                torsion_bound=DEFAULT_TORSION_BOUND):
+    """The early genus refusal of gauge_homotopy without its class test,
+    so that it refuses class-0 queries, which split before any bound."""
+    if (2 * bundle.base.genus >= max(1, torsion_bound.bit_length())
+            and catalog.entry(group).homotopy(n + 1).invariant_factors
+            and result.quot.invariant_factors):
+        raise TorsionBoundError(torsion_bound)
+    return result
 
 
 def _class_zero_refused(real):
@@ -189,6 +209,9 @@ MUTANTS = [
     _row("cokernel drops its last invariant factor",
          fgab, "cokernel", _on_result(lambda g, f: FgAbGroup(g.rank, g.invariant_factors[:-1])),
          "hom_oracle", "su2_gcd_table", "genus_zero_matches_sphere"),
+    _row("cokernel reads a negative free coordinate as 0",
+         fgab, "cokernel", _negative_free_read_as_0,
+         "sign_invariance"),
     _row("kernel gains Z/2 when it is free",
          fgab, "kernel",
          _on_result(lambda g, f: direct_sum(g, FgAbGroup.cyclic(2))
@@ -200,6 +223,9 @@ MUTANTS = [
     _row("kernel reads a free-rank codomain's torsion coordinates from index 0",
          fgab, "kernel", _torsion_read_from_index_0,
          "hom_oracle"),
+    _row("kernel reads a negative free coordinate as 0",
+         fgab, "kernel", _negative_free_read_as_0,
+         "sign_invariance"),
     # degree 1 of rational_class_independence is what catches this one
     _row("kernel of a nonzero map loses one free rank",
          fgab, "kernel", _on_result(_kernel_loses_rank),
@@ -241,6 +267,9 @@ MUTANTS = [
     _row("gauge_homotopy refuses class 0 for a missing pairing",
          gaugecalc, "gauge_homotopy", _class_zero_refused,
          "trivial_bundle_split"),
+    _row("the early genus refusal ignores the class",
+         gaugecalc, "gauge_homotopy", _on_result(_refused_whatever_the_class),
+         "trivial_bundle_split"),
     _row("the rational closed form is +1 at degree 7",
          gaugecalc, "gauge_homotopy_rational", _rational_plus_one(lambda base, n: n == 7),
          "rational_two_path"),
@@ -264,17 +293,6 @@ MUTANTS = [
              "changes, and tests/test_fgab.py::test_equal_maps_compare_equal pins it"),
 ]
 
-NO_UNIQUE_MUTANT = {
-    "sign_invariance": "no row fails it alone (the _assemble row fails two other checks with "
-                       "it): coker and ker of -f equal those of f for any correct "
-                       "reduction, and the sign-breaking faults tried (cokernel or kernel "
-                       "reading negative entries as 0) fail no check, since every torsion "
-                       "entry is reduced and no drawn map has free entries. It stays only "
-                       "because the verify workload of the benchmark requires at least 14 "
-                       "checks (VERIFY_MIN_CHECKS); once that floor can drop, delete it or "
-                       "give it content that a fault can break",
-}
-
 
 def _failed_checks(mutant: Mutant) -> set:
     with ExitStack() as stack:
@@ -291,14 +309,13 @@ def test_mutant_fails_exactly_its_checks(mutant):
 
 def test_table_is_complete():
     """Only an equivalent mutant, with its reason, fails no check; every
-    check fails alone on some row or says why it stays."""
+    check fails alone on some row."""
     checks = [name for name, _ in verify.CHECKS]
     for m in MUTANTS:
         assert bool(m.failing) != bool(m.why), m.fault
         assert m.failing <= set(checks), m.fault
     alone = {name for m in MUTANTS if len(m.failing) == 1 for name in m.failing}
-    assert alone.isdisjoint(NO_UNIQUE_MUTANT)
-    assert sorted(alone | NO_UNIQUE_MUTANT.keys()) == sorted(checks)
+    assert sorted(alone) == sorted(checks)
 
 
 def test_functions_are_patched_wherever_bound():
