@@ -235,7 +235,7 @@ def test_a_json_golden_file_is_one_stdout(tmp_path, monkeypatch, capsys):
 
 
 def main(argv):
-    """Regenerate the golden files, or with --diff list the lines whose
+    """Regenerate the golden files, or with --diff list the commands whose
     replay differs and exit 1 if there is any."""
     parser = argparse.ArgumentParser(description="regenerate or diff the golden corpora")
     parser.add_argument("--diff", action="store_true",
