@@ -90,9 +90,11 @@ def _smith(m: list[list[int]], nrows: int, ncols: int) -> list[int]:
     One loop of division with remainder (Newman, Integral Matrices, II):
     the pivot is the entry of smallest nonzero absolute value in the
     remaining block, ties broken by lowest (row, col), moved to (t, t)
-    and made positive. Each entry below and right of the pivot p is cut
-    to its nearest-integer remainder, at most p/2 in absolute value. A
-    nonzero remainder repeats the step with a pivot no larger than it.
+    and made positive. The scan stops after the first row holding a
+    unit: no entry is smaller and the first minimum is kept, so a full
+    scan picks the same pivot. Each entry below and right of the pivot
+    p is cut to its nearest-integer remainder, at most p/2 in absolute
+    value. A nonzero remainder repeats the step with a pivot no larger.
     A row of the block with an entry that p does not divide is added to
     the pivot row, and the repeat picks p at (t, t) again or a smaller
     pivot, and leaves a remainder. So the positive pivot strictly
@@ -109,6 +111,8 @@ def _smith(m: list[list[int]], nrows: int, ncols: int) -> list[int]:
                 if val != 0 and (best is None or abs(val) < best_abs):
                     best = (i, j)
                     best_abs = abs(val)
+            if best_abs == 1:
+                break
         if best is None:
             break
         bi, bj = best
@@ -297,7 +301,13 @@ class Homomorphism(Value):
 
     @classmethod
     def zero(cls, domain: FgAbGroup, codomain: FgAbGroup) -> Homomorphism:
-        return cls(domain, codomain, ((0,) * codomain.ngens,) * domain.ngens)
+        """The zero map, without the checks of __init__: a zero image is
+        already reduced and well-defined."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "domain", domain)
+        object.__setattr__(f, "codomain", codomain)
+        object.__setattr__(f, "images", ((0,) * codomain.ngens,) * domain.ngens)
+        return f
 
 
 def cokernel(f: Homomorphism) -> FgAbGroup:

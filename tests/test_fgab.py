@@ -91,6 +91,31 @@ def test_snf_known_awkward_matrix():
     assert diag == (2, 2, 156)
 
 
+def test_snf_transforms_are_pinned():
+    """U, D and V as the full pivot scan left them, so a faster scan must
+    pick the same pivots. In the first two matrices the first unit comes
+    after larger entries, off (0, 0), and a later row holds another unit
+    or smaller entries; the third has no unit until the reduction makes
+    one."""
+    pinned = [
+        ([[4, 6, 3], [5, 1, 2], [1, 7, 8]],
+         [[0, 1, 0], [-1, -85, 13], [76, 6467, -989]],
+         [[1, 0, 0], [0, 1, 0], [0, 0, 150]],
+         [[0, -35, -69], [1, -247, -487], [0, 211, 416]]),
+        ([[6, 4], [9, -1], [3, 5]],
+         [[0, -1, 0], [-1, 1, 1], [8, -3, -7]],
+         [[1, 0], [0, 6], [0, 0]],
+         [[0, 1], [1, 9]]),
+        ([[2, 4, 4], [-6, 6, 12], [10, 4, 16]],
+         [[1, 0, 0], [22, -1, -5], [-831, 38, 189]],
+         [[2, 0, 0], [0, 2, 0], [0, 0, 156]],
+         [[1, -32, -66], [0, 1, 2], [0, 15, 31]]),
+    ]
+    for a, u, d, v in pinned:
+        assert snf(a, len(a[0])) == (u, d, v)
+        assert matmul(matmul(u, a), v) == d
+
+
 def test_snf_random_suite_small():
     rng = random.Random(11)
     for _ in range(250):
@@ -345,6 +370,23 @@ def test_equal_maps_compare_equal():
     assert f.images == ((1,),) and hash(f) == hash(Homomorphism(FgAbGroup(1), z4, [(-3,)]))
     g = Homomorphism(FgAbGroup(1), FgAbGroup(1, (4,)), [(-2, 6)])
     assert g.images == ((-2, 2),)
+
+
+def test_zero_map_equals_the_checked_zero_map():
+    """Homomorphism.zero skips the checks of __init__, so it must build
+    the value __init__ builds from zero images: equal, hashing alike and
+    printing alike, between trivial, free, torsion and mixed groups,
+    with no generators on either side."""
+    groups = [FgAbGroup(0), FgAbGroup(1), FgAbGroup(3), FgAbGroup(0, (2,)),
+              FgAbGroup(0, (2, 6, 12)), FgAbGroup(1, (4,)), FgAbGroup(2, (3, 9))]
+    for dom in groups:
+        for cod in groups:
+            zero = Homomorphism.zero(dom, cod)
+            checked = Homomorphism(dom, cod, [[0] * cod.ngens] * dom.ngens)
+            assert zero == checked and hash(zero) == hash(checked)
+            assert zero.images == checked.images and repr(zero) == repr(checked)
+            with pytest.raises(AttributeError):
+                zero.images = checked.images
 
 
 def test_hom_apply_and_neg():
