@@ -399,7 +399,7 @@ def check_extension_oracle(catalog, rng):
     for _ in range(EXTENSION_SUBGROUPS):
         x = random_group(rng, 64, max_rank=0)
         k = rng.randint(0, 3)
-        draws.append((x, [tuple(rng.randrange(d) for d in x.invariant_factors) for _ in range(k)]))
+        draws.append((x, [_bounded_element(rng, x) for _ in range(k)]))
     draws.append((FgAbGroup.cyclic(16), [(8,)]))
     return _check_subgroup_pairs(
         draws, f"subgroup/quotient pairs ({EXTENSION_SUBGROUPS} random, 1 fixed)")

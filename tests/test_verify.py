@@ -2,7 +2,6 @@
 import ast
 import os
 import random
-from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -72,32 +71,6 @@ def test_trivial_bundle_check_catches_a_class_zero_that_does_not_split(monkeypat
     failed = {name: detail for name, passed, detail in verify.run_all(CAT) if not passed}
     assert failed == {"trivial_bundle_split": "SU2 over sphere:1 degree 4: engine "
                                               "Z/2 + Z/2, Z/4, split Z/2 + Z/2"}
-
-
-def test_work_of_verify_is_pinned(monkeypatch):
-    """The maps and Smith reductions of a full verify run at the
-    shipped seed, counted exactly, so the work is pinned and not only the
-    time. Maps are counted at both constructors: the checked __init__
-    and Homomorphism.zero, which skips it. Class-0 queries build no map
-    and take no reduction; the catalog load builds each stored pairing's
-    rows and columns as maps."""
-    counts = Counter()
-
-    def counting(name, original):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(Homomorphism, "__init__", counting("Homomorphism", Homomorphism.__init__))
-    monkeypatch.setattr(Homomorphism, "zero", staticmethod(counting("zero", Homomorphism.zero)))
-    # verify's snf and connecting_hom_surface bind _smith by name
-    smith = counting("_smith", verify._smith)
-    for module in ("ghg.fgab", "ghg.gaugecalc", "ghg.verify"):
-        monkeypatch.setattr(f"{module}._smith", smith)
-    report = list(verify.run_all(default_catalog(), verify.SEED))
-    assert all(passed for _, passed, _ in report)
-    assert counts == {"Homomorphism": 1156, "zero": 850, "_smith": 4419}
 
 
 def test_extension_types_small_cases():
