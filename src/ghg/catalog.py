@@ -155,11 +155,12 @@ class GroupCatalogEntry(Value):
 
     def homotopy(self, degree: int) -> FgAbGroup:
         """Catalogued pi_degree, or a table-depth signal beyond the table."""
-        if degree < 0:
-            raise ValueError("negative homotopy degree")
-        if degree not in self.pi:
-            raise TableDepthError(self.name, self.depth, degree)
-        return self.pi[degree]
+        try:
+            return self.pi[degree]
+        except KeyError:
+            if degree < 0:
+                raise ValueError("negative homotopy degree") from None
+            raise TableDepthError(self.name, self.depth, degree) from None
 
 
 class Catalog(Value):

@@ -153,8 +153,9 @@ def _smith(m: list[list[int]], nrows: int, ncols: int) -> list[int]:
 
 
 def _is_chain(facs: tuple[int, ...]) -> bool:
-    """Whether facs is a divisibility chain with every entry >= 2."""
-    return not any(d < 2 or d % p for p, d in zip((1,) + facs, facs))
+    """Whether facs is a divisibility chain with every entry >= 2; the
+    minimum is tested first, so a 0 never reaches %."""
+    return not facs or (min(facs) >= 2 and not any(map(operator.mod, facs[1:], facs)))
 
 
 class FgAbGroup(Value):
@@ -268,7 +269,7 @@ def _presented(rows: list[list[int]], n: int) -> FgAbGroup:
 def _reduced(group: FgAbGroup, coords: tuple[int, ...]) -> tuple[int, ...]:
     """Coordinates in group with each torsion entry reduced to [0, di)."""
     rank = group.rank
-    return coords[:rank] + tuple(c % d for c, d in zip(coords[rank:], group.invariant_factors))
+    return coords[:rank] + tuple(map(operator.mod, coords[rank:], group.invariant_factors))
 
 
 class Homomorphism(Value):

@@ -25,11 +25,34 @@ def test_summary_counts_wins_by_direction():
     assert got == {
         "wall_s": {"parent_median": 2.0, "parent_quartiles": [2.0, 4.0],
                    "change_median": 1.0, "change_quartiles": [1.0, 3.0],
-                   "change_wins": 2, "pairs": 3},
+                   "change_wins": 2, "pairs": 3, "claim_rule_met": False},
         "queries_per_s": {"parent_median": 0.5, "parent_quartiles": [0.25, 0.5],
                           "change_median": 1.0, "change_quartiles": [1 / 3, 1.0],
-                          "change_wins": 2, "pairs": 3},
+                          "change_wins": 2, "pairs": 3, "claim_rule_met": False},
     }
+
+
+def pairs_of(parent, change):
+    return [{"seed": s, "parent": {"wall_s": p}, "change": {"wall_s": c}}
+            for s, (p, c) in enumerate(zip(parent, change), 1)]
+
+
+PARENT = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]  # q3 - q1 = 1.1
+
+
+@pytest.mark.parametrize("change, met", [
+    ([x - 1.2 for x in PARENT], True),  # 10 of 10 wins, gap 1.2
+    ([x - 1.2 for x in PARENT[:9]] + [20.0], True),  # 9 of 10
+    ([x - 1.2 for x in PARENT[:8]] + [20.0, 20.0], False),  # 8 of 10
+    ([x - 1.2 for x in PARENT[:8]] + PARENT[8:], False),  # 8 wins and 2 ties
+    ([x - 1.0 for x in PARENT], False),  # gap 1.0, inside the parent's quartile spread
+    ([x + 1.2 for x in PARENT], False),  # the gap the wrong way
+], ids=["all-pairs", "nine-pairs", "eight-pairs", "tie", "gap-inside-spread", "worse"])
+def test_claim_rule(change, met):
+    """claim_rule_met needs both 9 of 10 wins and a median gain past the
+    parent's quartile spread."""
+    got = bench_record.summary(pairs_of(PARENT, change), [{"name": "wall_s", "better": "lower"}])
+    assert got["wall_s"]["claim_rule_met"] is met
 
 
 

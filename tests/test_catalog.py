@@ -78,15 +78,15 @@ def test_su2_low_degrees():
 
 
 def test_pi_beyond_depth():
-    cat = default_catalog()
-    with pytest.raises(TableDepthError, match="ends at degree 12; degree 13"):
-        cat.entry("SU2").homotopy(13)
-
-
-def test_negative_degree_rejected():
-    cat = default_catalog()
-    with pytest.raises(ValueError):
-        cat.entry("SU2").homotopy(-1)
+    """Off the table, a negative degree is a ValueError and a degree past
+    the depth a TableDepthError naming both; neither is the other."""
+    entry = default_catalog().entry("SU2")
+    with pytest.raises(ValueError, match="^negative homotopy degree$"):
+        entry.homotopy(-1)
+    with pytest.raises(TableDepthError, match="ends at degree 12; degree 13 requested") as err:
+        entry.homotopy(entry.depth + 1)
+    assert (err.value.depth, err.value.degree) == (12, 13)
+    assert not isinstance(err.value, ValueError)
 
 
 def test_unknown_group():

@@ -4,6 +4,7 @@ The SNF checks never trust the implementation: they multiply the
 transforms back out, check unimodularity through exact determinants,
 and check the divisibility chain entry by entry.
 """
+import itertools
 import random
 import sys
 import time
@@ -16,7 +17,9 @@ from ghg.fgab import (
     FgAbGroup,
     Homomorphism,
     _diagonal_relations,
+    _is_chain,
     _presented,
+    _reduced,
     _smith,
     cokernel,
     direct_sum,
@@ -166,6 +169,51 @@ def test_group_canonical_form_validation():
     assert FgAbGroup.cyclic(1).is_trivial
     assert FgAbGroup.cyclic(0) == FgAbGroup(1)
     assert FgAbGroup.of(1, (4, 6, 0)) == FgAbGroup(2, (2, 12))
+
+
+def is_chain_loop(facs):
+    """_is_chain in its generator form, the reference for its C-level scan."""
+    return not any(d < 2 or d % p for p, d in zip((1,) + facs, facs))
+
+
+def reduced_loop(group, coords):
+    """_reduced in its generator form, the reference for its C-level scan."""
+    rank = group.rank
+    return coords[:rank] + tuple(c % d for c, d in zip(coords[rank:], group.invariant_factors))
+
+
+# sub's chain of TEST over surface:64 at degree 1, class 0: the longest on the genus ladder
+GENUS_64_CHAIN = (2,) + (4,) * 128
+
+
+def chain_inputs():
+    """Every tuple of length <= 4 over a pool with a negative entry, 0, 1,
+    chains and non-chains, then the genus-64 chain and that chain with its
+    last entry changed."""
+    short = [f for n in range(5) for f in itertools.product((-1, 0, 1, 2, 3, 4, 6, 12), repeat=n)]
+    return short + [GENUS_64_CHAIN[:-1] + (d,) for d in (4, 8, 6, 2, 1, 0, -4)]
+
+
+def reduced_inputs():
+    """Drawn coordinates, negative and large entries included, in groups
+    with free coordinates only, torsion only, both, and in the trivial group."""
+    rng = random.Random(39)
+    groups = [FgAbGroup(0), FgAbGroup(2), FgAbGroup(0, (2, 4)), FgAbGroup(1, (3, 6, 12)),
+              FgAbGroup(3, (2,)), FgAbGroup(0, GENUS_64_CHAIN)]
+    return [(g, tuple(rng.randint(-10**20, 10**20) if rng.random() < 0.2 else rng.randint(-30, 30)
+                      for _ in range(g.ngens)))
+            for g in groups for _ in range(60)]
+
+
+@pytest.mark.parametrize("scan, loop, inputs", [
+    (_is_chain, is_chain_loop, [(f,) for f in chain_inputs()]),
+    (_reduced, reduced_loop, reduced_inputs()),
+], ids=["_is_chain", "_reduced"])
+def test_scans_match_their_loop_forms(scan, loop, inputs):
+    """Each per-query scan rewritten as C-level iteration gives what its
+    loop form gave, on every input listed."""
+    for args in inputs:
+        assert scan(*args) == loop(*args), args
 
 
 MERSENNE_61, MERSENNE_89 = 2**61 - 1, 2**89 - 1

@@ -2,8 +2,11 @@
 
 calls() counts the entries of each function's code object through
 sys.setprofile, so every binding, in any module and however late, is
-counted and nothing in ghg is patched. A row's answer is built outside
-the counted run; no generator is counted (each resume reports a call).
+counted and nothing in ghg is patched. Two pins measure the reductions
+themselves: "_smith cells" adds up nrows * ncols off each call frame of
+_smith, and "_smith bits" is the largest bit length on a diagonal it
+returns, off the return event. A row's answer is built outside the
+counted run; no generator is counted (each resume reports a call).
 A count changed on purpose is re-pinned and named in CHANGES.md. Print
 each row's id and current counts from the repository root with
 
@@ -28,14 +31,21 @@ CODES = {name: getattr(f, "__func__", f).__code__ for name, f in {
 
 
 def calls(run, names):
-    """{name: calls} of each function of CODES named, while run() runs;
-    the previous profile function is restored even when run() raises."""
-    codes = {CODES[name]: name for name in names}
+    """{name: count} of each name while run() runs: the calls of each
+    function of CODES named, and "_smith cells" and "_smith bits"; the
+    previous profile function is restored even when run() raises."""
+    codes = {CODES[name]: name for name in names if name in CODES}
     counts = dict.fromkeys(names, 0)
+    smith = CODES["_smith"]
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in codes:
             counts[codes[frame.f_code]] += 1
+        if frame.f_code is smith:
+            if event == "call" and "_smith cells" in counts:
+                counts["_smith cells"] += frame.f_locals["nrows"] * frame.f_locals["ncols"]
+            elif event == "return" and "_smith bits" in counts:
+                counts["_smith bits"] = max(counts["_smith bits"], *map(int.bit_length, arg or [0]))
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -83,6 +93,9 @@ PINS = [
     ("kernel", lambda: kernel(F), FgAbGroup(1), {"_smith": 2}),
     ("canonicalize", lambda: verify.canonicalize([[2, 0], [0, 3]], 2), FgAbGroup.cyclic(6),
      {"_smith": 1}),
+    # a 3 x 3 block is 9 cells, and its diagonal 2, 6, 12 peaks at 4 bits
+    ("smith-cells-and-bits", lambda: fgab._smith([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], 3, 3),
+     [2, 6, 12], {"_smith": 1, "_smith cells": 9, "_smith bits": 4}),
     # coker(0: A -> B) = B and ker(0: A -> B) = A, with no reduction
     ("zero-map", lambda: (cokernel(ZERO), kernel(ZERO)), (F.codomain, F.domain), {"_smith": 0}),
     # a torsion-free summand adds its rank and leaves the other chain as
@@ -92,15 +105,18 @@ PINS = [
     # the 538 answered queries of tests/golden_compute.jsonl: 46 stored pairings' maps,
     # every other connecting map a structural zero. resolve_extension forms its candidates'
     # chains in closed form, without of, and scans each once in the FgAbGroup constructor.
-    # Each query looks up its catalog entry once and reads every pi group off it
+    # Each query looks up its catalog entry once and reads every pi group off it.
+    # The 98 reductions cover 104 cells, and no diagonal entry passes 2 bits
     ("golden-queries", lambda: len([gauge_homotopy(CAT, *q) for q in QUERIES]), 538,
      {"Homomorphism": 92, "of": 166, "_is_chain": 339, "Catalog.entry": 538, "_smith": 98,
-      "resolve_extension": 238, "lr_support": 12, "_assemble": 12, "_primes": 24}),
+      "resolve_extension": 238, "lr_support": 12, "_assemble": 12, "_primes": 24,
+      "_smith cells": 104, "_smith bits": 2}),
     # a full verify at the shipped seed, catalog load included: the load builds each stored
     # pairing's rows and columns as maps, Homomorphism.zero skips the checked __init__, and
     # class-0 queries build no map and take no reduction
     ("verify", lambda: all(ok for _, ok, _ in verify.run_all(default_catalog(), verify.SEED)),
-     True, {"Homomorphism": 1156, "zero": 850, "_smith": 4419}),
+     True, {"Homomorphism": 1156, "zero": 850, "_smith": 4419, "_smith cells": 21296,
+            "_smith bits": 20}),
 ]
 
 

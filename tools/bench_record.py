@@ -11,13 +11,13 @@ PAIRS alternating pairs of
 over seeds S = 1, 2, ..., the parent first on odd seeds and this
 checkout first on even ones, with T the benchmark's run_seconds. It
 records every pair (its metrics and failed operations) and, per
-end-to-end metric, both sides' medians and quartiles and the number of
-pairs the change wins; the final JSON line of this checkout's seed-1
-run of each workload; both commits; and the host: the CPU count, the
-Python version and whether the package's bytecode was cached. A run
-that exits nonzero or is not correct stops the record, naming its
-workload, seed and side, and writes nothing. A file
-made this way records; it proves a claimed gain only under the rules
+end-to-end metric, both sides' medians and quartiles, the number of
+pairs the change wins and whether the claim rule is met; the final
+JSON line of this checkout's seed-1 run of each workload; both
+commits; and the host: the CPU count, the Python version and whether
+the package's bytecode was cached. A run that exits nonzero or is not
+correct stops the record, naming its workload, seed and side, and
+writes nothing. A file made this way records; it proves a claimed gain only under the rules
 of README "Reproducing a speed claim".
 """
 from __future__ import annotations
@@ -60,8 +60,12 @@ def quartiles(xs: list) -> list:
 
 
 def summary(pairs: list, metrics: list) -> dict:
-    """Per end-to-end metric: each side's median and quartiles and how
-    many pairs the change wins, by the metric's direction."""
+    """Per end-to-end metric: each side's median and quartiles, how many
+    pairs the change wins by the metric's direction (a tie wins for
+    neither), and whether that meets the claim rule of README
+    "Reproducing a speed claim": the change wins at least 9 of 10 pairs,
+    and its median beats the parent's by more than q3 - q1 of the
+    parent's runs."""
     out = {}
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "lower" else -1
@@ -69,12 +73,13 @@ def summary(pairs: list, metrics: list) -> dict:
                 if name in p["parent"] and name in p["change"]]
         if both:
             parent, change = [a for a, _ in both], [b for _, b in both]
-            out[name] = {"parent_median": statistics.median(parent),
-                         "parent_quartiles": quartiles(parent),
-                         "change_median": statistics.median(change),
-                         "change_quartiles": quartiles(change),
-                         "change_wins": sum(sign * (b - a) < 0 for a, b in both),
-                         "pairs": len(both)}
+            pm, cm = statistics.median(parent), statistics.median(change)
+            (q1, q3), wins = quartiles(parent), sum(sign * (b - a) < 0 for a, b in both)
+            out[name] = {"parent_median": pm, "parent_quartiles": [q1, q3],
+                         "change_median": cm, "change_quartiles": quartiles(change),
+                         "change_wins": wins, "pairs": len(both),
+                         "claim_rule_met": (10 * wins >= 9 * len(both)
+                                            and sign * (pm - cm) > q3 - q1)}
     return out
 
 
