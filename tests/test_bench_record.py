@@ -33,6 +33,7 @@ def test_summary_counts_wins_by_direction():
 
 
 def pairs_of(parent, change):
+    """One wall_s reading per side and pair, over seeds 1, 2, ..."""
     return [{"seed": s, "parent": {"wall_s": p}, "change": {"wall_s": c}}
             for s, (p, c) in enumerate(zip(parent, change), 1)]
 
