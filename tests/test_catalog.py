@@ -78,15 +78,21 @@ def test_su2_low_degrees():
 
 
 def test_pi_beyond_depth():
-    """Off the table, a negative degree is a ValueError and a degree past
-    the depth a TableDepthError naming both; neither is the other."""
+    """A degree past the depth is a TableDepthError naming both, and not a
+    ValueError."""
     entry = default_catalog().entry("SU2")
-    with pytest.raises(ValueError, match="^negative homotopy degree$"):
-        entry.homotopy(-1)
     with pytest.raises(TableDepthError, match="ends at degree 12; degree 13 requested") as err:
         entry.homotopy(entry.depth + 1)
     assert (err.value.depth, err.value.degree) == (12, 13)
     assert not isinstance(err.value, ValueError)
+
+
+def test_negative_degree_rejected():
+    """A negative degree is a plain ValueError, not a TableDepthError."""
+    entry = default_catalog().entry("SU2")
+    with pytest.raises(ValueError, match="^negative homotopy degree$") as err:
+        entry.homotopy(-1)
+    assert not isinstance(err.value, TableDepthError)
 
 
 def test_unknown_group():
