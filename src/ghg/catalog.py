@@ -63,19 +63,13 @@ class PairingMatrix(Value):
     canonical generator pairs: values[i][j] is <e_i, f_j>, the reduced
     target coordinates. A table extends to a pairing exactly when each
     row <e_i, .> and each column <., f_j> is a homomorphism and every
-    value is torsion, so rows and columns are built as Homomorphisms."""
+    value is torsion, so rows and columns are built as Homomorphisms.
+    The degrees (n, m) are not fields: the entry keys its pairings by
+    them, as samelson[(n, m)]."""
 
-    __slots__ = ("n", "m", "source_n", "source_m", "target", "values")
+    __slots__ = ("source_n", "source_m", "target", "values")
 
-    def __init__(
-        self,
-        n: int,
-        m: int,
-        source_n: FgAbGroup,
-        source_m: FgAbGroup,
-        target: FgAbGroup,
-        values,
-    ):
+    def __init__(self, source_n: FgAbGroup, source_m: FgAbGroup, target: FgAbGroup, values):
         if len(values) != source_n.ngens:
             raise ValueError(f"{len(values)} value rows, not {source_n.ngens}")
         for i, row in enumerate(values):
@@ -90,8 +84,6 @@ class PairingMatrix(Value):
             _named_map(source_n, target, column, f"column <., f_{j}>")
         if any(any(v[:target.rank]) for row in values for v in row):
             raise ValueError("pairing values must be torsion")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "source_n", source_n)
         object.__setattr__(self, "source_m", source_m)
         object.__setattr__(self, "target", target)
@@ -107,12 +99,12 @@ class PairingMatrix(Value):
         is sum_j b_j values[i][j], summed on integers, which Homomorphism reduces.
 
         >>> z4 = FgAbGroup.cyclic(4)
-        >>> pairing = PairingMatrix(1, 1, z4, z4, z4, (((1,),),))
+        >>> pairing = PairingMatrix(z4, z4, z4, (((1,),),))
         >>> pairing.against((-1,)).images
         ((3,),)
         """
         if len(b) != self.source_m.ngens:
-            raise ValueError(f"right argument must lie in pi_{self.m} = {self.source_m}")
+            raise ValueError(f"right argument must lie in {self.source_m}")
         target = self.target
         if not any(b):  # also the case of no generators, where a row is empty
             return Homomorphism.zero(self.source_n, target)
@@ -319,7 +311,7 @@ def _build_entry(item) -> GroupCatalogEntry:
         try:
             parsed = [[[_int(c, name, "samelson.values", pairing) for c in cell] for cell in vrow]
                       for vrow in values]
-            samelson[(n, m)] = PairingMatrix(n, m, pi[n], pi[m], pi[n + m], parsed)
+            samelson[(n, m)] = PairingMatrix(pi[n], pi[m], pi[n + m], parsed)
         except (TypeError, ValueError) as exc:
             raise CatalogValidationError(name, "samelson.values", f"{pairing}{exc}") from None
         if abelian and not samelson[(n, m)].is_zero:

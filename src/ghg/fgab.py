@@ -7,8 +7,9 @@ one function each, read off Smith diagonals alone, so the engine builds
 no unimodular transform: the cokernel from one reduction of the images
 stacked over the codomain relations, the kernel by rank-nullity on the
 free block and the torsion of the domain relations lifted through f.
-A zero map takes no reduction: coker(0: A -> B) = B, ker(0: A -> B) = A,
-and a zero image needs no well-definedness check. A chain is its own
+A zero map takes no reduction: coker(0: A -> B) = B, ker(0: A -> B) = A.
+A Homomorphism reduces its images, and tests each generator's order,
+through _reduced, the one rule for torsion coordinates. A chain is its own
 canonical form, so FgAbGroup.of returns it as given and merges other
 orders; any other chain is a Smith diagonal. A torsion-free (or trivial)
 summand leaves the other's chain as it is.
@@ -278,9 +279,8 @@ class Homomorphism(Value):
     to [0, di) on construction, so structural equality is equality of
     maps. Construction rejects a wrong count or length of images, and
     the image y of a generator of order d unless d * y is 0 in the
-    codomain; a zero image needs no check. Both the reduction and the
-    check read the codomain's generator orders, 0 for a free coordinate,
-    which is left as given.
+    codomain. Both the reduction and the check go through _reduced, which
+    leaves a free coordinate as given.
     """
 
     __slots__ = ("domain", "codomain", "images")
@@ -289,11 +289,9 @@ class Homomorphism(Value):
         images = tuple(tuple(map(operator.index, y)) for y in images)
         if len(images) != domain.ngens or any(len(y) != codomain.ngens for y in images):
             raise ValueError(f"need {domain.ngens} images of {codomain.ngens} coordinates")
-        orders = codomain.generator_orders()
-        images = tuple(tuple([c % e if e else c for c, e in zip(y, orders)]) for y in images)
+        images = tuple(_reduced(codomain, y) for y in images)
         for j, d in enumerate(domain.invariant_factors, domain.rank):
-            if any(images[j]) and any([d * c % e if e else d * c
-                                       for c, e in zip(images[j], orders)]):
+            if any(_reduced(codomain, tuple(d * c for c in images[j]))):
                 raise ValueError(f"ill-defined homomorphism: generator {j} has order {d} "
                                  f"but {d} times its image {images[j]} is nonzero")
         object.__setattr__(self, "domain", domain)

@@ -170,13 +170,13 @@ def test_pairing_needs_catalogued_degrees():
 def test_pairing_matrix_shape_checks():
     z12 = FgAbGroup.cyclic(12)
     free = FgAbGroup(1)
-    good = PairingMatrix(3, 3, free, free, z12, (((1,),),))
+    good = PairingMatrix(free, free, z12, (((1,),),))
     assert not good.is_zero
     with pytest.raises(ValueError):
-        PairingMatrix(3, 3, free, free, z12, ())  # row count mismatch
+        PairingMatrix(free, free, z12, ())  # row count mismatch
     with pytest.raises(ValueError, match="torsion"):
         # value of infinite order is not allowed
-        PairingMatrix(1, 1, free, free, FgAbGroup(1), (((1,),),))
+        PairingMatrix(free, free, FgAbGroup(1), (((1,),),))
 
 
 def test_pairing_annihilation_check():
@@ -184,8 +184,8 @@ def test_pairing_annihilation_check():
     z2 = FgAbGroup.cyclic(2)
     z4 = FgAbGroup.cyclic(4)
     with pytest.raises(ValueError, match="ill-defined homomorphism"):
-        PairingMatrix(1, 1, z2, z2, z4, (((1,),),))
-    assert PairingMatrix(1, 1, z2, z2, z4, (((6,),),)).values == (((2,),),)
+        PairingMatrix(z2, z2, z4, (((1,),),))
+    assert PairingMatrix(z2, z2, z4, (((6,),),)).values == (((2,),),)
 
 
 Z = FgAbGroup(1)
@@ -204,10 +204,10 @@ Z = FgAbGroup(1)
 ])
 def test_pairing_checks_each_variable(source_n, source_m, target, reason):
     if reason is None:
-        assert PairingMatrix(1, 1, source_n, source_m, target, (((1,),),)).values == (((1,),),)
+        assert PairingMatrix(source_n, source_m, target, (((1,),),)).values == (((1,),),)
     else:
         with pytest.raises(ValueError, match=reason):
-            PairingMatrix(1, 1, source_n, source_m, target, (((1,),),))
+            PairingMatrix(source_n, source_m, target, (((1,),),))
 
 
 # The same through the loader. A free pi sits only at an odd degree, so a
@@ -247,9 +247,10 @@ def test_against_is_the_stored_table_as_a_homomorphism():
     """Column i of <., f_j> is values[i][j]; <., -b> is -<., b> on every
     class with free coordinates in -2..2; and delta_n is <., -b>."""
     cat = default_catalog()
-    pairings = [(name, p) for name in cat.names() for p in cat.entry(name).samelson.values()]
+    pairings = [(name, n, m, p) for name in cat.names()
+                for (n, m), p in cat.entry(name).samelson.items()]
     assert len(pairings) == 5
-    for name, p in pairings:
+    for name, n, m, p in pairings:
         gens = [unit(p.source_n, i) for i in range(p.source_n.ngens)]
         for j in range(p.source_m.ngens):
             f = p.against(unit(p.source_m, j))
@@ -261,7 +262,7 @@ def test_against_is_the_stored_table_as_a_homomorphism():
             # the columns are reduced coordinates, so they negate as elements
             assert [apply(minus, a) for a in gens] == [negated(p.target, apply(p.against(b), a))
                                                        for a in gens]
-            assert connecting_hom_sphere(cat, name, p.m + 1, b, p.n) == minus
+            assert connecting_hom_sphere(cat, name, m + 1, b, n) == minus
 
 
 def reference_against(pairing, b):
@@ -283,13 +284,13 @@ def test_against_matches_the_element_sum():
     entry for entry, on every stored pairing and every class with free
     coordinates in -3..3 and every torsion residue."""
     cat = default_catalog()
-    pairings = [p for name in cat.names() for p in cat.entry(name).samelson.values()]
+    pairings = [(n, m, p) for name in cat.names() for (n, m), p in cat.entry(name).samelson.items()]
     assert len(pairings) == 5
-    for p in pairings:
+    for n, m, p in pairings:
         axes = [range(-3, 4) if d == 0 else range(d) for d in p.source_m.generator_orders()]
         for b in itertools.product(*axes):
             got, want = p.against(b), reference_against(p, b)
-            assert got == want and got.images == want.images, (p.n, p.m, b)
+            assert got == want and got.images == want.images, (n, m, b)
 
 
 def test_load_roundtrip(tmp_path):
@@ -484,7 +485,7 @@ def _load(entries):
 
 Z2 = FgAbGroup.cyclic(2)
 Z4 = FgAbGroup.cyclic(4)
-Z2_PAIRING = PairingMatrix(1, 1, Z2, Z2, Z2, (((1,),),))
+Z2_PAIRING = PairingMatrix(Z2, Z2, Z2, (((1,),),))
 
 
 @pytest.mark.parametrize("call, exc, field", [
@@ -516,11 +517,11 @@ Z2_PAIRING = PairingMatrix(1, 1, Z2, Z2, Z2, (((1,),),))
     # every field of a row is read before any check on their values
     pytest.param(_load([entry_dict(samelson=[{"n": 0, "m": 1}])]),
                  CatalogValidationError, "samelson.values", id="pairing-degree-0-without-values"),
-    pytest.param(lambda _: PairingMatrix(1, 1, Z2, Z2, Z2, ((),)), ValueError, None,
+    pytest.param(lambda _: PairingMatrix(Z2, Z2, Z2, ((),)), ValueError, None,
                  id="pairing-column-count"),
     # a value is a coordinate tuple, which carries no group: one from the
     # wrong group shows as a tuple of the wrong length
-    pytest.param(lambda _: PairingMatrix(1, 1, Z2, Z2, Z4, (((1, 0),),)),
+    pytest.param(lambda _: PairingMatrix(Z2, Z2, Z4, (((1, 0),),)),
                  ValueError, None, id="pairing-value-group"),
     # <a, b> is apply(against(b), a), so each side checks its own group;
     # an element from another group shows as a tuple of the wrong length

@@ -205,10 +205,53 @@ def reduced_inputs():
             for g in groups for _ in range(60)]
 
 
+def homomorphism_scan(domain, codomain, images):
+    """Homomorphism's reduced images, or None where it rejects them."""
+    try:
+        return Homomorphism(domain, codomain, images).images
+    except ValueError:
+        return None
+
+
+def homomorphism_loop(domain, codomain, images):
+    """Homomorphism's reduction and order test in their loop form, the
+    reference for their route through _reduced: None where it rejects."""
+    orders = codomain.generator_orders()
+    images = tuple(tuple([c % e if e else c for c, e in zip(y, orders)]) for y in images)
+    for j, d in enumerate(domain.invariant_factors, domain.rank):
+        if any(images[j]) and any([d * c % e if e else d * c for c, e in zip(images[j], orders)]):
+            return None
+    return images
+
+
+def homomorphism_inputs():
+    """Drawn maps between groups with free coordinates only, torsion
+    only, both, and the trivial group, negative and 20-digit entries
+    included. Half the images of a finite-order generator are drawn
+    well-defined, as multiples of e / gcd(d, e) plus any multiple of e,
+    and the rest at random, so both accepted and ill-defined maps occur."""
+    rng = random.Random(40)
+    groups = [FgAbGroup(0), FgAbGroup(2), FgAbGroup(0, (2, 4)), FgAbGroup(1, (3, 6, 12)),
+              FgAbGroup(3, (2,)), FgAbGroup(0, (6, 6 * 10**19))]
+
+    def entry():
+        return rng.randint(-10**20, 10**20) if rng.random() < 0.2 else rng.randint(-30, 30)
+
+    def image(d, codomain):
+        if not d or rng.random() < 0.5:
+            return tuple(entry() for _ in range(codomain.ngens))
+        return tuple(0 if not e else e // gcd(d, e) * entry() + e * entry()
+                     for e in codomain.generator_orders())
+
+    return [(dom, cod, [image(d, cod) for d in dom.generator_orders()])
+            for dom in groups for cod in groups for _ in range(12)]
+
+
 @pytest.mark.parametrize("scan, loop, inputs", [
     (_is_chain, is_chain_loop, [(f,) for f in chain_inputs()]),
     (_reduced, reduced_loop, reduced_inputs()),
-], ids=["_is_chain", "_reduced"])
+    (homomorphism_scan, homomorphism_loop, homomorphism_inputs()),
+], ids=["_is_chain", "_reduced", "Homomorphism"])
 def test_scans_match_their_loop_forms(scan, loop, inputs):
     """Each per-query scan rewritten as C-level iteration gives what its
     loop form gave, on every input listed."""

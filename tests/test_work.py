@@ -5,8 +5,11 @@ sys.setprofile, so every binding, in any module and however late, is
 counted and nothing in ghg is patched. Two pins measure the reductions
 themselves: "_smith cells" adds up nrows * ncols off each call frame of
 _smith, and "_smith bits" is the largest bit length on a diagonal it
-returns, off the return event. A row's answer is built outside the
-counted run; no generator is counted (each resume reports a call).
+returns, off the return event. Two more add up the lengths of what a
+function returns, off the same event: "_strips states", the strips that
+lr_support tries, and "_assemble candidates", the chains formed. A
+row's answer is built outside the counted run; no generator is counted
+(each resume reports a call).
 A count changed on purpose is re-pinned and named in CHANGES.md. Print
 each row's id and current counts from the repository root with
 
@@ -27,20 +30,27 @@ CODES = {name: getattr(f, "__func__", f).__code__ for name, f in {
     "_smith": fgab._smith, "Homomorphism": Homomorphism.__init__, "zero": Homomorphism.zero,
     "of": FgAbGroup.of, "_is_chain": fgab._is_chain, "Catalog.entry": Catalog.entry,
     "resolve_extension": exactseq.resolve_extension, "lr_support": exactseq.lr_support,
-    "_assemble": exactseq._assemble, "_primes": exactseq._primes}.items()}
+    "_assemble": exactseq._assemble, "_primes": exactseq._primes,
+    "_strips": exactseq._strips}.items()}
+# each pin summing the lengths of what a function of CODES returns
+LENGTHS = {"_strips states": "_strips", "_assemble candidates": "_assemble"}
 
 
 def calls(run, names):
     """{name: count} of each name while run() runs: the calls of each
-    function of CODES named, and "_smith cells" and "_smith bits"; the
-    previous profile function is restored even when run() raises."""
+    function of CODES named, each pin of LENGTHS named, and "_smith
+    cells" and "_smith bits"; the previous profile function is restored
+    even when run() raises."""
     codes = {CODES[name]: name for name in names if name in CODES}
+    lengths = {CODES[LENGTHS[name]]: name for name in names if name in LENGTHS}
     counts = dict.fromkeys(names, 0)
     smith = CODES["_smith"]
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in codes:
             counts[codes[frame.f_code]] += 1
+        elif event == "return" and frame.f_code in lengths:
+            counts[lengths[frame.f_code]] += len(arg or ())  # None when it raised
         if frame.f_code is smith:
             if event == "call" and "_smith cells" in counts:
                 counts["_smith cells"] += frame.f_locals["nrows"] * frame.f_locals["ncols"]
@@ -106,17 +116,18 @@ PINS = [
     # every other connecting map a structural zero. resolve_extension forms its candidates'
     # chains in closed form, without of, and scans each once in the FgAbGroup constructor.
     # Each query looks up its catalog entry once and reads every pi group off it.
-    # The 98 reductions cover 104 cells, and no diagonal entry passes 2 bits
+    # The 98 reductions cover 104 cells, and no diagonal entry passes 2 bits.
+    # The 12 lr_support calls try 52 strips and form 40 candidate chains
     ("golden-queries", lambda: len([gauge_homotopy(CAT, *q) for q in QUERIES]), 538,
      {"Homomorphism": 92, "of": 166, "_is_chain": 339, "Catalog.entry": 538, "_smith": 98,
       "resolve_extension": 238, "lr_support": 12, "_assemble": 12, "_primes": 24,
-      "_smith cells": 104, "_smith bits": 2}),
+      "_smith cells": 104, "_smith bits": 2, "_strips states": 52, "_assemble candidates": 40}),
     # a full verify at the shipped seed, catalog load included: the load builds each stored
     # pairing's rows and columns as maps, Homomorphism.zero skips the checked __init__, and
     # class-0 queries build no map and take no reduction
     ("verify", lambda: all(ok for _, ok, _ in verify.run_all(default_catalog(), verify.SEED)),
      True, {"Homomorphism": 1156, "zero": 850, "_smith": 4419, "_smith cells": 21296,
-            "_smith bits": 20}),
+            "_smith bits": 20, "_strips states": 197, "_assemble candidates": 180}),
 ]
 
 
