@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .fgab import FgAbGroup, Homomorphism, Value
+from .fgab import FgAbGroup, Homomorphism, Value, _reduced
 
 _ENTRY_FIELDS = {"name", "connected", "abelian", "rational_exponents", "pi", "samelson"}
 _PI_FIELDS = {"degree": int, "rank": int, "factors": list, "source": str}
@@ -94,9 +94,9 @@ class PairingMatrix(Value):
         return not any(any(v) for row in self.values for v in row)
 
     def against(self, b: tuple[int, ...]) -> Homomorphism:
-        """<., b> : pi_n -> pi_(n+m) for b in pi_m, given by its coordinates, a
-        homomorphism since the pairing is biadditive; the image of generator i
-        is sum_j b_j values[i][j], summed on integers, which Homomorphism reduces.
+        """<., b> : pi_n -> pi_(n+m) for b in pi_m, given by its coordinates: image i
+        is sum_j b_j values[i][j], summed on integers, then reduced. It is built
+        unchecked, as each column <., f_j> is a map: d e_i = 0 gives d <e_i, b> = 0.
 
         >>> z4 = FgAbGroup.cyclic(4)
         >>> pairing = PairingMatrix(z4, z4, z4, (((1,),),))
@@ -108,9 +108,9 @@ class PairingMatrix(Value):
         target = self.target
         if not any(b):  # also the case of no generators, where a row is empty
             return Homomorphism.zero(self.source_n, target)
-        images = [[sum(map(operator.mul, b, entries)) for entries in zip(*row)]
-                  for row in self.values]
-        return Homomorphism(self.source_n, target, images)
+        images = tuple([_reduced(target, tuple([sum(map(operator.mul, b, c)) for c in zip(*row)]))
+                        for row in self.values])
+        return Homomorphism._from_images(self.source_n, target, images)
 
 
 def _named_map(domain: FgAbGroup, target: FgAbGroup, images, where: str) -> Homomorphism:

@@ -9,10 +9,11 @@ stacked over the codomain relations, the kernel by rank-nullity on the
 free block and the torsion of the domain relations lifted through f.
 A zero map takes no reduction: coker(0: A -> B) = B, ker(0: A -> B) = A.
 A Homomorphism reduces its images, and tests each generator's order,
-through _reduced, the one rule for torsion coordinates. A chain is its own
-canonical form, so FgAbGroup.of returns it as given and merges other
-orders; any other chain is a Smith diagonal. A torsion-free (or trivial)
-summand leaves the other's chain as it is.
+through _reduced, the one rule for torsion coordinates, unless built by
+_from_images from proved images. A chain is its own canonical form, so
+FgAbGroup.of returns it as given and merges other orders; any other chain
+is a Smith diagonal. A torsion-free (or trivial) summand leaves the
+other's chain as it is.
 
 Conventions used throughout:
 
@@ -299,14 +300,18 @@ class Homomorphism(Value):
         object.__setattr__(self, "images", images)
 
     @classmethod
-    def zero(cls, domain: FgAbGroup, codomain: FgAbGroup) -> Homomorphism:
-        """The zero map, without the checks of __init__: a zero image is
-        already reduced and well-defined."""
+    def _from_images(cls, domain: FgAbGroup, codomain: FgAbGroup, images) -> Homomorphism:
+        """The map with these images, which the caller has shown pass __init__'s checks."""
         f = object.__new__(cls)
         object.__setattr__(f, "domain", domain)
         object.__setattr__(f, "codomain", codomain)
-        object.__setattr__(f, "images", ((0,) * codomain.ngens,) * domain.ngens)
+        object.__setattr__(f, "images", images)
         return f
+
+    @classmethod
+    def zero(cls, domain: FgAbGroup, codomain: FgAbGroup) -> Homomorphism:
+        """The zero map: a zero image is already reduced and well defined."""
+        return cls._from_images(domain, codomain, ((0,) * codomain.ngens,) * domain.ngens)
 
 
 def cokernel(f: Homomorphism) -> FgAbGroup:
@@ -326,8 +331,8 @@ def cokernel(f: Homomorphism) -> FgAbGroup:
 
 
 def kernel(f: Homomorphism) -> FgAbGroup:
-    """Kernel of a homomorphism, from two Smith diagonals, or from none
-    when f is zero, since ker(0: A -> B) = A.
+    """Kernel of a homomorphism, from at most two Smith diagonals, and from
+    none when f is zero, since ker(0: A -> B) = A, or a block is empty.
 
     Write dom = Z^r + sum Z/d_j on g generators and cod = Z^q + sum Z/e_i
     on h generators, s of them torsion, and f_ij for coordinate i of the
@@ -338,7 +343,7 @@ def kernel(f: Homomorphism) -> FgAbGroup:
     The torsion of ker f is the kernel of f on tors(dom). Lift the
     relation d_j e_j of each finite-order generator j to the row
     (d_j e_j, y) of Z^(g+s), with y_i = -d_j f_ij / e_i at each torsion
-    coordinate i of cod (exact, as Homomorphism checks). The lifted
+    coordinate i of cod (exact, since f is well defined). The lifted
     rows lie in L = {(x, y) : f(x) + y rel_cod = 0}, which projects
     injectively onto the preimage lattice {x : f(x) is a codomain
     relation}, and L modulo them is ker f. Z^(g+s) / L embeds in Z^h, so
@@ -352,13 +357,14 @@ def kernel(f: Homomorphism) -> FgAbGroup:
     dom, cod, images = f.domain, f.codomain, f.images
     if not any(map(any, images)):
         return dom
-    free = [list(y[:cod.rank]) for y in images[:dom.rank]]
-    nullity = dom.rank - sum(1 for x in _smith(free, dom.rank, cod.rank) if x)
+    free = [list(y[:cod.rank]) for y in images[:dom.rank]] if cod.rank else []
+    nullity = dom.rank - (sum(1 for x in _smith(free, dom.rank, cod.rank) if x) if free else 0)
     lifted = [[d * (k == j) for k in range(dom.ngens)]
               + [-d * c // e for c, e in zip(images[j][cod.rank:], cod.invariant_factors)]
               for j, d in enumerate(dom.invariant_factors, dom.rank)]
-    quotient = _presented(lifted, dom.ngens + len(cod.invariant_factors))
-    return FgAbGroup._from_chain(nullity, quotient.invariant_factors)
+    # a torsion-free dom lifts no row, and its chain () is the torsion of ker f
+    torsion = _presented(lifted, dom.ngens + len(cod.invariant_factors)) if lifted else dom
+    return FgAbGroup._from_chain(nullity, torsion.invariant_factors)
 
 
 def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:

@@ -171,6 +171,15 @@ def connecting_hom_surface(
     return Homomorphism(last.domain, codomain, images)
 
 
+def _genus_sub(coker: FgAbGroup, h1: FgAbGroup, k: int) -> FgAbGroup:
+    """sub = coker + h1^k over k = 2*genus zero blocks; a torsion-free h1 keeps coker's chain."""
+    if not k or h1.is_trivial:
+        return coker
+    if not h1.invariant_factors:
+        return FgAbGroup._from_chain(coker.rank + k * h1.rank, coker.invariant_factors)
+    return FgAbGroup.of(coker.rank + k * h1.rank, coker.invariant_factors + k * h1.invariant_factors)
+
+
 def gauge_homotopy(
     catalog: Catalog,
     group: str,
@@ -184,35 +193,30 @@ def gauge_homotopy(
 
         pi_(n+1)(K) --delta--> (target) -> pi_n(Gau P) -> pi_n(K) --delta--> (target)
 
-    with both connecting maps read off one catalog entry. A structural
-    zero builds no map (coker(0: A -> B) = B, ker(0: A -> B) = A); else
-    coker takes one Smith diagonal and ker two, with no transforms. The
-    2*genus zero blocks make coker delta_(n+1) the S^dim cokernel plus
-    pi_(n+1)(K)^2g and ker delta_n the S^dim kernel. A trivial bundle
-    (class 0) splits: evaluation Gau(P) = Map(B, K) -> K has the
-    constant-map section, so the answer is sub + quot, settled before the
-    torsion bound like the split rules of resolve_extension. When the
-    genus summand alone forces the torsion order past the bound, the
-    query is refused before that summand is built. Errors come in
-    connecting_hom_sphere's order, delta_(n+1) first.
+    with both connecting maps read off one catalog entry. A trivial bundle
+    (class 0) splits, by the constant-map section, so the answer sub + quot
+    is settled first, before any pairing is read or the torsion bound
+    applies. Otherwise a structural zero builds no map (coker(0: A -> B) =
+    B, ker(0: A -> B) = A), and coker takes one Smith diagonal and ker at
+    most two, with no transforms. When the genus summand alone forces the
+    torsion order past the bound, the query is refused before that summand
+    is built. Errors come in connecting_hom_sphere's order, delta_(n+1) first.
     """
     if n < 1:
         raise ValueError("gauge homotopy degrees start at 1 (degree 0 is out of scope)")
     dim, k = bundle.base.dim, 2 * bundle.base.genus
     entry, b, h1, top, pin, bottom = _ends(catalog, group, dim, bundle.clazz,
                                            n + 1, n + dim, n, n + dim - 1)
+    if not any(b):  # the class-0 rule: the evaluation fibration splits
+        sub = _genus_sub(top, h1, k)
+        return SequenceResult(sub, pin, (direct_sum(sub, pin),))
     left = _pairing_map(entry, b, n + 1, dim, h1, top)
     right = _pairing_map(entry, b, n, dim, pin, bottom)
     coker = top if left is None else cokernel(left)
     quot = pin if right is None else kernel(right)
-    if (k >= max(1, torsion_bound.bit_length()) and h1.invariant_factors
-            and quot.invariant_factors and any(b)):
+    if k >= max(1, torsion_bound.bit_length()) and h1.invariant_factors and quot.invariant_factors:
         raise TorsionBoundError(torsion_bound)  # |tors sub| >= 2^k > bound, tors quot != 0
-    sub = coker if not k or h1.is_trivial else FgAbGroup.of(
-        coker.rank + k * h1.rank, coker.invariant_factors + k * h1.invariant_factors)
-    if not any(b):
-        return SequenceResult(sub, quot, (direct_sum(sub, quot),))
-    return resolve_extension(sub, quot, torsion_bound)
+    return resolve_extension(_genus_sub(coker, h1, k), quot, torsion_bound)
 
 
 def gauge_homotopy_rational(

@@ -2,6 +2,8 @@
 import itertools
 import json
 import operator
+import random
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -291,6 +293,45 @@ def test_against_matches_the_element_sum():
         for b in itertools.product(*axes):
             got, want = p.against(b), reference_against(p, b)
             assert got == want and got.images == want.images, (n, m, b)
+
+
+def random_pairing(rng, shape):
+    """A random valid PairingMatrix of shape (rows, columns) of generators,
+    with free rank in both sources: each torsion coordinate of a value is a
+    multiple of t / gcd(t, g), for t its target factor and g the gcd of the
+    orders of the two generators paired, so it is killed by both orders."""
+    def group(rank, ntors, first):
+        chain = [rng.choice(first)]
+        for _ in range(ntors - 1):
+            chain.append(chain[-1] * rng.choice((1, 2)))
+        return FgAbGroup(rank, tuple(chain[:ntors]))
+    source_n, source_m = (group(rank, ngens - rank, (2, 3)) for ngens in shape
+                          for rank in [rng.randint(0, ngens)])
+    target = group(rng.randint(0, 1), rng.randint(1, 2), (2, 4, 6))
+    values = [[(0,) * target.rank + tuple(t // gcd(t, g) * rng.randrange(gcd(t, g))
+                                         for t in target.invariant_factors)
+               for g in (gcd(d, e) for e in source_m.generator_orders())]
+              for d in source_n.generator_orders()]
+    return PairingMatrix(source_n, source_m, target, values)
+
+
+def test_against_matches_the_element_sum_on_random_tables():
+    """against builds its map unchecked; on random tables of shapes the
+    shipped catalog lacks (square ones of 2 x 2 and larger, sources with
+    free rank), it equals the element sum built through the checked
+    Homomorphism constructor, for every class in a small box."""
+    rng = random.Random(41)
+    shapes = [(2, 2), (3, 3), (1, 3), (3, 1), (2, 3)] * 8
+    pairings = [random_pairing(rng, shape) for shape in shapes]
+    assert {(p.source_n.ngens, p.source_m.ngens) for p in pairings} == set(shapes)
+    assert any(p.source_n.rank and p.source_m.rank and p.source_n.ngens == p.source_m.ngens
+               for p in pairings)
+    assert sum(not p.is_zero for p in pairings) > 30
+    for p in pairings:
+        axes = [range(-2, 3) if d == 0 else range(d) for d in p.source_m.generator_orders()]
+        for b in itertools.product(*axes):
+            got, want = p.against(b), reference_against(p, b)
+            assert got == want and got.images == want.images, (p, b)
 
 
 def test_load_roundtrip(tmp_path):

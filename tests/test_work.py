@@ -14,7 +14,13 @@ A count changed on purpose is re-pinned and named in CHANGES.md. Print
 each row's id and current counts from the repository root with
 
     PYTHONPATH=src python3 tests/test_work.py
+
+and print only the rows whose counts differ from their pins, each count
+as pin -> now, exiting 1 if there is any, with
+
+    PYTHONPATH=src python3 tests/test_work.py --diff
 """
+import argparse
 import sys
 
 import pytest
@@ -28,6 +34,7 @@ from test_golden import answered_queries
 # the code object of a classmethod is its __func__'s
 CODES = {name: getattr(f, "__func__", f).__code__ for name, f in {
     "_smith": fgab._smith, "Homomorphism": Homomorphism.__init__, "zero": Homomorphism.zero,
+    "_from_images": Homomorphism._from_images,
     "of": FgAbGroup.of, "_is_chain": fgab._is_chain, "Catalog.entry": Catalog.entry,
     "resolve_extension": exactseq.resolve_extension, "lr_support": exactseq.lr_support,
     "_assemble": exactseq._assemble, "_primes": exactseq._primes,
@@ -86,21 +93,27 @@ def query(group, base, clazz, n, counts):
 # (id, what runs, its answer, exact counts)
 PINS = [
     # SU2's delta_2 over S^4 has the trivial domain pi_2 = 0; at degree 2
-    # with class 3, delta_3 is the stored pairing's map
-    query("SU2", Sphere(4), (3,), 2, {"_smith": 1, "Homomorphism": 1}),
+    # with class 3, delta_3 is the stored pairing's map, built unchecked
+    query("SU2", Sphere(4), (3,), 2, {"_smith": 1, "Homomorphism": 0, "_from_images": 1}),
     # delta_2 and delta_1 over S^4 are structural zeros (pi_2 = pi_1 = 0)
-    query("SU2", Sphere(4), (3,), 1, {"Homomorphism": 0}),
-    # both TEST surface maps are nonzero
-    query("TEST", Surface(1), (1,), 2, {"_smith": 3}),
-    # class 0 makes both maps structural zeros, which build no map
-    query("TEST", Surface(1), (0,), 2, {"Homomorphism": 0}),
-    # TEST's stored pairing pi_2 x pi_1 vanishes against -b = 2, so only delta_1 is reduced
-    query("TEST", Sphere(2), (-2,), 1, {"_smith": 2}),
-    query("SU2", Sphere(4), (0,), 2, {"_smith": 0, "Homomorphism": 0}),
+    query("SU2", Sphere(4), (3,), 1, {"Homomorphism": 0, "_from_images": 0}),
+    # both TEST surface maps are nonzero; the kernel of delta_2 : Z/4 -> Z + Z/2
+    # reduces its lifted relations alone, as its domain has no free rank
+    query("TEST", Surface(1), (1,), 2, {"_smith": 2}),
+    # class 0 splits before either map is looked at, so no map is built
+    query("TEST", Surface(1), (0,), 2, {"Homomorphism": 0, "_from_images": 0}),
+    # TEST's stored pairing pi_2 x pi_1 vanishes against -b = 2, and delta_1 : Z -> Z/4
+    # has a torsion-free domain and a codomain of rank 0, so its kernel is not reduced
+    query("TEST", Sphere(2), (-2,), 1, {"_smith": 0}),
+    query("SU2", Sphere(4), (0,), 2, {"_smith": 0, "Homomorphism": 0, "_from_images": 0}),
     # verify's image reads U and D off one snf and the preimage lattice off one more reduction
     ("image", lambda: verify.image(F), FgAbGroup.cyclic(4), {"_smith": 2}),
     ("cokernel", lambda: cokernel(F), FgAbGroup.cyclic(2), {"_smith": 1}),
-    ("kernel", lambda: kernel(F), FgAbGroup(1), {"_smith": 2}),
+    # the free block of Z + Z/4 -> Z/8 is empty, so only the lifted relations are reduced
+    ("kernel", lambda: kernel(F), FgAbGroup(1), {"_smith": 1}),
+    # a torsion-free domain lifts no relations: ker(Z -> Z/4) = Z with no reduction
+    ("kernel-torsion-free", lambda: kernel(Homomorphism(FgAbGroup(1), FgAbGroup.cyclic(4), [(1,)])),
+     FgAbGroup(1), {"_smith": 0}),
     ("canonicalize", lambda: verify.canonicalize([[2, 0], [0, 3]], 2), FgAbGroup.cyclic(6),
      {"_smith": 1}),
     # a 3 x 3 block is 9 cells, and its diagonal 2, 6, 12 peaks at 4 bits
@@ -112,21 +125,24 @@ PINS = [
     # it is: no merge, and no scan of a chain already validated
     ("direct-sum-torsion-free", lambda: [direct_sum(a, b) for a, b in PAIRS], SUMS,
      {"_is_chain": 0, "of": 0}),
-    # the 538 answered queries of tests/golden_compute.jsonl: 46 stored pairings' maps,
-    # every other connecting map a structural zero. resolve_extension forms its candidates'
+    # the 538 answered queries of tests/golden_compute.jsonl: 92 connecting maps are stored
+    # pairings' maps, built unchecked; the 300 class-0 queries split before any map is looked
+    # at, and every other map is a structural zero. resolve_extension forms its candidates'
     # chains in closed form, without of, and scans each once in the FgAbGroup constructor.
     # Each query looks up its catalog entry once and reads every pi group off it.
-    # The 98 reductions cover 104 cells, and no diagonal entry passes 2 bits.
-    # The 12 lr_support calls try 52 strips and form 40 candidate chains
+    # The 34 reductions cover 104 cells (no block is empty), and no diagonal entry passes 2
+    # bits. The 12 lr_support calls try 52 strips and form 40 candidate chains
     ("golden-queries", lambda: len([gauge_homotopy(CAT, *q) for q in QUERIES]), 538,
-     {"Homomorphism": 92, "of": 166, "_is_chain": 339, "Catalog.entry": 538, "_smith": 98,
+     {"Homomorphism": 0, "_from_images": 92, "of": 155, "_is_chain": 300, "Catalog.entry": 538,
+      "_smith": 34,
       "resolve_extension": 238, "lr_support": 12, "_assemble": 12, "_primes": 24,
       "_smith cells": 104, "_smith bits": 2, "_strips states": 52, "_assemble candidates": 40}),
     # a full verify at the shipped seed, catalog load included: the load builds each stored
-    # pairing's rows and columns as maps, Homomorphism.zero skips the checked __init__, and
-    # class-0 queries build no map and take no reduction
+    # pairing's rows and columns as checked maps, Homomorphism.zero and against build theirs
+    # unchecked (850 + 379), and class-0 queries build no map and take no reduction
     ("verify", lambda: all(ok for _, ok, _ in verify.run_all(default_catalog(), verify.SEED)),
-     True, {"Homomorphism": 1156, "zero": 850, "_smith": 4419, "_smith cells": 21296,
+     True, {"Homomorphism": 777, "zero": 850, "_from_images": 1229, "_smith": 4336,
+            "_smith cells": 21296,
             "_smith bits": 20, "_strips states": 197, "_assemble candidates": 180}),
 ]
 
@@ -153,6 +169,36 @@ def test_calls_counts_late_bindings_and_restores_the_profile():
     assert sys.getprofile() is before
 
 
-if __name__ == "__main__":
+def test_diff_prints_only_the_rows_off_their_pins(monkeypatch, capsys):
+    rows = [row for row in PINS if row[0] in ("cokernel", "kernel")]
+    monkeypatch.setitem(globals(), "PINS", rows)
+    assert main(["--diff"]) == 0 and capsys.readouterr().out == ""
+    rows[1] = (*rows[1][:3], {"_smith": 2, "_smith cells": 3})
+    assert main(["--diff"]) == 1
+    assert capsys.readouterr().out == "kernel: _smith 2 -> 1\n"
+    assert main([]) == 0
+    assert capsys.readouterr().out == ("cokernel {'_smith': 1}\n"
+                                       "kernel {'_smith': 1, '_smith cells': 3}\n")
+
+
+def main(argv):
+    """Print each row's id and counts, or with --diff only the rows whose
+    counts differ from their pins, and exit 1 if there is any."""
+    parser = argparse.ArgumentParser(description="print or diff the work pins")
+    parser.add_argument("--diff", action="store_true",
+                        help="print each count that differs from its pin, as pin -> now, "
+                             "and exit 1 if any does")
+    diff, changed = parser.parse_args(argv).diff, False
     for name, run, _, counts in PINS:
-        print(name, calls(run, counts))
+        got = calls(run, counts)
+        if not diff:
+            print(name, got)
+        elif got != counts:
+            changed = True
+            print(f"{name}: " + ", ".join(f"{key} {counts[key]} -> {got[key]}"
+                                          for key in counts if got[key] != counts[key]))
+    return int(changed)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
