@@ -281,25 +281,11 @@ def reference_against(pairing, b):
     return Homomorphism(pairing.source_n, pairing.target, images)
 
 
-def test_against_matches_the_element_sum():
-    """The integer-coordinate against equals the element-sum definition,
-    entry for entry, on every stored pairing and every class with free
-    coordinates in -3..3 and every torsion residue."""
-    cat = default_catalog()
-    pairings = [(n, m, p) for name in cat.names() for (n, m), p in cat.entry(name).samelson.items()]
-    assert len(pairings) == 5
-    for n, m, p in pairings:
-        axes = [range(-3, 4) if d == 0 else range(d) for d in p.source_m.generator_orders()]
-        for b in itertools.product(*axes):
-            got, want = p.against(b), reference_against(p, b)
-            assert got == want and got.images == want.images, (n, m, b)
-
-
 def random_pairing(rng, shape):
-    """A random valid PairingMatrix of shape (rows, columns) of generators,
-    with free rank in both sources: each torsion coordinate of a value is a
-    multiple of t / gcd(t, g), for t its target factor and g the gcd of the
-    orders of the two generators paired, so it is killed by both orders."""
+    """A random valid PairingMatrix of shape (rows, columns) of generators:
+    each torsion coordinate of a value is a multiple of t / gcd(t, g), for t
+    its target factor and g the gcd of the orders of the two generators
+    paired, so both orders kill it."""
     def group(rank, ntors, first):
         chain = [rng.choice(first)]
         for _ in range(ntors - 1):
@@ -315,20 +301,24 @@ def random_pairing(rng, shape):
     return PairingMatrix(source_n, source_m, target, values)
 
 
-def test_against_matches_the_element_sum_on_random_tables():
-    """against builds its map unchecked; on random tables of shapes the
-    shipped catalog lacks (square ones of 2 x 2 and larger, sources with
-    free rank), it equals the element sum built through the checked
-    Homomorphism constructor, for every class in a small box."""
-    rng = random.Random(41)
-    shapes = [(2, 2), (3, 3), (1, 3), (3, 1), (2, 3)] * 8
-    pairings = [random_pairing(rng, shape) for shape in shapes]
-    assert {(p.source_n.ngens, p.source_m.ngens) for p in pairings} == set(shapes)
+def test_against_matches_the_element_sum():
+    """against builds its map unchecked, from integer coordinates; it
+    equals the element-sum definition, built through the checked
+    Homomorphism constructor, entry for entry, for every class with free
+    coordinates in -3..3 and every torsion residue. The pairings are the
+    stored ones and 40 random tables of shapes the shipped catalog lacks:
+    square ones of 2 x 2 and larger, and sources with free rank."""
+    cat = default_catalog()
+    stored = [p for name in cat.names() for p in cat.entry(name).samelson.values()]
+    assert len(stored) == 5
+    rng, shapes = random.Random(41), [(2, 2), (3, 3), (1, 3), (3, 1), (2, 3)] * 8
+    drawn = [random_pairing(rng, shape) for shape in shapes]
+    assert {(p.source_n.ngens, p.source_m.ngens) for p in drawn} == set(shapes)
     assert any(p.source_n.rank and p.source_m.rank and p.source_n.ngens == p.source_m.ngens
-               for p in pairings)
-    assert sum(not p.is_zero for p in pairings) > 30
-    for p in pairings:
-        axes = [range(-2, 3) if d == 0 else range(d) for d in p.source_m.generator_orders()]
+               for p in drawn)
+    assert sum(not p.is_zero for p in drawn) > 30
+    for p in stored + drawn:
+        axes = [range(-3, 4) if d == 0 else range(d) for d in p.source_m.generator_orders()]
         for b in itertools.product(*axes):
             got, want = p.against(b), reference_against(p, b)
             assert got == want and got.images == want.images, (p, b)
