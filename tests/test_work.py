@@ -134,16 +134,15 @@ PINS = [
     # bits. The 12 lr_support calls try 52 strips and form 40 candidate chains
     ("golden-queries", lambda: len([gauge_homotopy(CAT, *q) for q in QUERIES]), 538,
      {"Homomorphism": 0, "_from_images": 92, "of": 155, "_is_chain": 300, "Catalog.entry": 538,
-      "_smith": 34,
-      "resolve_extension": 238, "lr_support": 12, "_assemble": 12, "_primes": 24,
+      "_smith": 34, "resolve_extension": 238, "lr_support": 12, "_assemble": 12, "_primes": 24,
       "_smith cells": 104, "_smith bits": 2, "_strips states": 52, "_assemble candidates": 40}),
     # a full verify at the shipped seed, catalog load included: the load builds each stored
     # pairing's rows and columns as checked maps, Homomorphism.zero and against build theirs
     # unchecked (850 + 379), and class-0 queries build no map and take no reduction
     ("verify", lambda: all(ok for _, ok, _ in verify.run_all(default_catalog(), verify.SEED)),
      True, {"Homomorphism": 777, "zero": 850, "_from_images": 1229, "_smith": 4336,
-            "_smith cells": 21296,
-            "_smith bits": 20, "_strips states": 197, "_assemble candidates": 180}),
+            "_smith cells": 21296, "_smith bits": 20, "_strips states": 197,
+            "_assemble candidates": 180}),
 ]
 
 
