@@ -12,8 +12,8 @@ A Homomorphism reduces its images, and tests each generator's order,
 through _reduced, the one rule for torsion coordinates, unless built by
 _from_images from proved images. A chain is its own canonical form, so
 FgAbGroup.of returns it as given and merges other orders; any other chain
-is a Smith diagonal. A torsion-free (or trivial) summand leaves the
-other's chain as it is.
+is a Smith diagonal. direct_sum joins two chains, unscanned, where the
+last factor of one divides the first of the other, as when one is empty.
 
 Conventions used throughout:
 
@@ -368,15 +368,21 @@ def kernel(f: Homomorphism) -> FgAbGroup:
 
 
 def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
-    """Canonical form of a + b.
+    """Canonical form of a + b: two chains join unscanned where the last factor
+    of one divides the first of the other, and any other pair merges in of.
 
     >>> str(direct_sum(FgAbGroup.cyclic(2), FgAbGroup.cyclic(6)))
     'Z/2 + Z/6'
+    >>> str(direct_sum(FgAbGroup.cyclic(4), FgAbGroup.cyclic(2)))
+    'Z/2 + Z/4'
     >>> str(direct_sum(FgAbGroup.cyclic(2), FgAbGroup.cyclic(3)))
     'Z/6'
     """
     if a.is_trivial or b.is_trivial:
         return b if a.is_trivial else a
-    if a.invariant_factors and b.invariant_factors:
-        return FgAbGroup.of(a.rank + b.rank, a.invariant_factors + b.invariant_factors)
-    return FgAbGroup._from_chain(a.rank + b.rank, a.invariant_factors or b.invariant_factors)
+    fa, fb = a.invariant_factors, b.invariant_factors
+    if fa and fb and fb[0] % fa[-1]:  # b's chain does not continue a's
+        if fa[0] % fb[-1]:
+            return FgAbGroup.of(a.rank + b.rank, fa + fb)
+        fa, fb = fb, fa
+    return FgAbGroup._from_chain(a.rank + b.rank, fa + fb)

@@ -24,10 +24,12 @@ a closed form in the exponents of K (entry.rational_exponents).
 from __future__ import annotations
 
 import operator
+import sys
 
 from .catalog import Catalog, CatalogError, GroupCatalogEntry
 from .exactseq import DEFAULT_TORSION_BOUND, SequenceResult, TorsionBoundError, resolve_extension
 from .fgab import (
+    CapacityError,
     FgAbGroup,
     Homomorphism,
     Value,
@@ -172,12 +174,14 @@ def connecting_hom_surface(
 
 
 def _genus_sub(coker: FgAbGroup, h1: FgAbGroup, k: int) -> FgAbGroup:
-    """sub = coker + h1^k over k = 2*genus zero blocks; a torsion-free h1 keeps coker's chain."""
+    """sub = coker + h1^k over k = 2*genus zero blocks, h1's chain taking each factor k times."""
     if not k or h1.is_trivial:
         return coker
-    if not h1.invariant_factors:
-        return FgAbGroup._from_chain(coker.rank + k * h1.rank, coker.invariant_factors)
-    return FgAbGroup.of(coker.rank + k * h1.rank, coker.invariant_factors + k * h1.invariant_factors)
+    count = len(coker.invariant_factors) + k * len(h1.invariant_factors)
+    if count > sys.maxsize // 8:  # a tuple takes 8 bytes an entry
+        raise CapacityError(f"sub would have {count} torsion summands, more than a tuple holds")
+    copies = sum(((d,) * k for d in h1.invariant_factors), ())
+    return direct_sum(coker, FgAbGroup._from_chain(k * h1.rank, copies))
 
 
 def gauge_homotopy(

@@ -213,6 +213,27 @@ def test_genus_four_million_refusal_is_fast(capsys):
     assert capsys.readouterr().err == "ghg: compute: extension torsion order exceeds the bound 10000\n"
 
 
+@pytest.mark.parametrize("clazz", [[], ["--class", "1"]], ids=["no-class", "class-1"])
+def test_genus_past_the_index_size_is_refused(capsys, clazz):
+    """pi_4(SU2) = Z/2 taken 2g times at g = 10^19 is more torsion summands
+    than a tuple holds: the query is refused, naming the count, before any
+    tuple is built."""
+    code = cli.run(["compute", "--group", "SU2", "--base", "surface:10000000000000000000",
+                    "--degree", "3", *clazz])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("ghg: compute: sub would have 20000000000000000001 torsion "
+                            "summands, more than a tuple holds\n")
+
+
+def test_genus_past_the_index_size_adds_free_rank(capsys):
+    """pi_3(SU2) = Z is torsion-free, so the genus adds rank alone."""
+    code = cli.run(["compute", "--group", "SU2", "--base", "surface:10000000000000000000",
+                    "--degree", "2"])
+    assert code == 0
+    assert capsys.readouterr().out == "Z^20000000000000000000 + Z/2\n"
+
+
 def test_integer_past_digit_limit_is_usage_error(capsys):
     """A --base or --class integer with more digits than int() converts
     is refused with the digit limit named, not as a non-integer."""

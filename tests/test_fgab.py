@@ -393,6 +393,21 @@ def test_direct_sum_examples():
     assert direct_sum(FgAbGroup.cyclic(4), FgAbGroup.cyclic(6)) == FgAbGroup(0, (2, 12))
 
 
+# every group of rank at most 1 with at most 3 invariant factors, each dividing 24
+SMALL = [FgAbGroup(rank, chain) for rank in (0, 1) for n in range(4)
+         for chain in itertools.combinations_with_replacement((2, 3, 4, 6, 8, 12, 24), n)
+         if _is_chain(chain)]
+
+
+def test_direct_sum_matches_the_merge_of_both_chains():
+    """A join of two chains is kept only where it is the canonical chain,
+    in either order; every ordered pair equals of's merge of both."""
+    for a, b in itertools.product(SMALL, repeat=2):
+        s = direct_sum(a, b)
+        assert s == FgAbGroup.of(a.rank + b.rank, a.invariant_factors + b.invariant_factors)
+        assert s == FgAbGroup(s.rank, s.invariant_factors)
+
+
 def test_direct_sum_commutes_and_adds_rank():
     rng = random.Random(7)
     for _ in range(60):

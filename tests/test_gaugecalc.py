@@ -13,6 +13,7 @@ from ghg.gaugecalc import (
     PairingUnavailable,
     Sphere,
     Surface,
+    _genus_sub,
     class_group,
     connecting_hom_sphere,
     connecting_hom_surface,
@@ -21,6 +22,7 @@ from ghg.gaugecalc import (
     make_bundle,
 )
 from ghg.verify import apply, image, middle_group, rational_via_zero_sequence
+from test_fgab import SMALL
 from test_golden import answered_queries
 
 CAT = default_catalog()
@@ -240,12 +242,23 @@ def test_gauge_surface_multi_block():
 
 
 def test_high_genus_merges_in_linear_time():
-    """pi_4(SU2)^16000 = (Z/2)^16000 joins sub as 16000 copies of one
-    order, merged at once rather than pair by pair."""
+    """pi_4(SU2)^16000 = (Z/2)^16000 joins sub as one chain of 16000
+    copies, by one divisibility test rather than pair by pair."""
     start = time.perf_counter()
     r = gauge_homotopy(CAT, "SU2", BundleSpec(Surface(8000), ()), 3)
     assert time.perf_counter() - start < 1.0
     assert r.resolved == FgAbGroup(1, (2,) * 16001)
+
+
+def test_genus_sub_matches_the_merge_of_its_copies():
+    """sub = coker + h1^k, with h1's chain taken k times, equals of's merge
+    of coker's chain and k repeats of h1's. A join reads the first and last
+    factors alone, so chains of at most 2 factors cover every case."""
+    groups = [g for g in SMALL if len(g.invariant_factors) <= 2]
+    for coker, h1, k in itertools.product(groups, groups, range(6)):
+        want = FgAbGroup.of(coker.rank + k * h1.rank,
+                            coker.invariant_factors + k * h1.invariant_factors)
+        assert _genus_sub(coker, h1, k) == want
 
 
 def test_high_genus_refusal_is_fast():

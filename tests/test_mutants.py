@@ -230,6 +230,12 @@ MUTANTS = [
     _row("kernel of a nonzero map loses one free rank",
          fgab, "kernel", _on_result(_kernel_loses_rank),
          "rational_class_independence"),
+    # a class-0 answer whose chains interleave stays unmerged, unlike the check's split
+    _row("direct_sum keeps any concatenation of two chains",
+         fgab, "direct_sum",
+         lambda real: lambda a, b: FgAbGroup._from_chain(
+             a.rank + b.rank, a.invariant_factors + b.invariant_factors),
+         "trivial_bundle_split"),
     _row("_smith leaves the rows below its block alone",
          fgab, "_smith", _border_rows_untouched,
          "snf_random_suite", "genus_zero_matches_sphere"),

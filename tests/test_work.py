@@ -22,6 +22,7 @@ as pin -> now, exiting 1 if there is any, with
 """
 import argparse
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,9 @@ from ghg.catalog import Catalog, default_catalog
 from ghg.fgab import FgAbGroup, Homomorphism, cokernel, direct_sum, kernel
 from ghg.gaugecalc import Sphere, Surface, gauge_homotopy, make_bundle
 from test_golden import answered_queries
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import GENUS_KINDS  # noqa: E402
 
 # the code object of a classmethod is its __func__'s
 CODES = {name: getattr(f, "__func__", f).__code__ for name, f in {
@@ -82,6 +86,7 @@ PAIRS = [(FgAbGroup(2, (2, 6)), FgAbGroup(1)), (FgAbGroup(0, (3,)), FgAbGroup(0)
          (FgAbGroup(1), FgAbGroup(0))]
 PAIRS += [(b, a) for a, b in PAIRS]
 SUMS = [FgAbGroup(a.rank + b.rank, a.invariant_factors + b.invariant_factors) for a, b in PAIRS]
+LADDER = [(group, make_bundle(CAT, group, Surface(64), clazz), n) for group, n, clazz in GENUS_KINDS]
 
 
 def query(group, base, clazz, n, counts):
@@ -129,13 +134,21 @@ PINS = [
     # pairings' maps, built unchecked; the 300 class-0 queries split before any map is looked
     # at, and every other map is a structural zero. resolve_extension forms its candidates'
     # chains in closed form, without of, and scans each once in the FgAbGroup constructor.
-    # Each query looks up its catalog entry once and reads every pi group off it.
-    # The 34 reductions cover 104 cells (no block is empty), and no diagonal entry passes 2
-    # bits. The 12 lr_support calls try 52 strips and form 40 candidate chains
+    # Only the 39 direct sums whose chains interleave reach of, which scans them and checks
+    # its merge: 152 scans with the 34 reductions' and 40 candidates'. Each query looks up
+    # its catalog entry once and reads every pi group off it. The 34 reductions cover 104
+    # cells (no block is empty), and no diagonal entry passes 2 bits. The 12 lr_support
+    # calls try 52 strips and form 40 candidate chains
     ("golden-queries", lambda: len([gauge_homotopy(CAT, *q) for q in QUERIES]), 538,
-     {"Homomorphism": 0, "_from_images": 92, "of": 155, "_is_chain": 300, "Catalog.entry": 538,
+     {"Homomorphism": 0, "_from_images": 92, "of": 39, "_is_chain": 152, "Catalog.entry": 538,
       "_smith": 34, "resolve_extension": 238, "lr_support": 12, "_assemble": 12, "_primes": 24,
       "_smith cells": 104, "_smith bits": 2, "_strips states": 52, "_assemble candidates": 40}),
+    # the seven kinds of the benchmark's genus workload at its top rung, genus 64: each sub
+    # joins coker's chain to pi_(n+1)'s with each factor 128 times, by one divisibility
+    # test in direct_sum, so no chain reaches of (4 calls before that test). The one scan
+    # checks the one reduction's chain, the cokernel of TEST's class-1 delta_2
+    ("genus-ladder", lambda: [gauge_homotopy(CAT, *q) for q in LADDER],
+     [gauge_homotopy(CAT, *q) for q in LADDER], {"of": 0, "_is_chain": 1, "_smith": 1}),
     # a full verify at the shipped seed, catalog load included: the load builds each stored
     # pairing's rows and columns as checked maps, Homomorphism.zero and against build theirs
     # unchecked (850 + 379), and class-0 queries build no map and take no reduction
