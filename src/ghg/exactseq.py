@@ -2,8 +2,8 @@
 
 Exactness pins X between sub = coker(A -> B) and quot = ker(C -> D),
 0 -> sub -> X -> quot -> 0. The rules are deliberately small: a free
-quotient splits, a trivial side collapses, and anything else is answered
-one prime at a time. X has rank rank(sub) + rank(quot) and its torsion
+quotient or a trivial sub splits, and anything else is answered one
+prime at a time. X has rank rank(sub) + rank(quot) and its torsion
 is an extension of tors sub by a subgroup T of tors quot, where
 (tors quot)/T needs at most rank(sub) generators (so T = tors quot when
 sub is finite); it splits into p-primary parts. A finite abelian p-group
@@ -64,18 +64,19 @@ class SequenceResult(Value):
 def resolve_extension(
     sub: FgAbGroup, quot: FgAbGroup, torsion_bound: int = DEFAULT_TORSION_BOUND
 ) -> SequenceResult:
-    """All abelian groups X fitting 0 -> sub -> X -> quot -> 0, by the
-    rule chain:
+    """All abelian groups X fitting 0 -> sub -> X -> quot -> 0, by two
+    rules with one refusal between them:
 
-    1. a free quot splits: X = sub + quot (this covers a trivial quot);
-    2. a trivial sub collapses: X = quot;
-    3. otherwise the torsion order |tors sub| * |tors quot| must not
-       exceed torsion_bound and the two exponents must factor by trial
-       division up to 10^6 (CapacityError), and X has rank
-       r + rank(quot), r = rank(sub), and at each prime p a p-primary
-       part of every type in lr_support(mu, nu, r), mu and nu the types
-       of the p-parts of sub and quot (one horizontal strip per part
-       of nu, a lattice-word cap between consecutive strips).
+    1. a free quot or a trivial sub splits, X = sub + quot, at any bound;
+    2. otherwise a torsion order |tors sub| * |tors quot| past
+       torsion_bound is refused (TorsionBoundError; t factors, each at
+       least 2, pass any bound below 2^t unmultiplied);
+    3. otherwise, once the two exponents factor by trial division up
+       to 10^6 (CapacityError), X has rank r + rank(quot), r = rank(sub),
+       and at each prime p a p-primary part of every type in
+       lr_support(mu, nu, r), mu and nu the types of the p-parts of sub
+       and quot (one horizontal strip per part of nu, a lattice-word cap
+       between consecutive strips).
 
     The free part of quot splits off. The torsion of X meets sub in
     tors sub and maps onto a subgroup T of tors quot, and (tors quot)/T
@@ -85,18 +86,11 @@ def resolve_extension(
     absorb torsion of quot: 0 -> Z -> X -> Z/2 -> 0 has X = Z (the
     doubling map) as well as X = Z + Z/2.
     """
-    if not quot.invariant_factors:
-        # free quotients split (this also covers trivial quot and trivial sub)
+    if not quot.invariant_factors or sub.is_trivial:
         return SequenceResult(sub, quot, (direct_sum(sub, quot),))
-    if sub.is_trivial:
-        return SequenceResult(sub, quot, (quot,))
-    order = 1
-    for d in sub.invariant_factors + quot.invariant_factors:
-        # stop at the first partial product past the bound: the full
-        # order of a high-genus sub can run to millions of digits
-        order *= d
-        if order > torsion_bound:
-            raise TorsionBoundError(torsion_bound)
+    facs = sub.invariant_factors + quot.invariant_factors
+    if len(facs) >= max(1, torsion_bound.bit_length()) or prod(facs) > torsion_bound:
+        raise TorsionBoundError(torsion_bound)
     rank = sub.rank + quot.rank
     # the primes of the order are those of the two exponents, each far cheaper to factor
     exponents = sub.invariant_factors[-1:] + quot.invariant_factors[-1:]

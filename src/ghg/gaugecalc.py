@@ -24,7 +24,6 @@ a closed form in the exponents of K (entry.rational_exponents).
 from __future__ import annotations
 
 import operator
-import sys
 
 from .catalog import Catalog, CatalogError, GroupCatalogEntry
 from .exactseq import DEFAULT_TORSION_BOUND, SequenceResult, TorsionBoundError, resolve_extension
@@ -157,8 +156,8 @@ def connecting_hom_surface(
     surface: the first 2g blocks vanish and the last is the S^2 map
     -<., b>. Row k of V in one Smith form U R V = D of the block
     relations R is block generator k in the canonical codomain, read at
-    the pivots that are 0 (free), then above 1 (torsion). _smith reduces
-    R over an identity border, which records V alone."""
+    the pivots that are 0 (free), then above 1 (torsion), which are its
+    rank and chain. _smith reduces R over an identity border recording V."""
     if genus < 0:
         raise ValueError("genus must be >= 0")
     last = connecting_hom_sphere(catalog, group, 2, b, n)
@@ -168,7 +167,7 @@ def connecting_hom_surface(
     pivots = _smith(m, len(relations), k) + [0] * (k - len(relations))
     canon = [j for j, x in enumerate(pivots) if x == 0] + [j for j, x in enumerate(pivots) if x > 1]
     rows = m[len(m) - last.codomain.ngens:]
-    codomain = FgAbGroup.of(0, orders)
+    codomain = FgAbGroup(pivots.count(0), tuple(x for x in pivots if x > 1))
     images = [[sum(r[j] * c for r, c in zip(rows, y)) for j in canon] for y in last.images]
     return Homomorphism(last.domain, codomain, images)
 
@@ -177,11 +176,12 @@ def _genus_sub(coker: FgAbGroup, h1: FgAbGroup, k: int) -> FgAbGroup:
     """sub = coker + h1^k over k = 2*genus zero blocks, h1's chain taking each factor k times."""
     if not k or h1.is_trivial:
         return coker
-    count = len(coker.invariant_factors) + k * len(h1.invariant_factors)
-    if count > sys.maxsize // 8:  # a tuple takes 8 bytes an entry
-        raise CapacityError(f"sub would have {count} torsion summands, more than a tuple holds")
-    copies = sum(((d,) * k for d in h1.invariant_factors), ())
-    return direct_sum(coker, FgAbGroup._from_chain(k * h1.rank, copies))
+    try:
+        copies = sum(((d,) * k for d in h1.invariant_factors), ())
+        return direct_sum(coker, FgAbGroup._from_chain(k * h1.rank, copies))
+    except (OverflowError, MemoryError):
+        count = len(coker.invariant_factors) + k * len(h1.invariant_factors)
+        raise CapacityError(f"sub would have {count} torsion summands, more than can be built")
 
 
 def gauge_homotopy(

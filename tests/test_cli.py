@@ -213,17 +213,20 @@ def test_genus_four_million_refusal_is_fast(capsys):
     assert capsys.readouterr().err == "ghg: compute: extension torsion order exceeds the bound 10000\n"
 
 
-@pytest.mark.parametrize("clazz", [[], ["--class", "1"]], ids=["no-class", "class-1"])
-def test_genus_past_the_index_size_is_refused(capsys, clazz):
-    """pi_4(SU2) = Z/2 taken 2g times at g = 10^19 is more torsion summands
-    than a tuple holds: the query is refused, naming the count, before any
-    tuple is built."""
-    code = cli.run(["compute", "--group", "SU2", "--base", "surface:10000000000000000000",
+@pytest.mark.parametrize("genus, clazz", [(10**19, []), (10**19, ["--class", "1"]),
+                                          (10**17, []), (10**17, ["--class", "1"])],
+                         ids=["no-class", "class-1", "genus-1e17-no-class", "genus-1e17-class-1"])
+def test_genus_past_the_index_size_is_refused(capsys, genus, clazz):
+    """pi_4(SU2) = Z/2 taken 2g times is more torsion summands than can be
+    built: past the index size at g = 10^19 (OverflowError), past what can
+    be allocated at g = 10^17 (MemoryError, with no memory taken). The
+    query is refused, naming the count."""
+    code = cli.run(["compute", "--group", "SU2", "--base", f"surface:{genus}",
                     "--degree", "3", *clazz])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == ("ghg: compute: sub would have 20000000000000000001 torsion "
-                            "summands, more than a tuple holds\n")
+    assert captured.err == (f"ghg: compute: sub would have {2 * genus + 1} torsion "
+                            "summands, more than can be built\n")
 
 
 def test_genus_past_the_index_size_adds_free_rank(capsys):
@@ -432,14 +435,29 @@ def test_verify_runs_checks_replaced_before_loading():
     assert out == "PASS stub: stubbed\n1/1 checks passed\n0\n"
 
 
+COLD_COMPUTE_MODULES = [
+    "__future__", "_bz2", "_compression", "_json", "_locale", "_lzma", "_sre", "argparse",
+    "bz2", "copyreg", "enum", "errno", "fnmatch", "gettext", "ghg", "ghg.catalog",
+    "ghg.exactseq", "ghg.fgab", "ghg.gaugecalc", "ghg.verify", "ipaddress", "json",
+    "json.decoder", "json.encoder", "json.scanner", "locale", "lzma", "math", "ntpath",
+    "pathlib", "re", "re._casefix", "re._compiler", "re._constants", "re._parser", "shutil",
+    "urllib", "urllib.parse", "zlib",
+]
+
+
 def test_compute_as_main_leaves_verify_unloaded():
     """The route a cold `python -m ghg.cli compute` takes, where cli.py runs
-    as __main__ rather than as ghg.cli: the suite is never compiled."""
+    as __main__ rather than as ghg.cli: the suite is never compiled. The
+    modules the run adds to a bare `python -S` are pinned (on CPython
+    3.11), so a PR that drops or adds an import shows it here; pathlib
+    alone brings shutil, fnmatch, bz2, lzma, zlib and urllib.parse."""
     out = _child(
         "import runpy; "
         "sys.argv = ['ghg', 'compute', '--group', 'SU2', '--base', 'sphere:4', '--class', '6', '--degree', '2']\n"
+        "before = set(sys.modules)\n"
         "try:\n    runpy.run_module('ghg.cli', run_name='__main__')\n"
         "except SystemExit as exc:\n    print('exit', exc.code)\n"
-        "print('random' in sys.modules)"
+        "print('random' in sys.modules)\n"
+        "print(sorted(set(sys.modules) - before))"
     )
-    assert out == "Z/6\nexit 0\nFalse\n"
+    assert out == f"Z/6\nexit 0\nFalse\n{COLD_COMPUTE_MODULES}\n"

@@ -7,6 +7,7 @@ import pytest
 
 from ghg.exactseq import (
     SequenceResult,
+    TorsionBoundError,
     _assemble,
     _primary_type,
     _primes,
@@ -89,13 +90,15 @@ def test_middle_ambiguous():
 
 
 def test_resolve_free_quotient_splits():
-    r = resolve_extension(FgAbGroup.cyclic(2), Z)
-    assert r.is_resolved and str(r.resolved) == "Z^1 + Z/2"
+    for bound in (10000, 0):  # a split ignores the bound
+        r = resolve_extension(FgAbGroup.cyclic(2), Z, bound)
+        assert r.is_resolved and str(r.resolved) == "Z^1 + Z/2"
 
 
 def test_resolve_trivial_sub():
-    r = resolve_extension(FgAbGroup(0), FgAbGroup.cyclic(12))
-    assert r.is_resolved and str(r.resolved) == "Z/12"
+    for bound in (10000, 0):  # a split ignores the bound
+        r = resolve_extension(FgAbGroup(0), FgAbGroup.cyclic(12), bound)
+        assert r.is_resolved and str(r.resolved) == "Z/12"
 
 
 def test_resolve_unique_order():
@@ -129,8 +132,32 @@ def test_free_sub_absorbs_torsion():
 
 
 def test_capacity_bound():
+    """The bound refuses exactly the torsion orders N past it, and t
+    factors, each at least 2, are refused unmultiplied at any bound below
+    2^t, so 400,001 of them are refused at once."""
     with pytest.raises(CapacityError, match="exceeds the bound 10"):
         resolve_extension(FgAbGroup.cyclic(200), FgAbGroup.cyclic(100), torsion_bound=10)
+    sub = FgAbGroup(0, (2,) * 400_000)
+    start = time.perf_counter()
+    with pytest.raises(TorsionBoundError, match="exceeds the bound 10000$"):
+        resolve_extension(sub, FgAbGroup.cyclic(2))
+    assert time.perf_counter() - start < 0.5
+    divisors = [d for d in range(2, 25) if 24 % d == 0]
+    chains = [(), *((d,) for d in divisors),
+              *((a, b) for a in divisors for b in divisors if b % a == 0)]
+    groups = [FgAbGroup(r, c) for r in (0, 1) for c in chains]
+    for sub, quot in itertools.product(groups, repeat=2):
+        if sub.is_trivial or not quot.invariant_factors:
+            continue
+        n = sub.torsion_order * quot.torsion_order
+        t = len(sub.invariant_factors + quot.invariant_factors)
+        for bound in {n - 1, n, n + 1, 2**t - 1, 2**t}:
+            try:
+                resolve_extension(sub, quot, bound)
+            except TorsionBoundError:
+                assert n > bound, (sub, quot, bound)
+            else:
+                assert n <= bound, (sub, quot, bound)
 
 
 def test_large_prime_order_factors_fast():

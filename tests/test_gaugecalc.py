@@ -262,8 +262,9 @@ def test_genus_sub_matches_the_merge_of_its_copies():
 
 
 def test_high_genus_refusal_is_fast():
-    """The torsion bound is checked factor by factor, so a sub with
-    400,000 torsion factors is refused without multiplying them out."""
+    """gauge_homotopy's early genus refusal fires first: 2g = 400,000
+    zero blocks give |tors sub| >= 2^400000, past the bound, so the query
+    is refused before sub's 400,000 torsion factors are built."""
     bundle = make_bundle(CAT, "TEST", Surface(200000), (1,))
     start = time.perf_counter()
     with pytest.raises(CapacityError, match="exceeds the bound 10000"):
