@@ -84,10 +84,11 @@ class PairingMatrix(Value):
             _named_map(source_n, target, column, f"column <., f_{j}>")
         if any(any(v[:target.rank]) for row in values for v in row):
             raise ValueError("pairing values must be torsion")
-        object.__setattr__(self, "source_n", source_n)
-        object.__setattr__(self, "source_m", source_m)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "values", values)
+        set_source_n, set_source_m, set_target, set_values = self._setters
+        set_source_n(self, source_n)
+        set_source_m(self, source_m)
+        set_target(self, target)
+        set_values(self, values)
 
     @property
     def is_zero(self) -> bool:
@@ -134,12 +135,13 @@ class GroupCatalogEntry(Value):
         pi_sources: dict[int, str],
         samelson: dict[tuple[int, int], PairingMatrix],
     ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "abelian", abelian)
-        object.__setattr__(self, "rational_exponents", rational_exponents)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "pi_sources", pi_sources)
-        object.__setattr__(self, "samelson", samelson)
+        set_name, set_abelian, set_exponents, set_pi, set_sources, set_samelson = self._setters
+        set_name(self, name)
+        set_abelian(self, abelian)
+        set_exponents(self, rational_exponents)
+        set_pi(self, pi)
+        set_sources(self, pi_sources)
+        set_samelson(self, samelson)
 
     @property
     def depth(self) -> int:
@@ -159,8 +161,9 @@ class Catalog(Value):
     __slots__ = ("entries", "path")
 
     def __init__(self, entries: dict[str, GroupCatalogEntry], path: str):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "path", path)
+        set_entries, set_path = self._setters
+        set_entries(self, entries)
+        set_path(self, path)
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.entries)

@@ -47,9 +47,10 @@ class SequenceResult(Value):
         candidates = tuple(candidates)
         if not candidates:
             raise ValueError("a sequence result needs at least one candidate")
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "quot", quot)
-        object.__setattr__(self, "candidates", candidates)
+        set_sub, set_quot, set_candidates = self._setters
+        set_sub(self, sub)
+        set_quot(self, quot)
+        set_candidates(self, candidates)
 
     @property
     def is_resolved(self) -> bool:

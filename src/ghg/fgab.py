@@ -10,10 +10,13 @@ free block and the torsion of the domain relations lifted through f.
 A zero map takes no reduction: coker(0: A -> B) = B, ker(0: A -> B) = A.
 A Homomorphism reduces its images, and tests each generator's order,
 through _reduced, the one rule for torsion coordinates, unless built by
-_from_images from proved images. A chain is its own canonical form, so
+_from_images from proved images; a group without torsion leaves the
+coordinates as given. A chain is its own canonical form, so
 FgAbGroup.of returns it as given and merges other orders; any other chain
 is a Smith diagonal. direct_sum joins two chains, unscanned, where the
 last factor of one divides the first of the other, as when one is empty.
+Every value type fills its fields through its slots' own setters, bound
+once per class as Value._setters, since assignment raises.
 
 Conventions used throughout:
 
@@ -42,10 +45,12 @@ class CapacityError(Exception):
 class Value:
     """Base of the immutable value types.
 
-    A subclass lists its fields, in order, as ``__slots__`` and sets
-    them in ``__init__`` through ``object.__setattr__``. Equality is
-    same class and equal field tuples, the hash is the hash of the field
-    tuple, the repr is ``Name(field=value, ...)`` without the fields in
+    A subclass lists its fields, in order, as ``__slots__`` and fills
+    them in ``__init__`` through ``_setters``: each slot descriptor's own
+    ``__set__``, bound once per class in ``__slots__`` order, so no
+    generic attribute lookup runs per field. Equality is same class and
+    equal field tuples, the hash is the hash of the field tuple, the
+    repr is ``Name(field=value, ...)`` without the fields in
     ``_repr_hidden``, and assigning or deleting any attribute raises
     AttributeError.
     """
@@ -63,6 +68,7 @@ class Value:
             # one C-level getter per class keeps == and hash off a Python loop
             cls._astuple = operator.attrgetter(*names)
         cls._repr_fields = tuple(n for n in names if n not in cls._repr_hidden)
+        cls._setters = tuple(cls.__dict__[n].__set__ for n in names)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -185,15 +191,17 @@ class FgAbGroup(Value):
             if any(d < 2 for d in facs):
                 raise ValueError("invariant factors must be >= 2")
             raise ValueError(f"factors {facs} do not form a divisibility chain")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "invariant_factors", facs)
+        set_rank, set_facs = self._setters
+        set_rank(self, rank)
+        set_facs(self, facs)
 
     @classmethod
     def _from_chain(cls, rank: int, chain: tuple[int, ...]) -> FgAbGroup:
         """Z^rank + chain, with rank and chain already validated."""
         group = object.__new__(cls)
-        object.__setattr__(group, "rank", rank)
-        object.__setattr__(group, "invariant_factors", chain)
+        set_rank, set_facs = cls._setters
+        set_rank(group, rank)
+        set_facs(group, chain)
         return group
 
     @classmethod
@@ -269,7 +277,10 @@ def _presented(rows: list[list[int]], n: int) -> FgAbGroup:
 
 
 def _reduced(group: FgAbGroup, coords: tuple[int, ...]) -> tuple[int, ...]:
-    """Coordinates in group with each torsion entry reduced to [0, di)."""
+    """Coordinates in group with each torsion entry reduced to [0, di),
+    given as they are when the group has no torsion."""
+    if not group.invariant_factors:
+        return coords
     rank = group.rank
     return coords[:rank] + tuple(map(operator.mod, coords[rank:], group.invariant_factors))
 
@@ -295,17 +306,19 @@ class Homomorphism(Value):
             if any(_reduced(codomain, tuple(d * c for c in images[j]))):
                 raise ValueError(f"ill-defined homomorphism: generator {j} has order {d} "
                                  f"but {d} times its image {images[j]} is nonzero")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "images", images)
+        set_domain, set_codomain, set_images = self._setters
+        set_domain(self, domain)
+        set_codomain(self, codomain)
+        set_images(self, images)
 
     @classmethod
     def _from_images(cls, domain: FgAbGroup, codomain: FgAbGroup, images) -> Homomorphism:
         """The map with these images, which the caller has shown pass __init__'s checks."""
         f = object.__new__(cls)
-        object.__setattr__(f, "domain", domain)
-        object.__setattr__(f, "codomain", codomain)
-        object.__setattr__(f, "images", images)
+        set_domain, set_codomain, set_images = cls._setters
+        set_domain(f, domain)
+        set_codomain(f, codomain)
+        set_images(f, images)
         return f
 
     @classmethod

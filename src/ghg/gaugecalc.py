@@ -64,7 +64,7 @@ class Sphere(Value):
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("sphere dimension must be at least 1")
-        object.__setattr__(self, "dim", dim)
+        self._setters[0](self, dim)
 
     def __str__(self):
         return f"sphere:{self.dim}"
@@ -79,7 +79,7 @@ class Surface(Value):
     def __init__(self, genus: int):
         if genus < 0:
             raise ValueError("surface genus must be nonnegative")
-        object.__setattr__(self, "genus", genus)
+        self._setters[0](self, genus)
 
     def __str__(self):
         return f"surface:{self.genus}"
@@ -94,8 +94,9 @@ class BundleSpec(Value):
     __slots__ = ("base", "clazz")
 
     def __init__(self, base: Sphere | Surface, clazz: tuple[int, ...]):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "clazz", clazz)
+        set_base, set_clazz = self._setters
+        set_base(self, base)
+        set_clazz(self, clazz)
 
 
 def class_group(catalog: Catalog, group: str, base: Sphere | Surface) -> FgAbGroup:
@@ -109,14 +110,18 @@ def make_bundle(catalog: Catalog, group: str, base: Sphere | Surface, coords) ->
 
 def _ends(catalog: Catalog, group: str, m: int, b, *degrees: int):
     """The entry of group, the class b counted and reduced in pi_(m-1), then
-    each pi_d, all read off the one entry; the class is checked before any
-    pi_d, which fail in the order given."""
+    each pi_d, all read off the one entry's table; the class is checked
+    before any pi_d, which fail in the order given."""
     entry = catalog.entry(group)
     class_gp = entry.homotopy(m - 1)
     b = tuple(map(operator.index, b))
     if len(b) != class_gp.ngens:
         raise ValueError(f"bundle class must lie in pi_{m - 1}({group}) = {class_gp}")
-    return (entry, _reduced(class_gp, b), *map(entry.homotopy, degrees))
+    b = _reduced(class_gp, b)
+    try:
+        return (entry, b, *map(entry.pi.__getitem__, degrees))
+    except KeyError:  # a degree past the table: homotopy raises for the first one
+        return (entry, b, *map(entry.homotopy, degrees))
 
 
 def _pairing_map(entry: GroupCatalogEntry, b: tuple[int, ...], n: int, m: int,

@@ -222,9 +222,13 @@ def test_gauge_over_circle():
 
 
 def test_gauge_table_depth_propagates():
+    """The first degree past SU2's table (depth 12) is named, in the order
+    the ends are read: pi_(n+1), pi_(n+dim), pi_n, pi_(n+dim-1). So at
+    degree 10 over S^4 degree 14 is named, although 13 is missing too."""
     bundle = make_bundle(CAT, "SU2", Sphere(4), (1,))
-    with pytest.raises(TableDepthError):
-        gauge_homotopy(CAT, "SU2", bundle, 9)
+    for n, missing in ((9, 13), (10, 14)):
+        with pytest.raises(TableDepthError, match=f"degree {missing} requested"):
+            gauge_homotopy(CAT, "SU2", bundle, n)
 
 
 def test_gauge_ambiguous_extension():

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,18 +18,25 @@ ENTRY = default_catalog().entry("SU2")
 
 
 def hashable_cases():
-    """(value, field names in order, repr) for every hashable value type."""
+    """(value, field names in order, repr) for every hashable value type,
+    with values built by the unchecked FgAbGroup._from_chain and
+    Homomorphism._from_images too."""
     return [
         (FgAbGroup(1, (2,)), ("rank", "invariant_factors"),
          "FgAbGroup(rank=1, invariant_factors=(2,))"),
         (FgAbGroup(0), ("rank", "invariant_factors"),
          "FgAbGroup(rank=0, invariant_factors=())"),
+        (FgAbGroup._from_chain(1, (2, 4)), ("rank", "invariant_factors"),
+         "FgAbGroup(rank=1, invariant_factors=(2, 4))"),
         (Homomorphism.zero(FgAbGroup(0), Z4), ("domain", "codomain", "images"),
          "Homomorphism(domain=FgAbGroup(rank=0, invariant_factors=()), "
          "codomain=FgAbGroup(rank=0, invariant_factors=(4,)), images=())"),
         (Homomorphism(Z2, Z4, [(2,)]), ("domain", "codomain", "images"),
          "Homomorphism(domain=FgAbGroup(rank=0, invariant_factors=(2,)), "
          "codomain=FgAbGroup(rank=0, invariant_factors=(4,)), images=((2,),))"),
+        (Homomorphism._from_images(Z4, Z2, ((1,),)), ("domain", "codomain", "images"),
+         "Homomorphism(domain=FgAbGroup(rank=0, invariant_factors=(4,)), "
+         "codomain=FgAbGroup(rank=0, invariant_factors=(2,)), images=((1,),))"),
         (PairingMatrix(Z2, Z2, Z4, (((2,),),)),
          ("source_n", "source_m", "target", "values"),
          "PairingMatrix(source_n=FgAbGroup(rank=0, invariant_factors=(2,)), "
@@ -57,7 +65,19 @@ def dict_cases():
     ]
 
 
-@pytest.mark.parametrize("value, fields, text", hashable_cases())
+def class_ids(cases):
+    """Each case's id: its value's class name and its position among the
+    cases of that class, so a repr change renames no test."""
+    seen = Counter()
+    ids = []
+    for value, *_ in cases:
+        name = type(value).__name__
+        ids.append(f"{name}-{seen[name]}")
+        seen[name] += 1
+    return ids
+
+
+@pytest.mark.parametrize("value, fields, text", hashable_cases(), ids=class_ids(hashable_cases()))
 def test_hashable_value_contract(value, fields, text):
     astuple = tuple(getattr(value, f) for f in fields)
     assert hash(value) == hash(astuple)

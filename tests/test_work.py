@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from ghg import exactseq, fgab, verify
-from ghg.catalog import Catalog, default_catalog
+from ghg.catalog import Catalog, GroupCatalogEntry, default_catalog
 from ghg.fgab import FgAbGroup, Homomorphism, cokernel, direct_sum, kernel
 from ghg.gaugecalc import Sphere, Surface, gauge_homotopy, make_bundle
 from test_golden import answered_queries
@@ -40,6 +40,7 @@ CODES = {name: getattr(f, "__func__", f).__code__ for name, f in {
     "_smith": fgab._smith, "Homomorphism": Homomorphism.__init__, "zero": Homomorphism.zero,
     "_from_images": Homomorphism._from_images,
     "of": FgAbGroup.of, "_is_chain": fgab._is_chain, "Catalog.entry": Catalog.entry,
+    "GroupCatalogEntry.homotopy": GroupCatalogEntry.homotopy,
     "resolve_extension": exactseq.resolve_extension, "lr_support": exactseq.lr_support,
     "_assemble": exactseq._assemble, "_primes": exactseq._primes,
     "_strips": exactseq._strips}.items()}
@@ -136,19 +137,23 @@ PINS = [
     # chains in closed form, without of, and scans each once in the FgAbGroup constructor.
     # Only the 39 direct sums whose chains interleave reach of, which scans them and checks
     # its merge: 152 scans with the 34 reductions' and 40 candidates'. Each query looks up
-    # its catalog entry once and reads every pi group off it. The 34 reductions cover 104
+    # its catalog entry once and reads every pi group off it: the class group through
+    # homotopy, the other four straight off the table. The 34 reductions cover 104
     # cells (no block is empty), and no diagonal entry passes 2 bits. The 12 lr_support
     # calls try 52 strips and form 40 candidate chains
     ("golden-queries", lambda: len([gauge_homotopy(CAT, *q) for q in QUERIES]), 538,
      {"Homomorphism": 0, "_from_images": 92, "of": 39, "_is_chain": 152, "Catalog.entry": 538,
+      "GroupCatalogEntry.homotopy": 538,
       "_smith": 34, "resolve_extension": 238, "lr_support": 12, "_assemble": 12, "_primes": 24,
       "_smith cells": 104, "_smith bits": 2, "_strips states": 52, "_assemble candidates": 40}),
     # the seven kinds of the benchmark's genus workload at its top rung, genus 64: each sub
     # joins coker's chain to pi_(n+1)'s with each factor 128 times, by one divisibility
     # test in direct_sum, so no chain reaches of (4 calls before that test). The one scan
-    # checks the one reduction's chain, the cokernel of TEST's class-1 delta_2
+    # checks the one reduction's chain, the cokernel of TEST's class-1 delta_2. homotopy
+    # reads each class group; the four pi groups of a query come straight off the table
     ("genus-ladder", lambda: [gauge_homotopy(CAT, *q) for q in LADDER],
-     [gauge_homotopy(CAT, *q) for q in LADDER], {"of": 0, "_is_chain": 1, "_smith": 1}),
+     [gauge_homotopy(CAT, *q) for q in LADDER],
+     {"of": 0, "_is_chain": 1, "_smith": 1, "GroupCatalogEntry.homotopy": 7}),
     # a full verify at the shipped seed, catalog load included: the load builds each stored
     # pairing's rows and columns as checked maps, Homomorphism.zero and against build theirs
     # unchecked (850 + 379), and class-0 queries build no map and take no reduction
