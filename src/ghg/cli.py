@@ -218,12 +218,9 @@ def _cmd_rational(args) -> tuple[int, dict, str]:
     if args.degree < 1:
         raise UsageError("degree must be at least 1")
     catalog = _load(args)
-    if args.clazz is None:  # the answer never reads the class, so skip its group
-        bundle = BundleSpec(base, None)
-    else:
-        coords = _parse_class(args.clazz, class_group(catalog, args.group, base))
-        bundle = make_bundle(catalog, args.group, base, coords)
-    dim = gauge_homotopy_rational(catalog, args.group, bundle, args.degree)
+    if args.clazz is not None:  # checked for its count only: the answer never reads it
+        _parse_class(args.clazz, class_group(catalog, args.group, base))
+    dim = gauge_homotopy_rational(catalog, args.group, BundleSpec(base, None), args.degree)
     doc = {
         "command": "rational",
         "group": args.group,

@@ -11,9 +11,9 @@ A zero map takes no reduction: coker(0: A -> B) = B, ker(0: A -> B) = A.
 A Homomorphism reduces its images, and tests each generator's order,
 through _reduced, the one rule for torsion coordinates, unless built by
 _from_images from proved images; a group without torsion leaves the
-coordinates as given. A chain is its own canonical form, so
-FgAbGroup.of returns it as given and merges other orders; any other chain
-is a Smith diagonal. direct_sum joins two chains, unscanned, where the
+coordinates as given. FgAbGroup.of merges any orders into their chain,
+and a chain merges back to itself, so it takes the same route; any other
+chain is a Smith diagonal. direct_sum joins two chains, unscanned, where the
 last factor of one divides the first of the other, as when one is empty.
 Every value type fills its fields through its slots' own setters, bound
 once per class as Value._setters, since assignment raises.
@@ -172,9 +172,9 @@ class FgAbGroup(Value):
     ``rank`` free summands followed by cyclic summands whose orders form
     a divisibility chain; the constructor rejects anything else, so two
     groups are isomorphic exactly when they are equal. Each chain is
-    validated once, where it is formed: by the scan in ``of``, or by this
-    constructor, which checks ``of``'s merges and ``_smith``'s pivots.
-    ``_from_chain`` skips the scan, for a chain such as an existing group's.
+    validated once, where it is formed: this constructor checks ``of``'s
+    merges and ``_smith``'s pivots, and ``_from_chain`` skips the scan, for
+    a chain such as an existing group's.
 
     >>> str(FgAbGroup(2, (2, 6)))
     'Z^2 + Z/2 + Z/6'
@@ -217,15 +217,13 @@ class FgAbGroup(Value):
         partitions (Macdonald, Symmetric Functions and Hall Polynomials,
         II 1), so adding m copies of Z/d to a chain c is one sorted merge:
         slot i becomes lcm(c_(i-m), gcd(c_i, d)), padding c with 1 below
-        and d above. One merge per distinct order; it never factors. Orders
-        that form a chain are scanned once and kept; a merged chain is
-        validated by the constructor, as a check of the merge.
+        and d above. One merge per distinct order; it never factors. A chain
+        merges back to itself, so it takes the same route; the merged chain
+        is validated by the constructor, as a check of the merge.
         """
         rank, orders = operator.index(rank), tuple(map(abs, map(operator.index, orders)))
         if rank < 0:
             raise ValueError("negative rank")
-        if _is_chain(orders):  # invariant factors are unique
-            return cls._from_chain(rank, orders)
         counts = Counter(orders)
         chain = []
         for d, m in counts.items():

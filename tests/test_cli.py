@@ -146,10 +146,11 @@ def test_bad_base(base, capsys):
 
 
 def test_bad_class_count(capsys):
-    code = cli.run(["compute", "--group", "TEST", "--base", "sphere:2",
-                    "--class", "1,2", "--degree", "1"])
-    assert code == 1
-    assert "coordinate" in capsys.readouterr().err
+    for command in ("compute", "rational"):  # rational counts a class it never reads
+        code = cli.run([command, "--group", "TEST", "--base", "sphere:2",
+                        "--class", "1,2", "--degree", "1"])
+        assert code == 1, command
+        assert "coordinate" in capsys.readouterr().err, command
 
 
 def test_bad_class_value(capsys):

@@ -288,10 +288,9 @@ def random_chain(rng, length):
 
 
 def test_of_matches_the_smith_route():
-    """Random orders, and the edge of the chain that FgAbGroup.of returns
-    as given: valid chains, the same with one adjacent pair made
-    non-dividing, with a 1, a 0 or a negative entry added, or reversed,
-    each also as a one-shot iterator."""
+    """Random orders, and the edge of a chain: valid chains, the same
+    with one adjacent pair made non-dividing, with a 1, a 0 or a
+    negative entry added, or reversed, each also as a one-shot iterator."""
 
     def check(rank, orders):
         want = smith_route(rank, orders)
@@ -340,6 +339,17 @@ def test_of_matches_the_smith_route_on_long_runs():
         assert FgAbGroup.of(rank, orders) == want, (rest, d, n)
 
 
+def test_of_merges_a_chain_back_to_itself():
+    """A chain is its own canonical form: of's merge gives back every
+    valid chain of chain_inputs(), the 129-factor genus-64 chain
+    included, as the constructor's group."""
+    chains = [f for f in chain_inputs() if is_chain_loop(f)]
+    assert GENUS_64_CHAIN in chains
+    for rank in (0, 2):
+        for f in chains:
+            assert FgAbGroup.of(rank, f) == FgAbGroup(rank, f), (rank, f)
+
+
 def test_of_never_factors():
     """Merging takes gcds and lcms only, so orders built from the Mersenne
     primes 2^61 - 1 and 2^89 - 1, which trial division could not split
@@ -354,7 +364,7 @@ def test_of_never_factors():
 
 def test_of_rejects_negative_rank():
     """Zero orders add to the rank, but cannot make up a negative one:
-    on the chain path and on the merge path alike."""
+    for a chain and for orders to merge alike."""
     for orders in ((), (2,), (0,), (0, 2, 3), (0, 0, 4)):
         with pytest.raises(ValueError, match="negative rank"):
             FgAbGroup.of(-1, orders)

@@ -21,12 +21,14 @@ as pin -> now, exiting 1 if there is any, with
     PYTHONPATH=src python3 tests/test_work.py --diff
 """
 import argparse
+import contextlib
+import io
 import sys
 from pathlib import Path
 
 import pytest
 
-from ghg import exactseq, fgab, verify
+from ghg import cli, exactseq, fgab, verify
 from ghg.catalog import Catalog, GroupCatalogEntry, default_catalog
 from ghg.fgab import FgAbGroup, Homomorphism, cokernel, direct_sum, kernel
 from ghg.gaugecalc import Sphere, Surface, gauge_homotopy, make_bundle
@@ -40,7 +42,7 @@ CODES = {name: getattr(f, "__func__", f).__code__ for name, f in {
     "_smith": fgab._smith, "Homomorphism": Homomorphism.__init__, "zero": Homomorphism.zero,
     "_from_images": Homomorphism._from_images,
     "of": FgAbGroup.of, "_is_chain": fgab._is_chain, "Catalog.entry": Catalog.entry,
-    "GroupCatalogEntry.homotopy": GroupCatalogEntry.homotopy,
+    "GroupCatalogEntry.homotopy": GroupCatalogEntry.homotopy, "make_bundle": make_bundle,
     "resolve_extension": exactseq.resolve_extension, "lr_support": exactseq.lr_support,
     "_assemble": exactseq._assemble, "_primes": exactseq._primes,
     "_strips": exactseq._strips}.items()}
@@ -90,6 +92,14 @@ SUMS = [FgAbGroup(a.rank + b.rank, a.invariant_factors + b.invariant_factors) fo
 LADDER = [(group, make_bundle(CAT, group, Surface(64), clazz), n) for group, n, clazz in GENUS_KINDS]
 
 
+def run_cli(argv):
+    """cli.run(argv)'s exit code and what it printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    return code, out.getvalue()
+
+
 def query(group, base, clazz, n, counts):
     args = CAT, group, make_bundle(CAT, group, base, clazz), n
     return (f"{group}-{base}-class{clazz[0]}-degree{n}", lambda: gauge_homotopy(*args),
@@ -135,14 +145,14 @@ PINS = [
     # pairings' maps, built unchecked; the 300 class-0 queries split before any map is looked
     # at, and every other map is a structural zero. resolve_extension forms its candidates'
     # chains in closed form, without of, and scans each once in the FgAbGroup constructor.
-    # Only the 39 direct sums whose chains interleave reach of, which scans them and checks
-    # its merge: 152 scans with the 34 reductions' and 40 candidates'. Each query looks up
+    # Only the 39 direct sums whose chains interleave reach of, and the constructor checks
+    # of's merge: 113 scans with the 34 reductions' and 40 candidates'. Each query looks up
     # its catalog entry once and reads every pi group off it: the class group through
     # homotopy, the other four straight off the table. The 34 reductions cover 104
     # cells (no block is empty), and no diagonal entry passes 2 bits. The 12 lr_support
     # calls try 52 strips and form 40 candidate chains
     ("golden-queries", lambda: len([gauge_homotopy(CAT, *q) for q in QUERIES]), 538,
-     {"Homomorphism": 0, "_from_images": 92, "of": 39, "_is_chain": 152, "Catalog.entry": 538,
+     {"Homomorphism": 0, "_from_images": 92, "of": 39, "_is_chain": 113, "Catalog.entry": 538,
       "GroupCatalogEntry.homotopy": 538,
       "_smith": 34, "resolve_extension": 238, "lr_support": 12, "_assemble": 12, "_primes": 24,
       "_smith cells": 104, "_smith bits": 2, "_strips states": 52, "_assemble candidates": 40}),
@@ -154,6 +164,12 @@ PINS = [
     ("genus-ladder", lambda: [gauge_homotopy(CAT, *q) for q in LADDER],
      [gauge_homotopy(CAT, *q) for q in LADDER],
      {"of": 0, "_is_chain": 1, "_smith": 1, "GroupCatalogEntry.homotopy": 7}),
+    # rational counts a given class against its group and never reduces it: the answer
+    # never reads the class, so no bundle is made; the entry is read for the class group
+    # and for the exponents
+    ("rational-class", lambda: run_cli(["rational", "--group", "SU2", "--base", "sphere:4",
+                                        "--class", "5", "--degree", "3"]),
+     (0, "Q^1\n"), {"make_bundle": 0, "Catalog.entry": 2}),
     # a full verify at the shipped seed, catalog load included: the load builds each stored
     # pairing's rows and columns as checked maps, Homomorphism.zero and against build theirs
     # unchecked (850 + 379), and class-0 queries build no map and take no reduction
